@@ -15,6 +15,8 @@ deeper masked networks under squared loss:
   (`trainer`), all reachable from the `sparseland` CLI (`cli`).
 """
 
+__version__ = "0.1.0"
+
 from .activations import ANALYTIC_KINDS, KINDS, Activation, activation_named
 from .calculus import (
     GroupBlock,
@@ -100,9 +102,3 @@ from .trainer import (
     random_sparse_mask,
     run_trials,
 )
-
-try:
-    from importlib.metadata import version as _dist_version
-    __version__ = _dist_version("sparseland")
-except Exception:
-    __version__ = "0.1.0"

@@ -5,18 +5,18 @@ objective
 
     L(U, W) = 0.5 * || sum_i U_i W_i Z_i  -  Y ||_F^2
 
-which is where the interesting certified points live.  Everything else is
-handled by finite differences plus direct loss probes.
+for any number of groups, any group widths and any output dimension; that
+is where the interesting certified points live.  Other losses use finite
+differences plus direct loss probes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import SparseNet, forward
+from .network import SparseNet
 
 GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
@@ -137,53 +137,30 @@ def grad_flat(inst: TwoLayerLinearInstance) -> np.ndarray:
 
 
 def hessian_two_layer_linear(inst: TwoLayerLinearInstance) -> np.ndarray:
-    """Exact Hessian for the two-group, width-1-per-group shape.
+    """Exact Hessian in pack() order, for any number and width of groups.
 
-    Parameter order (u_1, w_1, u_2, w_2) flattened; for the canonical
-    d_y = 2, d_i = 2 case this is the 8x8 matrix.  Other shapes are not
-    supported analytically; use fd_hessian on inst.loss_at instead.
+    With the row-major identity vec(A B C) = (A kron C^T) vec(B), the
+    Jacobian of vec(R) has the blocks [I kron (W_i Z_i)^T, U_i kron Z_i^T]
+    per group, and H = J^T J plus the residual coupling <R, dU_i dW_i Z_i>
+    between U_i and W_i of the same group (Magnus & Neudecker, Matrix
+    Differential Calculus).
     """
-    if len(inst.groups) != 2 or any(g.u.shape[1] != 1 for g in inst.groups):
-        raise ValueError(
-            "analytic Hessian covers exactly 2 groups of width 1; "
-            "use fd_hessian(inst.loss_at, inst.pack()) for other shapes"
-        )
-    g1, g2 = inst.groups
-    u1, w1 = g1.u[:, 0], g1.w[0, :]
-    u2, w2 = g2.u[:, 0], g2.w[0, :]
-    d_y, d1, d2 = u1.size, w1.size, w2.size
-    G11 = g1.z @ g1.z.T
-    G12 = g1.z @ g2.z.T
-    G22 = g2.z @ g2.z.T
+    I_dy = np.eye(inst.d_y)
+    J = np.hstack([
+        block
+        for g in inst.groups
+        for block in (np.kron(I_dy, (g.w @ g.z).T), np.kron(g.u, g.z.T))
+    ])
+    H = J.T @ J
     R = inst.residual()
-    RZ1 = R @ g1.z.T
-    RZ2 = R @ g2.z.T
-    I = np.eye(d_y)
-
-    n = 2 * d_y + d1 + d2
-    H = np.zeros((n, n))
-    s = {
-        "u1": slice(0, d_y),
-        "w1": slice(d_y, d_y + d1),
-        "u2": slice(d_y + d1, 2 * d_y + d1),
-        "w2": slice(2 * d_y + d1, n),
-    }
-
-    def put(a, b, block):
-        H[s[a], s[b]] = block
-        if a != b:
-            H[s[b], s[a]] = block.T
-
-    put("u1", "u1", (w1 @ G11 @ w1) * I)
-    put("u1", "w1", np.outer(u1, G11 @ w1) + RZ1)
-    put("u1", "u2", (w2 @ G12.T @ w1) * I)
-    put("u1", "w2", np.outer(u2, G12.T @ w1))
-    put("w1", "w1", (u1 @ u1) * G11)
-    put("w1", "u2", np.outer(G12 @ w2, u1))
-    put("w1", "w2", (u1 @ u2) * G12)
-    put("u2", "u2", (w2 @ G22 @ w2) * I)
-    put("u2", "w2", np.outer(u2, G22 @ w2) + RZ2)
-    put("w2", "w2", (u2 @ u2) * G22)
+    off = 0
+    for g in inst.groups:
+        nu, nw = g.u.size, g.w.size
+        # d^2 L / dU[a, j] dW[l, k] = (R Z^T)[a, k] * [j == l]
+        C = np.einsum("ak,jl->ajlk", R @ g.z.T, np.eye(g.w.shape[0])).reshape(nu, nw)
+        H[off:off + nu, off + nu:off + nu + nw] += C
+        H[off + nu:off + nu + nw, off:off + nu] += C.T
+        off += nu + nw
 
     asym = np.max(np.abs(H - H.T))
     if asym > 1e-12 * max(1.0, np.max(np.abs(H))):
@@ -384,6 +361,3 @@ def classify_stationary(
         probe_evidence=evidence,
     )
 
-
-def report_to_json_str(report: StationaryReport) -> str:
-    return json.dumps(report.to_json())

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .activations import KINDS, activation_named
 from .convmodes import MODES, ConvSpec, conv_matrix, conv_rank_expected
 from .counterexamples import (
@@ -33,6 +34,7 @@ from .counterexamples import (
 )
 from .landscape import (
     hidden_rank_certificate,
+    least_squares_optimum,
     nonincreasing_path_overparam,
     nonincreasing_path_scalar_output,
     numerical_rank,
@@ -40,12 +42,6 @@ from .landscape import (
 )
 from .network import net_from_json, net_to_json, effective_subnetwork
 from .trainer import TrainConfig, gd_train, gen_synthetic, random_effective_net, run_trials
-
-try:
-    from importlib.metadata import version as _dist_version
-    VERSION = _dist_version("sparseland")
-except Exception:  # not installed; running from a checkout
-    VERSION = "0.1.0"
 
 VERIFY_INSTANCES = ("sd-minimum", "ss-valley", "cnn-same-valley")
 
@@ -179,8 +175,7 @@ def cmd_train(args):
 
     optimum = gap = None
     if trace.net.activation.kind == "linear":
-        X, Y = dataset.X, dataset.Y
-        optimum = 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
+        optimum = least_squares_optimum(dataset.X, dataset.Y)
         gap = trace.final_loss - optimum
 
     payload = {
@@ -226,7 +221,7 @@ def cmd_path(args):
     else:
         trace = nonincreasing_path_scalar_output(inst, n_samples=args.samples)
     Z = np.vstack([g.z for g in inst.groups])
-    optimum = 0.5 * float(np.sum((inst.Y - (inst.Y @ np.linalg.pinv(Z)) @ Z) ** 2))
+    optimum = least_squares_optimum(Z, inst.Y)
     violation = trace.monotone_violation
     gap = trace.end_loss - optimum
     ok = violation <= 1e-10 and abs(gap) <= 1e-8
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "certified bad points, descent paths, rank certificates, "
                     "convolution mode ranks and GD experiments.",
     )
-    p.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, seed=0):
@@ -472,7 +467,7 @@ def main(argv=None) -> int:
         "command": command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "version": VERSION,
+        "version": __version__,
         "payload_sha256": _payload_digest(payload),
         "outputs": {
             "primary": {

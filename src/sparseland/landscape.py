@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
@@ -155,6 +155,11 @@ def _full_rank_completion(W: np.ndarray, res: ZeroColumnResult) -> np.ndarray:
         for vec, row in zip(complement, dep):
             W0[row] = vec
     return W0
+
+
+def least_squares_optimum(X: np.ndarray, Y: np.ndarray) -> float:
+    """Minimum over A of 0.5 ||A X - Y||_F^2, i.e. 0.5 ||Y - Y X^+ X||_F^2."""
+    return 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
 
 
 def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, n_samples: int = 1000) -> PathTrace:
@@ -329,9 +334,7 @@ def check_conditions(net: SparseNet, X: np.ndarray, Y: np.ndarray, ortho_tol: fl
     overparam = all(p >= d for p, d in zip(dec.group_widths, dec.support_sizes))
     ortho = True
     norms = [float(np.linalg.norm(z)) for z in dec.data_slices]
-    for i, j in combinations_with_replacement(range(dec.n_groups), 2):
-        if i == j:
-            continue
+    for i, j in combinations(range(dec.n_groups), 2):
         cross = float(np.linalg.norm(dec.data_slices[i] @ dec.data_slices[j].T))
         if cross > ortho_tol * norms[i] * norms[j]:
             ortho = False

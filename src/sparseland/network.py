@@ -21,10 +21,9 @@ def _as_mask(mask, shape) -> np.ndarray:
     m = np.asarray(mask)
     if m.shape != shape:
         raise ValueError(f"mask shape {m.shape} != weight shape {shape}")
-    vals = np.unique(m)
-    if not np.all(np.isin(vals, (0, 1, True, False))):
+    out = m.astype(bool)
+    if not np.array_equal(out, m):
         raise ValueError("mask entries must be 0/1")
-    out = m.astype(bool).copy()
     out.setflags(write=False)
     return out
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import Activation
 from .landscape import numerical_rank
-from .network import SparseLayer, SparseNet, forward, loss as net_loss
+from .network import SparseLayer, SparseNet, forward
 
 DIVERGE_FACTOR = 1e12
 
@@ -307,13 +307,14 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     stop_epoch = np.full(n_trials, config.max_epochs, dtype=int)
     diverged = np.zeros(n_trials, dtype=bool)
     w = config.plateau_window
-    history = np.empty((config.max_epochs + 1, n_trials))
+    # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
+    history = np.empty((min(w, config.max_epochs) + 1, n_trials))
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = objective.loss(theta)
         limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(value))
         for epoch in range(config.max_epochs + 1):
-            history[epoch] = value
+            history[epoch % len(history)] = value
             bad = active & (~np.isfinite(value) | (value > limit))
             if bad.any():
                 diverged |= bad
@@ -324,13 +325,13 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
                 gnorm = np.sqrt(np.sum(g * g, axis=-1))
                 done = active & (gnorm < config.grad_tol)
                 if epoch > w:
-                    drop = history[epoch - w] - value
-                    done |= active & (drop <= config.plateau_rel * np.maximum(1.0, np.abs(history[epoch - w])))
+                    past = history[(epoch - w) % len(history)]
+                    drop = past - value
+                    done |= active & (drop <= config.plateau_rel * np.maximum(1.0, np.abs(past)))
                 if done.any():
                     stop_epoch[done] = epoch
                     active &= ~done
             if not active.any() or epoch == config.max_epochs:
-                history[epoch + 1:] = value
                 break
             theta[active] -= lr * g[active]
             new_value = objective.loss(theta)

@@ -126,24 +126,27 @@ def test_grad_fd_respects_masks():
 
 
 # ---------------------------------------------------------------------------
-# analytic Hessian for the 2-group width-1 shape
+# analytic Hessian for every group shape
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(6))
-def test_hessian_matches_fd(seed):
-    inst = random_instance(seed, n_groups=2, d_y=2, width=1)
+# (seed, n_groups, width, d_y); ids 0-5 have the shape of the certified
+# minimum (2 groups of width 1, d_y = 2); the rest vary all three
+HESSIAN_CASES = [pytest.param(seed, 2, 1, 2, id=str(seed)) for seed in range(6)] + [
+    pytest.param(seed, n_groups, width, d_y, id=f"{n_groups}x{width}-dy{d_y}")
+    for seed, (n_groups, width, d_y) in enumerate([
+        (3, 1, 1), (3, 1, 3), (2, 2, 1), (2, 2, 3), (1, 3, 1), (1, 3, 3), (4, 3, 2),
+    ], start=6)
+]
+
+
+@pytest.mark.parametrize("seed,n_groups,width,d_y", HESSIAN_CASES)
+def test_hessian_matches_fd(seed, n_groups, width, d_y):
+    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
     H = hessian_two_layer_linear(inst)
     Hfd = fd_hessian(inst.loss_at, inst.pack())
     scale = max(1.0, np.max(np.abs(H)))
     assert np.max(np.abs(H - Hfd)) < 1e-4 * scale
     assert np.array_equal(H, H.T)
-
-
-def test_hessian_rejects_unsupported_shapes():
-    with pytest.raises(ValueError, match="fd_hessian"):
-        hessian_two_layer_linear(random_instance(0, n_groups=3, width=1))
-    with pytest.raises(ValueError, match="fd_hessian"):
-        hessian_two_layer_linear(random_instance(0, n_groups=2, width=2))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,27 @@ def test_layer_rejects_nonzero_masked_entries():
         SparseLayer(w, mask)
 
 
+@pytest.mark.parametrize("dtype", [int, float, bool])
+def test_layer_accepts_01_masks_of_any_dtype(dtype):
+    given = np.array([[1, 0], [0, 1]], dtype=dtype)
+    layer = SparseLayer(np.diag([1.0, 2.0]), given, bias=np.array([1.0, 0.0]),
+                        bias_mask=np.array([1, 0], dtype=dtype))
+    assert layer.mask.dtype == bool and layer.bias_mask.dtype == bool
+    assert layer.mask.tolist() == [[True, False], [False, True]]
+    assert layer.bias_mask.tolist() == [True, False]
+    assert not layer.mask.flags.writeable
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, np.nan, -1])
+def test_layer_rejects_non_01_mask_entries(bad):
+    with pytest.raises(ValueError, match="0/1"):
+        SparseLayer(np.zeros((2, 2)), np.array([[1.0, bad], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="0/1"):
+        SparseLayer(np.zeros((2, 2)), np.ones((2, 2)), bias=np.zeros(2),
+                    bias_mask=np.array([1.0, bad]))
+
+
 def test_layer_bias_validation():
     w = np.zeros((2, 3))
     mask = np.ones((2, 3), dtype=bool)

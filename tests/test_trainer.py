@@ -242,6 +242,31 @@ def test_run_trials_divergence_label():
     assert stats.clusters == ()  # diverged trials excluded from clustering
 
 
+@pytest.mark.parametrize("flat_from,window,max_epochs,stop", [
+    (0, 5, 100, 6),       # constant loss: the plateau test first fires at window + 1
+    (0, 1, 100, 2),
+    (30, 4, 100, 34),     # loss falls by 1 per epoch until epoch 30, then is flat
+    (50, 7, 100, 57),
+    (0, 50, 20, 20),      # window longer than the run: max_epochs stops it
+])
+def test_run_trials_plateau_stop_epoch(flat_from, window, max_epochs, stop):
+    from sparseland.counterexamples import GdObjective
+
+    # theta starts at 0 and each lr=1 step adds 1, so theta equals the epoch
+    objective = GdObjective(
+        dim=1,
+        loss=lambda th: np.maximum(flat_from - th[..., 0], 0.0),
+        grad=lambda th: -np.ones_like(th),
+        init_bounds=np.zeros(1),
+        classify=lambda lv, th: "flat",
+        reference_level=0.0,
+    )
+    config = TrainConfig(learning_rate=1.0, max_epochs=max_epochs, plateau_window=window)
+    stats = run_trials(objective, 3, config)
+    assert stats.epochs.tolist() == [stop] * 3
+    assert stats.labels == ("flat",) * 3
+
+
 def test_trial_stats_json():
     stats = run_trials(quadratic_objective(), 5,
                        TrainConfig(learning_rate=0.1, max_epochs=2000, seed=3))
