@@ -8,6 +8,10 @@ objective
 for any number of groups, any group widths and any output dimension; that
 is where the interesting certified points live.  Other losses use finite
 differences plus direct loss probes.
+
+Losses broadcast over leading axes: a flat parameter vector (P,) gives a
+scalar and a stack (..., P) gives shape (...), so the probes of a
+classification run as one batched loss call per radius.
 """
 
 from __future__ import annotations
@@ -90,19 +94,26 @@ class TwoLayerLinearInstance:
     def pack(self) -> np.ndarray:
         return np.concatenate([np.concatenate([g.u.ravel(), g.w.ravel()]) for g in self.groups])
 
-    def unpack(self, theta: np.ndarray) -> "TwoLayerLinearInstance":
-        us, ws, off = [], [], 0
-        for g in self.groups:
-            nu, nw = g.u.size, g.w.size
-            us.append(theta[off:off + nu].reshape(g.u.shape))
-            ws.append(theta[off + nu:off + nu + nw].reshape(g.w.shape))
-            off += nu + nw
-        if off != theta.size:
-            raise ValueError("flat vector has wrong length")
-        return self.with_blocks(us, ws)
+    def _split(self, theta: np.ndarray) -> list:
+        """[(U_i, W_i)] views of flat parameters theta (..., P) in pack() order."""
+        sizes = [size for g in self.groups for size in (g.u.size, g.w.size)]
+        if theta.shape[-1:] != (sum(sizes),):
+            raise ValueError(f"flat vector has wrong length: shape {theta.shape}, need (..., {sum(sizes)})")
+        parts, lead = np.split(theta, np.cumsum(sizes)[:-1], axis=-1), theta.shape[:-1]
+        return [(u.reshape(lead + g.u.shape), w.reshape(lead + g.w.shape))
+                for g, u, w in zip(self.groups, parts[0::2], parts[1::2])]
 
-    def loss_at(self, theta: np.ndarray) -> float:
-        return self.unpack(np.asarray(theta, dtype=float)).loss()
+    def unpack(self, theta: np.ndarray) -> "TwoLayerLinearInstance":
+        return self.with_blocks(*zip(*self._split(np.ravel(theta))))
+
+    def loss_at(self, theta: np.ndarray):
+        """Loss at flat parameters theta (..., P): shape (...), a float for 1-D theta."""
+        theta = np.asarray(theta, dtype=float)
+        R = -self.Y
+        for (u, w), g in zip(self._split(theta), self.groups):
+            R = R + u @ w @ g.z
+        loss = 0.5 * np.sum(R * R, axis=(-2, -1))
+        return float(loss) if theta.ndim == 1 else loss
 
 
 def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> TwoLayerLinearInstance:
@@ -293,10 +304,13 @@ def classify_stationary(
 ) -> StationaryReport:
     """Probe-backed second-order classification of a candidate minimum.
 
-    Gradient/Hessian default to finite differences of ``loss_fn``.  Probes
-    evaluate the loss directly along random unit directions and along the
-    numerical kernel of the Hessian (where flat quadratics hide quartic
-    behavior), each at radii {r, r/10}.  The verdict is conservative:
+    ``loss_fn`` must broadcast: it maps a point (P,) to a scalar and a
+    stack of points (K, P) to their K losses, shape (K,); any other result
+    shape raises ValueError.  Gradient/Hessian default to finite
+    differences of ``loss_fn``.  Probes evaluate the loss directly along
+    random unit directions and along the numerical kernel of the Hessian
+    (where flat quadratics hide quartic behavior), each at radii {r, r/10},
+    as one (K, P) batch per radius.  The verdict is conservative:
     "strict_local_min" only if every probe strictly increased the loss.
     """
     x0 = np.asarray(point, dtype=float)
@@ -326,17 +340,21 @@ def classify_stationary(
         probes.append(np.vstack([null_basis.T, -null_basis.T, kdirs, -kdirs]))
     all_dirs = np.vstack(probes)
 
-    worst = np.inf
-    for r in (probe_radius, probe_radius / 10.0):
-        for d in all_dirs:
-            delta = float(loss_fn(x0 + r * d)) - f0
-            worst = min(worst, delta)
+    radii = [probe_radius, probe_radius / 10.0]
+    deltas = []
+    for r in radii:
+        losses = np.asarray(loss_fn(x0 + r * all_dirs), dtype=float)
+        if losses.shape != all_dirs.shape[:1]:
+            raise ValueError(f"loss_fn mapped probes of shape {all_dirs.shape} to shape "
+                             f"{losses.shape}, expected {all_dirs.shape[:1]}")
+        deltas.append(losses - f0)
+    worst = float(np.min(deltas, initial=np.inf))
 
     evidence = {
         "f0": f0,
         "worst_probe_delta": worst,
         "n_directions": int(all_dirs.shape[0]),
-        "radii": [probe_radius, probe_radius / 10.0],
+        "radii": radii,
         "null_dim": int(null_basis.shape[1]),
     }
 

@@ -68,6 +68,16 @@ def _parse_ints(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_net_spec(path: str):
     """Parse a network JSON file; exits with diagnostics on bad input."""
     try:
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--activation", default="tanh", help="ss-valley only")
     sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0),
                     help="ss-valley target values y1,y2,y3,y4")
-    sp.add_argument("--probes", type=int, default=500)
+    sp.add_argument("--probes", type=_positive_int, default=500)
     sp.add_argument("--radius", type=float, default=0.05, help="ss-valley probe radius")
     sp.add_argument("--scale", type=float, default=None, help="cnn valley parameter a")
     common(sp)
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
-    sp.add_argument("--n", type=int, default=100, help="number of trials")
+    sp.add_argument("--n", type=_positive_int, default=100, help="number of trials")
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0))
     sp.add_argument("--lr", type=float, default=0.01)
@@ -420,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sparsity", type=float, default=0.3)
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--scale-init", type=float, default=3.0)
-    sp.add_argument("--n", type=int, default=6, help="number of samples")
+    sp.add_argument("--n", type=_positive_int, default=6, help="number of samples")
     common(sp)
 
     sp = sub.add_parser("conv-rank", help="closed-form vs numeric rank of a conv matrix")

@@ -88,8 +88,9 @@ class SpuriousMinimumInstance:
         )
         return TwoLayerLinearInstance(groups, self.Y)
 
-    def loss_at(self, theta) -> float:
-        return self.as_group_instance(theta).loss()
+    def loss_at(self, theta):
+        """Loss at flat parameters theta (..., 8); see TwoLayerLinearInstance.loss_at."""
+        return self.as_group_instance().loss_at(theta)
 
     def grad_at(self, theta) -> np.ndarray:
         return grad_flat(self.as_group_instance(theta))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 from .activations import Activation
 from .calculus import GroupBlock, TwoLayerLinearInstance
@@ -65,25 +64,22 @@ class PathTrace:
 
 def _trace_segments(segments: list, loss_at, n_samples: int) -> PathTrace:
     # uniform global t grid plus every segment start; segment k covers
-    # [k/K, (k+1)/K)
+    # [k/K, (k+1)/K); loss_at maps the (len(t), P) samples to their losses
     K = len(segments)
     if K == 0:
         raise ValueError("path needs at least one segment")
     ts = set(np.linspace(0.0, 1.0, n_samples, endpoint=False).tolist())
     ts.update(k / K for k in range(K))
     ts = np.array(sorted(ts))
-    params, losses = [], []
-    for t in ts:
-        k = min(int(t * K), K - 1)
-        s = t * K - k
-        theta = (1.0 - s) * segments[k].start + s * segments[k].end
-        params.append(theta)
-        losses.append(loss_at(theta))
+    k = np.minimum((ts * K).astype(int), K - 1)
+    s = (ts * K - k)[:, None]
+    params = ((1.0 - s) * np.array([seg.start for seg in segments])[k]
+              + s * np.array([seg.end for seg in segments])[k])
     end = segments[-1].end
     return PathTrace(
         t=ts,
-        losses=np.array(losses),
-        params=np.array(params),
+        losses=loss_at(params),
+        params=params,
         segments=tuple(segments),
         end_params=end.copy(),
         end_loss=float(loss_at(end)),
@@ -117,6 +113,8 @@ def zero_column_transform(U: np.ndarray, W: np.ndarray, tol: float = 1e-10) -> Z
     p = W.shape[0]
     if U.shape[1] != p:
         raise ValueError(f"U has {U.shape[1]} columns, W has {p} rows")
+    import scipy.linalg  # deferred: only `path` needs it, and it takes ~0.3 s to import
+
     _, Rq, piv = scipy.linalg.qr(W.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(Rq))
     top = diag[0] if diag.size else 0.0

@@ -190,26 +190,26 @@ def test_sym_eig_rejects_bad_input():
 
 def test_classify_pd_quadratic_is_strict():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    rep = classify_stationary(lambda x: float(x @ A @ x), np.zeros(2))
+    rep = classify_stationary(lambda x: np.einsum("...i,ij,...j->...", x, A, x), np.zeros(2))
     assert rep.min_probe == "strict_local_min"
     assert rep.grad_norm < 1e-8
     assert rep.null_basis.shape[1] == 0
 
 
 def test_classify_saddle():
-    rep = classify_stationary(lambda x: float(x[0] ** 2 - x[1] ** 2), np.zeros(2))
+    rep = classify_stationary(lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, np.zeros(2))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_flat_is_nonstrict():
-    rep = classify_stationary(lambda x: 0.0, np.zeros(3))
+    rep = classify_stationary(lambda x: np.zeros(x.shape[:-1]), np.zeros(3))
     assert rep.min_probe == "local_min_nonstrict"
 
 
 def test_classify_quartic_needs_probes():
     # exact Hessian is zero here; only the kernel probes see the strict growth
     rep = classify_stationary(
-        lambda x: float(np.sum(x ** 4)),
+        lambda x: np.sum(x ** 4, axis=-1),
         np.zeros(2),
         hessian_fn=lambda x: np.zeros((2, 2)),
     )
@@ -219,18 +219,18 @@ def test_classify_quartic_needs_probes():
 
 def test_classify_quartic_saddle_via_kernel_probe():
     # PSD Hessian diag(2, 0), but the flat direction falls off quartically
-    rep = classify_stationary(lambda x: float(x[0] ** 2 - x[1] ** 4), np.zeros(2))
+    rep = classify_stationary(lambda x: x[..., 0] ** 2 - x[..., 1] ** 4, np.zeros(2))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_nonstationary_is_inconclusive():
-    rep = classify_stationary(lambda x: float(x[0]), np.zeros(2))
+    rep = classify_stationary(lambda x: x[..., 0], np.zeros(2))
     assert rep.min_probe == "inconclusive"
     assert rep.grad_norm > 0.5
 
 
 def test_report_json():
-    rep = classify_stationary(lambda x: float(x @ x), np.zeros(2))
+    rep = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2))
     blob = json.loads(json.dumps(rep.to_json()))
     assert blob["min_probe"] == "strict_local_min"
     assert len(blob["eigenvalues"]) == 2
@@ -240,10 +240,75 @@ def test_report_json():
 def test_classify_uses_supplied_derivatives():
     A = np.diag([1.0, 3.0])
     rep = classify_stationary(
-        lambda x: float(x @ A @ x),
+        lambda x: np.einsum("...i,ij,...j->...", x, A, x),
         np.zeros(2),
         grad_fn=lambda x: 2 * A @ x,
         hessian_fn=lambda x: 2 * A,
     )
     assert rep.min_probe == "strict_local_min"
     assert np.allclose(rep.eigenvalues, [2.0, 6.0], atol=0)
+
+
+def test_classify_rejects_batch_collapsing_loss():
+    # summing the whole (K, P) probe stack to one number must not certify
+    with pytest.raises(ValueError, match=r"expected \(\d+,\)"):
+        classify_stationary(
+            lambda x: float(np.sum(x ** 4)),
+            np.zeros(2),
+            hessian_fn=lambda x: np.zeros((2, 2)),
+        )
+
+
+@pytest.mark.parametrize("n_probes", [1, 7, 500])
+@pytest.mark.parametrize("flat_hessian", [False, True])
+def test_classify_one_loss_call_per_radius(n_probes, flat_hessian):
+    # a zero Hessian adds kernel directions to the random ones
+    A = np.diag([1.0, 3.0])
+    shapes = []
+
+    def loss_fn(x):
+        shapes.append(x.shape)
+        return np.einsum("...i,ij,...j->...", x, A, x)
+
+    rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * A @ x,
+                              hessian_fn=lambda x: 0 * A if flat_hessian else 2 * A,
+                              n_probes=n_probes)
+    K = rep.probe_evidence["n_directions"]
+    assert K > n_probes if flat_hessian else K == n_probes
+    assert shapes == [(2,), (K, 2), (K, 2)]
+    assert rep.min_probe == "strict_local_min"
+
+
+# ---------------------------------------------------------------------------
+# batched loss evaluation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,n_groups,width,d_y", [
+    (20, 1, 1, 1), (21, 3, 1, 2), (22, 2, 2, 3), (23, 4, 3, 1), (24, 4, 3, 3),
+])
+def test_loss_at_batch_matches_rowwise_unpack(seed, n_groups, width, d_y):
+    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
+    P = inst.pack().size
+    stack = np.random.default_rng(seed).standard_normal((9, P))
+    got = inst.loss_at(stack)
+    assert got.shape == (9,)
+    assert np.array_equal(got, [inst.unpack(row).loss() for row in stack])
+    assert isinstance(inst.loss_at(stack[0]), float)
+    assert inst.loss_at(stack[0]) == got[0]
+
+
+def test_loss_at_keeps_leading_shape():
+    inst = random_instance(25, n_groups=2, d_y=2, width=2)
+    cube = np.random.default_rng(25).standard_normal((2, 3, inst.pack().size))
+    got = inst.loss_at(cube)
+    assert got.shape == (2, 3)
+    want = [[inst.unpack(row).loss() for row in plane] for plane in cube]
+    assert np.array_equal(got, want)
+
+
+def test_loss_at_rejects_wrong_length():
+    inst = random_instance(26, n_groups=3)
+    P = inst.pack().size
+    for bad in (np.zeros(P - 1), np.zeros((4, P + 1)), np.zeros((2, 3, P - 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="wrong length"):
+            inst.loss_at(bad)

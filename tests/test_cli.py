@@ -62,6 +62,25 @@ def test_verify_conv_valley(workdir, capsys):
     assert all(e["witness_loss"] == 0.0 for e in payload["scales"])
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["verify", "sd-minimum", "--probes", "0"], "--probes", "0"),
+    (["verify", "sd-minimum", "--probes", "-1"], "--probes", "-1"),
+    (["verify", "ss-valley", "--probes", "0"], "--probes", "0"),
+    (["verify", "cnn-same-valley", "--probes", "0"], "--probes", "0"),
+    (["trials", "--n", "0"], "--n", "0"),
+    (["rank", "--n", "0"], "--n", "0"),
+])
+def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert f"argument {flag}:" in last and f"got {value}" in last
+    assert not list(workdir.glob("*.manifest.json"))
+
+
 def test_verify_unknown_instance_usage_error(workdir):
     with pytest.raises(SystemExit) as ei:
         main(["verify", "sharp-minimum"])
@@ -290,6 +309,15 @@ def test_console_script_version():
                           capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0
     assert proc.stdout == f"sparseland {__version__}\n"
+
+
+def test_cli_import_skips_scipy():
+    # only `path` needs scipy.linalg, so the import is deferred to it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sparseland.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_installed_entry_point(tmp_path):

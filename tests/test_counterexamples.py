@@ -143,6 +143,17 @@ def test_better_point():
     assert lp == pytest.approx(0.5719920, abs=1e-6)
 
 
+def test_minimum_loss_at_batch_matches_group_instances():
+    inst = spurious_minimum_instance()
+    r = np.random.default_rng(3)
+    stack = np.vstack([inst.theta, inst.theta_prime,
+                       inst.theta + 0.1 * r.standard_normal((6, 8))])
+    got = inst.loss_at(stack)
+    assert got.shape == (8,)
+    assert np.array_equal(got, [inst.as_group_instance(row).loss() for row in stack])
+    assert inst.loss_at(inst.theta) == inst.as_group_instance().loss()
+
+
 def test_minimum_as_network_matches_group_loss():
     inst = spurious_minimum_instance()
     for th in (inst.theta, inst.theta_prime):
