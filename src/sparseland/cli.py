@@ -2,7 +2,8 @@
 
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
-input error.  Every run writes a JSON manifest (next to --out, or
+input error, including a ValueError raised by a handler (one `error:` line,
+no manifest).  Every run writes a JSON manifest (next to --out, or
 <command>.manifest.json in the working directory) from which `replay`
 reproduces the outputs bit-identically.  The SEED environment variable
 overrides --seed for all commands except replay, which always uses the
@@ -68,13 +69,26 @@ def _parse_ints(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -296,11 +310,7 @@ def cmd_conv_rank(args):
     if mode not in MODES:
         print(f"error: mode must be one of {MODES}", file=sys.stderr)
         raise SystemExit(2)
-    try:
-        spec = ConvSpec(kernel, args.d, mode)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
+    spec = ConvSpec(kernel, args.d, mode)
     expected = conv_rank_expected(spec)
     numeric = numerical_rank(conv_matrix(spec))
     payload = {"mode": mode, "d": args.d, "kernel": [float(k) for k in kernel],
@@ -378,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--activation", default="tanh", help="ss-valley only")
     sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0),
                     help="ss-valley target values y1,y2,y3,y4")
-    sp.add_argument("--probes", type=_positive_int, default=500)
-    sp.add_argument("--radius", type=float, default=0.05, help="ss-valley probe radius")
+    sp.add_argument("--probes", type=_int_at_least(1), default=500)
+    sp.add_argument("--radius", type=_positive_float, default=0.05,
+                    help="ss-valley probe radius")
     sp.add_argument("--scale", type=float, default=None, help="cnn valley parameter a")
     common(sp)
 
@@ -389,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="layer sizes, e.g. 20,100,100,1 (random masked net)")
     sp.add_argument("--sparsity", type=float, default=0.0)
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
-    sp.add_argument("--n", type=int, default=100, help="number of samples")
+    sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
     sp.add_argument("--noise", type=float, default=1.0)
     sp.add_argument("--a-norm", type=float, default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
     sp.add_argument("--lr", type=float, default=0.01)
-    sp.add_argument("--epochs", type=int, default=5000)
+    sp.add_argument("--epochs", type=_int_at_least(0), default=5000)
     sp.add_argument("--scale-init", type=float, default=1.0)
-    sp.add_argument("--rank-every", type=int, default=100)
+    sp.add_argument("--rank-every", type=_int_at_least(0), default=100,
+                    help="epochs between hidden-rank samples; 0 disables them")
     sp.add_argument("--backtrack", action="store_true",
                     help="halve steps that would increase the loss")
     sp.add_argument("--reinit", action="store_true",
@@ -404,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
-    sp.add_argument("--n", type=_positive_int, default=100, help="number of trials")
+    sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0))
     sp.add_argument("--lr", type=float, default=0.01)
-    sp.add_argument("--epochs", type=int, default=50000)
+    sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
     common(sp)
 
     sp = sub.add_parser("path", help="non-increasing descent path on a random grouped instance")
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sparsity", type=float, default=0.3)
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--scale-init", type=float, default=3.0)
-    sp.add_argument("--n", type=_positive_int, default=6, help="number of samples")
+    sp.add_argument("--n", type=_int_at_least(1), default=6, help="number of samples")
     common(sp)
 
     sp = sub.add_parser("conv-rank", help="closed-form vs numeric rank of a conv matrix")
@@ -451,19 +463,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
 
-    if command == "replay":
-        code, payload, _, lines = cmd_replay(args)
-        print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
-        return code
-
-    if "SEED" in os.environ:
+    if command != "replay" and "SEED" in os.environ:
         try:
             args.seed = int(os.environ["SEED"])
         except ValueError:
             print(f"error: SEED must be an integer, got {os.environ['SEED']!r}", file=sys.stderr)
             return 2
 
-    code, payload, primary, lines = HANDLERS[command](args)
+    try:
+        code, payload, primary, lines = (cmd_replay if command == "replay"
+                                         else HANDLERS[command])(args)
+    except ValueError as e:  # ConstructionError included: bad input, not a falsification
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if command == "replay":
+        print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
+        return code
+
     primary_text = primary if primary is not None else json.dumps(payload, indent=2)
 
     out_path = Path(args.out) if args.out else None

@@ -449,17 +449,15 @@ class GdObjective:
     """Plain-vector view of an instance for the gradient-descent trial
     harness: batched loss/grad plus per-coordinate init bounds."""
 
-    dim: int
     loss: callable
     grad: callable
-    init_bounds: np.ndarray
+    init_bounds: np.ndarray  # one bound per coordinate, so its length is the dimension
     classify: callable  # (final_loss, theta) -> label
-    reference_level: float
 
     def __post_init__(self):
         b = np.asarray(self.init_bounds, dtype=float)
-        if b.shape != (self.dim,):
-            raise ValueError("init_bounds must match dim")
+        if b.ndim != 1:
+            raise ValueError(f"init_bounds must be 1-d, got shape {b.shape}")
         object.__setattr__(self, "init_bounds", b)
 
 
@@ -480,10 +478,7 @@ def valley_trial_objective(inst: SpuriousValleyInstance) -> GdObjective:
         return "other"
 
     bounds = np.array([1 / math.sqrt(2)] * 4 + [1 / math.sqrt(3)] * 4)
-    return GdObjective(
-        dim=8, loss=inst.loss, grad=inst.grad,
-        init_bounds=bounds, classify=classify, reference_level=y4sq,
-    )
+    return GdObjective(loss=inst.loss, grad=inst.grad, init_bounds=bounds, classify=classify)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +124,9 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
             if layer.bias is not None:
                 b_grads[k] = G.sum(axis=1) * layer.bias_mask
             if k > 0:
-                G = (layer.weights.T @ G) * act.derivative(pres[k - 1])
+                G = layer.weights.T @ G
+                if act.kind != "linear":  # a linear sigma' is all ones
+                    G *= act.derivative(pres[k - 1])
         return w_grads, b_grads, value
 
 
@@ -166,77 +169,114 @@ class TrainTrace:
         return buf.getvalue()
 
 
-def _layer_output_ranks(net: SparseNet, X: np.ndarray) -> tuple:
-    out, hiddens = forward(net, X)
-    return tuple(numerical_rank(h) for h in hiddens) + (numerical_rank(out),)
+def _descend(value_and_grad, params, config: TrainConfig, observe=None):
+    """Plain GD on T independent runs under one stopping rule.
+
+    params is a list of arrays sharing a leading run axis of length T, and
+    value_and_grad(params) gives the T losses and gradients laid out like
+    params.  Each epoch tests every active run for, in order: "diverged"
+    (loss non-finite or above DIVERGE_FACTOR times its start),
+    "converged_grad" (gradient norm below grad_tol), "plateau" (loss fell by
+    at most plateau_rel over plateau_window epochs, first at epoch
+    plateau_window + 1), "max_epochs".  Stopped runs freeze.  With backtrack
+    each run halves its own step while it would raise its loss, down to
+    1e-16 of the learning rate.
+
+    observe(epoch, params, values, grad_norms) runs before each epoch's tests.
+    Returns (params, values, stop_epoch, stop_reason), the last two per run.
+    """
+    lr = config.learning_rate
+    w = config.plateau_window
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grads = value_and_grad(params)
+        n = len(values)
+        active = np.ones(n, dtype=bool)
+        moving = None  # the active runs, once some have stopped
+        stop_epoch = np.full(n, config.max_epochs)
+        stop_reason = np.full(n, "max_epochs", dtype=object)
+        limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(values))
+        # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
+        history = np.empty((min(w, config.max_epochs) + 1, n))
+
+        for epoch in range(config.max_epochs + 1):
+            history[epoch % len(history)] = values
+            gnorm = np.sqrt(sum((g * g).reshape(n, -1).sum(axis=1) for g in grads))
+            if observe is not None:
+                observe(epoch, params, values, gnorm)
+            tests = [("diverged", ~np.isfinite(values) | (values > limit)),
+                     ("converged_grad", gnorm < config.grad_tol)]
+            if epoch > w:
+                past = history[(epoch - w) % len(history)]
+                tests.append(("plateau", past - values
+                              <= config.plateau_rel * np.maximum(1.0, np.abs(past))))
+            for reason, hit in tests:
+                hit &= active
+                if hit.any():
+                    stop_reason[hit] = reason
+                    stop_epoch[hit] = epoch
+                    active &= ~hit
+                    moving = active
+            if epoch == config.max_epochs or (moving is not None and not moving.any()):
+                break
+
+            step = lr
+            while True:
+                trial = _stepped(params, grads, step, moving)
+                new_values, new_grads = value_and_grad(trial)
+                if not config.backtrack:
+                    break
+                worse = active & ~(new_values <= values) & (step >= 1e-16 * lr)
+                if not worse.any():
+                    break
+                step = np.where(worse, 0.5 * step, step)
+            params, grads = trial, new_grads
+            values = new_values if moving is None else np.where(moving, new_values, values)
+    return params, values, stop_epoch, stop_reason
+
+
+def _stepped(params, grads, step, moving) -> list:
+    """params - step * grads (step scalar or per run) for the runs in moving (None: all)."""
+    if moving is None and np.ndim(step) == 0:
+        return [p - step * g for p, g in zip(params, grads)]
+    out = []
+    for p, g in zip(params, grads):
+        runs = (-1,) + (1,) * (p.ndim - 1)
+        new = p - np.reshape(step, runs) * g
+        out.append(new if moving is None else np.where(moving.reshape(runs), new, p))
+    return out
 
 
 def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainTrace:
-    """Full-batch gradient descent; divergence is recorded, not raised."""
+    """Full-batch GD, one _descend run over the weights then biases; divergence is recorded."""
     net = init_net(net, config)
     X, Y = dataset.X, dataset.Y
-    lr = config.learning_rate
-    weights = [layer.weights.copy() for layer in net.layers]
-    biases = [None if layer.bias is None else layer.bias.copy() for layer in net.layers]
 
-    def rebuild() -> SparseNet:
-        layers = tuple(
-            SparseLayer(w, layer.mask, b, layer.bias_mask)
-            for w, b, layer in zip(weights, biases, net.layers)
-        )
-        return SparseNet(layers, net.activation)
+    def as_net(params) -> SparseNet:
+        biases = iter(params[len(net.layers):])
+        return SparseNet(tuple(
+            SparseLayer(w[0], layer.mask, None if layer.bias is None else next(biases)[0],
+                        layer.bias_mask)
+            for w, layer in zip(params, net.layers)), net.activation)
 
-    losses = []
-    grad_norms = []
-    ranks = []
-    stop_reason = "max_epochs"
-    current = rebuild()
-    w_grads, b_grads, value = grad_net(current, X, Y)
-    limit = DIVERGE_FACTOR * max(1.0, abs(value))
+    def value_and_grad(params):
+        w_grads, b_grads, value = grad_net(as_net(params), X, Y)
+        return np.array([value]), [g[None] for g in w_grads + b_grads if g is not None]
 
-    for epoch in range(config.max_epochs + 1):
-        losses.append(value)
-        gnorm = math.sqrt(
-            sum(float(np.sum(g * g)) for g in w_grads)
-            + sum(float(np.sum(g * g)) for g in b_grads if g is not None)
-        )
-        grad_norms.append(gnorm)
+    losses, grad_norms, ranks = [], [], []
+
+    def observe(epoch, params, values, gnorm):
+        losses.append(values[0])
+        grad_norms.append(gnorm[0])
         if config.rank_every and epoch % config.rank_every == 0:
-            ranks.append((epoch, _layer_output_ranks(current, X)))
+            out, hiddens = forward(as_net(params), X)
+            ranks.append((epoch, tuple(numerical_rank(h) for h in (*hiddens, out))))
 
-        if not math.isfinite(value) or value > limit:
-            stop_reason = "diverged"
-            break
-        if gnorm < config.grad_tol:
-            stop_reason = "converged_grad"
-            break
-        w = config.plateau_window
-        if len(losses) > w:
-            drop = losses[-w - 1] - losses[-1]
-            if drop <= config.plateau_rel * max(1.0, abs(losses[-w - 1])):
-                stop_reason = "plateau"
-                break
-        if epoch == config.max_epochs:
-            break
-
-        step = lr
-        while True:
-            trial_w = [wt - step * g for wt, g in zip(weights, w_grads)]
-            trial_b = [None if b is None else b - step * g
-                       for b, g in zip(biases, b_grads)]
-            weights_saved, biases_saved = weights, biases
-            weights, biases = trial_w, trial_b
-            current = rebuild()
-            w_grads_new, b_grads_new, new_value = grad_net(current, X, Y)
-            if not config.backtrack or new_value <= value or step < 1e-16 * lr:
-                w_grads, b_grads, value = w_grads_new, b_grads_new, new_value
-                break
-            weights, biases = weights_saved, biases_saved
-            step *= 0.5
-
+    params = ([layer.weights[None] for layer in net.layers]
+              + [layer.bias[None] for layer in net.layers if layer.bias is not None])
+    params, _, _, stop_reason = _descend(value_and_grad, params, config, observe)
     return TrainTrace(
         losses=np.asarray(losses), grad_norms=np.asarray(grad_norms),
-        net=rebuild(), stop_reason=stop_reason, ranks=tuple(ranks), config=config,
+        net=as_net(params), stop_reason=stop_reason[0], ranks=tuple(ranks), config=config,
     )
 
 
@@ -289,68 +329,30 @@ def loss_clusters(losses, rel_tol: float = 1e-3) -> tuple:
 
 
 def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) -> TrialStats:
-    """n_trials independent GD runs, advanced in one batched loop.
+    """n_trials independent GD runs, advanced together by one _descend.
 
     Trial t draws its start from default_rng(config.seed + t), so results
     are identical whether trials run alone or batched.  All per-step work
     is elementwise across trials; finished trials freeze in place.
     """
-    dim = objective.dim
     bounds = objective.init_bounds
-    theta = np.empty((n_trials, dim))
+    theta = np.empty((n_trials, len(bounds)))
     for t in range(n_trials):
-        rng = np.random.default_rng(config.seed + t)
-        theta[t] = rng.uniform(-bounds, bounds)
+        theta[t] = np.random.default_rng(config.seed + t).uniform(-bounds, bounds)
 
-    lr = config.learning_rate
-    active = np.ones(n_trials, dtype=bool)
-    stop_epoch = np.full(n_trials, config.max_epochs, dtype=int)
-    diverged = np.zeros(n_trials, dtype=bool)
-    w = config.plateau_window
-    # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
-    history = np.empty((min(w, config.max_epochs) + 1, n_trials))
+    def value_and_grad(params):
+        return objective.loss(params[0]), [objective.grad(params[0])]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = objective.loss(theta)
-        limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(value))
-        for epoch in range(config.max_epochs + 1):
-            history[epoch % len(history)] = value
-            bad = active & (~np.isfinite(value) | (value > limit))
-            if bad.any():
-                diverged |= bad
-                stop_epoch[bad] = epoch
-                active &= ~bad
-            if active.any():
-                g = objective.grad(theta)
-                gnorm = np.sqrt(np.sum(g * g, axis=-1))
-                done = active & (gnorm < config.grad_tol)
-                if epoch > w:
-                    past = history[(epoch - w) % len(history)]
-                    drop = past - value
-                    done |= active & (drop <= config.plateau_rel * np.maximum(1.0, np.abs(past)))
-                if done.any():
-                    stop_epoch[done] = epoch
-                    active &= ~done
-            if not active.any() or epoch == config.max_epochs:
-                break
-            theta[active] -= lr * g[active]
-            new_value = objective.loss(theta)
-            value = np.where(active, new_value, value)
-
-    final_losses = value.copy()
-    labels = []
-    counts: dict = {}
-    for t in range(n_trials):
-        label = "diverged" if diverged[t] else objective.classify(float(final_losses[t]), theta[t])
-        labels.append(label)
-        counts[label] = counts.get(label, 0) + 1
-
+    (theta,), final_losses, epochs, stop_reason = _descend(value_and_grad, [theta], config)
+    diverged = stop_reason == "diverged"
+    labels = tuple("diverged" if bad else objective.classify(float(lv), th)
+                   for bad, lv, th in zip(diverged, final_losses, theta))
     return TrialStats(
-        labels=tuple(labels),
+        labels=labels,
         final_losses=final_losses,
         final_thetas=theta,
-        epochs=stop_epoch,
-        counts=counts,
+        epochs=epochs,
+        counts=dict(Counter(labels)),
         clusters=loss_clusters(final_losses[~diverged]),
     )
 

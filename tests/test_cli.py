@@ -69,6 +69,12 @@ def test_verify_conv_valley(workdir, capsys):
     (["verify", "cnn-same-valley", "--probes", "0"], "--probes", "0"),
     (["trials", "--n", "0"], "--n", "0"),
     (["rank", "--n", "0"], "--n", "0"),
+    (["verify", "ss-valley", "--radius", "-1"], "--radius", "-1"),
+    (["verify", "ss-valley", "--radius", "0"], "--radius", "0"),
+    (["train", "--dims", "3,4,1", "--n", "0", "--epochs", "5"], "--n", "0"),
+    (["train", "--dims", "3,4,1", "--epochs", "-1"], "--epochs", "-1"),
+    (["train", "--dims", "3,4,1", "--rank-every", "-1"], "--rank-every", "-1"),
+    (["trials", "--n", "3", "--epochs", "-1"], "--epochs", "-1"),
 ])
 def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as ei:
@@ -78,6 +84,34 @@ def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert f"argument {flag}:" in last and f"got {value}" in last
+    assert not list(workdir.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dims", "3,4,1", "--epochs", "0", "--rank-every", "0"],
+    ["trials", "--n", "3", "--epochs", "0"],
+])
+def test_zero_epochs_is_valid(workdir, capsys, argv):
+    code, cap = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    payload = json.loads(cap.out)
+    trials = payload.get("trials", [payload])
+    assert trials and all(t["epochs"] == 0 for t in trials)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--dims", "3,4,1", "--sparsity", "1.5"], "sparsity must be in [0, 1)"),
+    (["trials", "--activation", "bogus"], "unknown activation 'bogus'"),
+    (["verify", "ss-valley", "--activation", "sigmoid"], "sigma(0) = 0"),
+    (["path", "--groups", "0"], "need at least one group"),
+    (["train", "--dims", "3"], "need at least input, one hidden and output dims"),
+], ids=["train-sparsity", "trials-activation", "verify-sigmoid", "path-groups", "train-dims"])
+def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
+    code, cap = run_cli(argv, capsys)
+    assert code == 2
+    assert cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not list(workdir.glob("*.manifest.json"))
 
 

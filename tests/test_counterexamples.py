@@ -248,8 +248,7 @@ def test_valley_as_network_half_loss():
 def test_trial_objective_classification():
     inst = valley_instance(EXPERIMENT_Y)
     obj = valley_trial_objective(inst)
-    assert obj.dim == 8
-    assert obj.reference_level == 4.0
+    assert obj.init_bounds.shape == (8,)
     at_valley = inst.valley_theta.copy()
     assert obj.classify(4.0, at_valley) == "valley"
     assert obj.classify(4.0 * 1.0005, at_valley) == "valley"     # inside 1e-3 rel
@@ -265,10 +264,9 @@ def test_trial_objective_classification():
 
 def test_gd_objective_validates_bounds():
     from sparseland.counterexamples import GdObjective
-    with pytest.raises(ValueError, match="init_bounds"):
-        GdObjective(dim=3, loss=lambda t: 0.0, grad=lambda t: t,
-                    init_bounds=np.ones(2), classify=lambda l, t: "x",
-                    reference_level=0.0)
+    with pytest.raises(ValueError, match="init_bounds must be 1-d"):
+        GdObjective(loss=lambda t: 0.0, grad=lambda t: t,
+                    init_bounds=np.ones((2, 3)), classify=lambda l, t: "x")
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,19 @@ def test_backtracking_prevents_divergence():
     assert trace.monotone_violation == 0.0
 
 
+def test_train_plateau_stop_epoch():
+    # all-zero linear weights have zero gradient, so the loss never moves;
+    # the plateau test first fires at plateau_window + 1, as in run_trials
+    zero = SparseNet((SparseLayer(np.zeros((4, 3)), np.ones((4, 3))),
+                      SparseLayer(np.zeros((2, 4)), np.ones((2, 4)))), Activation.linear())
+    ds = gen_synthetic(10, 3, 2, seed=1)
+    cfg = TrainConfig(max_epochs=100, init="keep", grad_tol=0.0, plateau_window=5)
+    trace = gd_train(zero, ds, cfg)
+    assert trace.stop_reason == "plateau"
+    assert trace.epochs == 6
+    assert np.all(trace.grad_norms == 0.0)
+
+
 def test_init_modes():
     net = small_net(seed=8)
     ds = gen_synthetic(10, 3, 2, seed=1)
@@ -203,12 +216,10 @@ def quadratic_objective(dim=3):
         return out if out.ndim else float(out)
 
     return GdObjective(
-        dim=dim,
         loss=lf,
         grad=lambda th: 2 * (th - target),
         init_bounds=np.ones(dim),
         classify=lambda lv, th: "near" if lv < 1e-6 else "far",
-        reference_level=0.0,
     )
 
 
@@ -242,6 +253,28 @@ def test_run_trials_divergence_label():
     assert stats.clusters == ()  # diverged trials excluded from clustering
 
 
+def test_run_trials_backtracking():
+    # the same learning rate that diverges above converges once each
+    # trial halves its own step until the loss falls
+    stats = run_trials(quadratic_objective(), 3,
+                       TrainConfig(learning_rate=5.0, max_epochs=200, seed=1, backtrack=True))
+    assert stats.labels == ("near",) * 3
+
+
+def test_run_trials_backtrack_per_trial():
+    # each trial halves its own step: a batch gives what the trials give alone
+    inst = valley_instance(EXPERIMENT_Y)
+    obj = valley_trial_objective(inst)
+    batch = run_trials(obj, 4, TrainConfig(learning_rate=2.0, max_epochs=300, seed=7,
+                                           backtrack=True))
+    for t in range(4):
+        solo = run_trials(obj, 1, TrainConfig(learning_rate=2.0, max_epochs=300, seed=7 + t,
+                                              backtrack=True))
+        assert np.array_equal(solo.final_thetas[0], batch.final_thetas[t])
+        assert solo.epochs[0] == batch.epochs[t]
+    assert "diverged" not in batch.labels
+
+
 @pytest.mark.parametrize("flat_from,window,max_epochs,stop", [
     (0, 5, 100, 6),       # constant loss: the plateau test first fires at window + 1
     (0, 1, 100, 2),
@@ -254,12 +287,10 @@ def test_run_trials_plateau_stop_epoch(flat_from, window, max_epochs, stop):
 
     # theta starts at 0 and each lr=1 step adds 1, so theta equals the epoch
     objective = GdObjective(
-        dim=1,
         loss=lambda th: np.maximum(flat_from - th[..., 0], 0.0),
         grad=lambda th: -np.ones_like(th),
         init_bounds=np.zeros(1),
         classify=lambda lv, th: "flat",
-        reference_level=0.0,
     )
     config = TrainConfig(learning_rate=1.0, max_epochs=max_epochs, plateau_window=window)
     stats = run_trials(objective, 3, config)
