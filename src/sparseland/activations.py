@@ -152,6 +152,8 @@ class Activation:
         """sigma'(z), elementwise.  relu/leaky_relu use the z>0 branch at 0."""
         z = np.asarray(z, dtype=float)
         k = self.kind
+        if k in ("tanh", "sigmoid", "shifted_sigmoid"):
+            return self.value_and_derivative(z)[1]
         if k == "linear":
             return np.ones_like(z)
         if k == "relu":
@@ -160,18 +162,27 @@ class Activation:
             return np.where(z > 0, 1.0, self.slope)
         if k == "elu":
             return np.where(z > 0, 1.0, self.alpha * np.exp(np.minimum(z, 0.0)))
-        if k == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        if k in ("sigmoid", "shifted_sigmoid"):
-            s = _logistic(z)
-            return s * (1.0 - s)
         if k == "softplus":
             return _logistic(z)
         acc = np.zeros_like(z)
         for j in range(len(self.coeffs) - 1, 0, -1):
             acc = acc * z + j * self.coeffs[j]
         return acc
+
+    def value_and_derivative(self, z):
+        """(sigma(z), sigma'(z)), equal bit for bit to (self(z), self.derivative(z)).
+
+        tanh, sigmoid and shifted_sigmoid take both from one tanh/logistic pass.
+        """
+        z = np.asarray(z, dtype=float)
+        k = self.kind
+        if k == "tanh":
+            t = np.tanh(z)
+            return t, 1.0 - t * t
+        if k in ("sigmoid", "shifted_sigmoid"):
+            s = _logistic(z)
+            return (s if k == "sigmoid" else s - 0.5), s * (1.0 - s)
+        return self(z), self.derivative(z)
 
     # -- Taylor data at 0 ------------------------------------------------
     @property

@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=float, default=1.0)
     sp.add_argument("--a-norm", type=float, default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
-    sp.add_argument("--lr", type=float, default=0.01)
+    sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=5000)
     sp.add_argument("--scale-init", type=float, default=1.0)
     sp.add_argument("--rank-every", type=_int_at_least(0), default=100,
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0))
-    sp.add_argument("--lr", type=float, default=0.01)
+    sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
     common(sp)
 
@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cond", type=int, choices=(1, 3), default=1,
                     help="1: every group overparametrized; 3: scalar output")
     sp.add_argument("--groups", type=int, default=3)
-    sp.add_argument("--n", type=int, default=12, help="number of samples")
-    sp.add_argument("--samples", type=int, default=1000, help="points sampled along the path")
+    sp.add_argument("--n", type=_int_at_least(1), default=12, help="number of samples")
+    sp.add_argument("--samples", type=_int_at_least(1), default=1000,
+                    help="points sampled along the path")
     common(sp)
 
     sp = sub.add_parser("prune", help="strip connections off every input-output path")

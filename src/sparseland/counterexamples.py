@@ -277,19 +277,17 @@ class SpuriousValleyInstance:
     def grad(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
         y1, y2, y3, y4 = self.y
-        z = th[..., 4:8]
-        s = self.activation(z)
-        ds = self.activation.derivative(z)
+        s, ds = self.activation.value_and_derivative(th[..., 4:8])
         s5, s6, s7, s8 = (s[..., i] for i in range(4))
         w1, w2, w3, w4 = (th[..., i] for i in range(4))
-        # residual entries, scaled by the d/dM factor 2
-        r11 = 2 * (w1 * s5 - y1)
-        r12 = 2 * (w1 * s6 - y1)
-        r21 = 2 * (w2 * s5 - y2)
-        r22 = 2 * (w2 * s6 + w3 * s7 - (y2 + y3))
-        r23 = 2 * (w3 * s8)
-        r32 = 2 * (w4 * s7)
-        r33 = 2 * (w4 * s8 - y4)
+        # residual entries of M(theta) - Y
+        r11 = w1 * s5 - y1
+        r12 = w1 * s6 - y1
+        r21 = w2 * s5 - y2
+        r22 = w2 * s6 + w3 * s7 - (y2 + y3)
+        r23 = w3 * s8
+        r32 = w4 * s7
+        r33 = w4 * s8 - y4
         g = np.empty_like(th)
         g[..., 0] = r11 * s5 + r12 * s6
         g[..., 1] = r21 * s5 + r22 * s6
@@ -299,6 +297,7 @@ class SpuriousValleyInstance:
         g[..., 5] = (r12 * w1 + r22 * w2) * ds[..., 1]
         g[..., 6] = (r22 * w3 + r32 * w4) * ds[..., 2]
         g[..., 7] = (r23 * w3 + r33 * w4) * ds[..., 3]
+        g *= 2  # the d/dM factor, applied once: doubling is exact
         return g
 
     def as_network(self, theta=None) -> SparseNet:

@@ -173,34 +173,37 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
     """Plain GD on T independent runs under one stopping rule.
 
     params is a list of arrays sharing a leading run axis of length T, and
-    value_and_grad(params) gives the T losses and gradients laid out like
-    params.  Each epoch tests every active run for, in order: "diverged"
-    (loss non-finite or above DIVERGE_FACTOR times its start),
+    value_and_grad(params) gives the losses and gradients of the rows it is
+    passed, laid out like params.  Each epoch tests every run for, in order:
+    "diverged" (loss non-finite or above DIVERGE_FACTOR times its start),
     "converged_grad" (gradient norm below grad_tol), "plateau" (loss fell by
     at most plateau_rel over plateau_window epochs, first at epoch
-    plateau_window + 1), "max_epochs".  Stopped runs freeze.  With backtrack
-    each run halves its own step while it would raise its loss, down to
-    1e-16 of the learning rate.
+    plateau_window + 1), "max_epochs".  A run that stops is written out once
+    and leaves the batch, so later epochs evaluate only the runs still
+    moving.  With backtrack each run halves its own step while it would
+    raise its loss, down to 1e-16 of the learning rate.
 
-    observe(epoch, params, values, grad_norms) runs before each epoch's tests.
-    Returns (params, values, stop_epoch, stop_reason), the last two per run.
+    observe(epoch, params, values, grad_norms) runs before each epoch's
+    tests and sees only the runs not yet stopped.
+    Returns (params, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
     w = config.plateau_window
     with np.errstate(over="ignore", invalid="ignore"):
         values, grads = value_and_grad(params)
         n = len(values)
-        active = np.ones(n, dtype=bool)
-        moving = None  # the active runs, once some have stopped
+        out_params = [np.empty_like(p) for p in params]
+        out_values = np.empty_like(values)
         stop_epoch = np.full(n, config.max_epochs)
         stop_reason = np.full(n, "max_epochs", dtype=object)
+        runs = np.arange(n)  # the original index of each run still in the batch
         limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(values))
         # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
         history = np.empty((min(w, config.max_epochs) + 1, n))
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % len(history)] = values
-            gnorm = np.sqrt(sum((g * g).reshape(n, -1).sum(axis=1) for g in grads))
+            gnorm = np.sqrt(sum((g * g).reshape(len(runs), -1).sum(axis=1) for g in grads))
             if observe is not None:
                 observe(epoch, params, values, gnorm)
             tests = [("diverged", ~np.isfinite(values) | (values > limit)),
@@ -209,41 +212,44 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
                 past = history[(epoch - w) % len(history)]
                 tests.append(("plateau", past - values
                               <= config.plateau_rel * np.maximum(1.0, np.abs(past))))
+            done = np.zeros(len(runs), dtype=bool)
             for reason, hit in tests:
-                hit &= active
                 if hit.any():
-                    stop_reason[hit] = reason
-                    stop_epoch[hit] = epoch
-                    active &= ~hit
-                    moving = active
-            if epoch == config.max_epochs or (moving is not None and not moving.any()):
-                break
+                    hit &= ~done
+                    stop_reason[runs[hit]] = reason
+                    stop_epoch[runs[hit]] = epoch
+                    done |= hit
+            if epoch == config.max_epochs:
+                done[:] = True
+            if done.any():
+                out_values[runs[done]] = values[done]
+                for out, p in zip(out_params, params):
+                    out[runs[done]] = p[done]
+                if done.all():
+                    break
+                keep = ~done
+                runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
+                params, grads = [p[keep] for p in params], [g[keep] for g in grads]
 
             step = lr
             while True:
-                trial = _stepped(params, grads, step, moving)
+                trial = _stepped(params, grads, step)
                 new_values, new_grads = value_and_grad(trial)
                 if not config.backtrack:
                     break
-                worse = active & ~(new_values <= values) & (step >= 1e-16 * lr)
+                worse = ~(new_values <= values) & (step >= 1e-16 * lr)
                 if not worse.any():
                     break
                 step = np.where(worse, 0.5 * step, step)
-            params, grads = trial, new_grads
-            values = new_values if moving is None else np.where(moving, new_values, values)
-    return params, values, stop_epoch, stop_reason
+            params, values, grads = trial, new_values, new_grads
+    return out_params, out_values, stop_epoch, stop_reason
 
 
-def _stepped(params, grads, step, moving) -> list:
-    """params - step * grads (step scalar or per run) for the runs in moving (None: all)."""
-    if moving is None and np.ndim(step) == 0:
+def _stepped(params, grads, step) -> list:
+    """params - step * grads, with step a scalar or one per run."""
+    if not isinstance(step, np.ndarray):
         return [p - step * g for p, g in zip(params, grads)]
-    out = []
-    for p, g in zip(params, grads):
-        runs = (-1,) + (1,) * (p.ndim - 1)
-        new = p - np.reshape(step, runs) * g
-        out.append(new if moving is None else np.where(moving.reshape(runs), new, p))
-    return out
+    return [p - step.reshape((-1,) + (1,) * (p.ndim - 1)) * g for p, g in zip(params, grads)]
 
 
 def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainTrace:
@@ -333,7 +339,7 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
 
     Trial t draws its start from default_rng(config.seed + t), so results
     are identical whether trials run alone or batched.  All per-step work
-    is elementwise across trials; finished trials freeze in place.
+    is elementwise across trials; a finished trial leaves the batch.
     """
     bounds = objective.init_bounds
     theta = np.empty((n_trials, len(bounds)))

@@ -146,6 +146,18 @@ def test_derivative_kink_convention():
     assert Activation.elu(2.0).derivative(np.array([0.0]))[0] == 2.0
 
 
+@pytest.mark.parametrize("act", ALL_KINDS, ids=lambda a: a.kind)
+def test_value_and_derivative_is_bitwise(act):
+    rng = np.random.default_rng(0)
+    inputs = (0.7, 0.0, -745.0, np.linspace(-6, 6, 25),
+              np.array([-745.0, -1.0, 0.0, 1e-300, 745.0]), 3 * rng.standard_normal((6, 4)))
+    for z in inputs:
+        value, deriv = act.value_and_derivative(z)
+        for got, want in ((value, act(z)), (deriv, act.derivative(z))):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (act.kind, z)
+
+
 def test_scalar_and_array_agree():
     for act in ALL_KINDS:
         assert float(act(0.7)) == pytest.approx(float(act(np.array([0.7]))[0]), abs=0)

@@ -75,6 +75,11 @@ def test_verify_conv_valley(workdir, capsys):
     (["train", "--dims", "3,4,1", "--epochs", "-1"], "--epochs", "-1"),
     (["train", "--dims", "3,4,1", "--rank-every", "-1"], "--rank-every", "-1"),
     (["trials", "--n", "3", "--epochs", "-1"], "--epochs", "-1"),
+    (["path", "--n", "0"], "--n", "0"),
+    (["path", "--samples", "0"], "--samples", "0"),
+    *[(argv + ["--lr", lr], "--lr", lr)
+      for argv in (["train", "--dims", "3,4,1", "--epochs", "5"], ["trials", "--n", "2", "--epochs", "5"])
+      for lr in ("-1", "0", "nan")],
 ])
 def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as ei:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -296,6 +297,67 @@ def test_run_trials_plateau_stop_epoch(flat_from, window, max_epochs, stop):
     stats = run_trials(objective, 3, config)
     assert stats.epochs.tolist() == [stop] * 3
     assert stats.labels == ("flat",) * 3
+
+
+def mixed_stop_objective(rows):
+    """Rows (x, c, b) with loss c x^2 and gradient (2 c x + b, 0, 0).
+
+    At lr 0.1: c = 1000 diverges, c = 2.5 converges by gradient, c = 0 with
+    b = 1 sits on a flat loss, c = 1e-3 is still descending at epoch 60.
+    """
+    x0 = np.random.default_rng(5).uniform(0.5, 1.5, size=len(rows))
+    params = [np.column_stack([x0, np.asarray(rows, dtype=float)])]
+
+    def value_and_grad(params):
+        x, c, b = params[0].T
+        grad = np.zeros_like(params[0])
+        grad[:, 0] = 2 * c * x + b
+        return c * x * x, [grad]
+
+    return value_and_grad, params
+
+
+MIXED_ROWS = [(1000, 0), (2.5, 0), (0, 1), (1e-3, 0), (2.5, 0), (1000, 0), (1e-3, 0), (0, 1)]
+MIXED_CONFIG = TrainConfig(learning_rate=0.1, max_epochs=60, plateau_rel=0.0, plateau_window=5)
+
+
+@pytest.mark.parametrize("max_epochs,reasons", [
+    (60, ["diverged", "converged_grad", "plateau", "max_epochs",
+          "converged_grad", "diverged", "max_epochs", "plateau"]),
+    # a run whose test fires at the last epoch keeps that test's reason
+    (6, ["diverged", "max_epochs", "plateau", "max_epochs",
+         "max_epochs", "diverged", "max_epochs", "plateau"]),
+])
+def test_descend_batch_equals_each_run_alone(max_epochs, reasons):
+    from sparseland.trainer import _descend
+
+    config = dataclasses.replace(MIXED_CONFIG, max_epochs=max_epochs)
+    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
+    (theta,), values, stop_epoch, stop_reason = _descend(value_and_grad, params, config)
+    assert list(stop_reason) == reasons
+    for t in range(len(MIXED_ROWS)):
+        one = [params[0][t:t + 1]]
+        (solo,), solo_values, solo_epoch, solo_reason = _descend(value_and_grad, one, config)
+        assert solo.tobytes() == theta[t:t + 1].tobytes()
+        assert solo_values.tobytes() == values[t:t + 1].tobytes()
+        assert (solo_epoch[0], solo_reason[0]) == (stop_epoch[t], stop_reason[t])
+
+
+def test_descend_evaluates_only_moving_runs():
+    # a run that stops at epoch e is evaluated at its start and after each of
+    # its e steps; stopped runs are not carried to the end of the batch
+    from sparseland.trainer import _descend
+
+    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
+    rows = []
+
+    def recording(params):
+        rows.append(len(params[0]))
+        return value_and_grad(params)
+
+    _, _, stop_epoch, _ = _descend(recording, params, MIXED_CONFIG)
+    assert sum(rows) == len(MIXED_ROWS) + stop_epoch.sum()
+    assert len(rows) == stop_epoch.max() + 1
 
 
 def test_trial_stats_json():
