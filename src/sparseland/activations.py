@@ -33,13 +33,11 @@ ANALYTIC_KINDS = ("linear", "tanh", "sigmoid", "shifted_sigmoid", "softplus", "p
 
 
 def _logistic(z):
+    # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below;
+    # np.minimum passes a NaN through with its sign bit, as exp(z) would
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @lru_cache(maxsize=None)

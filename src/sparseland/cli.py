@@ -332,6 +332,13 @@ HANDLERS = {
 # config keys that are plumbing, not inputs
 _NON_CONFIG = {"command", "out", "json_out", "manifest"}
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """BLAS thread settings and numpy version: either can move the last bits of a result."""
+    return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
+
 
 def cmd_replay(args):
     try:
@@ -340,6 +347,9 @@ def cmd_replay(args):
         config = manifest["config"]
         expected_payload = manifest["payload_sha256"]
         expected_primary = manifest["outputs"]["primary"]["sha256"]
+        recorded_env = manifest.get("environment", {})  # absent in older manifests
+        if not isinstance(recorded_env, dict):
+            raise KeyError("environment")
     except (OSError, json.JSONDecodeError, KeyError) as e:
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
@@ -361,6 +371,11 @@ def cmd_replay(args):
         "replayed_exit_code": code,
     }
     lines = [f"replayed {command}: {'outputs identical' if match else 'OUTPUT MISMATCH'}"]
+    now = _environment()
+    changed = [f"{k} {v!r} -> {now[k]!r}" for k, v in recorded_env.items()
+               if k in now and v != now[k]]
+    if not match and changed:
+        lines.append("environment differs from the recorded run: " + ", ".join(changed))
     if args.out:
         Path(args.out).write_text(primary_text)
         lines.append(f"wrote {args.out}")
@@ -495,6 +510,7 @@ def main(argv=None) -> int:
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "environment": _environment(),
         "payload_sha256": _payload_digest(payload),
         "outputs": {
             "primary": {

@@ -18,11 +18,12 @@ from .activations import Activation
 
 
 def _as_mask(mask, shape) -> np.ndarray:
+    """A locked bool copy of mask; non-bool entries must be exactly 0 or 1."""
     m = np.asarray(mask)
     if m.shape != shape:
         raise ValueError(f"mask shape {m.shape} != weight shape {shape}")
     out = m.astype(bool)
-    if not np.array_equal(out, m):
+    if m.dtype != bool and not np.array_equal(out, m):
         raise ValueError("mask entries must be 0/1")
     out.setflags(write=False)
     return out
@@ -53,7 +54,8 @@ class SparseLayer:
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array")
         m = _as_mask(self.mask, w.shape)
-        bad = np.count_nonzero(w[~m])
+        # nonzero (NaN and inf included) where the mask is False, counted with no gather
+        bad = np.count_nonzero((w != 0) > m)
         if bad:
             raise ValueError(f"{bad} masked weight entries are nonzero; masks pin exact zeros")
         object.__setattr__(self, "weights", w)
@@ -62,8 +64,9 @@ class SparseLayer:
             b = _locked(self.bias)
             if b.shape != (w.shape[0],):
                 raise ValueError(f"bias shape {b.shape} != ({w.shape[0]},)")
-            bm = _as_mask(self.bias_mask if self.bias_mask is not None else np.ones_like(b), b.shape)
-            if np.count_nonzero(b[~bm]):
+            bm = _as_mask(self.bias_mask if self.bias_mask is not None
+                         else np.ones(b.shape, dtype=bool), b.shape)
+            if np.count_nonzero((b != 0) > bm):
                 raise ValueError("masked bias entries must be exactly zero")
             object.__setattr__(self, "bias", b)
             object.__setattr__(self, "bias_mask", bm)

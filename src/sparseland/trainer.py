@@ -104,14 +104,21 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
     where the layer has no bias.
     """
     act = net.activation
+    linear = act.kind == "linear"  # a linear sigma' is all ones
     with np.errstate(over="ignore", invalid="ignore"):
         hiddens = [np.asarray(X, dtype=float)]
-        pres = []
+        derivs = []  # sigma'(pre) of each hidden layer, from the forward pass
         L = len(net.layers)
         for k, layer in enumerate(net.layers):
             pre = layer.affine(hiddens[-1])
-            pres.append(pre)
-            hiddens.append(act(pre) if k < L - 1 else pre)
+            if k == L - 1:
+                hiddens.append(pre)
+            elif linear:
+                hiddens.append(act(pre))
+            else:
+                h, d = act.value_and_derivative(pre)
+                hiddens.append(h)
+                derivs.append(d)
         resid = hiddens[-1] - Y
         value = 0.5 * float(np.sum(resid * resid))
 
@@ -125,8 +132,8 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
                 b_grads[k] = G.sum(axis=1) * layer.bias_mask
             if k > 0:
                 G = layer.weights.T @ G
-                if act.kind != "linear":  # a linear sigma' is all ones
-                    G *= act.derivative(pres[k - 1])
+                if not linear:
+                    G *= derivs[k - 1]
         return w_grads, b_grads, value
 
 

@@ -158,6 +158,31 @@ def test_value_and_derivative_is_bitwise(act):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (act.kind, z)
 
 
+def masked_logistic(z):
+    """The logistic function by boolean gathers and scatters, one branch per sign."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logistic_equals_masked_formula_bitwise():
+    from sparseland.activations import _logistic
+
+    extremes = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                         800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324])
+    rng = np.random.default_rng(1)
+    inputs = [extremes, 40 * rng.standard_normal((500, 4)), 0.3, -0.0, -800.0, np.nan]
+    with np.errstate(over="ignore"):
+        for z in inputs:
+            got, want = _logistic(z), masked_logistic(z)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
+            assert got.tobytes() == want.tobytes(), z
+
+
 def test_scalar_and_array_agree():
     for act in ALL_KINDS:
         assert float(act(0.7)) == pytest.approx(float(act(np.array([0.7]))[0]), abs=0)

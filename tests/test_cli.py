@@ -9,7 +9,7 @@ import pytest
 
 import sparseland
 from sparseland import __version__, net_to_json
-from sparseland.cli import main
+from sparseland.cli import _payload_digest, main
 
 
 @pytest.fixture
@@ -309,12 +309,69 @@ def test_replay_detects_mismatch(workdir, capsys):
     assert "OUTPUT MISMATCH" in cap.out
 
 
+def test_manifest_records_environment_outside_the_digest(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, cap = run_cli(["path", "--cond", "1", "--seed", "2", "--json"], capsys)
+    manifest = json.loads((workdir / "path.manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert env["numpy"] == np.__version__ and "OMP_NUM_THREADS" in env
+    assert manifest["payload_sha256"] == _payload_digest(json.loads(cap.out))
+
+
+def test_replay_mismatch_names_changed_thread_settings(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
+    mpath = workdir / "path.manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["environment"]["OPENBLAS_NUM_THREADS"] = "4"
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 0  # matching outputs need no explanation
+    assert cap.out.splitlines() == ["replayed path: outputs identical"]
+    manifest["payload_sha256"] = "0" * 64
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 1
+    lines = cap.out.splitlines()
+    assert lines[0] == "replayed path: OUTPUT MISMATCH"
+    assert lines[1] == "environment differs from the recorded run: OPENBLAS_NUM_THREADS '4' -> '1'"
+    assert len(lines) == 2
+
+
+def test_replay_accepts_manifest_without_environment(workdir, capsys, monkeypatch):
+    run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
+    mpath = workdir / "path.manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["environment"]
+    mpath.write_text(json.dumps(manifest))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # nothing recorded to compare with
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 0
+    assert cap.out.splitlines() == ["replayed path: outputs identical"]
+    manifest["payload_sha256"] = "0" * 64
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 1
+    assert cap.out.splitlines() == ["replayed path: OUTPUT MISMATCH"]
+
+
 def test_replay_bad_manifest(workdir, capsys):
     p = workdir / "m.json"
     p.write_text("{}")
     with pytest.raises(SystemExit) as ei:
         main(["replay", str(p)])
     assert ei.value.code == 2
+    run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
+    manifest = json.loads((workdir / "path.manifest.json").read_text())
+    manifest["environment"] = ["OPENBLAS_NUM_THREADS"]
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as ei:
+        main(["replay", str(p)])
+    assert ei.value.code == 2
+    assert "bad manifest" in capsys.readouterr().err
 
 
 def test_trials_smoke(workdir, capsys):

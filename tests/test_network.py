@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseland import (
     Activation,
@@ -64,6 +65,50 @@ def test_layer_rejects_non_01_mask_entries(bad):
     with pytest.raises(ValueError, match="0/1"):
         SparseLayer(np.zeros((2, 2)), np.ones((2, 2)), bias=np.zeros(2),
                     bias_mask=np.array([1.0, bad]))
+
+
+# exact zeros of both signs, ordinary values, subnormals and non-finite values
+WEIGHT_POOL = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def masked_layer_inputs(draw):
+    n_out, n_in = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.sampled_from(WEIGHT_POOL)
+    w = np.array(draw(st.lists(entries, min_size=n_out * n_in, max_size=n_out * n_in)))
+    m = np.array(draw(st.lists(st.booleans(), min_size=n_out * n_in, max_size=n_out * n_in)))
+    b = np.array(draw(st.lists(entries, min_size=n_out, max_size=n_out)))
+    bm = np.array(draw(st.lists(st.booleans(), min_size=n_out, max_size=n_out)))
+    return w.reshape(n_out, n_in), m.reshape(n_out, n_in), b, bm
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_layer_inputs())
+def test_layer_accepts_exactly_when_no_masked_entry_is_nonzero(inputs):
+    # reference: gather the masked entries and count the nonzero ones
+    w, m, b, bm = inputs
+    bad = np.count_nonzero(w[~m])
+    if bad:
+        with pytest.raises(ValueError, match=f"^{bad} masked weight entries are nonzero"):
+            SparseLayer(w, m)
+    else:
+        assert SparseLayer(w, m).weights.tobytes() == w.tobytes()
+    w_ok = np.where(m, w, 0.0)
+    if np.count_nonzero(b[~bm]):
+        with pytest.raises(ValueError, match="masked bias entries must be exactly zero"):
+            SparseLayer(w_ok, m, b, bm)
+    else:
+        assert SparseLayer(w_ok, m, b, bm).bias.tobytes() == b.tobytes()
+
+
+def test_layer_mask_is_a_copy_of_the_callers_bool_mask():
+    given_mask = np.array([[True, False], [True, True]])
+    given_bias_mask = np.array([True, False])
+    layer = SparseLayer(np.zeros((2, 2)), given_mask, np.zeros(2), given_bias_mask)
+    given_mask[0, 1] = True
+    given_bias_mask[1] = True
+    assert layer.mask.tolist() == [[True, False], [True, True]]
+    assert layer.bias_mask.tolist() == [True, False]
 
 
 def test_layer_bias_validation():

@@ -101,6 +101,65 @@ def test_grad_net_no_bias():
     assert b_grads == [None, None]
 
 
+def reference_backprop(net, X, Y):
+    """Textbook backprop with separate act(z) and act.derivative(z) calls."""
+    act = net.activation
+    hs, pres = [X], []
+    for k, layer in enumerate(net.layers):
+        pre = layer.weights @ hs[-1] + layer.bias[:, None]
+        pres.append(pre)
+        hs.append(pre if k == len(net.layers) - 1 else act(pre))
+    resid = hs[-1] - Y
+    w_grads, b_grads, G = [], [], resid
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[k]
+        w_grads.insert(0, (G @ hs[k].T) * layer.mask)
+        b_grads.insert(0, G.sum(axis=1) * layer.bias_mask)
+        if k > 0:
+            G = (layer.weights.T @ G) * act.derivative(pres[k - 1])
+    return w_grads, b_grads, 0.5 * float(np.sum(resid * resid))
+
+
+@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid(),
+                                 Activation.relu(), Activation.softplus()],
+                         ids=lambda a: a.kind)
+def test_grad_net_equals_reference_backprop_bitwise(act):
+    r = np.random.default_rng(6)
+    dims = (3, 5, 4, 2)
+    layers = []
+    for n_in, n_out in zip(dims, dims[1:]):
+        mask = r.random((n_out, n_in)) < 0.7
+        bias_mask = r.random(n_out) < 0.7
+        layers.append(SparseLayer(r.standard_normal((n_out, n_in)) * mask, mask,
+                                  r.standard_normal(n_out) * bias_mask, bias_mask))
+    net = SparseNet(tuple(layers), act)
+    X, Y = r.standard_normal((3, 9)), r.standard_normal((2, 9))
+    w_grads, b_grads, value = grad_net(net, X, Y)
+    ref_w, ref_b, ref_value = reference_backprop(net, X, Y)
+    assert value == ref_value
+    for got, want in zip(w_grads + b_grads, ref_w + ref_b):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
+    # 10 epochs evaluate grad_net 11 times; each of the 2 hidden layers needs
+    # one tanh pass for both sigma and sigma'
+    calls = []
+    tanh = np.tanh
+
+    def counting_tanh(z, *args, **kwargs):
+        calls.append(np.shape(z))
+        return tanh(z, *args, **kwargs)
+
+    net, _ = random_effective_net((3, 6, 6, 2), sparsity=0.0, seed=1,
+                                  activation=Activation.tanh())
+    ds = gen_synthetic(8, 3, 2, seed=2)
+    monkeypatch.setattr(np, "tanh", counting_tanh)
+    trace = gd_train(net, ds, TrainConfig(max_epochs=10, seed=3))
+    assert trace.epochs == 10
+    assert len(calls) == 22
+
+
 # ---------------------------------------------------------------------------
 # gd_train
 # ---------------------------------------------------------------------------
