@@ -340,21 +340,31 @@ def _environment() -> dict:
     return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
 
 
+def _config_keys(command: str) -> set:
+    """The options a manifest of `command` records in its config."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - _NON_CONFIG - {"help"}
+
+
 def cmd_replay(args):
     try:
         manifest = json.loads(Path(args.manifest_path).read_text())
+        if not isinstance(manifest, dict):
+            raise TypeError("not a JSON object")
         command = manifest["command"]
         config = manifest["config"]
         expected_payload = manifest["payload_sha256"]
         expected_primary = manifest["outputs"]["primary"]["sha256"]
         recorded_env = manifest.get("environment", {})  # absent in older manifests
-        if not isinstance(recorded_env, dict):
-            raise KeyError("environment")
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+        if not (isinstance(config, dict) and isinstance(recorded_env, dict)):
+            raise TypeError("config and environment must be JSON objects")
+        if not (isinstance(command, str) and command in HANDLERS):
+            raise ValueError(f"unknown command {command!r}")
+        missing = _config_keys(command) - config.keys()
+        if missing:
+            raise ValueError(f"config lacks {', '.join(sorted(missing))}")
+    except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
-    if command not in HANDLERS:
-        print(f"error: manifest names unknown command {command!r}", file=sys.stderr)
         raise SystemExit(2)
     ns = argparse.Namespace(**{k: (tuple(v) if isinstance(v, list) else v)
                                for k, v in config.items()})

@@ -185,10 +185,13 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
     "diverged" (loss non-finite or above DIVERGE_FACTOR times its start),
     "converged_grad" (gradient norm below grad_tol), "plateau" (loss fell by
     at most plateau_rel over plateau_window epochs, first at epoch
-    plateau_window + 1), "max_epochs".  A run that stops is written out once
-    and leaves the batch, so later epochs evaluate only the runs still
-    moving.  With backtrack each run halves its own step while it would
-    raise its loss, down to 1e-16 of the learning rate.
+    plateau_window + 1), "max_epochs".  The tests form one stop mask per
+    epoch; a run that stops gets the first reason that holds for it, is
+    written out once and leaves the batch, so later epochs evaluate only the
+    runs still moving.  Leaving keeps each array's memory order, so a
+    coordinate-major (Fortran-order) params stays coordinate-major.  With
+    backtrack each run halves its own step while it would raise its loss,
+    down to 1e-16 of the learning rate.
 
     observe(epoch, params, values, grad_norms) runs before each epoch's
     tests and sees only the runs not yet stopped.
@@ -210,33 +213,34 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % len(history)] = values
-            gnorm = np.sqrt(sum((g * g).reshape(len(runs), -1).sum(axis=1) for g in grads))
+            gnorm = np.sqrt(sum(_row_sums((g * g).reshape(len(runs), -1)) for g in grads))
             if observe is not None:
                 observe(epoch, params, values, gnorm)
-            tests = [("diverged", ~np.isfinite(values) | (values > limit)),
-                     ("converged_grad", gnorm < config.grad_tol)]
+            diverged = ~np.isfinite(values) | (values > limit)
+            converged = gnorm < config.grad_tol
+            stop = diverged | converged
+            plateau = None
             if epoch > w:
                 past = history[(epoch - w) % len(history)]
-                tests.append(("plateau", past - values
-                              <= config.plateau_rel * np.maximum(1.0, np.abs(past))))
-            done = np.zeros(len(runs), dtype=bool)
-            for reason, hit in tests:
-                if hit.any():
-                    hit &= ~done
-                    stop_reason[runs[hit]] = reason
-                    stop_epoch[runs[hit]] = epoch
-                    done |= hit
+                plateau = past - values <= config.plateau_rel * np.maximum(1.0, np.abs(past))
+                stop |= plateau
             if epoch == config.max_epochs:
-                done[:] = True
-            if done.any():
-                out_values[runs[done]] = values[done]
+                stop[:] = True
+            if stop.any():
+                # later writes win, so a run keeps the first reason that holds for it
+                for reason, hit in (("plateau", plateau), ("converged_grad", converged),
+                                    ("diverged", diverged)):
+                    if hit is not None:
+                        stop_reason[runs[hit]] = reason
+                stop_epoch[runs[stop]] = epoch
+                out_values[runs[stop]] = values[stop]
                 for out, p in zip(out_params, params):
-                    out[runs[done]] = p[done]
-                if done.all():
+                    out[runs[stop]] = p[stop]
+                if stop.all():
                     break
-                keep = ~done
+                keep = ~stop
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
-                params, grads = [p[keep] for p in params], [g[keep] for g in grads]
+                params, grads = [_rows(p, keep) for p in params], [_rows(g, keep) for g in grads]
 
             step = lr
             while True:
@@ -250,6 +254,37 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
                 step = np.where(worse, 0.5 * step, step)
             params, values, grads = trial, new_values, new_grads
     return out_params, out_values, stop_epoch, stop_reason
+
+
+def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a[keep] in a's memory order (a[keep] alone always gives C order)."""
+    out = np.empty_like(a, shape=(np.count_nonzero(keep),) + a.shape[1:])
+    return np.compress(keep, a, axis=0, out=out)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) of a 2-d x >= 0 as numpy rounds a C-order row, in any memory order.
+
+    numpy sums a contiguous row of 8 to 128 entries pairwise: eight running
+    sums over blocks of eight, added as a tree, then the leftover entries in
+    order.  It would sum a column-major x column after column, rounding
+    differently, so such an x is summed here by whole columns in that
+    pairwise order, which keeps its reads contiguous; other rows are summed
+    from a C-order copy.
+    """
+    n = x.shape[1]
+    if x.flags.c_contiguous or not x.flags.f_contiguous or not 8 <= n <= 128:
+        return np.ascontiguousarray(x).sum(axis=1)
+    lead = n - n % 8
+    lanes = x[:, :8]
+    for i in range(8, lead, 8):
+        lanes = lanes + x[:, i:i + 8]
+    pairs = lanes[:, 0::2] + lanes[:, 1::2]
+    quads = pairs[:, 0::2] + pairs[:, 1::2]
+    acc = quads[:, 0] + quads[:, 1]
+    for j in range(lead, n):
+        acc = acc + x[:, j]
+    return acc
 
 
 def _stepped(params, grads, step) -> list:
@@ -349,7 +384,8 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     is elementwise across trials; a finished trial leaves the batch.
     """
     bounds = objective.init_bounds
-    theta = np.empty((n_trials, len(bounds)))
+    # coordinate-major: each coordinate's column over the trials is contiguous
+    theta = np.empty((len(bounds), n_trials)).T
     for t in range(n_trials):
         theta[t] = np.random.default_rng(config.seed + t).uniform(-bounds, bounds)
 

@@ -366,12 +366,18 @@ def test_replay_bad_manifest(workdir, capsys):
     assert ei.value.code == 2
     run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
     manifest = json.loads((workdir / "path.manifest.json").read_text())
-    manifest["environment"] = ["OPENBLAS_NUM_THREADS"]
-    p.write_text(json.dumps(manifest))
-    with pytest.raises(SystemExit) as ei:
-        main(["replay", str(p)])
-    assert ei.value.code == 2
-    assert "bad manifest" in capsys.readouterr().err
+    capsys.readouterr()
+    # not a JSON object; an environment that is not one; a config that lacks
+    # options the handler reads
+    for bad in ([], dict(manifest, environment=["OPENBLAS_NUM_THREADS"]),
+                dict(manifest, config={"seed": 1})):
+        p.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as ei:
+            main(["replay", str(p)])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad manifest {p}: ") and err.count("\n") == 1
+    assert "config lacks cond, groups, n, samples" in err
 
 
 def test_trials_smoke(workdir, capsys):

@@ -401,6 +401,129 @@ def test_descend_batch_equals_each_run_alone(max_epochs, reasons):
         assert solo_values.tobytes() == values[t:t + 1].tobytes()
         assert (solo_epoch[0], solo_reason[0]) == (stop_epoch[t], stop_reason[t])
 
+    # the same runs held coordinate-major give the same bytes, epochs and reasons
+    (theta_f,), values_f, epoch_f, reason_f = _descend(
+        value_and_grad, [np.asfortranarray(params[0])], config)
+    assert theta_f.flags.f_contiguous
+    assert theta_f.tobytes(order="C") == theta.tobytes()
+    assert values_f.tobytes() == values.tobytes()
+    assert np.array_equal(epoch_f, stop_epoch)
+    assert list(reason_f) == reasons
+
+
+def coincident_stop_objective():
+    """Rows (x, d): loss d / x^2 and gradient (x / 2, 0).
+
+    At lr 1 each step halves x from 1, so at epoch k the gradient norm is
+    2^-(k+1) and the loss is d 4^k: with d = 1 it first exceeds 1e12 times
+    its start at epoch 20; with d = 0 it is flat.
+    """
+    def value_and_grad(params):
+        x, d = params[0].T
+        grad = np.zeros_like(params[0])
+        grad[:, 0] = 0.5 * x
+        return d / (x * x), [grad]
+
+    return value_and_grad, [np.array([[1.0, 1.0], [1.0, 0.0]])]
+
+
+def test_descend_keeps_the_first_reason_of_a_coincident_stop():
+    # at epoch 20 the gradient falls below grad_tol and the first plateau test
+    # runs; the rising run also diverges.  Each keeps the earliest reason of
+    # diverged, converged_grad, plateau.
+    from sparseland.trainer import _descend
+
+    value_and_grad, params = coincident_stop_objective()
+    config = TrainConfig(learning_rate=1.0, max_epochs=100, grad_tol=0.75 * 0.5 ** 20,
+                         plateau_rel=0.0, plateau_window=19)
+    _, _, stop_epoch, stop_reason = _descend(value_and_grad, params, config)
+    assert stop_epoch.tolist() == [20, 20]
+    assert list(stop_reason) == ["diverged", "converged_grad"]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_descend_keeps_the_memory_order_of_params(order):
+    from sparseland.trainer import _descend
+
+    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
+    params = [np.asarray(params[0], order=order)]
+    seen = []
+
+    def recording(params):
+        seen.append(params[0].flags[f"{order}_CONTIGUOUS"])
+        return value_and_grad(params)
+
+    (theta,), _, stop_epoch, _ = _descend(recording, params, MIXED_CONFIG)
+    assert len(set(stop_epoch.tolist())) > 2  # the batch was compacted more than once
+    assert all(seen)
+    assert theta.flags[f"{order}_CONTIGUOUS"]
+
+
+def test_descend_grad_norms_do_not_depend_on_memory_order():
+    # a row sum in another order can move the last bit of a norm, and with
+    # it a converged_grad stop
+    from sparseland.trainer import _descend
+
+    inst = valley_instance(EXPERIMENT_Y)
+    theta = np.random.default_rng(2).uniform(-2, 2, size=(200, 8))
+    norms = {}
+    for order in "CF":
+        seen = norms[order] = []
+        _descend(lambda p: (inst.loss(p[0]), [inst.grad(p[0])]),
+                 [np.asarray(theta, order=order)], TrainConfig(max_epochs=20),
+                 lambda epoch, params, values, gnorm: seen.append(gnorm.tobytes()))
+    assert norms["F"] == norms["C"]
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 8, 9, 16, 21, 128, 129, 300])
+def test_row_sums_of_column_major_rows_match_numpy(n_cols):
+    # pins the column-by-column sum to numpy's own rounding of a C-order row
+    from sparseland.trainer import _row_sums
+
+    rng = np.random.default_rng(n_cols)
+    x = rng.standard_normal((40, n_cols)) ** 2 * 10.0 ** rng.integers(-8, 8, (40, n_cols))
+    assert _row_sums(np.asfortranarray(x)).tobytes() == x.sum(axis=1).tobytes()
+
+
+def counting_valley_objective(inst, calls):
+    """The valley's trial objective, recording each theta its loss and grad see."""
+    obj = valley_trial_objective(inst)
+
+    def count(kind, fn):
+        def wrapped(theta):
+            calls.append((kind, theta))
+            return fn(theta)
+        return wrapped
+
+    return dataclasses.replace(obj, loss=count("loss", obj.loss), grad=count("grad", obj.grad))
+
+
+# trials stop at epochs from 19 to 400, so run_trials compacts its batch
+STAGGERED = TrainConfig(learning_rate=0.05, max_epochs=400, plateau_window=10,
+                        plateau_rel=1e-4, seed=3)
+
+
+def test_run_trials_holds_thetas_coordinate_major():
+    calls = []
+    stats = run_trials(counting_valley_objective(valley_instance(EXPERIMENT_Y), calls),
+                       12, STAGGERED)
+    sizes = [len(theta) for _, theta in calls]
+    assert len(set(sizes)) > 2 and min(sizes) < 12
+    for _, theta in calls:
+        assert all(theta[:, i].flags.c_contiguous for i in range(theta.shape[1]))
+    assert stats.final_thetas.flags.f_contiguous
+
+
+def test_run_trials_calls_the_objective_once_per_epoch():
+    # one loss and one grad call before the loop and after each step, as the
+    # trials-batch trace of the benchmark requires
+    calls = []
+    stats = run_trials(counting_valley_objective(valley_instance(EXPERIMENT_Y), calls),
+                       12, STAGGERED)
+    loop = int(stats.epochs.max())
+    kinds = [kind for kind, _ in calls]
+    assert (kinds.count("loss"), kinds.count("grad")) == (loop + 1, loop + 1)
+
 
 def test_descend_evaluates_only_moving_runs():
     # a run that stops at epoch e is evaluated at its start and after each of
