@@ -213,7 +213,9 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % len(history)] = values
-            gnorm = np.sqrt(sum(_row_sums((g * g).reshape(len(runs), -1)) for g in grads))
+            # squares in C order: each run's row is summed alike whatever grads' order
+            gnorm = np.sqrt(sum(np.square(g, order="C").reshape(len(runs), -1).sum(axis=1)
+                                for g in grads))
             if observe is not None:
                 observe(epoch, params, values, gnorm)
             diverged = ~np.isfinite(values) | (values > limit)
@@ -257,34 +259,13 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
 
 
 def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """a[keep] in a's memory order (a[keep] alone always gives C order)."""
+    """a[keep] in a's memory order (a[keep] alone always gives C order).
+
+    This keeps the order only, not a copy: np.compress gathers into a C-order
+    temporary and copies that into out.
+    """
     out = np.empty_like(a, shape=(np.count_nonzero(keep),) + a.shape[1:])
     return np.compress(keep, a, axis=0, out=out)
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=1) of a 2-d x >= 0 as numpy rounds a C-order row, in any memory order.
-
-    numpy sums a contiguous row of 8 to 128 entries pairwise: eight running
-    sums over blocks of eight, added as a tree, then the leftover entries in
-    order.  It would sum a column-major x column after column, rounding
-    differently, so such an x is summed here by whole columns in that
-    pairwise order, which keeps its reads contiguous; other rows are summed
-    from a C-order copy.
-    """
-    n = x.shape[1]
-    if x.flags.c_contiguous or not x.flags.f_contiguous or not 8 <= n <= 128:
-        return np.ascontiguousarray(x).sum(axis=1)
-    lead = n - n % 8
-    lanes = x[:, :8]
-    for i in range(8, lead, 8):
-        lanes = lanes + x[:, i:i + 8]
-    pairs = lanes[:, 0::2] + lanes[:, 1::2]
-    quads = pairs[:, 0::2] + pairs[:, 1::2]
-    acc = quads[:, 0] + quads[:, 1]
-    for j in range(lead, n):
-        acc = acc + x[:, j]
-    return acc
 
 
 def _stepped(params, grads, step) -> list:

@@ -475,16 +475,6 @@ def test_descend_grad_norms_do_not_depend_on_memory_order():
     assert norms["F"] == norms["C"]
 
 
-@pytest.mark.parametrize("n_cols", [1, 3, 8, 9, 16, 21, 128, 129, 300])
-def test_row_sums_of_column_major_rows_match_numpy(n_cols):
-    # pins the column-by-column sum to numpy's own rounding of a C-order row
-    from sparseland.trainer import _row_sums
-
-    rng = np.random.default_rng(n_cols)
-    x = rng.standard_normal((40, n_cols)) ** 2 * 10.0 ** rng.integers(-8, 8, (40, n_cols))
-    assert _row_sums(np.asfortranarray(x)).tobytes() == x.sum(axis=1).tobytes()
-
-
 def counting_valley_objective(inst, calls):
     """The valley's trial objective, recording each theta its loss and grad see."""
     obj = valley_trial_objective(inst)
