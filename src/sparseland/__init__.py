@@ -15,7 +15,7 @@ deeper masked networks under squared loss:
   (`trainer`), all reachable from the `sparseland` CLI (`cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .activations import ANALYTIC_KINDS, KINDS, Activation, activation_named
 from .calculus import (

@@ -42,7 +42,8 @@ from .landscape import (
     random_grouped_instance,
 )
 from .network import net_from_json, net_to_json, effective_subnetwork
-from .trainer import TrainConfig, gd_train, gen_synthetic, random_effective_net, run_trials
+from .trainer import (TrainConfig, gd_train, gen_synthetic, init_net, random_effective_net,
+                      run_trials, stream)
 
 VERIFY_INSTANCES = ("sd-minimum", "ss-valley", "cnn-same-valley")
 
@@ -178,23 +179,18 @@ def cmd_verify(args):
 def cmd_train(args):
     if args.spec:
         net = _load_net_spec(args.spec)
-        init = "keep" if not args.reinit else ("scaled" if args.scale_init != 1.0 else "default")
-    elif args.dims:
-        act = activation_named(args.activation)
-        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed, activation=act)
-        init = "scaled" if args.scale_init != 1.0 else "default"
     else:
-        print("error: train needs --spec or --dims", file=sys.stderr)
-        raise SystemExit(2)
+        act = activation_named(args.activation)
+        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed, activation=act,
+                                      init_scale=args.scale_init)
+    if args.reinit:
+        net = init_net(net, args.scale_init, args.seed)
 
     d_x, d_y = net.layers[0].n_in, net.layers[-1].n_out
     dataset = gen_synthetic(args.n, d_x, d_y, seed=args.seed, a_norm=args.a_norm,
                             noise=args.noise, target=args.target)
-    config = TrainConfig(
-        learning_rate=args.lr, max_epochs=args.epochs, seed=args.seed,
-        init=init, init_scale=args.scale_init, rank_every=args.rank_every,
-        backtrack=args.backtrack,
-    )
+    config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs,
+                         rank_every=args.rank_every, backtrack=args.backtrack)
     trace = gd_train(net, dataset, config)
 
     optimum = gap = None
@@ -294,8 +290,7 @@ def cmd_rank(args):
         act = activation_named(args.activation)
         net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed,
                                       activation=act, init_scale=args.scale_init)
-    rng = np.random.default_rng(args.seed)
-    X = rng.standard_normal((net.layers[0].n_in, args.n))
+    X = stream(args.seed, "rank").standard_normal((net.layers[0].n_in, args.n))
     ranks = hidden_rank_certificate(net, X)
     full = [r == min(net.layers[k].n_out, args.n) for k, r in enumerate(ranks)]
     payload = {"n": args.n, "ranks": list(ranks), "full_rank": full, "all_full": all(full)}
@@ -306,14 +301,10 @@ def cmd_rank(args):
 
 def cmd_conv_rank(args):
     kernel = np.asarray(args.kernel, dtype=float)
-    mode = args.mode.lower()
-    if mode not in MODES:
-        print(f"error: mode must be one of {MODES}", file=sys.stderr)
-        raise SystemExit(2)
-    spec = ConvSpec(kernel, args.d, mode)
+    spec = ConvSpec(kernel, args.d, args.mode)
     expected = conv_rank_expected(spec)
     numeric = numerical_rank(conv_matrix(spec))
-    payload = {"mode": mode, "d": args.d, "kernel": [float(k) for k in kernel],
+    payload = {"mode": args.mode, "d": args.d, "kernel": [float(k) for k in kernel],
                "expected": expected, "numeric": numeric, "match": expected == numeric}
     lines = [f"expected {expected}, numeric {numeric}"]
     return (0 if expected == numeric else 1), payload, None, lines
@@ -340,10 +331,28 @@ def _environment() -> dict:
     return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
 
 
-def _config_keys(command: str) -> set:
-    """The options a manifest of `command` records in its config."""
+def _config_actions(command: str) -> list:
+    """The argparse actions of the options a manifest of `command` records in its config."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - _NON_CONFIG - {"help"}
+    return [a for a in sub.choices[command]._actions if a.dest not in _NON_CONFIG | {"help"}]
+
+
+def _reparse(action, value):
+    """A recorded config value, checked and converted as the command line's text would be."""
+    if action.nargs == 0:  # a store_true flag
+        if not isinstance(value, bool):
+            raise ValueError(f"{action.dest}: expected true or false, got {value!r}")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None  # the option was not given
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        value = (action.type or str)(text)
+    except (argparse.ArgumentTypeError, ValueError) as e:
+        raise ValueError(f"{action.dest}: {e}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{action.dest}: invalid choice {value!r}")
+    return value
 
 
 def cmd_replay(args):
@@ -360,14 +369,14 @@ def cmd_replay(args):
             raise TypeError("config and environment must be JSON objects")
         if not (isinstance(command, str) and command in HANDLERS):
             raise ValueError(f"unknown command {command!r}")
-        missing = _config_keys(command) - config.keys()
+        actions = _config_actions(command)
+        missing = {a.dest for a in actions} - config.keys()
         if missing:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
+        ns = argparse.Namespace(**{a.dest: _reparse(a, config[a.dest]) for a in actions})
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
-    ns = argparse.Namespace(**{k: (tuple(v) if isinstance(v, list) else v)
-                               for k, v in config.items()})
     code, payload, primary, _ = HANDLERS[command](ns)
     primary_text = primary if primary is not None else json.dumps(payload, indent=2)
     got_payload = _payload_digest(payload)
@@ -381,6 +390,9 @@ def cmd_replay(args):
         "replayed_exit_code": code,
     }
     lines = [f"replayed {command}: {'outputs identical' if match else 'OUTPUT MISMATCH'}"]
+    recorded = manifest.get("version")
+    if not match and recorded != __version__:
+        lines.append(f"version differs from the recorded run: {recorded!r} -> {__version__!r}")
     now = _environment()
     changed = [f"{k} {v!r} -> {now[k]!r}" for k, v in recorded_env.items()
                if k in now and v != now[k]]
@@ -420,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("train", help="full-batch GD on a masked net")
-    sp.add_argument("--spec", default=None, help="network JSON file")
-    sp.add_argument("--dims", type=_parse_ints, default=None,
-                    help="layer sizes, e.g. 20,100,100,1 (random masked net)")
+    net_source = sp.add_mutually_exclusive_group(required=True)
+    net_source.add_argument("--spec", default=None, help="network JSON file")
+    net_source.add_argument("--dims", type=_parse_ints, default=None,
+                            help="layer sizes, e.g. 20,100,100,1 (random masked net)")
     sp.add_argument("--sparsity", type=float, default=0.0)
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backtrack", action="store_true",
                     help="halve steps that would increase the loss")
     sp.add_argument("--reinit", action="store_true",
-                    help="re-initialize weights even when --spec is given")
+                    help="redraw the net's weights (scaled by --scale-init) before training")
     common(sp)
 
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
@@ -472,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("conv-rank", help="closed-form vs numeric rank of a conv matrix")
-    sp.add_argument("--mode", required=True, help="FULL, SAME or VALID")
+    sp.add_argument("--mode", required=True, type=str.lower, choices=MODES, help="in any case")
     sp.add_argument("--d", type=int, required=True, help="input length")
     sp.add_argument("--kernel", type=_parse_floats, required=True, help="kernel values k0,k1,...")
     common(sp)

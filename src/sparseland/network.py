@@ -113,10 +113,6 @@ class SparseNet:
         """(d_in, hidden..., d_out)"""
         return (self.layers[0].n_in,) + tuple(l.n_out for l in self.layers)
 
-    @property
-    def n_hidden_layers(self) -> int:
-        return len(self.layers) - 1
-
     def with_layer_weights(self, weights: Sequence[np.ndarray], biases=None) -> "SparseNet":
         new = []
         for i, layer in enumerate(self.layers):

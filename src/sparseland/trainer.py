@@ -21,12 +21,21 @@ from .network import SparseLayer, SparseNet, forward
 
 DIVERGE_FACTOR = 1e12
 
+# SeedSequence spawn key per purpose, one each, so no two purposes share draws.  Masks
+# (the root: default_rng(seed)) and data (children 0-2) keep the draws they always had.
+STREAMS = {"mask": (), "data": (0,), "target": (1,), "noise": (2,),
+           "weights": (3,), "init": (4,), "rank": (5,)}
+
+
+def stream(seed: int, purpose: str) -> np.random.Generator:
+    """The random stream that `purpose` (a key of STREAMS) draws from under seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=STREAMS[purpose]))
+
 
 @dataclass(frozen=True)
 class Dataset:
     X: np.ndarray
     Y: np.ndarray
-    seed: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -37,20 +46,15 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[1]
-
 
 def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0,
                   noise: float = 1.0, target: str = "gaussian") -> Dataset:
     """X ~ N(0,1), Y = A X + noise * eps with ||A||_F scaled to a_norm.
 
     target "identity" uses A = the first d_y rows of I instead (then a_norm
-    is ignored).  Separate child seeds keep X, A and eps independent.
+    is ignored).  X, A and eps each draw from their own stream of seed.
     """
-    ss = np.random.SeedSequence(seed)
-    rng_x, rng_a, rng_e = (np.random.default_rng(s) for s in ss.spawn(3))
+    rng_x, rng_a, rng_e = (stream(seed, purpose) for purpose in ("data", "target", "noise"))
     X = rng_x.standard_normal((d_x, n))
     if target == "gaussian":
         A = rng_a.standard_normal((d_y, d_x))
@@ -60,7 +64,7 @@ def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0
     else:
         raise ValueError(f"unknown target {target!r}")
     Y = A @ X + noise * rng_e.standard_normal((d_y, n))
-    return Dataset(X, Y, seed=seed, metadata={"A": A, "noise": noise, "target": target})
+    return Dataset(X, Y, metadata={"A": A, "noise": noise, "target": target})
 
 
 @dataclass(frozen=True)
@@ -70,22 +74,15 @@ class TrainConfig:
     grad_tol: float = 1e-8
     plateau_rel: float = 1e-12
     plateau_window: int = 200
-    seed: int = 0
-    init: str = "default"      # "default" | "scaled" | "keep"
-    init_scale: float = 1.0
+    seed: int = 0              # run_trials' starts; gd_train trains the net it is given
     rank_every: int = 0        # 0 disables hidden-rank sampling
     backtrack: bool = False    # halve the step while it would increase the loss
 
 
-def init_net(net: SparseNet, config: TrainConfig) -> SparseNet:
-    """Fresh weights: uniform(-s/sqrt(fan_in), s/sqrt(fan_in)) per layer,
-    with s = 1 ("default") or init_scale ("scaled"); "keep" returns net."""
-    if config.init == "keep":
-        return net
-    if config.init not in ("default", "scaled"):
-        raise ValueError(f"unknown init {config.init!r}")
-    scale = config.init_scale if config.init == "scaled" else 1.0
-    rng = np.random.default_rng(config.seed)
+def init_net(net: SparseNet, scale: float, seed: int, purpose: str = "init") -> SparseNet:
+    """net with fresh weights on its masks: uniform(-s/sqrt(fan_in), s/sqrt(fan_in))
+    per layer with s = scale, drawn from the `purpose` stream of seed."""
+    rng = stream(seed, purpose)
     layers = []
     for layer in net.layers:
         bound = scale / math.sqrt(layer.n_in)
@@ -144,7 +141,6 @@ class TrainTrace:
     net: SparseNet                  # final parameters
     stop_reason: str                # converged_grad | plateau | max_epochs | diverged
     ranks: tuple = ()               # ((epoch, (rank_h1, ...)), ...)
-    config: TrainConfig | None = None
 
     @property
     def final_loss(self) -> float:
@@ -276,8 +272,7 @@ def _stepped(params, grads, step) -> list:
 
 
 def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainTrace:
-    """Full-batch GD, one _descend run over the weights then biases; divergence is recorded."""
-    net = init_net(net, config)
+    """Full-batch GD from net's own weights: one _descend run over weights then biases."""
     X, Y = dataset.X, dataset.Y
 
     def as_net(params) -> SparseNet:
@@ -305,7 +300,7 @@ def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig
     params, _, _, stop_reason = _descend(value_and_grad, params, config, observe)
     return TrainTrace(
         losses=np.asarray(losses), grad_norms=np.asarray(grad_norms),
-        net=as_net(params), stop_reason=stop_reason[0], ranks=tuple(ranks), config=config,
+        net=as_net(params), stop_reason=stop_reason[0], ranks=tuple(ranks),
     )
 
 
@@ -410,7 +405,7 @@ def random_sparse_mask(shape, sparsity: float, seed: int = 0, repair: bool | Non
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "mask")
     single = len(shape) == 2 and all(isinstance(v, (int, np.integer)) for v in shape)
     shapes = [tuple(shape)] if single else [tuple(s) for s in shape]
 
@@ -445,11 +440,6 @@ def random_effective_net(dims, sparsity: float, seed: int = 0,
         raise ValueError("need at least input, one hidden and output dims")
     shapes = [(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
     masks, realized = random_sparse_mask(shapes, sparsity, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    layers = []
-    for mask in masks:
-        bound = init_scale / math.sqrt(mask.shape[1])
-        W = rng.uniform(-bound, bound, size=mask.shape) * mask
-        layers.append(SparseLayer(W, mask))
     act = activation if activation is not None else Activation.linear()
-    return SparseNet(tuple(layers), act), realized
+    blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), act)
+    return init_net(blank, init_scale, seed, "weights"), realized

@@ -23,6 +23,7 @@ from sparseland import (
     grad_flat,
     GroupBlock,
     hessian_two_layer_linear,
+    init_net,
     MODES,
     nonincreasing_path_overparam,
     nonincreasing_path_scalar_output,
@@ -209,9 +210,10 @@ def test_criterion_8_valley_trials():
 def test_criterion_9_deep_sparse_linear():
     net, realized = random_effective_net((20, 100, 100, 100, 100, 1), sparsity=0.45,
                                          seed=7, activation=Activation.linear())
+    net = init_net(net, 1.0, 3)
     ds = gen_synthetic(100, 20, 1, seed=11)
     trace = gd_train(net, ds, TrainConfig(learning_rate=3e-4, max_epochs=50000,
-                                          grad_tol=1e-10, seed=3))
+                                          grad_tol=1e-10))
     X, Y = ds.X, ds.Y
     l_star = 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
     gap = trace.final_loss - l_star

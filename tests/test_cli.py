@@ -156,9 +156,23 @@ def test_train_writes_csv_trace(workdir, capsys):
 
 
 def test_train_needs_spec_or_dims(workdir, capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["train"])
-    assert ei.value.code == 2
+    # exactly one: neither, or both, is a usage error
+    for argv in (["train"], ["train", "--spec", "a.json", "--dims", "3,4,1"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        assert "--spec" in capsys.readouterr().err
+
+
+def test_readme_flagship_trains(workdir, capsys):
+    # the README's train example at its default seed: the mask, the weights
+    # and the data come from separate streams, so GD does not blow up
+    code, cap = run_cli(["train", "--dims", "20,100,100,100,100,1", "--sparsity", "0.45",
+                         "--lr", "3e-4", "--epochs", "30", "--n", "100", "--json"], capsys)
+    payload = json.loads(cap.out)
+    assert code == 0
+    assert payload["stop_reason"] == "max_epochs"
+    assert payload["monotone_violation"] == 0.0
 
 
 def test_train_malformed_spec_diagnostics(workdir, capsys):
@@ -288,7 +302,7 @@ def test_seed_env_invalid(workdir, capsys, monkeypatch):
 def test_replay_reproduces_bitwise(workdir, capsys):
     out = workdir / "trace.csv"
     code, _ = run_cli(["train", "--dims", "3,6,2", "--n", "20", "--epochs", "40",
-                       "--seed", "8", "--out", str(out)], capsys)
+                       "--seed", "8", "--backtrack", "--out", str(out)], capsys)
     assert code == 0
     manifest_path = workdir / "trace.csv.manifest.json"
     copy = workdir / "replayed.csv"
@@ -367,17 +381,47 @@ def test_replay_bad_manifest(workdir, capsys):
     run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
     manifest = json.loads((workdir / "path.manifest.json").read_text())
     capsys.readouterr()
+    run_cli(["train", "--dims", "3,4,1", "--epochs", "2"], capsys)
+    train = json.loads((workdir / "train.manifest.json").read_text())
+    capsys.readouterr()
     # not a JSON object; an environment that is not one; a config that lacks
-    # options the handler reads
+    # options the handler reads; values that `path --n`, `--cond` or a flag rejects
+    config = manifest["config"]
+    errs = []
     for bad in ([], dict(manifest, environment=["OPENBLAS_NUM_THREADS"]),
-                dict(manifest, config={"seed": 1})):
+                dict(manifest, config={"seed": 1}), dict(manifest, config=dict(config, n="abc")),
+                dict(manifest, config=dict(config, n=0)), dict(manifest, config=dict(config, cond=2)),
+                dict(train, config=dict(train["config"], backtrack="no"))):
         p.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as ei:
             main(["replay", str(p)])
         assert ei.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad manifest {p}: ") and err.count("\n") == 1
-    assert "config lacks cond, groups, n, samples" in err
+        errs.append(err)
+    assert "config lacks cond, groups, n, samples" in errs[2]
+    assert "n: expected an integer, got 'abc'" in errs[3]
+    assert "n: must be at least 1, got 0" in errs[4]
+    assert "cond: invalid choice 2" in errs[5]
+    assert "backtrack: expected true or false, got 'no'" in errs[6]
+
+
+def test_replay_mismatch_names_changed_version(workdir, capsys):
+    run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
+    mpath = workdir / "path.manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["version"] = "0.1.0"
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 0  # matching outputs need no explanation
+    assert cap.out.splitlines() == ["replayed path: outputs identical"]
+    manifest["payload_sha256"] = "0" * 64
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 1
+    assert cap.out.splitlines() == [
+        "replayed path: OUTPUT MISMATCH",
+        f"version differs from the recorded run: '0.1.0' -> {__version__!r}"]
 
 
 def test_trials_smoke(workdir, capsys):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from sparseland import (
     valley_trial_objective,
 )
 from sparseland.counterexamples import EXPERIMENT_Y
+from sparseland.trainer import STREAMS, stream
 
 
 def small_net(seed=0, act=None, biases=True):
@@ -222,27 +224,32 @@ def test_train_plateau_stop_epoch():
     zero = SparseNet((SparseLayer(np.zeros((4, 3)), np.ones((4, 3))),
                       SparseLayer(np.zeros((2, 4)), np.ones((2, 4)))), Activation.linear())
     ds = gen_synthetic(10, 3, 2, seed=1)
-    cfg = TrainConfig(max_epochs=100, init="keep", grad_tol=0.0, plateau_window=5)
+    cfg = TrainConfig(max_epochs=100, grad_tol=0.0, plateau_window=5)
     trace = gd_train(zero, ds, cfg)
     assert trace.stop_reason == "plateau"
     assert trace.epochs == 6
     assert np.all(trace.grad_norms == 0.0)
 
 
-def test_init_modes():
+def test_init_net_bounds_and_kept_weights():
+    # gd_train starts from the weights it is given, whatever the config's seed
     net = small_net(seed=8)
     ds = gen_synthetic(10, 3, 2, seed=1)
-    kept = gd_train(net, ds, TrainConfig(max_epochs=0, init="keep"))
+    kept = gd_train(net, ds, TrainConfig(max_epochs=0, seed=5))
     assert kept.losses[0] == pytest.approx(loss(net, ds.X, ds.Y), rel=1e-14)
+    for got, want in zip(kept.net.layers, net.layers):
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
 
-    scaled = init_net(net, TrainConfig(init="scaled", init_scale=0.1, seed=0))
-    for layer in scaled.layers:
+    fresh = init_net(net, 0.1, 0)
+    for layer, old in zip(fresh.layers, net.layers):
         bound = 0.1 / math.sqrt(layer.n_in)
-        assert np.max(np.abs(layer.weights)) <= bound
+        assert 0.0 < np.max(np.abs(layer.weights)) <= bound
+        assert 0.0 < np.max(np.abs(layer.bias)) <= bound
         assert np.all(layer.weights[~layer.mask] == 0.0)
-
-    with pytest.raises(ValueError, match="init"):
-        init_net(net, TrainConfig(init="orthogonal"))
+        assert np.array_equal(layer.mask, old.mask)
+    again = init_net(net, 0.1, 0)
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(fresh.layers, again.layers))
 
 
 def test_trace_csv_rank_columns():
@@ -586,6 +593,33 @@ def test_mask_list_repair_and_realized():
     assert m.any(axis=1).all() and m.any(axis=0).all()
     assert realized >= 0.9      # this fixed seed keeps the target after repair
     assert abs(realized - 0.9) < 0.01
+
+
+def test_streams_are_distinct_per_purpose():
+    seed = 4
+    for a, b in itertools.combinations(STREAMS, 2):
+        assert not np.any(stream(seed, a).random(8) == stream(seed, b).random(8)), (a, b)
+
+    # the consumers: mask, net weights, a re-init and the data take their own streams
+    net, _ = random_effective_net((3, 4, 2), sparsity=0.0, seed=seed)
+    bound = 1.0 / math.sqrt(3)
+    draw = stream(seed, "weights").uniform(-bound, bound, size=(4, 3))
+    assert np.array_equal(net.layers[0].weights, draw)
+    redrawn = init_net(net, 1.0, seed)
+    draw = stream(seed, "init").uniform(-bound, bound, size=(4, 3))
+    assert np.array_equal(redrawn.layers[0].weights, draw)
+
+    # masks and data keep the draws they had before the purpose keys
+    mask = random_sparse_mask((30, 30), 0.3, seed=seed, repair=True)
+    assert np.array_equal(mask, np.random.default_rng(seed).random((30, 30)) >= 0.3)
+    ds = gen_synthetic(9, 4, 2, seed=seed, noise=0.5)
+    rng_x, rng_a, rng_e = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(3))
+    X = rng_x.standard_normal((4, 9))
+    A = rng_a.standard_normal((2, 4))
+    A *= 5.0 / np.linalg.norm(A)
+    assert np.array_equal(ds.X, X)
+    assert np.array_equal(ds.Y, A @ X + 0.5 * rng_e.standard_normal((2, 9)))
 
 
 def test_random_effective_net():
