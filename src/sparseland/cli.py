@@ -63,6 +63,14 @@ def _parse_floats(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _four_floats(text: str):
+    """argparse type of `--y`: exactly four comma-separated numbers."""
+    values = _parse_floats(text)
+    if len(values) != 4:
+        raise argparse.ArgumentTypeError(f"expected 4 comma-separated numbers, got {text}")
+    return values
+
+
 def _parse_ints(text: str):
     try:
         return tuple(int(v) for v in text.split(","))
@@ -331,10 +339,10 @@ def _environment() -> dict:
     return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
 
 
-def _config_actions(command: str) -> list:
-    """The argparse actions of the options a manifest of `command` records in its config."""
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of `command`, whose options a manifest records in its config."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [a for a in sub.choices[command]._actions if a.dest not in _NON_CONFIG | {"help"}]
+    return sub.choices[command]
 
 
 def _reparse(action, value):
@@ -369,11 +377,17 @@ def cmd_replay(args):
             raise TypeError("config and environment must be JSON objects")
         if not (isinstance(command, str) and command in HANDLERS):
             raise ValueError(f"unknown command {command!r}")
-        actions = _config_actions(command)
+        parser = _subparser(command)
+        actions = [a for a in parser._actions if a.dest not in _NON_CONFIG | {"help"}]
         missing = {a.dest for a in actions} - config.keys()
         if missing:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
         ns = argparse.Namespace(**{a.dest: _reparse(a, config[a.dest]) for a in actions})
+        for group in parser._mutually_exclusive_groups:  # as argparse checks the command line
+            given = [a.dest for a in group._group_actions if getattr(ns, a.dest) != a.default]
+            if len(given) > 1 or (group.required and not given):
+                raise ValueError(f"needs {'exactly' if group.required else 'at most'} one of "
+                                 f"{', '.join(a.dest for a in group._group_actions)}, got {len(given)}")
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
@@ -423,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
     sp.add_argument("instance", choices=VERIFY_INSTANCES)
     sp.add_argument("--activation", default="tanh", help="ss-valley only")
-    sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0),
+    sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0),
                     help="ss-valley target values y1,y2,y3,y4")
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
     sp.add_argument("--radius", type=_positive_float, default=0.05,
@@ -456,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
     sp.add_argument("--activation", default="tanh")
-    sp.add_argument("--y", type=_parse_floats, default=(1.0, 2.0, 9.0, 2.0))
+    sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0))
     sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
     common(sp)

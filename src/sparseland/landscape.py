@@ -101,22 +101,45 @@ class ZeroColumnResult:
         return tuple(sorted(self.permutation[self.rank:]))
 
 
+def _pivoted_row_basis(W: np.ndarray):
+    """|diag R| and the pivot order of the column-pivoted QR of W^T
+    (Businger & Golub 1965), by Gram-Schmidt over the rows of W.
+
+    Step j swaps the remaining row with the largest residual norm into place
+    (ties go to the first, as LAPACK's idamax does) and projects its direction
+    out of the later rows twice ("twice is enough").
+    """
+    A = W.copy()
+    p, n = A.shape
+    piv = np.arange(p)
+    diag = np.zeros(min(p, n))
+    for j in range(diag.size):
+        norms = np.linalg.norm(A[j:], axis=1)
+        k = j + int(np.argmax(norms))
+        A[[j, k]], piv[[j, k]] = A[[k, j]], piv[[k, j]]
+        diag[j] = norms[k - j]
+        if diag[j] == 0.0:
+            break  # the remaining rows are all zero
+        q = A[j] / diag[j]
+        for _ in range(2):
+            A[j + 1:] -= np.outer(A[j + 1:] @ q, q)
+    return diag, piv
+
+
 def zero_column_transform(U: np.ndarray, W: np.ndarray, tol: float = 1e-10) -> ZeroColumnResult:
     """Rewrite U so the product U @ W is carried by a row basis of W.
 
     W is (p, n) with rank r; the returned U0 satisfies U0 @ W = U @ W and
     has exact zeros in the p - r columns matching W's redundant rows
-    (column-pivoted QR on W^T picks the basis).
+    (Gram-Schmidt with row pivoting, the column-pivoted QR of W^T, picks
+    the basis).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
     p = W.shape[0]
     if U.shape[1] != p:
         raise ValueError(f"U has {U.shape[1]} columns, W has {p} rows")
-    import scipy.linalg  # deferred: only `path` needs it, and it takes ~0.3 s to import
-
-    _, Rq, piv = scipy.linalg.qr(W.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rq))
+    diag, piv = _pivoted_row_basis(W)
     top = diag[0] if diag.size else 0.0
     r = int(np.count_nonzero(diag > tol * top)) if top > 0 else 0
     basis, dep = piv[:r], piv[r:]

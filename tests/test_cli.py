@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +82,8 @@ def test_verify_conv_valley(workdir, capsys):
     *[(argv + ["--lr", lr], "--lr", lr)
       for argv in (["train", "--dims", "3,4,1", "--epochs", "5"], ["trials", "--n", "2", "--epochs", "5"])
       for lr in ("-1", "0", "nan")],
+    (["trials", "--n", "2", "--y", "1,2"], "--y", "1,2"),
+    (["verify", "ss-valley", "--y", "1,2,3,4,5"], "--y", "1,2,3,4,5"),
 ])
 def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as ei:
@@ -384,14 +388,21 @@ def test_replay_bad_manifest(workdir, capsys):
     run_cli(["train", "--dims", "3,4,1", "--epochs", "2"], capsys)
     train = json.loads((workdir / "train.manifest.json").read_text())
     capsys.readouterr()
+    run_cli(["trials", "--n", "2", "--epochs", "5"], capsys)
+    trials = json.loads((workdir / "trials.manifest.json").read_text())
+    capsys.readouterr()
     # not a JSON object; an environment that is not one; a config that lacks
-    # options the handler reads; values that `path --n`, `--cond` or a flag rejects
+    # options the handler reads; values that `path --n`, `--cond`, a flag or
+    # `--y` rejects; neither or both of train's exclusive --spec and --dims
     config = manifest["config"]
     errs = []
     for bad in ([], dict(manifest, environment=["OPENBLAS_NUM_THREADS"]),
                 dict(manifest, config={"seed": 1}), dict(manifest, config=dict(config, n="abc")),
                 dict(manifest, config=dict(config, n=0)), dict(manifest, config=dict(config, cond=2)),
-                dict(train, config=dict(train["config"], backtrack="no"))):
+                dict(train, config=dict(train["config"], backtrack="no")),
+                dict(trials, config=dict(trials["config"], y=[1, 2])),
+                dict(train, config=dict(train["config"], dims=None, spec=None)),
+                dict(train, config=dict(train["config"], spec="net.json"))):
         p.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as ei:
             main(["replay", str(p)])
@@ -404,6 +415,9 @@ def test_replay_bad_manifest(workdir, capsys):
     assert "n: must be at least 1, got 0" in errs[4]
     assert "cond: invalid choice 2" in errs[5]
     assert "backtrack: expected true or false, got 'no'" in errs[6]
+    assert "y: expected 4 comma-separated numbers, got 1,2" in errs[7]
+    assert "needs exactly one of spec, dims, got 0" in errs[8]
+    assert "needs exactly one of spec, dims, got 2" in errs[9]
 
 
 def test_replay_mismatch_names_changed_version(workdir, capsys):
@@ -457,13 +471,38 @@ def test_console_script_version():
     assert proc.stdout == f"sparseland {__version__}\n"
 
 
-def test_cli_import_skips_scipy():
-    # only `path` needs scipy.linalg, so the import is deferred to it
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sparseland.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=_checkout_env())
+def test_cli_import_skips_scipy(tmp_path):
+    # numpy is the one runtime dependency: importing the CLI, `path` (which
+    # picks a pivoted row basis) and its replay all leave scipy unloaded
+    script = ("import sys\n"
+              "from sparseland.cli import main\n"
+              "loaded = ['scipy' in sys.modules]\n"
+              "assert main(['path', '--cond', '1', '--out', 'path.csv']) == 0\n"
+              "assert main(['replay', 'path.csv.manifest.json']) == 0\n"
+              "loaded.append('scipy' in sys.modules)\n"
+              "print(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_checkout_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[-1] == "[False, False]"
+    assert (tmp_path / "path.csv").exists()
+
+
+def test_runtime_dependencies_are_the_imports():
+    # every third-party package a module of sparseland imports, at any depth,
+    # is a runtime dependency in pyproject.toml, and every dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as f:
+        listed = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower()
+                  for dep in tomllib.load(f)["project"]["dependencies"]}
+    imported = set()
+    for path in Path(sparseland.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"sparseland"} == listed
 
 
 def test_installed_entry_point(tmp_path):

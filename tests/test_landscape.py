@@ -23,6 +23,7 @@ from sparseland import (
     random_grouped_instance,
     zero_column_transform,
 )
+from sparseland.landscape import _pivoted_row_basis
 
 
 def grouped_optimum(inst):
@@ -82,6 +83,46 @@ def test_zero_column_zero_matrix():
     assert res.rank == 0
     assert np.all(res.U0 == 0.0)
     assert res.zero_columns == (0, 1)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (4, 7), (4, 4), (6, 6), (5, 3), (8, 2)])
+def test_pivoted_row_basis_matches_lapack(p, n):
+    # the oracle is LAPACK's column-pivoted QR of W^T: on full-rank W the
+    # pivots agree exactly and |diag R| to rounding
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(10 * p + n)
+    for _ in range(20):
+        W = rng.standard_normal((p, n))
+        _, R, piv = scipy_linalg.qr(W.T, mode="economic", pivoting=True)
+        diag, got = _pivoted_row_basis(W)
+        assert got.tolist() == piv.tolist()
+        assert np.allclose(diag, np.abs(np.diag(R)), rtol=1e-12, atol=0)
+        assert zero_column_transform(np.eye(p), W).rank == min(p, n)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pivoted_row_basis_rank_deficient_matches_lapack(seed):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    p, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    rank = int(rng.integers(1, min(p, n)))
+    W = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+    R = scipy_linalg.qr(W.T, mode="economic", pivoting=True)[1]
+    diag = np.abs(np.diag(R))
+    assert zero_column_transform(np.eye(p), W).rank == rank
+    assert int(np.count_nonzero(diag > 1e-10 * diag[0])) == rank
+
+
+def test_pivoted_row_basis_ties_go_to_the_first_row():
+    # rows 1-3 tie at norm 2 and have disjoint supports, so every residual
+    # norm is exact: step 1 takes row 1 over rows 2 and 3, step 2 row 2
+    # over row 3, and the p > n tail keeps LAPACK's swap order
+    W = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
+    diag, piv = _pivoted_row_basis(W)
+    assert piv.tolist() == [1, 2, 3, 0]
+    assert diag.tolist() == [2.0, 2.0, 2.0]
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    assert scipy_linalg.qr(W.T, mode="economic", pivoting=True)[2].tolist() == [1, 2, 3, 0]
 
 
 def test_zero_column_shape_check():
