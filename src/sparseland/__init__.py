@@ -15,7 +15,7 @@ deeper masked networks under squared loss:
   (`trainer`), all reachable from the `sparseland` CLI (`cli`).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .activations import ANALYTIC_KINDS, KINDS, Activation, activation_named
 from .calculus import (
@@ -25,9 +25,6 @@ from .calculus import (
     classify_stationary,
     fd_gradient,
     fd_hessian,
-    grad_fd,
-    grad_flat,
-    grad_two_layer_linear,
     hessian_two_layer_linear,
     instance_from_net,
     sym_eig,

@@ -76,11 +76,15 @@ class TwoLayerLinearInstance:
     def n(self) -> int:
         return self.groups[0].z.shape[1]
 
-    def residual(self) -> np.ndarray:
+    def _residual(self, blocks) -> np.ndarray:
+        """R = sum_i U_i W_i Z_i - Y for blocks [(U_i, W_i)] with leading axes (...)."""
         R = -self.Y
-        for g in self.groups:
-            R = R + g.u @ g.w @ g.z
+        for (u, w), g in zip(blocks, self.groups):
+            R = R + u @ w @ g.z
         return R
+
+    def residual(self) -> np.ndarray:
+        return self._residual([(g.u, g.w) for g in self.groups])
 
     def loss(self) -> float:
         R = self.residual()
@@ -109,11 +113,26 @@ class TwoLayerLinearInstance:
     def loss_at(self, theta: np.ndarray):
         """Loss at flat parameters theta (..., P): shape (...), a float for 1-D theta."""
         theta = np.asarray(theta, dtype=float)
-        R = -self.Y
-        for (u, w), g in zip(self._split(theta), self.groups):
-            R = R + u @ w @ g.z
+        R = self._residual(self._split(theta))
         loss = 0.5 * np.sum(R * R, axis=(-2, -1))
         return float(loss) if theta.ndim == 1 else loss
+
+    def value_and_grad_at(self, theta):
+        """(loss_at(theta), gradient (..., P) in pack() order) at flat theta (..., P).
+
+        With R = sum U_i W_i Z_i - Y: dU_i = R (W_i Z_i)^T, dW_i = U_i^T R Z_i^T.
+        """
+        theta = np.asarray(theta, dtype=float)
+        blocks = self._split(theta)
+        R = self._residual(blocks)
+        loss = 0.5 * np.sum(R * R, axis=(-2, -1))
+        lead = theta.shape[:-1]
+        grad = np.concatenate([
+            part.reshape(lead + (-1,))
+            for (u, w), g in zip(blocks, self.groups)
+            for part in (R @ np.swapaxes(w @ g.z, -1, -2), np.swapaxes(u, -1, -2) @ R @ g.z.T)
+        ], axis=-1)
+        return (float(loss) if theta.ndim == 1 else loss), grad
 
 
 def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> TwoLayerLinearInstance:
@@ -129,22 +148,6 @@ def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> TwoLayerL
     us = dec.output_blocks(net.layers[1].weights)
     groups = tuple(GroupBlock(u, w, z) for u, w, z in zip(us, ws, dec.data_slices))
     return TwoLayerLinearInstance(groups, np.asarray(Y, dtype=float))
-
-
-def grad_two_layer_linear(inst: TwoLayerLinearInstance) -> list:
-    """[(dL/dU_i, dL/dW_i)] with R = sum U_i W_i Z_i - Y:
-    dU_i = R (W_i Z_i)^T,  dW_i = U_i^T R Z_i^T."""
-    R = inst.residual()
-    out = []
-    for g in inst.groups:
-        out.append((R @ (g.w @ g.z).T, g.u.T @ R @ g.z.T))
-    return out
-
-
-def grad_flat(inst: TwoLayerLinearInstance) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([gu.ravel(), gw.ravel()]) for gu, gw in grad_two_layer_linear(inst)]
-    )
 
 
 def hessian_two_layer_linear(inst: TwoLayerLinearInstance) -> np.ndarray:
@@ -211,47 +214,6 @@ def fd_hessian(f, x: np.ndarray, h: float = HESS_FD_STEP) -> np.ndarray:
             H[i, j] = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
             H[j, i] = H[i, j]
     return H
-
-
-def grad_fd(net: SparseNet, X: np.ndarray, Y: np.ndarray, h: float = GRAD_FD_STEP) -> list:
-    """FD loss gradient of a network; masked coordinates are exactly 0.
-
-    Returns [(dW_layer, dbias_layer or None), ...].
-    """
-    from .network import loss as net_loss
-
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    weights = [l.weights.copy() for l in net.layers]
-    biases = [None if l.bias is None else l.bias.copy() for l in net.layers]
-
-    def eval_loss():
-        return net_loss(net.with_layer_weights(weights, biases), X, Y)
-
-    out = []
-    for li, layer in enumerate(net.layers):
-        gw = np.zeros_like(layer.weights)
-        for (i, j) in zip(*np.nonzero(layer.mask)):
-            orig = weights[li][i, j]
-            weights[li][i, j] = orig + h
-            fp = eval_loss()
-            weights[li][i, j] = orig - h
-            fm = eval_loss()
-            weights[li][i, j] = orig
-            gw[i, j] = (fp - fm) / (2 * h)
-        gb = None
-        if layer.bias is not None:
-            gb = np.zeros_like(layer.bias)
-            for i in np.flatnonzero(layer.bias_mask):
-                orig = biases[li][i]
-                biases[li][i] = orig + h
-                fp = eval_loss()
-                biases[li][i] = orig - h
-                fm = eval_loss()
-                biases[li][i] = orig
-                gb[i] = (fp - fm) / (2 * h)
-        out.append((gw, gb))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ from .calculus import (
     GroupBlock,
     StationaryReport,
     classify_stationary,
-    grad_flat,
     hessian_two_layer_linear,
-    sym_eig,
 )
 from .convmodes import ConvSpec, conv_matrix
 from .network import SparseLayer, SparseNet
@@ -93,7 +91,7 @@ class SpuriousMinimumInstance:
         return self.as_group_instance().loss_at(theta)
 
     def grad_at(self, theta) -> np.ndarray:
-        return grad_flat(self.as_group_instance(theta))
+        return self.as_group_instance().value_and_grad_at(theta)[1]
 
     def hessian_at(self, theta) -> np.ndarray:
         return hessian_two_layer_linear(self.as_group_instance(theta))
@@ -191,12 +189,12 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
                             probe_radius: float = 1e-2, seed: int = 0) -> MinimumVerification:
     """Re-derive every certified property of the minimum instance."""
     H = inst.hessian_at(inst.theta)
-    evals, _ = sym_eig(H)
     report = classify_stationary(
         inst.loss_at, inst.theta,
         grad_fn=inst.grad_at, hessian_fn=inst.hessian_at,
         probe_radius=probe_radius, n_probes=n_probes, seed=seed,
     )
+    evals = report.eigenvalues
     hess_err = float(np.max(np.abs(H - inst.expected_hessian)))
     eig_err = float(np.max(np.abs(evals - np.asarray(inst.expected_eigenvalues))))
     loss_prime = inst.loss_at(inst.theta_prime)
@@ -262,32 +260,36 @@ class SpuriousValleyInstance:
     def constraints_ok(self) -> bool:
         return all(self.constraints.values())
 
+    def _residuals(self, w, s):
+        """Yields the seven entries r11, r12, r21, r22, r23, r32, r33 of
+        M(theta) - Y that are not identically zero, from the columns
+        w = (w1, w2, w3, w4) of theta and s = (s5, s6, s7, s8) of
+        sigma(theta[..., 4:8]); one at a time, so a sum of their squares over
+        a large probe batch holds one residual at a time."""
+        y1, y2, y3, y4 = self.y
+        w1, w2, w3, w4 = w
+        s5, s6, s7, s8 = s
+        yield w1 * s5 - y1
+        yield w1 * s6 - y1
+        yield w2 * s5 - y2
+        yield w2 * s6 + w3 * s7 - (y2 + y3)
+        yield w3 * s8
+        yield w4 * s7
+        yield w4 * s8 - y4
+
     def loss(self, theta) -> np.ndarray | float:
         """Unscaled ||M(theta) - Y||_F^2, broadcasting over leading axes."""
         th = np.asarray(theta, dtype=float)
-        y1, y2, y3, y4 = self.y
-        s = self.activation(th[..., 4:8])
-        s5, s6, s7, s8 = (s[..., i] for i in range(4))
-        w1, w2, w3, w4 = (th[..., i] for i in range(4))
-        L = ((w1 * s5 - y1) ** 2 + (w1 * s6 - y1) ** 2
-             + (w2 * s5 - y2) ** 2 + (w2 * s6 + w3 * s7 - (y2 + y3)) ** 2
-             + (w3 * s8) ** 2 + (w4 * s7) ** 2 + (w4 * s8 - y4) ** 2)
+        L = sum(map(np.square, self._residuals(_columns(th), _columns(self.activation(th[..., 4:8])))))
         return L if L.ndim else float(L)
 
     def grad(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
-        y1, y2, y3, y4 = self.y
-        s, ds = self.activation.value_and_derivative(th[..., 4:8])
-        s5, s6, s7, s8 = (s[..., i] for i in range(4))
-        w1, w2, w3, w4 = (th[..., i] for i in range(4))
-        # residual entries of M(theta) - Y
-        r11 = w1 * s5 - y1
-        r12 = w1 * s6 - y1
-        r21 = w2 * s5 - y2
-        r22 = w2 * s6 + w3 * s7 - (y2 + y3)
-        r23 = w3 * s8
-        r32 = w4 * s7
-        r33 = w4 * s8 - y4
+        sig, ds = self.activation.value_and_derivative(th[..., 4:8])
+        w, s = _columns(th), _columns(sig)
+        r11, r12, r21, r22, r23, r32, r33 = self._residuals(w, s)
+        w1, w2, w3, w4 = w
+        s5, s6, s7, s8 = s
         g = np.empty_like(th)
         g[..., 0] = r11 * s5 + r12 * s6
         g[..., 1] = r21 * s5 + r22 * s6
@@ -312,6 +314,11 @@ class SpuriousValleyInstance:
             np.array([[1, 0], [1, 1], [0, 1]], dtype=bool),
         )
         return SparseNet((layer1, layer2), self.activation)
+
+
+def _columns(a: np.ndarray) -> tuple:
+    """The first four columns a[..., 0], ..., a[..., 3] as views."""
+    return a[..., 0], a[..., 1], a[..., 2], a[..., 3]
 
 
 def _pick_scale(act: Activation) -> float:

@@ -281,9 +281,11 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
     path constructions.
 
     cond "overparam": group widths p_i = d_i + r with r cycling 0, 1, 2, so
-    every group satisfies p_i >= d_i.  cond "scalar": d_y is forced to 1,
-    widths are unconstrained and roughly a quarter of the output weights
-    are exact zeros to exercise the park/revive moves.
+    every group satisfies p_i >= d_i, and even-indexed groups with d_i >= 2
+    get W_i of column rank d_i - 1 to exercise the rewire/complete moves.
+    cond "scalar": d_y is forced to 1, widths are unconstrained and roughly
+    a quarter of the output weights are exact zeros to exercise the
+    park/revive moves.
     """
     rng = np.random.default_rng(seed)
     if cond == "scalar":
@@ -300,6 +302,9 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
         z = rng.standard_normal((d_i, n))
         u = rng.standard_normal((d_y, p_i))
         w = rng.standard_normal((p_i, d_i))
+        if cond == "overparam" and i % 2 == 0 and d_i >= 2:
+            w[:, -1] = 0.0
+            w = w @ np.linalg.qr(rng.standard_normal((d_i, d_i)))[0]
         if cond == "scalar":
             u = u * (rng.random((d_y, p_i)) >= 0.25)
         groups.append(GroupBlock(u, w, z))

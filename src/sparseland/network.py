@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,10 +80,6 @@ class SparseLayer:
     def n_in(self) -> int:
         return self.weights.shape[1]
 
-    def with_weights(self, weights, bias=None) -> "SparseLayer":
-        """Same structure, new values (masked entries must still be zero)."""
-        return SparseLayer(weights, self.mask, self.bias if bias is None else bias, self.bias_mask)
-
     def affine(self, X: np.ndarray) -> np.ndarray:
         out = self.weights @ X
         if self.bias is not None:
@@ -112,13 +107,6 @@ class SparseNet:
     def dims(self) -> tuple:
         """(d_in, hidden..., d_out)"""
         return (self.layers[0].n_in,) + tuple(l.n_out for l in self.layers)
-
-    def with_layer_weights(self, weights: Sequence[np.ndarray], biases=None) -> "SparseNet":
-        new = []
-        for i, layer in enumerate(self.layers):
-            b = None if biases is None else biases[i]
-            new.append(layer.with_weights(weights[i], b))
-        return SparseNet(tuple(new), self.activation)
 
 
 def forward(net: SparseNet, X: np.ndarray):

@@ -20,7 +20,6 @@ from sparseland import (
     fd_hessian,
     gd_train,
     gen_synthetic,
-    grad_flat,
     GroupBlock,
     hessian_two_layer_linear,
     init_net,
@@ -243,7 +242,7 @@ def test_criterion_10_derivative_cross_checks():
         inst = random_instance(rng, n_groups=int(rng.integers(1, 4)),
                                width=int(rng.integers(1, 4)))
         theta = inst.pack()
-        g = grad_flat(inst)
+        g = inst.value_and_grad_at(theta)[1]
         fd = fd_gradient(inst.loss_at, theta)
         rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g)))
         worst_grad = max(worst_grad, rel)

@@ -12,14 +12,13 @@ from sparseland import (
     classify_stationary,
     fd_gradient,
     fd_hessian,
-    grad_fd,
-    grad_flat,
-    grad_two_layer_linear,
     hessian_two_layer_linear,
     instance_from_net,
     loss,
     sym_eig,
 )
+
+from fd_oracle import grad_fd
 
 
 def random_instance(seed, n_groups=2, d_y=2, width=1, n=10):
@@ -100,13 +99,7 @@ def test_grad_matches_fd(seed, n_groups, d_y, width):
     inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
     theta = inst.pack()
     fd = fd_gradient(inst.loss_at, theta)
-    assert np.allclose(grad_flat(inst), fd, rtol=1e-6, atol=1e-7)
-
-
-def test_grad_blocks_have_matching_shapes():
-    inst = random_instance(7, n_groups=2, width=3)
-    for (gu, gw), g in zip(grad_two_layer_linear(inst), inst.groups):
-        assert gu.shape == g.u.shape and gw.shape == g.w.shape
+    assert np.allclose(inst.value_and_grad_at(theta)[1], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_grad_fd_respects_masks():
@@ -295,6 +288,28 @@ def test_loss_at_batch_matches_rowwise_unpack(seed, n_groups, width, d_y):
     assert np.array_equal(got, [inst.unpack(row).loss() for row in stack])
     assert isinstance(inst.loss_at(stack[0]), float)
     assert inst.loss_at(stack[0]) == got[0]
+
+
+@pytest.mark.parametrize("seed,n_groups,width,d_y", [
+    (20, 1, 1, 1), (21, 3, 1, 2), (22, 2, 2, 3), (23, 4, 3, 1), (24, 4, 3, 3),
+])
+def test_value_and_grad_at_batch_matches_rowwise(seed, n_groups, width, d_y):
+    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
+    P = inst.pack().size
+    stack = np.random.default_rng(seed).standard_normal((9, P))
+    values, grads = inst.value_and_grad_at(stack)
+    assert values.shape == (9,) and grads.shape == (9, P)
+    assert np.array_equal(values, inst.loss_at(stack))
+    for row, value, grad in zip(stack, values, grads):
+        v, g = inst.value_and_grad_at(row)
+        assert isinstance(v, float) and v == value == inst.loss_at(row)
+        assert np.array_equal(g, grad)
+    cube = stack[:6].reshape(2, 3, P)
+    values, grads = inst.value_and_grad_at(cube)
+    assert values.shape == (2, 3) and grads.shape == (2, 3, P)
+    assert np.array_equal(grads.reshape(6, P), inst.value_and_grad_at(stack[:6])[1])
+    with pytest.raises(ValueError, match="wrong length"):
+        inst.value_and_grad_at(stack[:, :-1])
 
 
 def test_loss_at_keeps_leading_shape():

@@ -172,6 +172,19 @@ def test_scalar_path_parks_and_revives_zero_output_neurons():
             assert inst.loss_at(seg.start) == pytest.approx(inst.loss_at(seg.end), rel=1e-12)
 
 
+def test_overparam_path_rewires_and_completes_rank_deficient_groups():
+    inst = random_grouped_instance("overparam", seed=0)
+    assert any(np.linalg.matrix_rank(g.w) < g.w.shape[1] for g in inst.groups)
+    trace = nonincreasing_path_overparam(inst, n_samples=50)
+    names = [s.name for s in trace.segments]
+    assert any(n.startswith("rewire_output_") for n in names)
+    assert any(n.startswith("complete_rank_") for n in names)
+    # rewire and complete segments hold the loss constant at both ends
+    for seg in trace.segments:
+        if seg.name.startswith(("rewire_output_", "complete_rank_")):
+            assert inst.loss_at(seg.start) == pytest.approx(inst.loss_at(seg.end), rel=1e-12)
+
+
 def test_path_shape_requirements():
     bad = TwoLayerLinearInstance(
         (GroupBlock(np.ones((1, 1)), np.ones((1, 2)), np.ones((2, 4))),),

@@ -16,7 +16,6 @@ from sparseland import (
     effective_subnetwork,
     gd_train,
     gen_synthetic,
-    grad_fd,
     grad_net,
     init_net,
     loss,
@@ -29,6 +28,8 @@ from sparseland import (
 )
 from sparseland.counterexamples import EXPERIMENT_Y
 from sparseland.trainer import STREAMS, stream
+
+from fd_oracle import grad_fd
 
 
 def small_net(seed=0, act=None, biases=True):
