@@ -25,6 +25,7 @@ from .network import SparseNet
 GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
 NULL_TOL = 1e-6
+PROBE_RADIUS = 1e-2
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,6 @@ def classify_stationary(
     point: np.ndarray,
     grad_fn=None,
     hessian_fn=None,
-    null_tol: float = NULL_TOL,
-    probe_radius: float = 1e-2,
     n_probes: int = 500,
     seed: int = 0,
 ) -> StationaryReport:
@@ -271,9 +270,11 @@ def classify_stationary(
     shape raises ValueError.  Gradient/Hessian default to finite
     differences of ``loss_fn``.  Probes evaluate the loss directly along
     random unit directions and along the numerical kernel of the Hessian
-    (where flat quadratics hide quartic behavior), each at radii {r, r/10},
-    as one (K, P) batch per radius.  The verdict is conservative:
-    "strict_local_min" only if every probe strictly increased the loss.
+    (where flat quadratics hide quartic behavior), each at radii
+    {PROBE_RADIUS, PROBE_RADIUS/10}, as one (K, P) batch per radius.  Hessian
+    eigenvalues within NULL_TOL of the largest in magnitude count as zero.
+    The verdict is conservative: "strict_local_min" only if every probe
+    strictly increased the loss.
     """
     x0 = np.asarray(point, dtype=float)
     f0 = float(loss_fn(x0))
@@ -283,7 +284,7 @@ def classify_stationary(
     evals, evecs = sym_eig(H)
 
     lam_scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    null_cols = np.flatnonzero(np.abs(evals) <= null_tol * max(lam_scale, 1e-300))
+    null_cols = np.flatnonzero(np.abs(evals) <= NULL_TOL * max(lam_scale, 1e-300))
     null_basis = evecs[:, null_cols]
 
     scale = max(1.0, abs(f0))
@@ -302,7 +303,7 @@ def classify_stationary(
         probes.append(np.vstack([null_basis.T, -null_basis.T, kdirs, -kdirs]))
     all_dirs = np.vstack(probes)
 
-    radii = [probe_radius, probe_radius / 10.0]
+    radii = [PROBE_RADIUS, PROBE_RADIUS / 10.0]
     deltas = []
     for r in radii:
         losses = np.asarray(loss_fn(x0 + r * all_dirs), dtype=float)
@@ -322,7 +323,7 @@ def classify_stationary(
 
     if grad_norm > 1e-6 * scale:
         verdict = "inconclusive"
-    elif evals.size and evals[0] < -null_tol * max(lam_scale, 1e-300):
+    elif evals.size and evals[0] < -NULL_TOL * max(lam_scale, 1e-300):
         verdict = "saddle"
     elif worst < -dec_tol:
         verdict = "saddle"

@@ -56,11 +56,22 @@ def _payload_digest(payload: dict) -> str:
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: a number other than nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _parse_floats(text: str):
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        return tuple(_finite_float(v) for v in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _four_floats(text: str):
@@ -92,33 +103,26 @@ def _int_at_least(low: int):
 
 
 def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < float("inf"):
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
 def _load_net_spec(path: str):
-    """Parse a network JSON file; exits with diagnostics on bad input."""
+    """Parse a network JSON file; a ValueError names the file and what is wrong with it."""
     try:
         text = Path(path).read_text()
     except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"cannot read {path}: {e}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        print(f"error: malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}")
     try:
         return net_from_json(obj)
     except (ValueError, KeyError, TypeError) as e:
-        print(f"error: bad network spec in {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad network spec in {path}: {e}")
 
 
 def _mask_sparsity(net) -> float:
@@ -442,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
     sp.add_argument("--radius", type=_positive_float, default=0.05,
                     help="ss-valley probe radius")
-    sp.add_argument("--scale", type=float, default=None, help="cnn valley parameter a")
+    sp.add_argument("--scale", type=_finite_float, default=None, help="cnn valley parameter a")
     common(sp)
 
     sp = sub.add_parser("train", help="full-batch GD on a masked net")
@@ -450,15 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     net_source.add_argument("--spec", default=None, help="network JSON file")
     net_source.add_argument("--dims", type=_parse_ints, default=None,
                             help="layer sizes, e.g. 20,100,100,1 (random masked net)")
-    sp.add_argument("--sparsity", type=float, default=0.0)
+    sp.add_argument("--sparsity", type=_finite_float, default=0.0)
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
-    sp.add_argument("--noise", type=float, default=1.0)
-    sp.add_argument("--a-norm", type=float, default=5.0)
+    sp.add_argument("--noise", type=_finite_float, default=1.0)
+    sp.add_argument("--a-norm", type=_finite_float, default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
     sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=5000)
-    sp.add_argument("--scale-init", type=float, default=1.0)
+    sp.add_argument("--scale-init", type=_finite_float, default=1.0)
     sp.add_argument("--rank-every", type=_int_at_least(0), default=100,
                     help="epochs between hidden-rank samples; 0 disables them")
     sp.add_argument("--backtrack", action="store_true",
@@ -492,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None, help="network JSON file")
     sp.add_argument("--dims", type=_parse_ints, default=(6, 6, 6),
                     help="layer sizes for a random masked net")
-    sp.add_argument("--sparsity", type=float, default=0.3)
+    sp.add_argument("--sparsity", type=_finite_float, default=0.3)
     sp.add_argument("--activation", default="tanh")
-    sp.add_argument("--scale-init", type=float, default=3.0)
+    sp.add_argument("--scale-init", type=_finite_float, default=3.0)
     sp.add_argument("--n", type=_int_at_least(1), default=6, help="number of samples")
     common(sp)
 

@@ -65,50 +65,18 @@ EIGENVALUES_REF = (0.0, 0.0, 0.0997, 1.2886, 1.8647, 5.2568, 7.1369, 12.3533)
 
 @dataclass(frozen=True)
 class SpuriousMinimumInstance:
-    """Two groups of one neuron each, parameters (u1, w1, u2, w2) in R^2."""
+    """The certified minimum as a grouped instance, plus a strictly better point.
 
-    z1: np.ndarray
-    z2: np.ndarray
-    Y: np.ndarray
-    theta: np.ndarray        # flat (u1, w1, u2, w2), the certified minimum
-    theta_prime: np.ndarray  # a strictly better point elsewhere
-    expected_hessian: np.ndarray = field(default_factory=lambda: HESSIAN_REF.copy())
-    expected_eigenvalues: tuple = EIGENVALUES_REF
-    loss_reference: float = MIN_LOSS_REF
-    better_loss_bound: float = BETTER_LOSS_BOUND
+    Two groups of one neuron each: U_i is (2, 1), W_i is (1, 2) and Z_i is
+    (2, 4), so theta = minimum.pack() = (u1, w1, u2, w2) in R^8.
+    """
 
-    def as_group_instance(self, theta=None) -> TwoLayerLinearInstance:
-        th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        u1, w1, u2, w2 = th[0:2], th[2:4], th[4:6], th[6:8]
-        groups = (
-            GroupBlock(u1.reshape(2, 1), w1.reshape(1, 2), self.z1),
-            GroupBlock(u2.reshape(2, 1), w2.reshape(1, 2), self.z2),
-        )
-        return TwoLayerLinearInstance(groups, self.Y)
-
-    def loss_at(self, theta):
-        """Loss at flat parameters theta (..., 8); see TwoLayerLinearInstance.loss_at."""
-        return self.as_group_instance().loss_at(theta)
-
-    def grad_at(self, theta) -> np.ndarray:
-        return self.as_group_instance().value_and_grad_at(theta)[1]
-
-    def hessian_at(self, theta) -> np.ndarray:
-        return hessian_two_layer_linear(self.as_group_instance(theta))
-
-    def as_network(self, theta=None) -> SparseNet:
-        """The same objective as a masked 2-layer net on X = [Z1; Z2]."""
-        th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        u1, w1, u2, w2 = th[0:2], th[2:4], th[4:6], th[6:8]
-        W = np.array([[w1[0], w1[1], 0.0, 0.0], [0.0, 0.0, w2[0], w2[1]]])
-        mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
-        U = np.column_stack([u1, u2])
-        layers = (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool)))
-        return SparseNet(layers, Activation.linear())
+    minimum: TwoLayerLinearInstance  # its blocks are the certified minimum
+    theta_prime: np.ndarray          # a strictly better point elsewhere
 
     @property
-    def X(self) -> np.ndarray:
-        return np.vstack([self.z1, self.z2])
+    def theta(self) -> np.ndarray:
+        return self.minimum.pack()
 
 
 def spurious_minimum_instance() -> SpuriousMinimumInstance:
@@ -119,11 +87,12 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
     (Z1 Z2^T = diag(0.6, 0.8)), which is what pins the gradient to zero
     at theta while leaving room for a strictly better point.
     """
-    theta = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0])
+    minimum = TwoLayerLinearInstance(
+        (GroupBlock(np.ones((2, 1)), np.ones((1, 2)), Z1_REF.copy()),
+         GroupBlock(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), Z2_REF.copy())),
+        A1_REF @ Z1_REF + A2_REF @ Z2_REF,
+    )
     theta_prime = np.array([0.25, 1.0, 0.65, 2.2, 0.8, 1.0, 2.2, 2.9])
-    Y = A1_REF @ Z1_REF + A2_REF @ Z2_REF
-    inst = SpuriousMinimumInstance(z1=Z1_REF.copy(), z2=Z2_REF.copy(), Y=Y,
-                                   theta=theta, theta_prime=theta_prime)
 
     problems = []
 
@@ -132,18 +101,18 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
         if err > tol:
             problems.append(f"{name}: max deviation {err:.3e} > {tol:.0e}")
 
+    z1, z2 = (g.z for g in minimum.groups)
     I2 = np.eye(2)
-    check("Z1 Z1^T = I", inst.z1 @ inst.z1.T, I2, 1e-12)
-    check("Z2 Z2^T = I", inst.z2 @ inst.z2.T, I2, 1e-12)
-    check("Z1 Z2^T = diag(0.6, 0.8)", inst.z1 @ inst.z2.T, np.diag([0.6, 0.8]), 1e-12)
+    check("Z1 Z1^T = I", z1 @ z1.T, I2, 1e-12)
+    check("Z2 Z2^T = I", z2 @ z2.T, I2, 1e-12)
+    check("Z1 Z2^T = diag(0.6, 0.8)", z1 @ z2.T, np.diag([0.6, 0.8]), 1e-12)
 
-    gi = inst.as_group_instance()
-    R = gi.residual()
-    check("R Z1^T", R @ inst.z1.T, RESIDUAL_Z1_REF, 1e-12)
-    check("R Z2^T", R @ inst.z2.T, RESIDUAL_Z2_REF, 1e-12)
-    check("loss at theta", gi.loss(), MIN_LOSS_REF, 1e-12)
+    R = minimum.residual()
+    check("R Z1^T", R @ z1.T, RESIDUAL_Z1_REF, 1e-12)
+    check("R Z2^T", R @ z2.T, RESIDUAL_Z2_REF, 1e-12)
+    check("loss at theta", minimum.loss(), MIN_LOSS_REF, 1e-12)
 
-    loss_prime = inst.loss_at(theta_prime)
+    loss_prime = minimum.loss_at(theta_prime)
     if not (loss_prime < BETTER_LOSS_BOUND < MIN_LOSS_REF):
         problems.append(
             f"better point: loss {loss_prime!r} must be < {BETTER_LOSS_BOUND} < {MIN_LOSS_REF!r}"
@@ -151,7 +120,7 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
 
     if problems:
         raise ConstructionError("minimum instance failed validation: " + "; ".join(problems))
-    return inst
+    return SpuriousMinimumInstance(minimum, theta_prime)
 
 
 @dataclass(frozen=True)
@@ -186,19 +155,20 @@ class MinimumVerification:
 
 
 def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
-                            probe_radius: float = 1e-2, seed: int = 0) -> MinimumVerification:
+                            seed: int = 0) -> MinimumVerification:
     """Re-derive every certified property of the minimum instance."""
-    H = inst.hessian_at(inst.theta)
+    minimum, theta = inst.minimum, inst.theta
+    H = hessian_two_layer_linear(minimum)
     report = classify_stationary(
-        inst.loss_at, inst.theta,
-        grad_fn=inst.grad_at, hessian_fn=inst.hessian_at,
-        probe_radius=probe_radius, n_probes=n_probes, seed=seed,
+        minimum.loss_at, theta,
+        grad_fn=lambda th: minimum.value_and_grad_at(th)[1], hessian_fn=lambda th: H,
+        n_probes=n_probes, seed=seed,
     )
     evals = report.eigenvalues
-    hess_err = float(np.max(np.abs(H - inst.expected_hessian)))
-    eig_err = float(np.max(np.abs(evals - np.asarray(inst.expected_eigenvalues))))
-    loss_prime = inst.loss_at(inst.theta_prime)
-    loss_theta = inst.loss_at(inst.theta)
+    hess_err = float(np.max(np.abs(H - HESSIAN_REF)))
+    eig_err = float(np.max(np.abs(evals - np.asarray(EIGENVALUES_REF))))
+    loss_prime = minimum.loss_at(inst.theta_prime)
+    loss_theta = minimum.loss_at(theta)
     return MinimumVerification(
         report=report,
         grad_zero=report.grad_norm < 1e-10,
@@ -206,7 +176,7 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
         hessian_psd=bool(evals[0] >= -1e-8 * max(1.0, float(evals[-1]))),
         eigs_match=eig_err <= 1e-3,
         strict_probe_pass=report.min_probe == "strict_local_min",
-        better_point_exists=bool(loss_prime < inst.better_loss_bound < loss_theta),
+        better_point_exists=bool(loss_prime < BETTER_LOSS_BOUND < loss_theta),
         details={
             "hessian_max_err": hess_err,
             "eig_max_err": eig_err,
@@ -391,9 +361,9 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
 class ValleyProbeReport:
     n_probes: int
     radius: float
-    min_excess: float          # min over probes of loss - y4^2
-    falsifications: int        # probes with loss < y4^2 - 1e-10
-    delta4_strict_ok: bool     # dedicated w4 perturbations strictly increase
+    min_excess: float          # min over probes of loss - valley loss
+    falsifications: int        # probes more than a tolerance below the valley loss
+    delta4_strict_ok: bool     # moving w4 alone (conv: the kernel's w1) strictly increases
 
     @property
     def ok(self) -> bool:
@@ -431,22 +401,22 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
             break
         deltas[bad, 6] *= 0.5
 
-    losses = inst.loss(theta[None, :] + deltas)
-    excess = losses - inst.valley_loss
-    falsifications = int(np.count_nonzero(excess < -1e-10))
+    return _probe(inst.loss, theta, inst.valley_loss, deltas, 1e-10, coord=3, radius=radius)
 
-    # w4-only perturbations must strictly increase the loss
-    d4 = np.zeros((40, 8))
-    d4[:, 3] = np.linspace(-radius, radius, 41)[np.arange(41) != 20]  # skip 0
-    l4 = inst.loss(theta[None, :] + d4)
-    delta4_strict_ok = bool(np.all(l4 > inst.valley_loss))
 
+def _probe(loss, theta, level, deltas, tol, coord, radius) -> ValleyProbeReport:
+    """Probe a valley point theta at loss `level`: a probe theta + delta
+    falsifies it when its loss is below level - tol, and the 40 points
+    0 < |t| <= radius along coordinate `coord` must raise the loss strictly."""
+    excess = loss(theta[None, :] + deltas) - level
+    line = np.zeros((40, theta.size))
+    line[:, coord] = np.linspace(-radius, radius, 41)[np.arange(41) != 20]  # skip 0
     return ValleyProbeReport(
-        n_probes=n_probes,
+        n_probes=len(deltas),
         radius=radius,
         min_excess=float(np.min(excess)),
-        falsifications=falsifications,
-        delta4_strict_ok=delta4_strict_ok,
+        falsifications=int(np.count_nonzero(excess < -tol)),
+        delta4_strict_ok=bool(np.all(loss(theta[None, :] + line) > level)),
     )
 
 
@@ -551,33 +521,19 @@ def conv_valley_instance(a: float = 1.0) -> ConvValleyInstance:
     return inst
 
 
-def probe_conv_valley(inst: ConvValleyInstance, a: float | None = None,
-                      n_probes: int = 500, seed: int = 0) -> ValleyProbeReport:
+def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
+                      seed: int = 0) -> ValleyProbeReport:
     """Bounded perturbations around the SAME-mode valley point.
 
     Bound set: |eps_i|, |delta_i| <= 0.1 with eps_3 further clipped to
-    0.5/a, eps_2 to 0.25/a and delta_2 to 0.1 a.
+    0.5/a, eps_2 to 0.25/a and delta_2 to 0.1 a; the strict line moves
+    the kernel entry w1 alone.
     """
-    a = inst.a if a is None else float(a)
-    theta = inst.valley_point(a)
+    a = inst.a
     rng = np.random.default_rng(seed)
     deltas = rng.uniform(-0.1, 0.1, size=(n_probes, 6))
     deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)  # eps_2 (u2)
     deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)    # eps_3 (u3)
     deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)    # delta_2 (w2)
-    losses = inst.loss(theta[None, :] + deltas)
-    excess = losses - inst.valley_loss
-    falsifications = int(np.count_nonzero(excess < -1e-12))
-
-    d1 = np.zeros((40, 6))
-    d1[:, 4] = np.linspace(-0.1, 0.1, 41)[np.arange(41) != 20]  # kernel w1 only
-    l1 = inst.loss(theta[None, :] + d1)
-    delta1_strict_ok = bool(np.all(l1 > inst.valley_loss))
-
-    return ValleyProbeReport(
-        n_probes=n_probes,
-        radius=0.1,
-        min_excess=float(np.min(excess)),
-        falsifications=falsifications,
-        delta4_strict_ok=delta1_strict_ok,
-    )
+    return _probe(inst.loss, inst.valley_point(), inst.valley_loss, deltas, 1e-12,
+                  coord=4, radius=0.1)

@@ -59,7 +59,7 @@ def test_criterion_1_minimum_verification():
     t0 = time.perf_counter()
     inst = spurious_minimum_instance()
     v = verify_spurious_minimum(inst, n_probes=500)
-    loss_err = abs(inst.loss_at(inst.theta) - MIN_LOSS_REF)
+    loss_err = abs(inst.minimum.loss_at(inst.theta) - MIN_LOSS_REF)
     elapsed = time.perf_counter() - t0
     ok = (v.passed and loss_err < 1e-12 and elapsed < 1.0)
     assert report(1, ok,
@@ -71,9 +71,10 @@ def test_criterion_1_minimum_verification():
 
 def test_criterion_2_residual_identities():
     inst = spurious_minimum_instance()
-    R = inst.as_group_instance().residual()
-    err1 = np.max(np.abs(R @ inst.z1.T - np.array([[-0.4, 0.4], [0.4, -0.4]])))
-    err2 = np.max(np.abs(R @ inst.z2.T - np.array([[-0.8, 0.4], [0.4, -0.2]])))
+    R = inst.minimum.residual()
+    z1, z2 = (g.z for g in inst.minimum.groups)
+    err1 = np.max(np.abs(R @ z1.T - np.array([[-0.4, 0.4], [0.4, -0.4]])))
+    err2 = np.max(np.abs(R @ z2.T - np.array([[-0.8, 0.4], [0.4, -0.2]])))
     ok = err1 < 1e-12 and err2 < 1e-12
     assert report(2, ok, f"R Z1^T err {err1:.2e}, R Z2^T err {err2:.2e}")
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 import sparseland
 from sparseland import __version__, net_to_json
-from sparseland.cli import _payload_digest, main
+from sparseland.cli import (_finite_float, _four_floats, _parse_floats, _payload_digest,
+                            _positive_float, build_parser, main)
 
 
 @pytest.fixture
@@ -182,17 +184,13 @@ def test_readme_flagship_trains(workdir, capsys):
 def test_train_malformed_spec_diagnostics(workdir, capsys):
     bad = workdir / "net.json"
     bad.write_text('{"layers": [\n!oops\n]}')
-    with pytest.raises(SystemExit) as ei:
-        main(["train", "--spec", str(bad)])
-    assert ei.value.code == 2
+    assert main(["train", "--spec", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "malformed JSON" in err and "line 2" in err
 
 
 def test_train_missing_spec_file(workdir, capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["train", "--spec", str(workdir / "absent.json")])
-    assert ei.value.code == 2
+    assert main(["train", "--spec", str(workdir / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -503,6 +501,42 @@ def test_runtime_dependencies_are_the_imports():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"sparseland"} == listed
+
+
+def _float_options():
+    """(command, option, type) of every option whose argparse type reads floating-point numbers."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.type)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type in (float, _finite_float, _positive_float, _parse_floats, _four_floats)]
+
+
+def test_float_options_use_the_finite_type():
+    # a bare `type=float` lets nan and inf through the command line
+    bare = [(command, option) for command, option, kind in _float_options() if kind is float]
+    assert not bare
+
+
+# a short command line that runs once the option under test is appended to it
+_FLOAT_BASE = {"verify": ["verify", "cnn-same-valley"],
+               "train": ["train", "--dims", "3,4,1", "--epochs", "5"],
+               "trials": ["trials", "--n", "2", "--epochs", "5"], "rank": ["rank"],
+               "conv-rank": ["conv-rank", "--mode", "same", "--d", "2"]}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command,option,kind", _float_options(),
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_non_finite_numbers_are_usage_errors(workdir, capsys, command, option, kind, bad):
+    value = {_four_floats: f"1,2,9,{bad}", _parse_floats: f"{bad},1"}.get(kind, bad)
+    with pytest.raises(SystemExit) as ei:
+        main([*_FLOAT_BASE[command], option, value])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert not list(workdir.glob("*.manifest.json"))
 
 
 def test_installed_entry_point(tmp_path):

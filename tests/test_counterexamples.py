@@ -21,6 +21,8 @@ from sparseland import (
     loss as net_loss,
     probe_conv_valley,
     probe_valley,
+    SparseLayer,
+    SparseNet,
     spurious_minimum_instance,
     sym_eig,
     valley_instance,
@@ -100,11 +102,13 @@ def test_rational_residual_displays_match_frozen():
 
 def test_builder_self_validates():
     inst = spurious_minimum_instance()
-    assert np.allclose(inst.z1 @ inst.z1.T, np.eye(2), atol=1e-15)
-    assert np.allclose(inst.z2 @ inst.z2.T, np.eye(2), atol=1e-15)
-    assert np.allclose(inst.z1 @ inst.z2.T, np.diag([0.6, 0.8]), atol=1e-15)
-    assert inst.loss_at(inst.theta) == pytest.approx(MIN_LOSS_REF, abs=1e-14)
-    assert inst.X.shape == (4, 4)
+    z1, z2 = (g.z for g in inst.minimum.groups)
+    assert np.allclose(z1 @ z1.T, np.eye(2), atol=1e-15)
+    assert np.allclose(z2 @ z2.T, np.eye(2), atol=1e-15)
+    assert np.allclose(z1 @ z2.T, np.diag([0.6, 0.8]), atol=1e-15)
+    assert inst.minimum.loss_at(inst.theta) == pytest.approx(MIN_LOSS_REF, abs=1e-14)
+    assert np.vstack([z1, z2]).shape == (4, 4)
+    assert np.array_equal(inst.theta, (1, 1, 1, 1, 1, 2, 1, 2))
 
 
 def test_verification_report():
@@ -122,10 +126,21 @@ def test_verification_report():
     assert blob["report"]["min_probe"] == "strict_local_min"
 
 
+def test_verification_builds_one_hessian(monkeypatch):
+    # the Hessian checked against HESSIAN_REF is the one the classification uses
+    import sparseland.counterexamples as ce
+    calls = []
+    real = ce.hessian_two_layer_linear
+    monkeypatch.setattr(ce, "hessian_two_layer_linear",
+                        lambda inst: calls.append(inst) or real(inst))
+    assert verify_spurious_minimum(spurious_minimum_instance(), n_probes=50).passed
+    assert len(calls) == 1
+
+
 def test_hessian_against_fd():
     # second independent route to the frozen 8x8 matrix
     inst = spurious_minimum_instance()
-    Hfd = fd_hessian(inst.loss_at, inst.theta)
+    Hfd = fd_hessian(inst.minimum.loss_at, inst.theta)
     assert np.max(np.abs(Hfd - HESSIAN_REF)) < 1e-4
 
 
@@ -138,7 +153,7 @@ def test_eigenvalues_frozen():
 
 def test_better_point():
     inst = spurious_minimum_instance()
-    lp = inst.loss_at(inst.theta_prime)
+    lp = inst.minimum.loss_at(inst.theta_prime)
     assert lp < BETTER_LOSS_BOUND < MIN_LOSS_REF
     assert lp == pytest.approx(0.5719920, abs=1e-6)
 
@@ -148,18 +163,25 @@ def test_minimum_loss_at_batch_matches_group_instances():
     r = np.random.default_rng(3)
     stack = np.vstack([inst.theta, inst.theta_prime,
                        inst.theta + 0.1 * r.standard_normal((6, 8))])
-    got = inst.loss_at(stack)
+    got = inst.minimum.loss_at(stack)
     assert got.shape == (8,)
-    assert np.array_equal(got, [inst.as_group_instance(row).loss() for row in stack])
-    assert inst.loss_at(inst.theta) == inst.as_group_instance().loss()
+    assert np.array_equal(got, [inst.minimum.unpack(row).loss() for row in stack])
+    assert inst.minimum.loss_at(inst.theta) == inst.minimum.loss()
 
 
 def test_minimum_as_network_matches_group_loss():
+    # the same objective as a masked 2-layer linear net on X = [Z1; Z2],
+    # with theta = (u1, w1, u2, w2) sliced here by hand
     inst = spurious_minimum_instance()
+    X = np.vstack([g.z for g in inst.minimum.groups])
+    mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
     for th in (inst.theta, inst.theta_prime):
-        net = inst.as_network(th)
-        got = net_loss(net, inst.X, inst.Y)
-        assert got == pytest.approx(inst.loss_at(th), rel=1e-14)
+        u1, w1, u2, w2 = th[0:2], th[2:4], th[4:6], th[6:8]
+        W = np.array([[w1[0], w1[1], 0.0, 0.0], [0.0, 0.0, w2[0], w2[1]]])
+        U = np.column_stack([u1, u2])
+        layers = (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool)))
+        got = net_loss(SparseNet(layers, Activation.linear()), X, inst.minimum.Y)
+        assert got == pytest.approx(inst.minimum.loss_at(th), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
