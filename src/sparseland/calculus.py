@@ -11,7 +11,7 @@ differences plus direct loss probes.
 
 Losses broadcast over leading axes: a flat parameter vector (P,) gives a
 scalar and a stack (..., P) gives shape (...), so the probes of a
-classification run as one batched loss call per radius.
+classification run as batched loss calls of at most PROBE_BLOCK points.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
 NULL_TOL = 1e-6
 PROBE_RADIUS = 1e-2
+PROBE_BLOCK = 1 << 13  # most probe points per loss call, so memory does not grow with n_probes
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,11 @@ def classify_stationary(
     differences of ``loss_fn``.  Probes evaluate the loss directly along
     random unit directions and along the numerical kernel of the Hessian
     (where flat quadratics hide quartic behavior), each at radii
-    {PROBE_RADIUS, PROBE_RADIUS/10}, as one (K, P) batch per radius.  Hessian
-    eigenvalues within NULL_TOL of the largest in magnitude count as zero.
-    The verdict is conservative: "strict_local_min" only if every probe
-    strictly increased the loss.
+    {PROBE_RADIUS, PROBE_RADIUS/10}, in blocks of at most PROBE_BLOCK points
+    per loss call.  Hessian eigenvalues within NULL_TOL of the largest in
+    magnitude count as zero.  The verdict is conservative: "strict_local_min"
+    only if every probe strictly increased the loss, and "inconclusive" if
+    any probe loss is not finite.
     """
     x0 = np.asarray(point, dtype=float)
     f0 = float(loss_fn(x0))
@@ -291,37 +293,50 @@ def classify_stationary(
     dec_tol = 1e-12 * scale  # any decrease beyond this kills minimality
     pos_tol = 1e-14 * scale  # strictness demands growth above noise
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_probes, x0.size))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    probes = [dirs]
-    if null_basis.shape[1]:
-        # kernel directions and random kernel mixtures, both signs
-        mix = rng.standard_normal((max(2 * n_probes // 10, 8), null_basis.shape[1]))
-        mix /= np.linalg.norm(mix, axis=1, keepdims=True)
-        kdirs = mix @ null_basis.T
-        probes.append(np.vstack([null_basis.T, -null_basis.T, kdirs, -kdirs]))
-    all_dirs = np.vstack(probes)
-
     radii = [PROBE_RADIUS, PROBE_RADIUS / 10.0]
-    deltas = []
-    for r in radii:
-        losses = np.asarray(loss_fn(x0 + r * all_dirs), dtype=float)
-        if losses.shape != all_dirs.shape[:1]:
-            raise ValueError(f"loss_fn mapped probes of shape {all_dirs.shape} to shape "
-                             f"{losses.shape}, expected {all_dirs.shape[:1]}")
-        deltas.append(losses - f0)
-    worst = float(np.min(deltas, initial=np.inf))
+    worst, finite, n_directions = np.inf, True, 0
+
+    def probe(dirs):
+        nonlocal worst, finite, n_directions
+        for r in radii:
+            losses = np.asarray(loss_fn(x0 + r * dirs), dtype=float)
+            if losses.shape != dirs.shape[:1]:
+                raise ValueError(f"loss_fn mapped probes of shape {dirs.shape} to shape "
+                                 f"{losses.shape}, expected {dirs.shape[:1]}")
+            deltas = losses - f0
+            worst = np.minimum(worst, np.min(deltas))
+            finite &= bool(np.isfinite(deltas).all())
+        n_directions += len(dirs)
+
+    # Row blocks of one default_rng draw equal the whole draw, and the minimum
+    # does not depend on order: the evidence is that of a single batch.
+    rng = np.random.default_rng(seed)
+
+    def unit_rows(k, width):
+        dirs = rng.standard_normal((k, width))
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    for start in range(0, n_probes, PROBE_BLOCK):
+        probe(unit_rows(min(PROBE_BLOCK, n_probes - start), x0.size))
+    # kernel directions and random kernel mixtures, both signs
+    half, null_dim = PROBE_BLOCK // 2, null_basis.shape[1]
+    for start in range(0, null_dim, half):
+        kdirs = null_basis.T[start:start + half]
+        probe(np.vstack([kdirs, -kdirs]))
+    n_mix = max(2 * n_probes // 10, 8) if null_dim else 0
+    for start in range(0, n_mix, half):
+        kdirs = unit_rows(min(half, n_mix - start), null_dim) @ null_basis.T
+        probe(np.vstack([kdirs, -kdirs]))
 
     evidence = {
         "f0": f0,
-        "worst_probe_delta": worst,
-        "n_directions": int(all_dirs.shape[0]),
+        "worst_probe_delta": float(worst),
+        "n_directions": n_directions,
         "radii": radii,
-        "null_dim": int(null_basis.shape[1]),
+        "null_dim": null_dim,
     }
 
-    if grad_norm > 1e-6 * scale:
+    if grad_norm > 1e-6 * scale or not finite:
         verdict = "inconclusive"
     elif evals.size and evals[0] < -NULL_TOL * max(lam_scale, 1e-300):
         verdict = "saddle"

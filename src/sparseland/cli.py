@@ -109,6 +109,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
+    return value
+
+
 def _load_net_spec(path: str):
     """Parse a network JSON file; a ValueError names the file and what is wrong with it."""
     try:
@@ -170,7 +177,7 @@ def cmd_verify(args):
 
     # cnn-same-valley
     scales = (args.scale,) if args.scale is not None else (0.5, 1.0, 2.0)
-    per_scale = []
+    per_scale, lines = [], []
     all_ok = True
     for a in scales:
         inst = conv_valley_instance(a)
@@ -182,9 +189,9 @@ def cmd_verify(args):
             "a": a, "valley_loss": inst.valley_loss, "witness_loss": witness,
             "probe": probe.to_json(), "ok": ok,
         })
+        lines.append(f"a={a}: min excess {probe.min_excess:.3e}, ok {ok}")
     payload = {"scales": per_scale, "verified": all_ok}
-    lines = [f"a={e['a']}: min excess {e['probe']['min_excess']:.3e}, ok {e['ok']}"
-             for e in per_scale] + [f"verified: {all_ok}"]
+    lines.append(f"verified: {all_ok}")
     return (0 if all_ok else 1), payload, None, lines
 
 
@@ -458,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
     sp.add_argument("--noise", type=_finite_float, default=1.0)
-    sp.add_argument("--a-norm", type=_finite_float, default=5.0)
+    sp.add_argument("--a-norm", type=_nonnegative_float, default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
     sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=5000)
-    sp.add_argument("--scale-init", type=_finite_float, default=1.0)
+    sp.add_argument("--scale-init", type=_nonnegative_float, default=1.0)
     sp.add_argument("--rank-every", type=_int_at_least(0), default=100,
                     help="epochs between hidden-rank samples; 0 disables them")
     sp.add_argument("--backtrack", action="store_true",
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="layer sizes for a random masked net")
     sp.add_argument("--sparsity", type=_finite_float, default=0.3)
     sp.add_argument("--activation", default="tanh")
-    sp.add_argument("--scale-init", type=_finite_float, default=3.0)
+    sp.add_argument("--scale-init", type=_nonnegative_float, default=3.0)
     sp.add_argument("--n", type=_int_at_least(1), default=6, help="number of samples")
     common(sp)
 

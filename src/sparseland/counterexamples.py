@@ -21,6 +21,7 @@ import numpy as np
 
 from .activations import Activation
 from .calculus import (
+    PROBE_BLOCK,
     TwoLayerLinearInstance,
     GroupBlock,
     StationaryReport,
@@ -373,7 +374,7 @@ class ValleyProbeReport:
         return {
             "n_probes": self.n_probes,
             "radius": self.radius,
-            "min_excess": self.min_excess,
+            "min_excess": self.min_excess if math.isfinite(self.min_excess) else None,
             "falsifications": self.falsifications,
             "delta4_strict_ok": self.delta4_strict_ok,
             "ok": self.ok,
@@ -391,32 +392,43 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
     rng = np.random.default_rng(seed)
     theta = inst.valley_theta
     act = inst.activation
-    deltas = rng.uniform(-radius, radius, size=(n_probes, 8))
     w3 = theta[2]
-    deltas[:, 2] = np.clip(deltas[:, 2], -abs(w3) / 2, abs(w3) / 2)
     s7 = float(act(theta[6]))
-    for _ in range(60):  # shrink delta_7 until sigma stays within factor 2
-        bad = np.abs(np.asarray(act(theta[6] + deltas[:, 6])) - s7) > abs(s7) / 2
-        if not bad.any():
-            break
-        deltas[bad, 6] *= 0.5
 
-    return _probe(inst.loss, theta, inst.valley_loss, deltas, 1e-10, coord=3, radius=radius)
+    def draw(k):
+        deltas = rng.uniform(-radius, radius, size=(k, 8))
+        deltas[:, 2] = np.clip(deltas[:, 2], -abs(w3) / 2, abs(w3) / 2)
+        for _ in range(60):  # shrink delta_7 until sigma stays within factor 2
+            bad = np.abs(np.asarray(act(theta[6] + deltas[:, 6])) - s7) > abs(s7) / 2
+            if not bad.any():
+                break
+            deltas[bad, 6] *= 0.5
+        return deltas
+
+    return _probe(inst.loss, theta, inst.valley_loss, draw, n_probes, 1e-10, coord=3, radius=radius)
 
 
-def _probe(loss, theta, level, deltas, tol, coord, radius) -> ValleyProbeReport:
-    """Probe a valley point theta at loss `level`: a probe theta + delta
-    falsifies it when its loss is below level - tol, and the 40 points
-    0 < |t| <= radius along coordinate `coord` must raise the loss strictly."""
-    excess = loss(theta[None, :] + deltas) - level
+def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProbeReport:
+    """Probe a valley point theta at loss `level` with n_probes deltas, drawn
+    by draw(k) in blocks of at most PROBE_BLOCK rows: a probe theta + delta
+    falsifies it when its loss is not finite or below level - tol, and the 40
+    points 0 < |t| <= radius along coordinate `coord` must have finite losses
+    above level."""
+    min_excess, falsifications = np.inf, 0
+    for start in range(0, n_probes, PROBE_BLOCK):
+        losses = loss(theta[None, :] + draw(min(PROBE_BLOCK, n_probes - start)))
+        excess = losses - level
+        min_excess = np.minimum(min_excess, np.min(excess))  # a NaN stays
+        falsifications += int(np.count_nonzero(~np.isfinite(losses) | (excess < -tol)))
     line = np.zeros((40, theta.size))
     line[:, coord] = np.linspace(-radius, radius, 41)[np.arange(41) != 20]  # skip 0
+    line_losses = loss(theta[None, :] + line)
     return ValleyProbeReport(
-        n_probes=len(deltas),
+        n_probes=n_probes,
         radius=radius,
-        min_excess=float(np.min(excess)),
-        falsifications=int(np.count_nonzero(excess < -tol)),
-        delta4_strict_ok=bool(np.all(loss(theta[None, :] + line) > level)),
+        min_excess=float(min_excess),
+        falsifications=falsifications,
+        delta4_strict_ok=bool(np.all(np.isfinite(line_losses) & (line_losses > level))),
     )
 
 
@@ -531,9 +543,13 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
     """
     a = inst.a
     rng = np.random.default_rng(seed)
-    deltas = rng.uniform(-0.1, 0.1, size=(n_probes, 6))
-    deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)  # eps_2 (u2)
-    deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)    # eps_3 (u3)
-    deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)    # delta_2 (w2)
-    return _probe(inst.loss, inst.valley_point(), inst.valley_loss, deltas, 1e-12,
+
+    def draw(k):
+        deltas = rng.uniform(-0.1, 0.1, size=(k, 6))
+        deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)  # eps_2 (u2)
+        deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)    # eps_3 (u3)
+        deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)    # delta_2 (w2)
+        return deltas
+
+    return _probe(inst.loss, inst.valley_point(), inst.valley_loss, draw, n_probes, 1e-12,
                   coord=4, radius=0.1)

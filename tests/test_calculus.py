@@ -17,6 +17,7 @@ from sparseland import (
     loss,
     sym_eig,
 )
+from sparseland.calculus import PROBE_BLOCK
 
 from fd_oracle import grad_fd
 
@@ -252,15 +253,17 @@ def test_classify_rejects_batch_collapsing_loss():
         )
 
 
-@pytest.mark.parametrize("n_probes", [1, 7, 500])
+@pytest.mark.parametrize("n_probes", [1, 7, 500, 2 * PROBE_BLOCK + 3])
 @pytest.mark.parametrize("flat_hessian", [False, True])
 def test_classify_one_loss_call_per_radius(n_probes, flat_hessian):
     # a zero Hessian adds kernel directions to the random ones
     A = np.diag([1.0, 3.0])
-    shapes = []
+    shapes, radii = [], []
 
     def loss_fn(x):
         shapes.append(x.shape)
+        if x.ndim == 2:  # every probe of one call lies at one radius around the origin
+            radii.append(float(np.linalg.norm(x[0])))
         return np.einsum("...i,ij,...j->...", x, A, x)
 
     rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * A @ x,
@@ -268,8 +271,67 @@ def test_classify_one_loss_call_per_radius(n_probes, flat_hessian):
                               n_probes=n_probes)
     K = rep.probe_evidence["n_directions"]
     assert K > n_probes if flat_hessian else K == n_probes
-    assert shapes == [(2,), (K, 2), (K, 2)]
+    assert shapes[0] == (2,)
+    assert all(len(s) == 2 and 1 <= s[0] <= PROBE_BLOCK and s[1] == 2 for s in shapes[1:])
+    for r in rep.probe_evidence["radii"]:
+        assert sum(s[0] for s, q in zip(shapes[1:], radii) if np.isclose(q, r)) == K
+    if not flat_hessian and K <= PROBE_BLOCK:
+        assert shapes == [(2,), (K, 2), (K, 2)]
     assert rep.min_probe == "strict_local_min"
+
+
+def _kernel_loss(x):
+    # Hessian diag(2, 0, 0) at the origin: a two-dimensional kernel
+    return x[..., 0] ** 2 + x[..., 1] ** 4 + x[..., 2] ** 4 + x[..., 1] ** 2 * x[..., 2] ** 2
+
+
+@pytest.mark.parametrize("kernel,n_probes", [
+    (False, 2 * PROBE_BLOCK + 3), (True, 2 * PROBE_BLOCK + 3), (True, 3 * PROBE_BLOCK + 1),
+])
+def test_classify_blocks_equal_one_batch(kernel, n_probes):
+    # the one-batch route: every direction drawn and evaluated at once
+    A = np.diag([1.0, 3.0, 2.0])
+    loss_fn = _kernel_loss if kernel else (lambda x: np.einsum("...i,ij,...j->...", x, A, x))
+    H = np.diag([2.0, 0.0, 0.0]) if kernel else 2 * A
+    x0 = np.zeros(3)
+    rep = classify_stationary(loss_fn, x0, grad_fn=lambda x: np.zeros(3), hessian_fn=lambda x: H,
+                              n_probes=n_probes, seed=5)
+    rng = np.random.default_rng(5)
+    dirs = rng.standard_normal((n_probes, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    N = rep.null_basis
+    assert N.shape[1] == (2 if kernel else 0)
+    if kernel:
+        mix = rng.standard_normal((max(2 * n_probes // 10, 8), N.shape[1]))
+        mix /= np.linalg.norm(mix, axis=1, keepdims=True)
+        kdirs = mix @ N.T
+        dirs = np.vstack([dirs, N.T, -N.T, kdirs, -kdirs])
+    deltas = [loss_fn(x0 + r * dirs) - loss_fn(x0) for r in rep.probe_evidence["radii"]]
+    assert rep.probe_evidence["n_directions"] == len(dirs)
+    assert rep.probe_evidence["worst_probe_delta"] == float(np.min(deltas))
+    assert rep.min_probe == "strict_local_min"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_classify_non_finite_probe_is_inconclusive(bad):
+    # one non-finite probe among many is enough
+    def loss_fn(x):
+        values = np.einsum("...i,...i->...", x, x)
+        if values.ndim:
+            values[-1] = bad
+        return values
+
+    rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * x,
+                              hessian_fn=lambda x: 2 * np.eye(2), n_probes=50)
+    assert rep.min_probe == "inconclusive"
+
+
+def test_classify_all_infinite_probes_are_inconclusive():
+    # every probe "increases" the loss to +inf, which proves nothing
+    rep = classify_stationary(lambda x: np.where(np.any(x, axis=-1), np.inf, 0.0), np.zeros(2),
+                              grad_fn=lambda x: 0 * x, hessian_fn=lambda x: 2 * np.eye(2))
+    assert rep.probe_evidence["worst_probe_delta"] == np.inf
+    assert rep.min_probe == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 
 import sparseland
 from sparseland import __version__, net_to_json
-from sparseland.cli import (_finite_float, _four_floats, _parse_floats, _payload_digest,
-                            _positive_float, build_parser, main)
+from sparseland.cli import (_finite_float, _four_floats, _nonnegative_float, _parse_floats,
+                            _payload_digest, _positive_float, build_parser, main)
 
 
 @pytest.fixture
@@ -96,6 +96,34 @@ def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     last = err.strip().splitlines()[-1]
     assert f"argument {flag}:" in last and f"got {value}" in last
     assert not list(workdir.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--dims", "3,4,1", "--epochs", "5", "--scale-init", "-1"], "--scale-init"),
+    (["rank", "--scale-init", "-1"], "--scale-init"),
+    (["train", "--dims", "3,4,1", "--epochs", "5", "--a-norm", "-1"], "--a-norm"),
+])
+def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"sparseland {argv[0]}: error: argument {flag}: "
+                      "must be a finite number of at least 0, got -1"]
+    assert not list(workdir.glob("*.manifest.json"))
+    # a zero scale is valid, and replay re-checks a recorded negative one
+    dest = flag[2:].replace("-", "_")
+    assert main([*argv[:-1], "0"]) in (0, 1)
+    manifest = next(workdir.glob("*.manifest.json"))
+    record = json.loads(manifest.read_text())
+    record["config"][dest] = -1.0
+    manifest.write_text(json.dumps(record))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as ei:
+        main(["replay", str(manifest)])
+    assert ei.value.code == 2
+    assert f"{dest}: must be a finite number of at least 0, got -1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,6 +490,31 @@ def _checkout_env(bin_dir=None):
     return env
 
 
+# started with `python -S`: on Linux a child's peak RSS also counts the
+# high-water mark of the process that spawned it, and pytest's is large
+_PEAK_RSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _exit_code_and_peak_rss_kb(argv):
+    proc = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS,
+                           sys.executable, "-m", "sparseland.cli", *argv],
+                          capture_output=True, text=True, env=_checkout_env(), check=True)
+    code, kb = proc.stdout.split()
+    return int(code), int(kb)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_verify_memory_does_not_grow_with_probes(workdir):
+    small = _exit_code_and_peak_rss_kb(["verify", "ss-valley", "--probes", "1000"])
+    large = _exit_code_and_peak_rss_kb(["verify", "ss-valley", "--probes", "2000000"])
+    assert small[0] == large[0] == 0
+    assert large[1] - small[1] <= 16 * 1024, (small, large)
+
+
 def test_console_script_version():
     proc = subprocess.run([sys.executable, "-m", "sparseland.cli", "--version"],
                           capture_output=True, text=True, env=_checkout_env())
@@ -508,7 +561,8 @@ def _float_options():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return [(command, action.option_strings[0], action.type)
             for command, parser in sub.choices.items() for action in parser._actions
-            if action.type in (float, _finite_float, _positive_float, _parse_floats, _four_floats)]
+            if action.type in (float, _finite_float, _positive_float, _nonnegative_float,
+                               _parse_floats, _four_floats)]
 
 
 def test_float_options_use_the_finite_type():

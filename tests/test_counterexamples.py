@@ -5,6 +5,7 @@ direct dense linear algebra for the convolutional objective."""
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from sparseland import (
     valley_trial_objective,
     verify_spurious_minimum,
 )
+from sparseland.calculus import PROBE_BLOCK
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
     EIGENVALUES_REF,
@@ -323,3 +325,81 @@ def test_conv_valley_probe(a):
     assert rep.falsifications == 0
     assert rep.min_excess >= -1e-12
     assert rep.delta4_strict_ok  # kernel-tap perturbations strictly increase
+
+
+# ---------------------------------------------------------------------------
+# probes in blocks
+# ---------------------------------------------------------------------------
+
+N_BLOCKED = 2 * PROBE_BLOCK + 3  # two full blocks and a partial one
+
+
+def _one_batch(loss, theta, level, deltas, tol):
+    """(min_excess, falsifications) of every delta evaluated at once."""
+    losses = loss(theta + deltas)
+    excess = losses - level
+    return float(np.min(excess)), int(np.count_nonzero(~np.isfinite(losses) | (excess < -tol)))
+
+
+@pytest.mark.parametrize("y,radius", [(STRICT_Y, 0.05), (EXPERIMENT_Y, 0.5)])
+def test_valley_probe_blocks_equal_one_batch(y, radius):
+    inst = valley_instance(y)
+    rep = probe_valley(inst, n_probes=N_BLOCKED, radius=radius, seed=4)
+    theta, act = inst.valley_theta, inst.activation
+    deltas = np.random.default_rng(4).uniform(-radius, radius, size=(N_BLOCKED, 8))
+    deltas[:, 2] = np.clip(deltas[:, 2], -abs(theta[2]) / 2, abs(theta[2]) / 2)
+    s7 = float(act(theta[6]))
+    for _ in range(60):
+        bad = np.abs(act(theta[6] + deltas[:, 6]) - s7) > abs(s7) / 2
+        if not bad.any():
+            break
+        deltas[bad, 6] *= 0.5
+    assert rep.n_probes == N_BLOCKED
+    assert (rep.min_excess, rep.falsifications) == _one_batch(
+        inst.loss, theta, inst.valley_loss, deltas, 1e-10)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 1e-155])
+def test_conv_probe_blocks_equal_one_batch(a):
+    # at a = 1e-155 about two thirds of the probe losses overflow to inf
+    inst = conv_valley_instance(a)
+    with np.errstate(over="ignore"):
+        rep = probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4)
+        deltas = np.random.default_rng(4).uniform(-0.1, 0.1, size=(N_BLOCKED, 6))
+        deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)
+        deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)
+        deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)
+        want = _one_batch(inst.loss, inst.valley_point(), inst.valley_loss, deltas, 1e-12)
+    assert (rep.min_excess, rep.falsifications) == want
+    assert (rep.falsifications > 0) == (a == 1e-155) == (not rep.ok)
+
+
+def test_conv_probe_non_finite_losses_falsify():
+    # every probe loss overflows at a = 1e-300: no evidence, so no certificate
+    with np.errstate(over="ignore"):
+        rep = probe_conv_valley(conv_valley_instance(1e-300), n_probes=50)
+    assert rep.falsifications == 50
+    assert not rep.delta4_strict_ok and not rep.ok
+    assert rep.min_excess == np.inf
+    blob = rep.to_json()
+    assert blob["min_excess"] is None
+    assert "Infinity" not in json.dumps(blob)
+
+
+@pytest.mark.parametrize("certify,n_probes", [
+    (lambda n: probe_valley(valley_instance(STRICT_Y), n_probes=n), 400_000),
+    (lambda n: probe_conv_valley(conv_valley_instance(), n_probes=n), 400_000),
+    (lambda n: verify_spurious_minimum(spurious_minimum_instance(), n_probes=n), 100_000),
+], ids=["valley", "conv-valley", "minimum"])
+def test_probe_memory_does_not_grow_with_probes(certify, n_probes):
+    # tracemalloc sees numpy's buffers; a (n_probes, P) stack would add megabytes
+    def peak(n):
+        tracemalloc.start()
+        try:
+            certify(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(n_probes // 10), peak(n_probes)
+    assert large - small <= 2 ** 20, (small, large)
