@@ -13,89 +13,54 @@ deeper masked networks under squared loss:
   (`landscape`), plus convolution mode ranks (`convmodes`);
 * experiments: full-batch GD training and batched trial statistics
   (`trainer`), all reachable from the `sparseland` CLI (`cli`).
+
+Exports resolve on first use: `import sparseland` loads no submodule and no
+numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
+submodule that defines X.
 """
 
 __version__ = "0.3.0"
 
-from .activations import ANALYTIC_KINDS, KINDS, Activation, activation_named
-from .calculus import (
-    GroupBlock,
-    StationaryReport,
-    TwoLayerLinearInstance,
-    classify_stationary,
-    fd_gradient,
-    fd_hessian,
-    hessian_two_layer_linear,
-    instance_from_net,
-    sym_eig,
-)
-from .convmodes import (
-    MODES,
-    ConvSpec,
-    conv_matrix,
-    conv_patches,
-    conv_rank_expected,
-    stack_channels,
-    stack_kernels,
-)
-from .counterexamples import (
-    ConstructionError,
-    ConvValleyInstance,
-    GdObjective,
-    MinimumVerification,
-    SpuriousMinimumInstance,
-    SpuriousValleyInstance,
-    ValleyProbeReport,
-    conv_valley_instance,
-    probe_conv_valley,
-    probe_valley,
-    spurious_minimum_instance,
-    valley_instance,
-    valley_trial_objective,
-    verify_spurious_minimum,
-)
-from .landscape import (
-    AssumptionReport,
-    ConditionReport,
-    FeatureMaps,
-    PathSegment,
-    PathTrace,
-    ZeroColumnResult,
-    activation_admissible,
-    check_assumptions,
-    check_conditions,
-    hidden_rank_certificate,
-    nonincreasing_path_overparam,
-    nonincreasing_path_scalar_output,
-    numerical_rank,
-    poly_feature_maps,
-    random_grouped_instance,
-    zero_column_transform,
-)
-from .network import (
-    NotEffectiveError,
-    PatternDecomposition,
-    RemovalReport,
-    SparseLayer,
-    SparseNet,
-    decompose_patterns,
-    effective_subnetwork,
-    forward,
-    loss,
-    net_from_json,
-    net_to_json,
-)
-from .trainer import (
-    Dataset,
-    TrainConfig,
-    TrainTrace,
-    TrialStats,
-    gd_train,
-    gen_synthetic,
-    grad_net,
-    init_net,
-    loss_clusters,
-    random_effective_net,
-    random_sparse_mask,
-    run_trials,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "activations": ("ANALYTIC_KINDS", "KINDS", "Activation", "activation_named"),
+        "calculus": ("GroupBlock", "StationaryReport", "TwoLayerLinearInstance",
+                     "classify_stationary", "fd_gradient", "fd_hessian",
+                     "hessian_two_layer_linear", "instance_from_net", "sym_eig"),
+        "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),
+        "counterexamples": ("ConstructionError", "ConvValleyInstance", "GdObjective",
+                            "MinimumVerification", "SpuriousMinimumInstance",
+                            "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
+                            "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
+                            "valley_instance", "valley_trial_objective",
+                            "verify_spurious_minimum"),
+        "landscape": ("AssumptionReport", "ConditionReport", "FeatureMaps", "PathSegment",
+                      "PathTrace", "ZeroColumnResult", "activation_admissible",
+                      "check_assumptions", "check_conditions", "hidden_rank_certificate",
+                      "nonincreasing_path_overparam", "nonincreasing_path_scalar_output",
+                      "numerical_rank", "poly_feature_maps", "random_grouped_instance",
+                      "zero_column_transform"),
+        "network": ("NotEffectiveError", "PatternDecomposition", "RemovalReport", "SparseLayer",
+                    "SparseNet", "decompose_patterns", "effective_subnetwork", "forward", "loss",
+                    "net_from_json", "net_to_json"),
+        "trainer": ("Dataset", "TrainConfig", "TrainTrace", "TrialStats", "gd_train",
+                    "gen_synthetic", "grad_net", "init_net", "loss_clusters",
+                    "random_effective_net", "random_sparse_mask", "run_trials"),
+    }.items()
+    for name in names
+}  # exported name -> the submodule that defines it
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -15,35 +15,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .activations import KINDS, activation_named
-from .convmodes import MODES, ConvSpec, conv_matrix, conv_rank_expected
-from .counterexamples import (
-    conv_valley_instance,
-    probe_conv_valley,
-    probe_valley,
-    spurious_minimum_instance,
-    valley_instance,
-    valley_trial_objective,
-    verify_spurious_minimum,
-)
-from .landscape import (
-    hidden_rank_certificate,
-    least_squares_optimum,
-    nonincreasing_path_overparam,
-    nonincreasing_path_scalar_output,
-    numerical_rank,
-    random_grouped_instance,
-)
-from .network import net_from_json, net_to_json, effective_subnetwork
-from .trainer import (TrainConfig, gd_train, gen_synthetic, init_net, random_effective_net,
-                      run_trials, stream)
+
+# Numerical modules load inside the handlers, so --version, --help and usage
+# errors import no numpy.  These two copies of activations.KINDS and
+# convmodes.MODES build the parser; a test pins them to the originals.
+KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigmoid",
+         "softplus", "polynomial")
+MODES = ("full", "same", "valid")
 
 VERIFY_INSTANCES = ("sd-minimum", "ss-valley", "cnn-same-valley")
 
@@ -62,7 +47,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
@@ -118,6 +103,8 @@ def _nonnegative_float(text: str) -> float:
 
 def _load_net_spec(path: str):
     """Parse a network JSON file; a ValueError names the file and what is wrong with it."""
+    from .network import net_from_json
+
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -133,6 +120,8 @@ def _load_net_spec(path: str):
 
 
 def _mask_sparsity(net) -> float:
+    import numpy as np
+
     total = sum(layer.mask.size for layer in net.layers)
     zeros = sum(int(layer.mask.size - np.count_nonzero(layer.mask)) for layer in net.layers)
     return zeros / total
@@ -145,6 +134,11 @@ def _mask_sparsity(net) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
+    from .activations import activation_named
+    from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
+                                  spurious_minimum_instance, valley_instance,
+                                  verify_spurious_minimum)
+
     if args.instance == "sd-minimum":
         inst = spurious_minimum_instance()
         ver = verify_spurious_minimum(inst, n_probes=args.probes, seed=args.seed)
@@ -196,6 +190,10 @@ def cmd_verify(args):
 
 
 def cmd_train(args):
+    from .activations import activation_named
+    from .landscape import least_squares_optimum
+    from .trainer import TrainConfig, gd_train, gen_synthetic, init_net, random_effective_net
+
     if args.spec:
         net = _load_net_spec(args.spec)
     else:
@@ -235,6 +233,10 @@ def cmd_train(args):
 
 
 def cmd_trials(args):
+    from .activations import activation_named
+    from .counterexamples import valley_instance, valley_trial_objective
+    from .trainer import TrainConfig, run_trials
+
     act = activation_named(args.activation)
     inst = valley_instance(args.y, act)
     objective = valley_trial_objective(inst)
@@ -253,6 +255,11 @@ def cmd_trials(args):
 
 
 def cmd_path(args):
+    import numpy as np
+
+    from .landscape import (least_squares_optimum, nonincreasing_path_overparam,
+                            nonincreasing_path_scalar_output, random_grouped_instance)
+
     cond = "overparam" if args.cond == 1 else "scalar"
     inst = random_grouped_instance(cond, seed=args.seed, n_groups=args.groups, n=args.n)
     if cond == "overparam":
@@ -280,6 +287,8 @@ def cmd_path(args):
 
 
 def cmd_prune(args):
+    from .network import effective_subnetwork, net_to_json
+
     net = _load_net_spec(args.spec)
     reduced, report = effective_subnetwork(net, require_effective=False)
     payload = {
@@ -303,6 +312,10 @@ def cmd_prune(args):
 
 
 def cmd_rank(args):
+    from .activations import activation_named
+    from .landscape import hidden_rank_certificate
+    from .trainer import random_effective_net, stream
+
     if args.spec:
         net = _load_net_spec(args.spec)
     else:
@@ -319,6 +332,11 @@ def cmd_rank(args):
 
 
 def cmd_conv_rank(args):
+    import numpy as np
+
+    from .convmodes import ConvSpec, conv_matrix, conv_rank_expected
+    from .landscape import numerical_rank
+
     kernel = np.asarray(args.kernel, dtype=float)
     spec = ConvSpec(kernel, args.d, args.mode)
     expected = conv_rank_expected(spec)
@@ -347,6 +365,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """BLAS thread settings and numpy version: either can move the last bits of a result."""
+    import numpy as np
+
     return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
 
 
@@ -429,8 +449,18 @@ def cmd_replay(args):
     return (0 if match else 1), out_payload, None, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the parser of each subcommand, that reads any
+    word shaped like a negative number (-1e-3, -.5, -1,2, -inf) as a value,
+    so the option's type judges it; argparse alone takes only -1 and -0.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sparseland",
         description="Loss-landscape analysis for masked (pruned) networks: "
                     "certified bad points, descent paths, rank certificates, "

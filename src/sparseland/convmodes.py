@@ -72,30 +72,6 @@ def conv_matrix(spec: ConvSpec) -> np.ndarray:
     return F
 
 
-def conv_patches(X: np.ndarray, kernel_len: int, mode: str) -> list:
-    """Per-output-row input patches: Z_k (kernel_len, n) with
-    conv_matrix(spec) @ X row k equal to kernel @ Z_k.
-
-    Padding rows of zeros realize the mode: full pads both sides, same pads
-    the right only, valid pads nothing.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d, n = X.shape
-    pad = np.zeros((kernel_len - 1, n))
-    if mode == "full":
-        Xp = np.vstack([pad, X, pad])
-    elif mode == "same":
-        Xp = np.vstack([X, pad])
-    elif mode == "valid":
-        if d < kernel_len:
-            raise ValueError("valid mode needs input_len >= kernel length")
-        Xp = X
-    else:
-        raise ValueError(f"mode must be one of {MODES}")
-    s = {"full": d + kernel_len - 1, "same": d, "valid": d - kernel_len + 1}[mode]
-    return [Xp[k:k + kernel_len, :] for k in range(s)]
-
-
 def conv_rank_expected(spec: ConvSpec) -> int:
     """Closed-form rank of conv_matrix(spec).
 
@@ -112,17 +88,3 @@ def conv_rank_expected(spec: ConvSpec) -> int:
     if spec.mode == "same":
         return max(spec.input_len - j0, 0)
     return spec.out_len
-
-
-def stack_kernels(kernels, input_len: int, mode: str) -> np.ndarray:
-    """Channel-stacked weight matrix F(W): conv matrices of the given
-    kernels vstacked in channel order, shape (p1 * out_len, input_len)."""
-    kernels = np.atleast_2d(np.asarray(kernels, dtype=float))
-    blocks = [conv_matrix(ConvSpec(k, input_len, mode)) for k in kernels]
-    return np.vstack(blocks)
-
-
-def stack_channels(kernels, X: np.ndarray, mode: str) -> np.ndarray:
-    """Hidden pre-activations F(W) @ X of a stride-1 conv layer."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return stack_kernels(kernels, X.shape[0], mode) @ X

@@ -126,6 +126,29 @@ def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     assert f"{dest}: must be a finite number of at least 0, got -1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,dest,value", [
+    (["rank", "--scale-init", "-1e-3"], "scale_init", "a finite number of at least 0, got -1e-3"),
+    (["train", "--dims", "3,4,1", "--a-norm", "-5e-1"], "a_norm",
+     "a finite number of at least 0, got -5e-1"),
+    (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-1,2"], "kernel", (-1.0, 2.0)),
+    (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-.5e1"], "kernel", (-5.0,)),
+    (["verify", "ss-valley", "--y", "-1,2,9,2"], "y", (-1.0, 2.0, 9.0, 2.0)),
+    (["verify", "cnn-same-valley", "--scale", "-2E-1"], "scale", -0.2),
+    (["verify", "cnn-same-valley", "--scale", "-Inf"], "scale", "a finite number, got -Inf"),
+])
+def test_negative_numbers_are_values(capsys, argv, dest, value):
+    # argparse alone reads -1e-3 and -1,2 as options ("expected one argument")
+    if isinstance(value, str):  # the option's type rejects it and names the flag
+        with pytest.raises(SystemExit) as ei:
+            build_parser().parse_args(argv)
+        assert ei.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        flag = "--" + dest.replace("_", "-")
+        assert errors == [f"sparseland {argv[0]}: error: argument {flag}: must be {value}"]
+    else:
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--dims", "3,4,1", "--epochs", "0", "--rank-every", "0"],
     ["trials", "--n", "3", "--epochs", "0"],

@@ -5,11 +5,8 @@ from sparseland import (
     MODES,
     ConvSpec,
     conv_matrix,
-    conv_patches,
     conv_rank_expected,
     numerical_rank,
-    stack_channels,
-    stack_kernels,
 )
 
 
@@ -67,27 +64,6 @@ def test_conv_matrix_against_numpy(mode, seed):
     assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_patches_factor_the_matrix(mode):
-    r = np.random.default_rng(7)
-    w = r.standard_normal(3)
-    X = r.standard_normal((6, 4))
-    spec = ConvSpec(w, 6, mode)
-    rows = conv_matrix(spec) @ X
-    patches = conv_patches(X, 3, mode)
-    assert len(patches) == spec.out_len
-    for k, Z in enumerate(patches):
-        assert Z.shape == (3, 4)
-        assert np.allclose(w @ Z, rows[k], atol=1e-12)
-
-
-def test_patches_validation():
-    with pytest.raises(ValueError):
-        conv_patches(np.zeros((2, 3)), 4, "valid")
-    with pytest.raises(ValueError):
-        conv_patches(np.zeros((2, 3)), 1, "reflect")
-
-
 # ---------------------------------------------------------------------------
 # rank formula
 # ---------------------------------------------------------------------------
@@ -121,26 +97,3 @@ def test_rank_formula_vs_numeric(mode, j0):
         spec = ConvSpec(w, d, mode)
         F = conv_matrix(spec)
         assert numerical_rank(F) == conv_rank_expected(spec), (mode, j0, w)
-
-
-# ---------------------------------------------------------------------------
-# channel stacking
-# ---------------------------------------------------------------------------
-
-def test_stack_kernels_blocks():
-    r = np.random.default_rng(2)
-    kernels = r.standard_normal((3, 2))
-    F = stack_kernels(kernels, 5, "same")
-    assert F.shape == (15, 5)
-    for c in range(3):
-        block = conv_matrix(ConvSpec(kernels[c], 5, "same"))
-        assert np.array_equal(F[5 * c:5 * (c + 1)], block)
-
-
-def test_stack_channels_applies_stacked_matrix():
-    r = np.random.default_rng(4)
-    kernels = r.standard_normal((2, 3))
-    X = r.standard_normal((6, 9))
-    out = stack_channels(kernels, X, "valid")
-    assert out.shape == (2 * 4, 9)
-    assert np.allclose(out, stack_kernels(kernels, 6, "valid") @ X, atol=0)

@@ -1,0 +1,122 @@
+"""The package loads on demand: `import sparseland` and the CLI's front door
+(`--version`, `--help`, usage errors) import no numpy, and each command
+imports only the modules it runs.  These are module-set checks on fresh
+interpreters, not timings."""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sparseland
+from sparseland import activations, cli, convmodes
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(sparseland.__file__).resolve().parent
+
+
+def imported_modules(argv, cwd) -> set:
+    """Every module that `python -m sparseland.cli *argv` imports, read from
+    the interpreter's own `-X importtime` report."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sparseland.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode in (0, 1, 2), proc.stderr[-500:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "imported package" not in line}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["rank", "--n", "0"],
+                                  ["conv-rank", "--mode", "diagonal", "--d", "3"]])
+def test_front_door_imports_no_numerical_code(tmp_path, argv):
+    modules = imported_modules(argv, tmp_path)  # `-m` runs sparseland.cli as __main__
+    assert "sparseland" in modules
+    assert {m for m in modules if m.startswith("sparseland.")} <= {"sparseland.cli"}
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("command,loaded,skipped", [
+    ("prune", {"network", "activations"}, {"calculus", "counterexamples", "landscape", "trainer"}),
+    ("verify", {"counterexamples", "calculus"}, {"landscape", "trainer"}),
+])
+def test_commands_import_only_what_they_run(tmp_path, command, loaded, skipped):
+    spec = {"layers": [{"weights": [[1.0, 0.0], [0.0, 2.0]], "mask": [[1, 0], [0, 1]]},
+                       {"weights": [[3.0, 0.0]], "mask": [[1, 0]]}],
+            "activation": {"kind": "relu"}}
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    argv = {"prune": ["prune", "--spec", "net.json"],
+            "verify": ["verify", "sd-minimum", "--probes", "10"]}[command]
+    modules = imported_modules(argv, tmp_path)
+    assert {f"sparseland.{m}" for m in loaded} <= modules
+    assert not {f"sparseland.{m}" for m in skipped} & modules
+    assert (tmp_path / f"{command}.manifest.json").exists()  # the command ran to its end
+
+
+@pytest.mark.parametrize("name", sparseland.__all__)
+def test_exports_resolve_to_their_definitions(name):
+    module = importlib.import_module(f"sparseland.{sparseland._EXPORTS[name]}")
+    assert getattr(sparseland, name) is getattr(module, name)
+    assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'conv_patches'"):
+        sparseland.conv_patches
+    assert not hasattr(sparseland, "nonexistent")
+    assert set(sparseland.__all__) <= set(dir(sparseland))
+
+
+def test_parser_name_lists_match_their_modules():
+    # the CLI holds copies so that building its parser loads no numpy
+    assert cli.KINDS == activations.KINDS
+    assert cli.MODES == convmodes.MODES
+
+
+# exported but not yet reached from a workflow: each names the ROADMAP
+# direction that will call it
+NOT_YET_REACHED = {
+    "instance_from_net": "direction 4 (search) builds its instances from nets",
+    "check_conditions": "direction 4 (search) checks the grouped structure",
+    "ConditionReport": "direction 4, as check_conditions' result",
+    "decompose_patterns": "direction 4, through instance_from_net and check_conditions",
+    "PatternDecomposition": "direction 4, as decompose_patterns' result",
+    "activation_admissible": "direction 6 wires it into rank's hypotheses",
+}
+
+
+def _names(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def reached_names() -> set:
+    """Names used by the CLI or the acceptance tests, closed under the names
+    each top-level definition of sparseland uses in turn."""
+    uses = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.setdefault(node.name, set()).update(_names(node))
+            elif isinstance(node, ast.Assign):
+                for name in set().union(*map(_names, node.targets)):
+                    uses.setdefault(name, set()).update(_names(node.value))
+    todo = list(_names(ast.parse((PACKAGE / "cli.py").read_text()))
+                | _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(uses.get(name, ()))
+    return reached
+
+
+def test_every_export_is_reached_or_planned():
+    reached = reached_names()
+    assert not set(sparseland.__all__) - reached - NOT_YET_REACHED.keys()
+    assert not NOT_YET_REACHED.keys() & reached  # a planned name that is now reached leaves the list
+    assert NOT_YET_REACHED.keys() <= set(sparseland.__all__)
