@@ -282,7 +282,7 @@ def classify_stationary(
     per loss call.  Hessian eigenvalues within NULL_TOL of the largest in
     magnitude count as zero.  The verdict is conservative: "strict_local_min"
     only if every probe strictly increased the loss, and "inconclusive" if
-    any probe loss is not finite.
+    the gradient norm, any Hessian entry or any probe loss is not finite.
     """
     x0 = np.asarray(point, dtype=float)
     f0 = float(loss_fn(x0))
@@ -342,7 +342,8 @@ def classify_stationary(
         "null_dim": null_dim,
     }
 
-    if grad_norm > 1e-6 * scale or not finite:
+    # a non-finite gradient, Hessian entry or probe loss proves nothing
+    if not (grad_norm <= 1e-6 * scale and finite and np.isfinite(H).all()):
         verdict = "inconclusive"
     elif evals.size and evals[0] < -NULL_TOL * max(lam_scale, 1e-300):
         verdict = "saddle"

@@ -217,6 +217,10 @@ class SpuriousValleyInstance:
     escape_theta: np.ndarray
     constraints: dict
     Y: np.ndarray
+    # the targets of _residuals' table (slot [1, 0, 0] holds no residual), kept
+    # at the width of the last table: a same-shape subtraction skips numpy's
+    # broadcasting set-up, which costs more than the arithmetic at trial widths
+    _targets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def valley_loss(self) -> float:
@@ -231,47 +235,53 @@ class SpuriousValleyInstance:
     def constraints_ok(self) -> bool:
         return all(self.constraints.values())
 
-    def _residuals(self, w, s):
-        """Yields the seven entries r11, r12, r21, r22, r23, r32, r33 of
-        M(theta) - Y that are not identically zero, from the columns
-        w = (w1, w2, w3, w4) of theta and s = (s5, s6, s7, s8) of
-        sigma(theta[..., 4:8]); one at a time, so a sum of their squares over
-        a large probe batch holds one residual at a time."""
-        y1, y2, y3, y4 = self.y
-        w1, w2, w3, w4 = w
-        s5, s6, s7, s8 = s
-        yield w1 * s5 - y1
-        yield w1 * s6 - y1
-        yield w2 * s5 - y2
-        yield w2 * s6 + w3 * s7 - (y2 + y3)
-        yield w3 * s8
-        yield w4 * s7
-        yield w4 * s8 - y4
+    def _residuals(self, c, s):
+        """The residual table r of M(theta) - Y for coordinate-major rows c
+        (8, n) and s = sigma(c[4:]) (4, n): with w = c[:4],
+        r[i, j, k] = w[2i + j] s[2i + k] - target, and w2 s6 + w3 s7 in slot
+        [0, 1, 1].  So r11, r12, r21, r22, r23, r32, r33 are the slots 000,
+        001, 010, 011, 101, 110 and 111; slot 100 holds w3 s7, no residual.
+        The table and the kept targets hold 8 x n floats each, so
+        8 x PROBE_BLOCK floats per table for a probe block."""
+        n = c.shape[1]
+        r = c[:4].reshape(2, 2, 1, n) * s.reshape(2, 1, 2, n)
+        r[0, 1, 1] += r[1, 0, 0]
+        t = self._targets
+        if t is None or t.shape[-1] != n:
+            y1, y2, y3, y4 = self.y
+            t = np.repeat([y1, y1, y2, y2 + y3, 0.0, 0.0, 0.0, y4], n).reshape(r.shape)
+            object.__setattr__(self, "_targets", t)
+        r -= t
+        return r
 
     def loss(self, theta) -> np.ndarray | float:
         """Unscaled ||M(theta) - Y||_F^2, broadcasting over leading axes."""
         th = np.asarray(theta, dtype=float)
-        L = sum(map(np.square, self._residuals(_columns(th), _columns(self.activation(th[..., 4:8])))))
+        c = th.reshape(-1, 8).T
+        q = np.square(self._residuals(c, self.activation(c[4:]))).reshape(8, c.shape[1])
+        # the seven squares added in order, one row at a time: a reduce over the
+        # table may sum pairwise, and then a row's loss would depend on the batch
+        L = q[0] + q[1]
+        for k in (2, 3, 5, 6, 7):
+            L += q[k]
+        L = L.reshape(th.shape[:-1])
         return L if L.ndim else float(L)
 
     def grad(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
-        sig, ds = self.activation.value_and_derivative(th[..., 4:8])
-        w, s = _columns(th), _columns(sig)
-        r11, r12, r21, r22, r23, r32, r33 = self._residuals(w, s)
-        w1, w2, w3, w4 = w
-        s5, s6, s7, s8 = s
-        g = np.empty_like(th)
-        g[..., 0] = r11 * s5 + r12 * s6
-        g[..., 1] = r21 * s5 + r22 * s6
-        g[..., 2] = r22 * s7 + r23 * s8
-        g[..., 3] = r32 * s7 + r33 * s8
-        g[..., 4] = (r11 * w1 + r21 * w2) * ds[..., 0]
-        g[..., 5] = (r12 * w1 + r22 * w2) * ds[..., 1]
-        g[..., 6] = (r22 * w3 + r32 * w4) * ds[..., 2]
-        g[..., 7] = (r23 * w3 + r33 * w4) * ds[..., 3]
+        c = th.reshape(-1, 8).T
+        n = c.shape[1]
+        s, ds = self.activation.value_and_derivative(c[4:])
+        r = self._residuals(c, s)
+        r[1, 0, 0] = r[0, 1, 1]  # r22 enters both the w3 and the s7 pair
+        g = np.empty((8, n))
+        rs = r * s.reshape(2, 1, 2, n)
+        np.add(rs[:, :, 0], rs[:, :, 1], out=g[:4].reshape(2, 2, n))  # dL/dw: pairs over s
+        rw = r * c[:4].reshape(2, 2, 1, n)
+        np.add(rw[:, 0], rw[:, 1], out=g[4:].reshape(2, 2, n))  # dL/ds: pairs over w
+        g[4:] *= ds
         g *= 2  # the d/dM factor, applied once: doubling is exact
-        return g
+        return g.T.reshape(th.shape)
 
     def as_network(self, theta=None) -> SparseNet:
         th = self.valley_theta if theta is None else np.asarray(theta, dtype=float)
@@ -285,11 +295,6 @@ class SpuriousValleyInstance:
             np.array([[1, 0], [1, 1], [0, 1]], dtype=bool),
         )
         return SparseNet((layer1, layer2), self.activation)
-
-
-def _columns(a: np.ndarray) -> tuple:
-    """The first four columns a[..., 0], ..., a[..., 3] as views."""
-    return a[..., 0], a[..., 1], a[..., 2], a[..., 3]
 
 
 def _pick_scale(act: Activation) -> float:
@@ -416,7 +421,8 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
     above level."""
     min_excess, falsifications = np.inf, 0
     for start in range(0, n_probes, PROBE_BLOCK):
-        losses = loss(theta[None, :] + draw(min(PROBE_BLOCK, n_probes - start)))
+        # coordinate-major rows, so the loss reads each coordinate contiguously
+        losses = loss(np.add(theta[None, :], draw(min(PROBE_BLOCK, n_probes - start)), order="F"))
         excess = losses - level
         min_excess = np.minimum(min_excess, np.min(excess))  # a NaN stays
         falsifications += int(np.count_nonzero(~np.isfinite(losses) | (excess < -tol)))

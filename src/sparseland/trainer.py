@@ -8,6 +8,7 @@ coordinates never move.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from collections import Counter
@@ -190,7 +191,9 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
     down to 1e-16 of the learning rate.
 
     observe(epoch, params, values, grad_norms) runs before each epoch's
-    tests and sees only the runs not yet stopped.
+    tests and sees only the runs not yet stopped.  Without observe the norms
+    are computed only at epochs where some run has every gradient entry below
+    grad_tol, which gives the same stops.
     Returns (params, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
@@ -206,16 +209,24 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
         limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(values))
         # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
         history = np.empty((min(w, config.max_epochs) + 1, n))
+        # A run with an entry |g| >= grad_tol has a norm >= grad_tol: its square is
+        # normal while grad_tol >= 2**-511, so sqrt(fl(g * g)) == |g|, and rounding a
+        # sum of non-negative terms is monotone.  So without observe the norms are
+        # needed only at epochs where some run has every entry below grad_tol.
+        screen = observe is None and config.grad_tol >= 2.0 ** -511
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % len(history)] = values
-            # squares in C order: each run's row is summed alike whatever grads' order
-            gnorm = np.sqrt(sum(np.square(g, order="C").reshape(len(runs), -1).sum(axis=1)
-                                for g in grads))
-            if observe is not None:
-                observe(epoch, params, values, gnorm)
+            if screen:
+                converged = _entries_below(grads, len(runs), config.grad_tol)
+                if converged.any():
+                    converged = _grad_norms(grads, len(runs)) < config.grad_tol
+            else:
+                gnorm = _grad_norms(grads, len(runs))
+                if observe is not None:
+                    observe(epoch, params, values, gnorm)
+                converged = gnorm < config.grad_tol
             diverged = ~np.isfinite(values) | (values > limit)
-            converged = gnorm < config.grad_tol
             stop = diverged | converged
             plateau = None
             if epoch > w:
@@ -252,6 +263,19 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
                 step = np.where(worse, 0.5 * step, step)
             params, values, grads = trial, new_values, new_grads
     return out_params, out_values, stop_epoch, stop_reason
+
+
+def _grad_norms(grads, n: int) -> np.ndarray:
+    """Each run's gradient norm over all of grads; the squares are taken in C
+    order, so each run's row is summed alike whatever grads' memory order."""
+    return np.sqrt(sum(np.square(g, order="C").reshape(n, -1).sum(axis=1) for g in grads))
+
+
+def _entries_below(grads, n: int, tol: float) -> np.ndarray:
+    """Whether every gradient entry of each run has |g| < tol (a NaN has not);
+    boolean reductions are exact in any order."""
+    return functools.reduce(np.logical_and, (
+        np.logical_and.reduce(np.abs(g).reshape(n, -1) < tol, axis=1) for g in grads))
 
 
 def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:

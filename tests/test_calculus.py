@@ -334,6 +334,25 @@ def test_classify_all_infinite_probes_are_inconclusive():
     assert rep.min_probe == "inconclusive"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_non_finite_hessian_is_inconclusive(bad):
+    # a NaN eigenvalue made the eigenvalue scale NaN, which switched off the
+    # saddle test, and the probes of sum(x * x) then read strict_local_min
+    loss_fn = lambda x: np.sum(x * x, axis=-1)
+    with np.errstate(invalid="ignore"):  # sym_eig's symmetry check subtracts inf - inf
+        rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * x,
+                                  hessian_fn=lambda x: np.diag([-1.0, bad]))
+    assert rep.probe_evidence["worst_probe_delta"] > 0  # the probes alone say strict
+    assert rep.min_probe == "inconclusive"
+
+
+def test_classify_non_finite_gradient_is_inconclusive():
+    rep = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2),
+                              grad_fn=lambda x: np.array([np.nan, 0.0]),
+                              hessian_fn=lambda x: 2 * np.eye(2))
+    assert rep.min_probe == "inconclusive"
+
+
 def test_report_json_writes_non_finite_numbers_as_null():
     rep = classify_stationary(lambda x: np.where(np.any(x, axis=-1), np.inf, 0.0), np.zeros(2),
                               grad_fn=lambda x: 0 * x, hessian_fn=lambda x: 2 * np.eye(2))

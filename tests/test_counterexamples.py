@@ -3,6 +3,7 @@ exact rational arithmetic for the stationarity and loss values of the
 strict-minimum instance, finite differences for the analytic gradients, and
 direct dense linear algebra for the convolutional objective."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -30,6 +31,7 @@ from sparseland import (
     valley_trial_objective,
     verify_spurious_minimum,
 )
+from sparseland.activations import KINDS
 from sparseland.calculus import PROBE_BLOCK
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
@@ -41,6 +43,8 @@ from sparseland.counterexamples import (
     RESIDUAL_Z2_REF,
     STRICT_Y,
 )
+
+from valley_oracle import valley_grad, valley_loss
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,76 @@ def test_valley_batched_loss_and_grad():
     for i in range(7):
         assert L[i] == pytest.approx(inst.loss(thetas[i]), abs=0)
         assert np.array_equal(G[i], inst.grad(thetas[i]))
+
+
+# every activation valley_instance builds with: sigma(0) = 0 and 1/a in range
+VALLEY_BUILDS = [Activation.linear(), Activation.relu(), Activation.leaky_relu(0.1),
+                 Activation.elu(1.0), Activation.tanh(), Activation.shifted_sigmoid()]
+
+
+def test_valley_builds_list_is_every_accepted_kind():
+    accepted = set()
+    for kind in KINDS:
+        act = Activation.polynomial((0.0, 1.0, 0.5)) if kind == "polynomial" else Activation(kind)
+        try:
+            valley_instance(STRICT_Y, act)
+        except (ConstructionError, ValueError):
+            continue
+        accepted.add(kind)
+    assert accepted == {act.kind for act in VALLEY_BUILDS}
+
+
+def valley_layouts():
+    """Thetas of every shape and memory order the objective is called with,
+    with overflowing, subnormal and signed-zero entries among the rows."""
+    base = np.random.default_rng(5).uniform(-3, 3, (60, 8))
+    base[1] *= 1e160
+    base[2] *= 1e-170
+    base[3, ::2] = -0.0
+    base[4] = 0.0
+    return {"1-d": base[0], "1-d zero": base[4], "C": base[:17], "F": np.asfortranarray(base[:40]),
+            "3-d": base.reshape(3, 20, 8), "3-d F": np.asfortranarray(base.reshape(3, 20, 8))}
+
+
+@pytest.mark.parametrize("y", [STRICT_Y, EXPERIMENT_Y], ids=["strict", "experiment"])
+@pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)
+def test_valley_objective_matches_the_column_oracle_bit_for_bit(act, y):
+    inst = valley_instance(y, act)
+    with np.errstate(all="ignore"):
+        for name, th in valley_layouts().items():
+            for new, old in ((inst.loss, valley_loss), (inst.grad, valley_grad)):
+                got, want = np.asarray(new(th)), np.asarray(old(inst, th))
+                assert got.shape == want.shape, (name, new.__name__)
+                assert got.tobytes() == want.tobytes(), (name, new.__name__)
+            if th.ndim == 1:
+                assert isinstance(inst.loss(th), float)
+
+
+@pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)
+def test_valley_batch_rows_equal_rows_alone(act):
+    inst = valley_instance(EXPERIMENT_Y, act)
+    thetas = valley_layouts()["F"]
+    with np.errstate(all="ignore"):
+        L, G = inst.loss(thetas), inst.grad(thetas)
+        for i, th in enumerate(thetas):
+            assert np.float64(inst.loss(th)).tobytes() == L[i].tobytes()
+            assert inst.grad(th).tobytes() == G[i].tobytes()
+
+
+# SHA-256 of probe_valley(valley_instance(y), n_probes=20000, seed=3).to_json()
+# as sorted-key JSON, pinned so that a rewrite of the objective cannot move
+# the probe rounding (and with it the digests replay compares) silently
+PROBE_DIGESTS = {
+    STRICT_Y: "6ea4f3d0c8bed2395e4195047ac7f5078518dcb400f0b7946d184b3adc9fd18d",
+    EXPERIMENT_Y: "e8e8d438757ecf7a4fa6a0dad20ebaea4e5fec3d25ee3d11c508353165fdc94c",
+}
+
+
+@pytest.mark.parametrize("y", list(PROBE_DIGESTS), ids=["strict", "experiment"])
+def test_valley_probe_report_is_pinned(y):
+    report = probe_valley(valley_instance(y), n_probes=20000, seed=3).to_json()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PROBE_DIGESTS[y], report
 
 
 def test_valley_probe_holds():

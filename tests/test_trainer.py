@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseland import (
     Activation,
@@ -523,6 +525,23 @@ def test_run_trials_calls_the_objective_once_per_epoch():
     assert (kinds.count("loss"), kinds.count("grad")) == (loop + 1, loop + 1)
 
 
+# SHA-256 of the final thetas, losses, epochs and labels of
+# run_trials(valley_trial_objective(valley_instance(EXPERIMENT_Y)), 12, STAGGERED),
+# pinned so that a rewrite of the objective or the loop cannot move trial
+# rounding (and with it the digests replay compares) silently
+TRIALS_DIGEST = "a2a13262292d5312246284efad05b4112fc7a0e1351b6519760ac54877e7e4ba"
+
+
+def test_run_trials_results_are_pinned():
+    stats = run_trials(valley_trial_objective(valley_instance(EXPERIMENT_Y)), 12, STAGGERED)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(stats.final_thetas, dtype="<f8").tobytes())
+    h.update(np.asarray(stats.final_losses, dtype="<f8").tobytes())
+    h.update(np.asarray(stats.epochs, dtype="<i8").tobytes())
+    h.update("\n".join(stats.labels).encode())
+    assert h.hexdigest() == TRIALS_DIGEST, (stats.epochs.tolist(), stats.labels)
+
+
 def test_descend_evaluates_only_moving_runs():
     # a run that stops at epoch e is evaluated at its start and after each of
     # its e steps; stopped runs are not carried to the end of the batch
@@ -538,6 +557,69 @@ def test_descend_evaluates_only_moving_runs():
     _, _, stop_epoch, _ = _descend(recording, params, MIXED_CONFIG)
     assert sum(rows) == len(MIXED_ROWS) + stop_epoch.sum()
     assert len(rows) == stop_epoch.max() + 1
+
+
+def scripted_objective(grads, values):
+    """Runs with a scripted gradient and loss: at call e, run i has gradient
+    grads[e % len(grads), i] in its coordinates 1.. and loss
+    (100 - e) * values[e % len(values), i].  Coordinate 0 has gradient 0 and
+    holds i, so each row keeps its script when the batch shrinks."""
+    calls = []
+
+    def value_and_grad(params):
+        p = params[0]
+        run, e = p[:, 0].astype(int), len(calls)
+        calls.append(e)
+        g = np.zeros_like(p)
+        g[:, 1:] = grads[e % len(grads)][run]
+        return (100.0 - e) * values[e % len(values)][run], [g]
+
+    return value_and_grad
+
+
+@st.composite
+def gradient_scripts(draw):
+    # grad_tol in [1e-300, 1], half of the draws log-uniform, so that about a
+    # quarter of them fall below 2**-511, where squares of entries near it underflow
+    tol = draw(st.one_of(st.floats(min_value=1e-300, max_value=1.0),
+                         st.floats(min_value=-300, max_value=0).map(lambda e: 10.0 ** e)))
+    dim, n_runs, n_calls = (draw(st.integers(1, k)) for k in (4, 5, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # entries at and around tol, signed zeros, non-finite values, entries whose
+    # squares sum to about tol**2, and uniform draws from [0, 2 tol)
+    near = np.array([tol, np.nextafter(tol, 0), np.nextafter(tol, np.inf), tol / 2, 2 * tol,
+                     tol / math.sqrt(dim), np.nextafter(tol / math.sqrt(dim), np.inf),
+                     0.0, np.nan, np.inf])
+    shape = (n_calls, n_runs, dim)
+    pick = rng.integers(0, len(near) + 2, size=shape)
+    grads = np.where(pick < len(near), near[np.minimum(pick, len(near) - 1)],
+                     rng.uniform(0, 2 * tol, size=shape)) * rng.choice([-1.0, 1.0], size=shape)
+    values = rng.choice([1.0, 1.0, 1.0, np.nan, np.inf], size=(n_calls, n_runs))
+    config = TrainConfig(learning_rate=draw(st.sampled_from([0.5, 1.0])),
+                         max_epochs=draw(st.integers(0, 6)), grad_tol=tol,
+                         plateau_rel=0.0, plateau_window=2)
+    return grads, values, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(gradient_scripts())
+def test_descend_grad_screen_is_exact(script):
+    # without observe, _descend computes gradient norms only when some run
+    # has every entry below grad_tol; a no-op observe forces the norms at
+    # every epoch, and both must stop each run alike
+    from sparseland.trainer import _descend
+
+    grads, values, config = script
+    n_runs, dim = grads.shape[1:]
+    params = [np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        screened = _descend(scripted_objective(grads, values), params, config)
+        exact = _descend(scripted_objective(grads, values), params, config,
+                         lambda epoch, params, values, gnorm: None)
+    assert screened[2].tolist() == exact[2].tolist()
+    assert list(screened[3]) == list(exact[3])
+    assert screened[1].tobytes() == exact[1].tobytes()
+    assert screened[0][0].tobytes() == exact[0][0].tobytes()
 
 
 def test_trial_stats_json():
