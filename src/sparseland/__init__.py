@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from importlib import import_module
 
@@ -43,8 +43,8 @@ _EXPORTS = {
                       "nonincreasing_path_overparam", "nonincreasing_path_scalar_output",
                       "numerical_rank", "poly_feature_maps", "random_grouped_instance",
                       "zero_column_transform"),
-        "network": ("NotEffectiveError", "PatternDecomposition", "RemovalReport", "SparseLayer",
-                    "SparseNet", "decompose_patterns", "effective_subnetwork", "forward", "loss",
+        "network": ("PatternDecomposition", "RemovalReport", "SparseLayer", "SparseNet",
+                    "decompose_patterns", "effective_subnetwork", "forward", "loss",
                     "net_from_json", "net_to_json"),
         "trainer": ("Dataset", "TrainConfig", "TrainTrace", "TrialStats", "gd_train",
                     "gen_synthetic", "grad_net", "init_net", "loss_clusters",

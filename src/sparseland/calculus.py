@@ -225,13 +225,15 @@ def fd_hessian(f, x: np.ndarray, h: float = HESS_FD_STEP) -> np.ndarray:
 def sym_eig(A: np.ndarray):
     """Eigendecomposition of a symmetric matrix, ascending eigenvalues.
 
-    Rejects visibly asymmetric input instead of silently symmetrizing.
+    Rejects visibly asymmetric input instead of silently symmetrizing.  A
+    pair (A[i, j], A[j, i]) is symmetric when it is equal (both NaN, or the
+    same infinity) or within 1e-10 x the largest finite |entry|, floored at 1.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if np.max(np.abs(A - A.T)) > 1e-10 * scale:
+    scale = float(np.max(np.abs(A), where=np.isfinite(A), initial=1.0))
+    if not np.isclose(A, A.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
         raise ValueError("matrix is not symmetric")
     w, V = np.linalg.eigh(A)
     return w, V

@@ -290,7 +290,7 @@ def cmd_prune(args):
     from .network import effective_subnetwork, net_to_json
 
     net = _load_net_spec(args.spec)
-    reduced, report = effective_subnetwork(net, require_effective=False)
+    reduced, report = effective_subnetwork(net)
     payload = {
         "removed_edges": [list(e) for e in report.removed_edges],
         "removed_biases": [list(b) for b in report.removed_biases],
@@ -530,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("rank", help="hidden-layer rank certificate on gaussian data")
-    sp.add_argument("--spec", default=None, help="network JSON file")
-    sp.add_argument("--dims", type=_parse_ints, default=(6, 6, 6),
-                    help="layer sizes for a random masked net")
+    net_source = sp.add_mutually_exclusive_group()
+    net_source.add_argument("--spec", default=None, help="network JSON file")
+    net_source.add_argument("--dims", type=_parse_ints, default=(6, 6, 6),
+                            help="layer sizes for a random masked net")
     sp.add_argument("--sparsity", type=_finite_float, default=0.3)
     sp.add_argument("--activation", default="tanh")
     sp.add_argument("--scale-init", type=_nonnegative_float, default=3.0)

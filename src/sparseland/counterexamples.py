@@ -212,7 +212,6 @@ class SpuriousValleyInstance:
     y: tuple
     activation: Activation
     a: float
-    b: float
     valley_theta: np.ndarray
     escape_theta: np.ndarray
     constraints: dict
@@ -301,9 +300,7 @@ def _pick_scale(act: Activation) -> float:
     """Choose a with 1/a in the positive part of sigma's range."""
     if act.kind == "tanh":
         return 2.0
-    if act.kind == "shifted_sigmoid":
-        return 4.0
-    if act.kind == "sigmoid":
+    if act.kind in ("sigmoid", "shifted_sigmoid"):
         return 4.0
     return 1.0  # unbounded-above kinds reach 1
 
@@ -322,15 +319,14 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
         raise ConstructionError(f"valley construction needs sigma(0) = 0, got {act(0.0)} for {act.kind}")
 
     a = _pick_scale(act)
-    b = a
-    for target in (1.0 / a, 1.0 / b, y2 / ((y2 + y3) * a)):
+    for target in (1.0 / a, y2 / ((y2 + y3) * a)):
         if not act.contains(target):
             raise ConstructionError(f"no valid scale: {target} outside range of {act.kind}")
 
     inv = act.inverse
     valley_theta = np.array([
-        y1 * a, y2 * a, y3 * b, 0.0,
-        inv(1.0 / a), inv(1.0 / a), inv(1.0 / b), 0.0,
+        y1 * a, y2 * a, y3 * a, 0.0,
+        inv(1.0 / a), inv(1.0 / a), inv(1.0 / a), 0.0,
     ])
     escape_theta = np.array([
         y1 * a, (y2 + y3) * a, 0.0, y4 * a,
@@ -344,7 +340,7 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
     }
     Y = np.array([[y1, y1, 0.0], [y2, y2 + y3, 0.0], [0.0, 0.0, y4]])
     inst = SpuriousValleyInstance(
-        y=(y1, y2, y3, y4), activation=act, a=a, b=b,
+        y=(y1, y2, y3, y4), activation=act, a=a,
         valley_theta=valley_theta, escape_theta=escape_theta,
         constraints=constraints, Y=Y,
     )

@@ -219,7 +219,8 @@ def decompose_patterns(layer: SparseLayer, X: np.ndarray) -> PatternDecompositio
 class RemovalReport:
     """What the reduction removed.
 
-    removed_edges: (layer index 0-based, out neuron, in neuron) triples.
+    removed_edges: (layer index 0-based, out neuron, in neuron) triples and
+    removed_biases: (layer, neuron) pairs, each in sorted order.
     neutered: (level, neuron) hidden nodes left with no surviving path role;
     their rows/columns are zero but the indexing of the net is unchanged.
     isolated_inputs / isolated_outputs: indices with no surviving connection.
@@ -236,102 +237,56 @@ class RemovalReport:
         return not self.isolated_inputs and not self.isolated_outputs
 
 
-class NotEffectiveError(ValueError):
-    """Raised when a reduced network has isolated inputs or outputs."""
-
-    def __init__(self, report: RemovalReport, net: "SparseNet"):
-        self.report = report
-        self.reduced = net
-        parts = []
-        if report.isolated_inputs:
-            parts.append(f"isolated inputs {list(report.isolated_inputs)}")
-        if report.isolated_outputs:
-            parts.append(f"isolated outputs {list(report.isolated_outputs)}")
-        super().__init__("network not effective: " + ", ".join(parts))
+def _removed(k: int, old: np.ndarray, new: np.ndarray) -> list:
+    """(k, *index) for each entry of layer k that old keeps and new drops, in index order."""
+    return [(k, *idx) for idx in np.argwhere(old & ~new).tolist()]
 
 
-def _reduce_masks(masks: list, bias_masks: list):
-    """Iterative dead-connection removal on boolean layer masks (in place).
-
-    Rules, applied to hidden nodes until a fixed point:
-      * out-degree 0  -> drop all incoming edges and the node's bias
-      * in-degree 0 and no live bias -> drop all outgoing edges
-    A live bias keeps a node's outgoing edges: the constant still propagates.
-    """
-    L = len(masks)
-    removed_edges, removed_biases = [], []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(L - 1):  # hidden level k sits between layers k and k+1
-            out_deg = masks[k + 1].sum(axis=0)
-            in_deg = masks[k].sum(axis=1)
-            has_bias = bias_masks[k] if bias_masks[k] is not None else np.zeros(len(in_deg), dtype=bool)
-            for j in np.flatnonzero((out_deg == 0) & ((in_deg > 0) | has_bias)):
-                for i in np.flatnonzero(masks[k][j]):
-                    removed_edges.append((k, int(j), int(i)))
-                masks[k][j, :] = False
-                if has_bias[j]:
-                    removed_biases.append((k, int(j)))
-                    bias_masks[k][j] = False
-                changed = True
-            out_deg = masks[k + 1].sum(axis=0)
-            in_deg = masks[k].sum(axis=1)
-            has_bias = bias_masks[k] if bias_masks[k] is not None else np.zeros(len(in_deg), dtype=bool)
-            for j in np.flatnonzero((in_deg == 0) & ~has_bias & (out_deg > 0)):
-                for i in np.flatnonzero(masks[k + 1][:, j]):
-                    removed_edges.append((k + 1, int(i), int(j)))
-                masks[k + 1][:, j] = False
-                changed = True
-    return removed_edges, removed_biases
-
-
-def effective_subnetwork(net: SparseNet, require_effective: bool = True):
+def effective_subnetwork(net: SparseNet):
     """Strip connections that cannot lie on any input-to-output path.
+
+    Two boolean sweeps find the live neurons.  Forward, every input is live,
+    and a neuron is live when a live neuron of the level below or a live
+    bias of its own feeds it.  Backward, every output is live, and a neuron
+    is live when it feeds a live neuron of the level above.  An edge
+    survives iff its tail is forward-live and its head backward-live; a
+    hidden bias survives iff its neuron is backward-live, and the output
+    bias is kept.
 
     Returns (reduced net, RemovalReport).  The reduced net has the same
     shapes; removed positions are masked and zeroed, so evaluating it agrees
-    with the original whenever the removed parameters are zero.  With
-    ``require_effective`` (default) a reduction that leaves an input or
-    output with no connections raises :class:`NotEffectiveError` (the error
-    carries the reduced net and report).
+    with the original whenever the removed parameters are zero.
     """
-    masks = [l.mask.copy() for l in net.layers]
-    bias_masks = [None if l.bias_mask is None else l.bias_mask.copy() for l in net.layers]
-    removed_edges, removed_biases = _reduce_masks(masks, bias_masks)
+    layers = net.layers
+    fwd = [np.ones(net.dims[0], dtype=bool)]  # fwd[k]: forward-live neurons of level k
+    for layer in layers:
+        fed = (layer.mask & fwd[-1]).any(axis=1)
+        fwd.append(fed if layer.bias_mask is None else fed | layer.bias_mask)
+    bwd = [np.ones(net.dims[-1], dtype=bool)]  # bwd[k]: backward-live neurons of level k
+    for layer in reversed(layers):
+        bwd.insert(0, (layer.mask & bwd[0][:, None]).any(axis=0))
 
-    neutered = []
-    for k in range(len(masks) - 1):
-        in_deg = masks[k].sum(axis=1)
-        out_deg = masks[k + 1].sum(axis=0)
-        has_bias = bias_masks[k] if bias_masks[k] is not None else np.zeros(len(in_deg), dtype=bool)
-        for j in range(masks[k].shape[0]):
-            if out_deg[j] == 0 or (in_deg[j] == 0 and not has_bias[j]):
-                neutered.append((k + 1, int(j)))  # level numbering: inputs are level 0
-
-    isolated_inputs = tuple(int(j) for j in np.flatnonzero(masks[0].sum(axis=0) == 0))
-    isolated_outputs = tuple(int(i) for i in np.flatnonzero(masks[-1].sum(axis=1) == 0))
+    new_layers, removed_edges, removed_biases = [], [], []
+    for k, layer in enumerate(layers):
+        m = layer.mask & np.outer(bwd[k + 1], fwd[k])
+        removed_edges += _removed(k, layer.mask, m)
+        bm = layer.bias_mask
+        if bm is not None and k < len(layers) - 1:
+            bm = bm & bwd[k + 1]
+            removed_biases += _removed(k, layer.bias_mask, bm)
+        bias = None if layer.bias is None else layer.bias * bm
+        new_layers.append(SparseLayer(layer.weights * m, m, bias, bm))
+    reduced = SparseNet(tuple(new_layers), net.activation)
 
     report = RemovalReport(
         removed_edges=tuple(removed_edges),
         removed_biases=tuple(removed_biases),
-        neutered=tuple(neutered),
-        isolated_inputs=isolated_inputs,
-        isolated_outputs=isolated_outputs,
+        # level numbering: inputs are level 0
+        neutered=tuple((k, j) for k in range(1, len(layers))
+                       for j in np.flatnonzero(~(fwd[k] & bwd[k])).tolist()),
+        isolated_inputs=tuple(np.flatnonzero(~new_layers[0].mask.any(axis=0)).tolist()),
+        isolated_outputs=tuple(np.flatnonzero(~new_layers[-1].mask.any(axis=1)).tolist()),
     )
-
-    new_layers = []
-    for layer, m, bm in zip(net.layers, masks, bias_masks):
-        w = layer.weights * m
-        if layer.bias is not None:
-            b = layer.bias * bm
-            new_layers.append(SparseLayer(w, m, b, bm))
-        else:
-            new_layers.append(SparseLayer(w, m))
-    reduced = SparseNet(tuple(new_layers), net.activation)
-
-    if require_effective and not report.is_effective:
-        raise NotEffectiveError(report, reduced)
     return reduced, report
 
 

@@ -383,6 +383,8 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     are identical whether trials run alone or batched.  All per-step work
     is elementwise across trials; a finished trial leaves the batch.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     bounds = objective.init_bounds
     # coordinate-major: each coordinate's column over the trials is contiguous
     theta = np.empty((len(bounds), n_trials)).T

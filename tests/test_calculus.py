@@ -178,6 +178,31 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("A", [[[1.0, 5.0], [0.0, np.nan]], [[np.inf, 5.0], [0.0, 1.0]],
+                               [[1.0, np.nan], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]],
+                               [[1.0, np.inf], [1e300, 1.0]]],
+                         ids=["nan-diagonal", "inf-diagonal", "nan-pair", "opposite-infs",
+                              "inf-against-finite"])
+def test_sym_eig_rejects_asymmetry_beside_non_finite_entries(A):
+    # a NaN made the largest |A - A.T| NaN, and an inf made the tolerance inf,
+    # so each of these passed the check and eigh read the lower triangle alone
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(np.array(A))
+
+
+def test_sym_eig_symmetry_scale_is_the_largest_finite_entry():
+    # matched non-finite pairs pass; the tolerance is 1e-10 x max(1, largest finite |entry|)
+    for bad in (np.nan, np.inf, -np.inf):
+        sym_eig(np.array([[bad, 2.0], [2.0, 1.0]]))
+        sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+    sym_eig(np.array([[np.inf, 1e6], [1e6 + 5e-5, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(np.array([[np.inf, 1e6], [1e6 + 2e-4, 1.0]]))
+    sym_eig(np.array([[np.nan, 1.0], [1.0 + 5e-11, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(np.array([[np.nan, 1.0], [1.0 + 5e-10, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # stationary-point classification on known landscapes
 # ---------------------------------------------------------------------------

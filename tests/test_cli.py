@@ -332,6 +332,42 @@ def test_rank_command(workdir, capsys):
     assert payload["ranks"][0] <= 6
 
 
+def test_rank_spec_and_dims_are_exclusive(workdir, capsys):
+    # --dims keeps its default, so --spec alone is valid; both together exit 2
+    # with one error line naming both flags, before any manifest is written
+    for argv in (["rank", "--spec", "n.json", "--dims", "3,3,3", "--sparsity", "0.9", "--json"],
+                 ["rank", "--dims", "6,6,6", "--spec", "n.json"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum("--spec" in line and "--dims" in line and "error:" in line
+                   for line in err) == 1
+    assert list(workdir.iterdir()) == []
+
+
+def test_rank_spec_alone_replays(workdir, capsys):
+    net, _ = sparseland.random_effective_net((4, 5, 2), 0.2, seed=3,
+                                             activation=sparseland.Activation.tanh())
+    (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
+    code, cap = run_cli(["rank", "--spec", "n.json", "--n", "4", "--json"], capsys)
+    assert code in (0, 1) and len(json.loads(cap.out)["ranks"]) == 1
+    code, cap = run_cli(["replay", "rank.manifest.json"], capsys)
+    assert code == 0 and "outputs identical" in cap.out
+
+
+def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
+    run_cli(["rank", "--dims", "4,4,2", "--json"], capsys)
+    rank = json.loads((workdir / "rank.manifest.json").read_text())
+    p = workdir / "m.json"
+    p.write_text(json.dumps(dict(rank, config=dict(rank["config"], spec="n.json"))))
+    with pytest.raises(SystemExit) as ei:
+        main(["replay", str(p)])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err == \
+        f"error: bad manifest {p}: needs at most one of spec, dims, got 2\n"
+
+
 # ---------------------------------------------------------------------------
 # seeding and replay
 # ---------------------------------------------------------------------------

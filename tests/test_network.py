@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from sparseland import (
     Activation,
-    NotEffectiveError,
     SparseLayer,
     SparseNet,
     decompose_patterns,
@@ -229,16 +228,11 @@ def test_reduction_cascade_isolates_input():
          SparseLayer(np.array([[1.0, 0.0]]), m3)),
         Activation.relu(),
     )
-    with pytest.raises(NotEffectiveError) as ei:
-        effective_subnetwork(net)
-    err = ei.value
-    assert "isolated inputs [1]" in str(err)
-    assert err.report.isolated_inputs == (1,)
-    assert (1, 1, 1) in err.report.removed_edges   # layer 1 edge into dead node
-    assert (0, 1, 1) in err.report.removed_edges   # cascaded removal at layer 0
-    assert not err.report.is_effective
-    reduced, report = effective_subnetwork(net, require_effective=False)
-    assert report == err.report
+    reduced, report = effective_subnetwork(net)
+    assert report.isolated_inputs == (1,)
+    assert (1, 1, 1) in report.removed_edges   # layer 1 edge into dead node
+    assert (0, 1, 1) in report.removed_edges   # cascaded removal at layer 0
+    assert not report.is_effective
     assert reduced.layers[0].mask[1, 1] == False  # noqa: E712
 
 
@@ -307,10 +301,84 @@ def test_biasfree_reduction_matches_reachability(seed):
     masks = [r.random((widths[i + 1], widths[i])) < 0.45 for i in range(3)]
     layers = tuple(SparseLayer(r.standard_normal(m.shape) * m, m) for m in masks)
     net = SparseNet(layers, Activation.tanh())
-    reduced, _ = effective_subnetwork(net, require_effective=False)
+    reduced, _ = effective_subnetwork(net)
     want = reachability_edges(masks)
     for layer, w in zip(reduced.layers, want):
         assert np.array_equal(layer.mask, w)
+
+
+def path_oracle(layers):
+    """Brute force for nets with biases: a DFS from each input and each live
+    hidden bias walks every path along mask edges, and records the edges,
+    the hidden biases and the neurons of the paths that reach an output."""
+    L = len(layers)
+    edges, biases = set(), set()
+
+    def walk(level, j, path):
+        if level == L:
+            edges.update(path)
+            return True
+        found = False
+        for i in np.flatnonzero(layers[level].mask[:, j]).tolist():
+            found |= walk(level + 1, i, path + ((level, i, j),))
+        return found
+
+    for j in range(layers[0].n_in):
+        walk(0, j, ())
+    for k, layer in enumerate(layers[:-1]):
+        if layer.bias_mask is not None:
+            biases.update((k, j) for j in np.flatnonzero(layer.bias_mask).tolist()
+                          if walk(k + 1, j, ()))
+    neurons = {(k, j) for k, _, j in edges} | {(k + 1, i) for k, i, _ in edges}
+    return edges, biases, neurons
+
+
+def random_biased_net(r):
+    n_layers = int(r.integers(2, 5))
+    widths = [int(r.integers(1, 6)) for _ in range(n_layers + 1)]
+    density = r.random()
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        m = r.random((n_out, n_in)) < density
+        if r.random() < 0.6:
+            bm = r.random(n_out) < r.random()
+            layers.append(SparseLayer(r.standard_normal(m.shape) * m, m,
+                                      r.standard_normal(n_out) * bm, bm))
+        else:
+            layers.append(SparseLayer(r.standard_normal(m.shape) * m, m))
+    return SparseNet(tuple(layers), Activation.tanh())
+
+
+def test_reduction_matches_path_enumeration_with_biases():
+    r = np.random.default_rng(42)
+    for _ in range(240):
+        net = random_biased_net(r)
+        reduced, report = effective_subnetwork(net)
+        edges, biases, neurons = path_oracle(net.layers)
+        L = len(net.layers)
+        old_edges, old_biases = set(), set()
+        for k, (layer, new) in enumerate(zip(net.layers, reduced.layers)):
+            old_edges |= {(k, *e) for e in np.argwhere(layer.mask).tolist()}
+            assert {(k, *e) for e in np.argwhere(new.mask).tolist()} == \
+                {e for e in edges if e[0] == k}
+            assert np.array_equal(new.weights, layer.weights * new.mask)
+            if layer.bias_mask is None:
+                assert new.bias is None
+            elif k == L - 1:  # the output bias is kept
+                assert np.array_equal(new.bias_mask, layer.bias_mask)
+            else:
+                old_biases |= {(k, j) for j in np.flatnonzero(layer.bias_mask).tolist()}
+                assert {(k, j) for j in np.flatnonzero(new.bias_mask).tolist()} == \
+                    {b for b in biases if b[0] == k}
+        dims = net.dims
+        assert report.neutered == tuple((k, j) for k in range(1, L) for j in range(dims[k])
+                                        if (k, j) not in neurons)
+        assert report.isolated_inputs == tuple(j for j in range(dims[0]) if (0, j) not in neurons)
+        assert report.isolated_outputs == tuple(i for i in range(dims[-1])
+                                                if (L, i) not in neurons)
+        # removal lists: exactly the lost entries, in sorted order
+        assert list(report.removed_edges) == sorted(old_edges - edges)
+        assert list(report.removed_biases) == sorted(old_biases - biases)
 
 
 def test_reduced_forward_agrees_when_removed_params_zero():
@@ -320,7 +388,7 @@ def test_reduced_forward_agrees_when_removed_params_zero():
     W = r.standard_normal((3, 3)) * m1
     U = r.standard_normal((2, 3)) * m2
     net = SparseNet((SparseLayer(W, m1), SparseLayer(U, m2)), Activation.sigmoid())
-    reduced, report = effective_subnetwork(net, require_effective=False)
+    reduced, report = effective_subnetwork(net)
     assert report.removed_edges  # something actually got stripped
     # removed positions held zero weight, so outputs agree everywhere
     X = r.standard_normal((3, 20))
@@ -332,8 +400,8 @@ def test_reduction_idempotent():
     masks = [r.random((5, 4)) < 0.4, r.random((3, 5)) < 0.4, r.random((2, 3)) < 0.5]
     layers = tuple(SparseLayer(r.standard_normal(m.shape) * m, m) for m in masks)
     net = SparseNet(layers, Activation.relu())
-    once, _ = effective_subnetwork(net, require_effective=False)
-    twice, rep2 = effective_subnetwork(once, require_effective=False)
+    once, _ = effective_subnetwork(net)
+    twice, rep2 = effective_subnetwork(once)
     assert rep2.removed_edges == () and rep2.removed_biases == ()
     for a, b in zip(once.layers, twice.layers):
         assert np.array_equal(a.mask, b.mask)

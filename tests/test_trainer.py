@@ -302,6 +302,16 @@ def test_run_trials_quadratic_all_converge():
     assert stats.clusters[0][1] == 6
 
 
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_run_trials_rejects_fewer_than_one_trial(monkeypatch, n_trials):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("run_trials drew a start before checking n_trials")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"n_trials must be at least 1, got {n_trials}"):
+        run_trials(quadratic_objective(), n_trials)
+
+
 def test_run_trials_single_equals_batched():
     inst = valley_instance(EXPERIMENT_Y)
     obj = valley_trial_objective(inst)
