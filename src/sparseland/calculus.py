@@ -74,10 +74,6 @@ class TwoLayerLinearInstance:
     def d_y(self) -> int:
         return self.groups[0].u.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.groups[0].z.shape[1]
-
     def _residual(self, blocks) -> np.ndarray:
         """R = sum_i U_i W_i Z_i - Y for blocks [(U_i, W_i)] with leading axes (...)."""
         R = -self.Y
@@ -353,10 +349,8 @@ def classify_stationary(
         verdict = "saddle"
     elif worst > pos_tol:
         verdict = "strict_local_min"
-    elif worst >= -dec_tol:
+    else:  # finite, so worst is a number in [-dec_tol, pos_tol]
         verdict = "local_min_nonstrict"
-    else:
-        verdict = "inconclusive"
 
     return StationaryReport(
         grad_norm=grad_norm,

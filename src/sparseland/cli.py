@@ -119,6 +119,29 @@ def _load_net_spec(path: str):
         raise ValueError(f"bad network spec in {path}: {e}")
 
 
+def _spec_or_random_net(args, command: str):
+    """The --spec net, or a random masked net over --dims.
+
+    --sparsity, --activation and --scale-init shape only the random net, so
+    with --spec a value other than the command's default is a usage error;
+    train --reinit still redraws the spec's weights at --scale-init.
+    """
+    if not args.spec:
+        from .activations import activation_named
+        from .trainer import random_effective_net
+
+        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed,
+                                      activation=activation_named(args.activation),
+                                      init_scale=args.scale_init)
+        return net
+    unused = {"sparsity", "activation"} | (set() if getattr(args, "reinit", False) else {"scale_init"})
+    given = [a.option_strings[0] for a in _subparser(command)._actions
+             if a.dest in unused and getattr(args, a.dest) != a.default]
+    if given:
+        raise ValueError(f"--spec ignores {', '.join(given)}: they shape only a random --dims net")
+    return _load_net_spec(args.spec)
+
+
 def _mask_sparsity(net) -> float:
     import numpy as np
 
@@ -190,16 +213,10 @@ def cmd_verify(args):
 
 
 def cmd_train(args):
-    from .activations import activation_named
     from .landscape import least_squares_optimum
-    from .trainer import TrainConfig, gd_train, gen_synthetic, init_net, random_effective_net
+    from .trainer import TrainConfig, gd_train, gen_synthetic, init_net
 
-    if args.spec:
-        net = _load_net_spec(args.spec)
-    else:
-        act = activation_named(args.activation)
-        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed, activation=act,
-                                      init_scale=args.scale_init)
+    net = _spec_or_random_net(args, "train")
     if args.reinit:
         net = init_net(net, args.scale_init, args.seed)
 
@@ -312,16 +329,10 @@ def cmd_prune(args):
 
 
 def cmd_rank(args):
-    from .activations import activation_named
     from .landscape import hidden_rank_certificate
-    from .trainer import random_effective_net, stream
+    from .trainer import stream
 
-    if args.spec:
-        net = _load_net_spec(args.spec)
-    else:
-        act = activation_named(args.activation)
-        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed,
-                                      activation=act, init_scale=args.scale_init)
+    net = _spec_or_random_net(args, "rank")
     X = stream(args.seed, "rank").standard_normal((net.layers[0].n_in, args.n))
     ranks = hidden_rank_certificate(net, X)
     full = [r == min(net.layers[k].n_out, args.n) for k, r in enumerate(ranks)]
@@ -358,7 +369,7 @@ HANDLERS = {
 }
 
 # config keys that are plumbing, not inputs
-_NON_CONFIG = {"command", "out", "json_out", "manifest"}
+_NON_CONFIG = {"command", "out", "json_out"}
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -211,7 +211,6 @@ class SpuriousValleyInstance:
 
     y: tuple
     activation: Activation
-    a: float
     valley_theta: np.ndarray
     escape_theta: np.ndarray
     constraints: dict
@@ -340,7 +339,7 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
     }
     Y = np.array([[y1, y1, 0.0], [y2, y2 + y3, 0.0], [0.0, 0.0, y4]])
     inst = SpuriousValleyInstance(
-        y=(y1, y2, y3, y4), activation=act, a=a,
+        y=(y1, y2, y3, y4), activation=act,
         valley_theta=valley_theta, escape_theta=escape_theta,
         constraints=constraints, Y=Y,
     )

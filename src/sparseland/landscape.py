@@ -21,6 +21,9 @@ from .network import SparseNet, decompose_patterns, forward
 
 RANK_TOL = 1e-8
 ORTHO_TOL = 1e-10
+BASIS_TOL = 1e-10  # zero_column_transform: a pivot at most this x the largest is no basis row
+MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and duplicate pairs
+MAX_ORDER, MAX_START, MAX_STEP = 64, 6, 4  # bounds of activation_admissible's progressions
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +39,13 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class PathTrace:
-    """Sampled piecewise-linear path.  t runs over [0, 1); the terminal
-    point is reported separately as (end_params, end_loss)."""
+    """Sampled piecewise-linear path.  t runs over [0, 1); the loss at the
+    terminal point, segments[-1].end, is reported separately as end_loss."""
 
     t: np.ndarray
     losses: np.ndarray
     params: np.ndarray  # (len(t), dim)
     segments: tuple
-    end_params: np.ndarray
     end_loss: float
 
     @property
@@ -75,14 +77,12 @@ def _trace_segments(segments: list, loss_at, n_samples: int) -> PathTrace:
     s = (ts * K - k)[:, None]
     params = ((1.0 - s) * np.array([seg.start for seg in segments])[k]
               + s * np.array([seg.end for seg in segments])[k])
-    end = segments[-1].end
     return PathTrace(
         t=ts,
         losses=loss_at(params),
         params=params,
         segments=tuple(segments),
-        end_params=end.copy(),
-        end_loss=float(loss_at(end)),
+        end_loss=float(loss_at(segments[-1].end)),
     )
 
 
@@ -126,7 +126,7 @@ def _pivoted_row_basis(W: np.ndarray):
     return diag, piv
 
 
-def zero_column_transform(U: np.ndarray, W: np.ndarray, tol: float = 1e-10) -> ZeroColumnResult:
+def zero_column_transform(U: np.ndarray, W: np.ndarray) -> ZeroColumnResult:
     """Rewrite U so the product U @ W is carried by a row basis of W.
 
     W is (p, n) with rank r; the returned U0 satisfies U0 @ W = U @ W and
@@ -141,7 +141,7 @@ def zero_column_transform(U: np.ndarray, W: np.ndarray, tol: float = 1e-10) -> Z
         raise ValueError(f"U has {U.shape[1]} columns, W has {p} rows")
     diag, piv = _pivoted_row_basis(W)
     top = diag[0] if diag.size else 0.0
-    r = int(np.count_nonzero(diag > tol * top)) if top > 0 else 0
+    r = int(np.count_nonzero(diag > BASIS_TOL * top)) if top > 0 else 0
     basis, dep = piv[:r], piv[r:]
     U0 = np.zeros_like(U)
     if r:
@@ -276,22 +276,21 @@ def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: in
 
 
 def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
-                            n: int = 12, d_y: int = 2) -> TwoLayerLinearInstance:
+                            n: int = 12) -> TwoLayerLinearInstance:
     """Random grouped two-layer linear instance shaped for one of the two
     path constructions.
 
-    cond "overparam": group widths p_i = d_i + r with r cycling 0, 1, 2, so
-    every group satisfies p_i >= d_i, and even-indexed groups with d_i >= 2
-    get W_i of column rank d_i - 1 to exercise the rewire/complete moves.
-    cond "scalar": d_y is forced to 1, widths are unconstrained and roughly
-    a quarter of the output weights are exact zeros to exercise the
+    cond "overparam": d_y = 2; group widths p_i = d_i + r with r cycling 0,
+    1, 2, so every group satisfies p_i >= d_i, and even-indexed groups with
+    d_i >= 2 get W_i of column rank d_i - 1 to exercise the rewire/complete
+    moves.  cond "scalar": d_y = 1, widths are unconstrained and roughly a
+    quarter of the output weights are exact zeros to exercise the
     park/revive moves.
     """
-    rng = np.random.default_rng(seed)
-    if cond == "scalar":
-        d_y = 1
-    elif cond != "overparam":
+    if cond not in ("overparam", "scalar"):
         raise ValueError(f"cond must be 'overparam' or 'scalar', got {cond!r}")
+    rng = np.random.default_rng(seed)
+    d_y = 1 if cond == "scalar" else 2
     groups = []
     for i in range(n_groups):
         d_i = int(rng.integers(1, 4))
@@ -351,7 +350,7 @@ def _poly_degree(act: Activation):
     return None
 
 
-def check_conditions(net: SparseNet, X: np.ndarray, Y: np.ndarray, ortho_tol: float = ORTHO_TOL) -> ConditionReport:
+def check_conditions(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> ConditionReport:
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[1]
@@ -362,7 +361,7 @@ def check_conditions(net: SparseNet, X: np.ndarray, Y: np.ndarray, ortho_tol: fl
     norms = [float(np.linalg.norm(z)) for z in dec.data_slices]
     for i, j in combinations(range(dec.n_groups), 2):
         cross = float(np.linalg.norm(dec.data_slices[i] @ dec.data_slices[j].T))
-        if cross > ortho_tol * norms[i] * norms[j]:
+        if cross > ORTHO_TOL * norms[i] * norms[j]:
             ortho = False
             break
 
@@ -401,7 +400,7 @@ class AssumptionReport:
         return self.data_ok and self.mask_ok
 
 
-def check_assumptions(X: np.ndarray, mask: np.ndarray, max_reports: int = 16) -> AssumptionReport:
+def check_assumptions(X: np.ndarray, mask: np.ndarray) -> AssumptionReport:
     """Data rows need nonzero entries with pairwise distinct magnitudes;
     the mask needs no all-zero rows.  Exact float comparisons by design."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -410,12 +409,12 @@ def check_assumptions(X: np.ndarray, mask: np.ndarray, max_reports: int = 16) ->
     for k in range(X.shape[0]):
         row = X[k]
         for i in np.flatnonzero(row == 0.0):
-            if len(zeros) < max_reports:
+            if len(zeros) < MAX_REPORTS:
                 zeros.append((k, int(i)))
         order = np.argsort(np.abs(row), kind="stable")
         vals = np.abs(row[order])
         for a in np.flatnonzero(np.diff(vals) == 0.0):
-            if len(dups) < max_reports:
+            if len(dups) < MAX_REPORTS:
                 dups.append((k, int(order[a]), int(order[a + 1])))
     zero_rows = tuple(int(j) for j in np.flatnonzero(~mask.any(axis=1)))
     return AssumptionReport(
@@ -427,8 +426,7 @@ def check_assumptions(X: np.ndarray, mask: np.ndarray, max_reports: int = 16) ->
     )
 
 
-def activation_admissible(act: Activation, n: int, max_order: int = 64,
-                          max_start: int = 6, max_step: int = 4):
+def activation_admissible(act: Activation, n: int):
     """Search for n derivative orders in arithmetic progression that are all
     nonzero at 0.  Returns (True, orders) or (False, None).
 
@@ -439,10 +437,10 @@ def activation_admissible(act: Activation, n: int, max_order: int = 64,
         raise ValueError("n must be >= 1")
     if not act.is_analytic:
         return False, None
-    for start in range(max_start + 1):
-        for step in range(1, max_step + 1):
+    for start in range(MAX_START + 1):
+        for step in range(1, MAX_STEP + 1):
             orders = tuple(start + step * i for i in range(n))
-            if orders[-1] > max_order:
+            if orders[-1] > MAX_ORDER:
                 continue
             if all(act.taylor_nonzero(k) for k in orders):
                 return True, orders
@@ -464,10 +462,10 @@ def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def hidden_rank_certificate(net: SparseNet, X: np.ndarray, tol: float = RANK_TOL) -> tuple:
+def hidden_rank_certificate(net: SparseNet, X: np.ndarray) -> tuple:
     """Numerical rank of every post-activation hidden output on X."""
     _, hiddens = forward(net, X)
-    return tuple(numerical_rank(h, tol) for h in hiddens)
+    return tuple(numerical_rank(h) for h in hiddens)
 
 
 # ---------------------------------------------------------------------------

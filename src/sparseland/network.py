@@ -8,7 +8,6 @@ package preserves that invariant bit-exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +143,11 @@ def loss(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> float:
 class PatternDecomposition:
     """Grouping of first-layer neurons by identical mask rows.
 
-    patterns[i] is the shared boolean row of group i (first-occurrence
-    order); groups[i] the neuron indices with that row; supports[i] the
-    input indices the pattern keeps; data_slices[i] the corresponding row
-    slice of X, shape (d_i, n).
+    groups[i] holds the neuron indices that share one mask row (groups in
+    first-occurrence order); supports[i] the input indices that row keeps;
+    data_slices[i] the corresponding row slice of X, shape (d_i, n).
     """
 
-    patterns: tuple
     groups: tuple
     supports: tuple
     data_slices: tuple
@@ -191,23 +188,18 @@ def decompose_patterns(layer: SparseLayer, X: np.ndarray) -> PatternDecompositio
     dead = np.flatnonzero(~mask.any(axis=1))
     if dead.size:
         raise ValueError(f"ineffective hidden neuron(s) {dead.tolist()}: all-zero mask row")
-    patterns, groups = [], []
-    seen = {}
+    groups, supports, seen = [], [], {}
     for j in range(mask.shape[0]):
         key = mask[j].tobytes()
-        if key in seen:
-            groups[seen[key]].append(j)
-        else:
-            seen[key] = len(patterns)
-            patterns.append(mask[j])
-            groups.append([j])
-    supports = tuple(tuple(np.flatnonzero(p)) for p in patterns)
-    slices = tuple(_locked(X[list(s), :]) for s in supports)
+        if key not in seen:
+            seen[key] = len(groups)
+            groups.append([])
+            supports.append(tuple(np.flatnonzero(mask[j])))
+        groups[seen[key]].append(j)
     return PatternDecomposition(
-        patterns=tuple(_locked(p, dtype=bool) for p in patterns),
         groups=tuple(tuple(g) for g in groups),
-        supports=supports,
-        data_slices=slices,
+        supports=tuple(supports),
+        data_slices=tuple(_locked(X[list(s), :]) for s in supports),
     )
 
 
@@ -299,15 +291,13 @@ def _parse_matrix(rows) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
-def net_from_json(obj) -> SparseNet:
-    """Build a network from the JSON layout used by the CLI.
+def net_from_json(obj: dict) -> SparseNet:
+    """Build a network from the parsed JSON layout used by the CLI.
 
     {"layers": [{"weights": [[...]], "mask": [[...]], "bias": [...]?,
                  "bias_mask": [...]?}, ...],
      "activation": {"kind": ..., "params": {...}}}
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     layers = []
     for spec in obj["layers"]:
         w = _parse_matrix(spec["weights"])

@@ -21,6 +21,7 @@ from .landscape import numerical_rank
 from .network import SparseLayer, SparseNet, forward
 
 DIVERGE_FACTOR = 1e12
+CLUSTER_REL_TOL = 1e-3  # loss_clusters: relative distance that joins a loss to a cluster
 
 # SeedSequence spawn key per purpose, one each, so no two purposes share draws.  Masks
 # (the root: default_rng(seed)) and data (children 0-2) keep the draws they always had.
@@ -102,17 +103,15 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
     where the layer has no bias.
     """
     act = net.activation
-    linear = act.kind == "linear"  # a linear sigma' is all ones
+    linear = act.kind == "linear"  # a linear sigma is the identity and sigma' all ones
     with np.errstate(over="ignore", invalid="ignore"):
         hiddens = [np.asarray(X, dtype=float)]
         derivs = []  # sigma'(pre) of each hidden layer, from the forward pass
         L = len(net.layers)
         for k, layer in enumerate(net.layers):
             pre = layer.affine(hiddens[-1])
-            if k == L - 1:
+            if k == L - 1 or linear:
                 hiddens.append(pre)
-            elif linear:
-                hiddens.append(act(pre))
             else:
                 h, d = act.value_and_derivative(pre)
                 hiddens.append(h)
@@ -356,9 +355,9 @@ class TrialStats:
         }
 
 
-def loss_clusters(losses, rel_tol: float = 1e-3) -> tuple:
+def loss_clusters(losses) -> tuple:
     """Greedy 1-d clustering of final losses: sorted values join the current
-    cluster while within rel_tol of its running mean (floored at 1)."""
+    cluster while within CLUSTER_REL_TOL of its running mean (floored at 1)."""
     vals = np.sort(np.asarray(losses, dtype=float))
     vals = vals[np.isfinite(vals)]
     if len(vals) == 0:
@@ -366,7 +365,7 @@ def loss_clusters(losses, rel_tol: float = 1e-3) -> tuple:
     clusters = []
     mean, count = float(vals[0]), 1
     for v in vals[1:]:
-        if abs(v - mean) <= rel_tol * max(1.0, abs(mean)):
+        if abs(v - mean) <= CLUSTER_REL_TOL * max(1.0, abs(mean)):
             mean = float(mean + (v - mean) / (count + 1))
             count += 1
         else:

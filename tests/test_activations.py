@@ -80,6 +80,9 @@ def test_taylor_known_values():
     # even tanh derivatives vanish
     for k in (0, 2, 4, 6):
         assert Activation.tanh().taylor_fraction(k) == 0
+    # a rational derivative comes back as its float
+    assert Activation.tanh().taylor_at_zero(3) == -2.0
+    assert Activation.sigmoid().taylor_at_zero(1) == 0.25
 
 
 def test_polynomial_taylor_is_scaled_coeff():
@@ -243,6 +246,10 @@ def test_activation_named_aliases():
     assert activation_named("LeakyReLU", slope=0.05).slope == 0.05
     assert activation_named("shifted-sigmoid").kind == "shifted_sigmoid"
     assert activation_named("Tanh").kind == "tanh"
+    assert activation_named("elu", alpha=0.5).alpha == 0.5
+    poly = activation_named("Polynomial", coeffs=(0.0, 1.0, 0.5))
+    assert poly.kind == "polynomial" and tuple(poly.coeffs) == (0.0, 1.0, 0.5)
+    assert poly(2.0) == 4.0
     with pytest.raises(ValueError):
         activation_named("swish")
 

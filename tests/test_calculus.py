@@ -147,6 +147,16 @@ def test_hessian_matches_fd(seed, n_groups, width, d_y):
 # symmetric eigensolver against a characteristic-polynomial oracle
 # ---------------------------------------------------------------------------
 
+def test_fd_steps_set_the_truncation_error():
+    # at x = 1 the central differences of x^3 and x^4 are off by exactly
+    # their h^2 terms: h^2 and 4 h^2 in the gradient, 2 h^2 in the Hessian
+    f = lambda x: float(x[0] ** 3 + x[1] ** 4)
+    x = np.array([1.0, 1.0])
+    for h in (0.1, 0.01):
+        assert fd_gradient(f, x, h=h) == pytest.approx([3 + h * h, 4 + 4 * h * h], rel=1e-9)
+        assert fd_hessian(f, x, h=h) == pytest.approx(np.diag([6.0, 12 + 2 * h * h]), rel=1e-6, abs=1e-6)
+
+
 def charpoly_coeffs(A):
     """Faddeev-LeVerrier recursion; independent of any eigensolver."""
     n = A.shape[0]

@@ -368,6 +368,99 @@ def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
         f"error: bad manifest {p}: needs at most one of spec, dims, got 2\n"
 
 
+@pytest.fixture
+def spec_net(workdir):
+    """A masked tanh net, written to n.json in the working directory."""
+    net, _ = sparseland.random_effective_net((3, 5, 2), 0.4, seed=2,
+                                             activation=sparseland.Activation.tanh())
+    (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
+    return net
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["rank", "--spec", "n.json", "--sparsity", "0.9"], ["--sparsity"]),
+    (["rank", "--spec", "n.json", "--activation", "relu", "--scale-init", "0.1"],
+     ["--activation", "--scale-init"]),
+    (["train", "--spec", "n.json", "--epochs", "3", "--activation", "relu", "--sparsity", "0.9"],
+     ["--sparsity", "--activation"]),
+    (["train", "--spec", "n.json", "--epochs", "3", "--scale-init", "0.5"], ["--scale-init"]),
+], ids=["rank-sparsity", "rank-activation-scale", "train-activation-sparsity", "train-scale"])
+def test_spec_rejects_random_net_flags(spec_net, workdir, capsys, argv, flags):
+    # these flags shape only a random --dims net; --spec would drop them silently
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: --spec ignores {', '.join(flags)}: they shape only a random --dims net\n"
+    assert not list(workdir.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("command", ["rank", "train"])
+def test_spec_accepts_random_net_flags_at_their_defaults(spec_net, workdir, capsys, command):
+    defaults = {"rank": ["--sparsity", "0.3", "--activation", "tanh", "--scale-init", "3"],
+                "train": ["--sparsity", "0", "--activation", "linear", "--scale-init", "1",
+                          "--epochs", "3"]}[command]
+    base = [command, "--spec", "n.json", "--json"] + (["--epochs", "3"] if command == "train" else [])
+    code, cap = run_cli(base, capsys)
+    code_defaults, cap_defaults = run_cli(base + defaults, capsys)
+    assert code in (0, 1) and code_defaults == code
+    assert cap_defaults.out == cap.out
+
+
+def test_replay_rejects_spec_manifest_with_random_net_flags(spec_net, workdir, capsys):
+    run_cli(["rank", "--spec", "n.json", "--json"], capsys)
+    rank = json.loads((workdir / "rank.manifest.json").read_text())
+    run_cli(["train", "--spec", "n.json", "--epochs", "2", "--json"], capsys)
+    train = json.loads((workdir / "train.manifest.json").read_text())
+    capsys.readouterr()
+    p = workdir / "m.json"
+    for manifest, key, value, flag in ((rank, "sparsity", 0.9, "--sparsity"),
+                                       (train, "activation", "relu", "--activation")):
+        p.write_text(json.dumps(dict(manifest, config=dict(manifest["config"], **{key: value}))))
+        code, cap = run_cli(["replay", str(p)], capsys)
+        assert code == 2 and cap.out == ""
+        assert cap.err.startswith("error: --spec ignores ") and cap.err.count("\n") == 1
+        assert flag in cap.err
+
+
+def test_train_reinit_redraws_spec_weights(spec_net, workdir, capsys):
+    from sparseland import gen_synthetic, init_net, loss
+
+    code, _ = run_cli(["train", "--spec", "n.json", "--reinit", "--scale-init", "0.5",
+                       "--seed", "7", "--n", "10", "--epochs", "3", "--out", "t.csv"], capsys)
+    assert code == 0
+    start = init_net(spec_net, 0.5, 7)
+    for new, old in zip(start.layers, spec_net.layers):
+        assert np.array_equal(new.mask, old.mask)
+        assert np.all(new.weights[~new.mask] == 0.0)
+        assert not np.array_equal(new.weights, old.weights)
+    data = gen_synthetic(10, 3, 2, seed=7)
+    epoch0 = float((workdir / "t.csv").read_text().splitlines()[1].split(",")[1])
+    assert epoch0 == loss(start, data.X, data.Y)
+    assert epoch0 != loss(spec_net, data.X, data.Y)
+    code, cap = run_cli(["replay", "t.csv.manifest.json"], capsys)
+    assert code == 0 and "outputs identical" in cap.out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--dims", "3,x,1"], "argument --dims: expected comma-separated integers"),
+    (["rank", "--dims", "6,,6"], "argument --dims: expected comma-separated integers"),
+])
+def test_bad_integer_lists_are_usage_errors(workdir, capsys, argv, message):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
+def test_spec_without_layers_is_a_usage_error(workdir, capsys):
+    (workdir / "n.json").write_text(json.dumps({"activation": {"kind": "tanh"}}))
+    for argv in (["prune", "--spec", "n.json"], ["rank", "--spec", "n.json"]):
+        code, cap = run_cli(argv, capsys)
+        assert code == 2
+        assert cap.err.startswith("error: bad network spec in n.json: ") and "layers" in cap.err
+    assert [p.name for p in workdir.iterdir()] == ["n.json"]
+
+
 # ---------------------------------------------------------------------------
 # seeding and replay
 # ---------------------------------------------------------------------------
@@ -503,6 +596,18 @@ def test_replay_bad_manifest(workdir, capsys):
     assert "y: expected 4 comma-separated numbers, got 1,2" in errs[7]
     assert "needs exactly one of spec, dims, got 0" in errs[8]
     assert "needs exactly one of spec, dims, got 2" in errs[9]
+
+
+def test_replay_rejects_unknown_command(workdir, capsys):
+    run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
+    manifest = json.loads((workdir / "path.manifest.json").read_text())
+    p = workdir / "m.json"
+    for command in ("bogus", "replay", 3):
+        p.write_text(json.dumps(dict(manifest, command=command)))
+        with pytest.raises(SystemExit) as ei:
+            main(["replay", str(p)])
+        assert ei.value.code == 2
+        assert capsys.readouterr().err == f"error: bad manifest {p}: unknown command {command!r}\n"
 
 
 def test_replay_mismatch_names_changed_version(workdir, capsys):

@@ -300,6 +300,19 @@ def test_check_conditions_nonorthogonal():
     assert rep.intrinsic_dims == (2, 2)
 
 
+def test_check_conditions_polynomial_degree():
+    # sigma(z) = z + z^2 / 2 (a trailing zero coefficient does not count):
+    # degree t = 2, so a group on d_i inputs spans at most C(d_i + 2, 2)
+    mask = np.array([[1, 1, 0], [0, 0, 1]], dtype=bool)
+    X = np.random.default_rng(3).standard_normal((3, 10))
+    for coeffs, dims in (((0.0, 1.0, 0.5, 0.0), (6, 3)), ((0.0, 0.0), (1, 1))):
+        net = SparseNet(
+            (SparseLayer(np.ones((2, 3)) * mask, mask), SparseLayer(np.ones((1, 2)), np.ones((1, 2)))),
+            Activation.polynomial(coeffs),
+        )
+        assert check_conditions(net, X, np.ones((1, 10))).intrinsic_dims == dims
+
+
 def test_check_assumptions():
     good = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -7.0]])
     rep = check_assumptions(good, np.array([[1, 0], [0, 1]]))
@@ -348,12 +361,21 @@ def test_admissible_polynomial_limits():
         activation_admissible(Activation.tanh(), 0)
 
 
+def test_admissible_orders_stop_at_64():
+    # tanh's nonzero orders are the odd ones: n of them need step 2, and the
+    # last order 1 + 2 (n - 1) must not pass 64, so n = 32 is the largest
+    assert activation_admissible(Activation.tanh(), 32) == (True, tuple(range(1, 64, 2)))
+    for n in (33, 40):
+        assert activation_admissible(Activation.tanh(), n) == (False, None)
+
+
 # ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
 
 def test_numerical_rank():
     assert numerical_rank(np.zeros((3, 4))) == 0
+    assert numerical_rank(np.zeros((0, 3))) == 0
     assert numerical_rank(np.eye(5)) == 5
     v = np.arange(1.0, 5.0)
     assert numerical_rank(np.outer(v, v)) == 1

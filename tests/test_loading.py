@@ -5,6 +5,7 @@ interpreters, not timings."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -120,3 +121,59 @@ def test_every_export_is_reached_or_planned():
     assert not set(sparseland.__all__) - reached - NOT_YET_REACHED.keys()
     assert not NOT_YET_REACHED.keys() & reached  # a planned name that is now reached leaves the list
     assert NOT_YET_REACHED.keys() <= set(sparseland.__all__)
+
+
+# defaulted parameters that no call under src/ passes: each names the test
+# that sets it by keyword
+SET_ONLY_BY_TESTS = {
+    ("activation_named", "slope"): "test_activations.py::test_activation_named_aliases",
+    ("activation_named", "alpha"): "test_activations.py::test_activation_named_aliases",
+    ("activation_named", "coeffs"): "test_activations.py::test_activation_named_aliases",
+    ("fd_gradient", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
+    ("fd_hessian", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
+    ("numerical_rank", "tol"): "test_landscape.py::test_numerical_rank",
+    ("random_sparse_mask", "repair"): "test_trainer.py::test_single_mask_draw",
+}
+
+
+def unpassed_defaults() -> set:
+    """(function, parameter) for each defaulted parameter of an exported
+    function that no call under src/ passes, by name or by position."""
+    calls = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, i, param):
+        if any(k.arg in (param.name, None) for k in call.keywords):  # None: **kwargs
+            return True
+        return param.kind != param.KEYWORD_ONLY and (
+            len(call.args) > i or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unpassed = set()
+    for name in sparseland.__all__:
+        func = getattr(sparseland, name)
+        if not inspect.isfunction(func):
+            continue
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is not param.empty and not any(
+                    passed(call, i, param) for call in calls.get(name, ())):
+                unpassed.add((name, param.name))
+    return unpassed
+
+
+def test_every_option_has_a_caller_or_a_test_that_sets_it():
+    # a keyword that nothing sets to another value is a constant, not an option
+    unpassed = unpassed_defaults()
+    assert not unpassed - SET_ONLY_BY_TESTS.keys()
+    assert not SET_ONLY_BY_TESTS.keys() - unpassed  # a parameter that gains a caller leaves the list
+    for (func, param), where in SET_ONLY_BY_TESTS.items():
+        file, test = where.split("::")
+        body = next(node for node in ast.parse((ROOT / "tests" / file).read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == test)
+        assert any(isinstance(node, ast.Call) and func in ast.unparse(node.func)
+                   and any(k.arg == param for k in node.keywords)
+                   for node in ast.walk(body)), (func, param, where)

@@ -445,10 +445,3 @@ def test_json_accepts_decimal_strings_and_defaults():
     assert net.layers[0].weights[1, 0] == 1e-3
     assert net.layers[1].bias[0] == 0.5
     assert net.layers[0].bias is None
-
-
-def test_json_string_input():
-    import json
-    net = rand_net(np.ones((2, 2)), np.ones((1, 2)))
-    back = net_from_json(json.dumps(net_to_json(net)))
-    assert np.array_equal(back.layers[0].weights, net.layers[0].weights)

@@ -654,7 +654,7 @@ def test_loss_clusters_frozen_cases():
     assert got[0][0] == pytest.approx(1.00025, rel=1e-12) and got[1][0] == 2.0
     # the relative tolerance floors at 1, merging tiny near-zero values
     assert loss_clusters([1e-4, 5e-4]) == ((pytest.approx(3e-4, rel=1e-12), 2),)
-    got = loss_clusters([5.0, 5.004, 5.008, 7.0], rel_tol=1e-3)
+    got = loss_clusters([5.0, 5.004, 5.008, 7.0])
     assert [size for _, size in got] == [2, 1, 1]
     centers = [c for c, _ in got]
     assert centers == sorted(centers)
