@@ -48,6 +48,13 @@ class GroupBlock:
         object.__setattr__(self, "z", z)
 
 
+def pack_blocks(blocks) -> np.ndarray:
+    """Flat vectors (..., P) = concat(vec(U_1), vec(W_1), vec(U_2), ...) of
+    blocks [(U_i, W_i)] with leading axes (...), each block row-major."""
+    return np.concatenate([part.reshape(part.shape[:-2] + (-1,))
+                           for u, w in blocks for part in (u, w)], axis=-1)
+
+
 @dataclass(frozen=True)
 class TwoLayerLinearInstance:
     """Grouped two-layer linear objective with target Y (d_y, n)."""
@@ -56,7 +63,7 @@ class TwoLayerLinearInstance:
     Y: np.ndarray
 
     def __post_init__(self):
-        groups = tuple(g if isinstance(g, GroupBlock) else GroupBlock(*g) for g in self.groups)
+        groups = tuple(self.groups)
         if not groups:
             raise ValueError("need at least one group")
         Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
@@ -88,13 +95,8 @@ class TwoLayerLinearInstance:
         R = self.residual()
         return 0.5 * float(np.sum(R * R))
 
-    def with_blocks(self, us, ws) -> "TwoLayerLinearInstance":
-        groups = tuple(GroupBlock(u, w, g.z) for u, w, g in zip(us, ws, self.groups))
-        return TwoLayerLinearInstance(groups, self.Y)
-
-    # flat parameter vector = concat(vec(u_1), vec(w_1), vec(u_2), ...)
     def pack(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([g.u.ravel(), g.w.ravel()]) for g in self.groups])
+        return pack_blocks((g.u, g.w) for g in self.groups)
 
     def _split(self, theta: np.ndarray) -> list:
         """[(U_i, W_i)] views of flat parameters theta (..., P) in pack() order."""
@@ -106,7 +108,9 @@ class TwoLayerLinearInstance:
                 for g, u, w in zip(self.groups, parts[0::2], parts[1::2])]
 
     def unpack(self, theta: np.ndarray) -> "TwoLayerLinearInstance":
-        return self.with_blocks(*zip(*self._split(np.ravel(theta))))
+        blocks = self._split(np.ravel(theta))
+        return TwoLayerLinearInstance(
+            tuple(GroupBlock(u, w, g.z) for (u, w), g in zip(blocks, self.groups)), self.Y)
 
     def loss_at(self, theta: np.ndarray):
         """Loss at flat parameters theta (..., P): shape (...), a float for 1-D theta."""
@@ -124,12 +128,8 @@ class TwoLayerLinearInstance:
         blocks = self._split(theta)
         R = self._residual(blocks)
         loss = 0.5 * np.sum(R * R, axis=(-2, -1))
-        lead = theta.shape[:-1]
-        grad = np.concatenate([
-            part.reshape(lead + (-1,))
-            for (u, w), g in zip(blocks, self.groups)
-            for part in (R @ np.swapaxes(w @ g.z, -1, -2), np.swapaxes(u, -1, -2) @ R @ g.z.T)
-        ], axis=-1)
+        grad = pack_blocks((R @ np.swapaxes(w @ g.z, -1, -2), np.swapaxes(u, -1, -2) @ R @ g.z.T)
+                           for (u, w), g in zip(blocks, self.groups))
         return (float(loss) if theta.ndim == 1 else loss), grad
 
 

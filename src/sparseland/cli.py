@@ -3,11 +3,11 @@
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
 input error, including a ValueError raised by a handler (one `error:` line,
-no manifest).  Every run writes a JSON manifest (next to --out, or
-<command>.manifest.json in the working directory) from which `replay`
-reproduces the outputs bit-identically.  The SEED environment variable
-overrides --seed for all commands except replay, which always uses the
-seeds recorded in the manifest.
+no manifest).  A non-finite float in a payload is written as null.  Every
+run writes a JSON manifest (next to --out, or <command>.manifest.json in the
+working directory) from which `replay` reproduces the outputs
+bit-identically.  The SEED environment variable overrides --seed for every
+command that takes one; replay uses the seeds recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigm
          "softplus", "polynomial")
 MODES = ("full", "same", "valid")
 
-VERIFY_INSTANCES = ("sd-minimum", "ss-valley", "cnn-same-valley")
+# the instance options that each verify instance reads; it rejects the others
+VERIFY_READS = {"sd-minimum": (), "ss-valley": ("activation", "y", "radius"),
+                "cnn-same-valley": ("scale",)}
 
 
 def _sha256(text: str) -> str:
@@ -67,11 +69,15 @@ def _four_floats(text: str):
     return values
 
 
-def _parse_ints(text: str):
+def _parse_dims(text: str):
+    """argparse type of `--dims`: comma-separated layer sizes, each at least 1."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        dims = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"layer sizes must be at least 1, got {text}")
+    return dims
 
 
 def _int_at_least(low: int):
@@ -119,6 +125,16 @@ def _load_net_spec(path: str):
         raise ValueError(f"bad network spec in {path}: {e}")
 
 
+def _reject_unread(args, command: str, dests, who: str, why: str = ""):
+    """A usage error naming each option of `command` among `dests` that holds a
+    value other than its default: `who` does not read it, so it would be
+    dropped silently."""
+    given = [a.option_strings[0] for a in _subparser(command)._actions
+             if a.dest in dests and getattr(args, a.dest) != a.default]
+    if given:
+        raise ValueError(f"{who} ignores {', '.join(given)}{why}")
+
+
 def _spec_or_random_net(args, command: str):
     """The --spec net, or a random masked net over --dims.
 
@@ -126,7 +142,7 @@ def _spec_or_random_net(args, command: str):
     with --spec a value other than the command's default is a usage error;
     train --reinit still redraws the spec's weights at --scale-init.
     """
-    if not args.spec:
+    if args.spec is None:
         from .activations import activation_named
         from .trainer import random_effective_net
 
@@ -135,10 +151,7 @@ def _spec_or_random_net(args, command: str):
                                       init_scale=args.scale_init)
         return net
     unused = {"sparsity", "activation"} | (set() if getattr(args, "reinit", False) else {"scale_init"})
-    given = [a.option_strings[0] for a in _subparser(command)._actions
-             if a.dest in unused and getattr(args, a.dest) != a.default]
-    if given:
-        raise ValueError(f"--spec ignores {', '.join(given)}: they shape only a random --dims net")
+    _reject_unread(args, command, unused, "--spec", ": they shape only a random --dims net")
     return _load_net_spec(args.spec)
 
 
@@ -157,6 +170,8 @@ def _mask_sparsity(net) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
+    unread = set().union(*VERIFY_READS.values()) - set(VERIFY_READS[args.instance])
+    _reject_unread(args, "verify", unread, f"verify {args.instance}")
     from .activations import activation_named
     from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
                                   spurious_minimum_instance, valley_instance,
@@ -374,6 +389,27 @@ _NON_CONFIG = {"command", "out", "json_out"}
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _finite_json(value):
+    """value with every non-finite float made None, which JSON writes as null
+    (json.dumps would write NaN or Infinity, which JSON lacks)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def _run(handler, args):
+    """(exit code, payload, primary text, summary lines) of a handler: the
+    payload holds no non-finite float, and the primary text is the artifact,
+    or the payload's JSON when there is none."""
+    code, payload, primary, lines = handler(args)
+    payload = _finite_json(payload)
+    return code, payload, primary if primary is not None else json.dumps(payload, indent=2), lines
+
+
 def _environment() -> dict:
     """BLAS thread settings and numpy version: either can move the last bits of a result."""
     import numpy as np
@@ -433,8 +469,7 @@ def cmd_replay(args):
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
-    code, payload, primary, _ = HANDLERS[command](ns)
-    primary_text = primary if primary is not None else json.dumps(payload, indent=2)
+    code, payload, primary_text, _ = _run(HANDLERS[command], ns)
     got_payload = _payload_digest(payload)
     got_primary = _sha256(primary_text)
     match = got_payload == expected_payload and got_primary == expected_primary
@@ -480,27 +515,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=0):
-        sp.add_argument("--seed", type=int, default=seed, help="RNG seed (env SEED overrides)")
+    def common(sp, seeded=True):
+        if seeded:
+            sp.add_argument("--seed", type=_int_at_least(0), default=0,
+                            help="RNG seed (env SEED overrides)")
         sp.add_argument("--out", default=None, help="write the primary artifact to this path")
         sp.add_argument("--json", dest="json_out", action="store_true",
                         help="print the JSON payload instead of a summary")
 
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
-    sp.add_argument("instance", choices=VERIFY_INSTANCES)
+    sp.add_argument("instance", choices=tuple(VERIFY_READS))
     sp.add_argument("--activation", default="tanh", help="ss-valley only")
     sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0),
-                    help="ss-valley target values y1,y2,y3,y4")
+                    help="ss-valley only: target values y1,y2,y3,y4")
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
     sp.add_argument("--radius", type=_positive_float, default=0.05,
-                    help="ss-valley probe radius")
-    sp.add_argument("--scale", type=_finite_float, default=None, help="cnn valley parameter a")
+                    help="ss-valley only: probe radius")
+    sp.add_argument("--scale", type=_finite_float, default=None,
+                    help="cnn-same-valley only: valley parameter a")
     common(sp)
 
     sp = sub.add_parser("train", help="full-batch GD on a masked net")
     net_source = sp.add_mutually_exclusive_group(required=True)
     net_source.add_argument("--spec", default=None, help="network JSON file")
-    net_source.add_argument("--dims", type=_parse_ints, default=None,
+    net_source.add_argument("--dims", type=_parse_dims, default=None,
                             help="layer sizes, e.g. 20,100,100,1 (random masked net)")
     sp.add_argument("--sparsity", type=_finite_float, default=0.0)
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
@@ -538,12 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prune", help="strip connections off every input-output path")
     sp.add_argument("--spec", required=True, help="network JSON file")
-    common(sp)
+    common(sp, seeded=False)
 
     sp = sub.add_parser("rank", help="hidden-layer rank certificate on gaussian data")
     net_source = sp.add_mutually_exclusive_group()
     net_source.add_argument("--spec", default=None, help="network JSON file")
-    net_source.add_argument("--dims", type=_parse_ints, default=(6, 6, 6),
+    net_source.add_argument("--dims", type=_parse_dims, default=(6, 6, 6),
                             help="layer sizes for a random masked net")
     sp.add_argument("--sparsity", type=_finite_float, default=0.3)
     sp.add_argument("--activation", default="tanh")
@@ -553,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conv-rank", help="closed-form vs numeric rank of a conv matrix")
     sp.add_argument("--mode", required=True, type=str.lower, choices=MODES, help="in any case")
-    sp.add_argument("--d", type=int, required=True, help="input length")
+    sp.add_argument("--d", type=_int_at_least(1), required=True, help="input length")
     sp.add_argument("--kernel", type=_parse_floats, required=True, help="kernel values k0,k1,...")
-    common(sp)
+    common(sp, seeded=False)
 
     sp = sub.add_parser("replay", help="re-run a manifest and compare outputs")
     sp.add_argument("manifest_path", help="manifest JSON written by a previous run")
@@ -569,24 +607,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
 
-    if command != "replay" and "SEED" in os.environ:
+    if "SEED" in os.environ and hasattr(args, "seed"):
+        text = os.environ["SEED"]
         try:
-            args.seed = int(os.environ["SEED"])
-        except ValueError:
-            print(f"error: SEED must be an integer, got {os.environ['SEED']!r}", file=sys.stderr)
+            args.seed = _int_at_least(0)(text)
+        except argparse.ArgumentTypeError:
+            print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
             return 2
 
     try:
-        code, payload, primary, lines = (cmd_replay if command == "replay"
-                                         else HANDLERS[command])(args)
+        code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
+                                                  else HANDLERS[command], args)
     except ValueError as e:  # ConstructionError included: bad input, not a falsification
         print(f"error: {e}", file=sys.stderr)
         return 2
     if command == "replay":
         print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
         return code
-
-    primary_text = primary if primary is not None else json.dumps(payload, indent=2)
 
     out_path = Path(args.out) if args.out else None
     if out_path is not None:

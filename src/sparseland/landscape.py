@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .activations import Activation
-from .calculus import GroupBlock, TwoLayerLinearInstance
+from .calculus import GroupBlock, TwoLayerLinearInstance, pack_blocks
 from .network import SparseNet, decompose_patterns, forward
 
 RANK_TOL = 1e-8
@@ -64,25 +64,24 @@ class PathTrace:
         return buf.getvalue()
 
 
-def _trace_segments(segments: list, loss_at, n_samples: int) -> PathTrace:
-    # uniform global t grid plus every segment start; segment k covers
-    # [k/K, (k+1)/K); loss_at maps the (len(t), P) samples to their losses
-    K = len(segments)
-    if K == 0:
-        raise ValueError("path needs at least one segment")
+def _trace(names: list, points: list, loss_at, n_samples: int) -> PathTrace:
+    # segment k, named names[k], runs from points[k] to points[k + 1] over
+    # [k/K, (k+1)/K); t is a uniform grid plus every segment start, and
+    # loss_at maps the (len(t), P) samples to their losses
+    K = len(names)
     ts = set(np.linspace(0.0, 1.0, n_samples, endpoint=False).tolist())
     ts.update(k / K for k in range(K))
     ts = np.array(sorted(ts))
     k = np.minimum((ts * K).astype(int), K - 1)
     s = (ts * K - k)[:, None]
-    params = ((1.0 - s) * np.array([seg.start for seg in segments])[k]
-              + s * np.array([seg.end for seg in segments])[k])
+    P = np.array(points)
+    params = (1.0 - s) * P[k] + s * P[k + 1]
     return PathTrace(
         t=ts,
         losses=loss_at(params),
         params=params,
-        segments=tuple(segments),
-        end_loss=float(loss_at(segments[-1].end)),
+        segments=tuple(map(PathSegment, names, points, points[1:])),
+        end_loss=float(loss_at(points[-1])),
     )
 
 
@@ -94,7 +93,10 @@ class ZeroColumnResult:
     U0: np.ndarray
     rank: int
     permutation: tuple  # pivot order: first `rank` entries index basis rows of W
-    basis_rows: tuple
+
+    @property
+    def basis_rows(self) -> tuple:
+        return self.permutation[:self.rank]
 
     @property
     def zero_columns(self) -> tuple:
@@ -150,9 +152,7 @@ def zero_column_transform(U: np.ndarray, W: np.ndarray) -> ZeroColumnResult:
             # rows W[dep] = C @ W[basis]; fold the dependent columns of U in
             C = np.linalg.lstsq(W[basis].T, W[dep].T, rcond=None)[0].T
             U0[:, basis] += U[:, dep] @ C
-    return ZeroColumnResult(
-        U0=U0, rank=r, permutation=tuple(int(i) for i in piv), basis_rows=tuple(int(i) for i in basis)
-    )
+    return ZeroColumnResult(U0=U0, rank=r, permutation=tuple(int(i) for i in piv))
 
 
 def _full_rank_completion(W: np.ndarray, res: ZeroColumnResult) -> np.ndarray:
@@ -160,21 +160,15 @@ def _full_rank_completion(W: np.ndarray, res: ZeroColumnResult) -> np.ndarray:
 
     Keeps the basis rows; the first d - r freed rows get an orthonormal
     basis of the orthogonal complement, remaining freed rows are zeroed.
+    W needs at least as many rows as columns.
     """
-    p, d = W.shape
-    r = res.rank
-    if p < d:
-        raise ValueError(f"cannot complete rank: {p} rows < {d} columns")
-    W0 = W.copy()
+    d, r = W.shape[1], res.rank
     dep = list(res.permutation[r:])
-    for row in dep:
-        W0[row] = 0.0
+    W0 = W.copy()
+    W0[dep] = 0.0
     if r < d:
-        basis = W[list(res.basis_rows)] if r else np.zeros((0, d))
-        _, _, vt = np.linalg.svd(basis, full_matrices=True) if r else (None, None, np.eye(d))
-        complement = vt[r:]
-        for vec, row in zip(complement, dep):
-            W0[row] = vec
+        vt = np.linalg.svd(W[list(res.basis_rows)], full_matrices=True)[2] if r else np.eye(d)
+        W0[dep[:d - r]] = vt[r:]
     return W0
 
 
@@ -198,34 +192,28 @@ def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, n_samples: int = 
         p_i, d_i = g.w.shape
         if p_i < d_i:
             raise ValueError(f"group {i} has width {p_i} < support {d_i}; path needs p_i >= d_i")
+    names, points = [], [inst.pack()]
 
-    segments = []
+    def move(name):
+        names.append(name)
+        points.append(pack_blocks(zip(us, ws)))
 
-    def snapshot():
-        return inst.with_blocks(us, ws).pack()
-
-    for i, g in enumerate(inst.groups):
+    for i in range(len(ws)):
         res = zero_column_transform(us[i], ws[i])
         if res.rank == ws[i].shape[1]:
             continue  # already full column rank; nothing to free
-        before = snapshot()
         us[i] = res.U0
-        segments.append(PathSegment(f"rewire_output_g{i}", before, snapshot()))
-        before = snapshot()
+        move(f"rewire_output_g{i}")
         ws[i] = _full_rank_completion(ws[i], res)
-        segments.append(PathSegment(f"complete_rank_g{i}", before, snapshot()))
+        move(f"complete_rank_g{i}")
 
     Z = np.vstack([g.z for g in inst.groups])
     M = inst.Y @ np.linalg.pinv(Z)
-    before = snapshot()
-    off = 0
-    for i, g in enumerate(inst.groups):
-        d_i = g.z.shape[0]
-        us[i] = M[:, off:off + d_i] @ np.linalg.pinv(ws[i])
-        off += d_i
-    segments.append(PathSegment("solve_output", before, snapshot()))
+    parts = np.split(M, np.cumsum([g.z.shape[0] for g in inst.groups])[:-1], axis=1)
+    us[:] = [m @ np.linalg.pinv(w) for m, w in zip(parts, ws)]
+    move("solve_output")
 
-    return _trace_segments(segments, inst.loss_at, n_samples)
+    return _trace(names, points, inst.loss_at, n_samples)
 
 
 def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: int = 1000) -> PathTrace:
@@ -240,39 +228,30 @@ def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: in
         raise ValueError("path construction requires d_y = 1")
     us = [g.u.copy() for g in inst.groups]
     ws = [g.w.copy() for g in inst.groups]
-    segments = []
+    names, points = [], [inst.pack()]
 
-    def snapshot():
-        return inst.with_blocks(us, ws).pack()
+    def move(name):
+        names.append(name)
+        points.append(pack_blocks(zip(us, ws)))
 
     for i, g in enumerate(inst.groups):
         for k in range(g.w.shape[0]):
             if us[i][0, k] == 0.0:
                 if np.any(ws[i][k] != 0.0):
-                    before = snapshot()
                     ws[i][k] = 0.0
-                    segments.append(PathSegment(f"park_w_g{i}n{k}", before, snapshot()))
-                before = snapshot()
+                    move(f"park_w_g{i}n{k}")
                 us[i][0, k] = 1.0
-                segments.append(PathSegment(f"revive_u_g{i}n{k}", before, snapshot()))
+                move(f"revive_u_g{i}n{k}")
 
-    # stacked linear model in the hidden weights: rows u_jk * z_i
-    phi_rows = []
-    for i, g in enumerate(inst.groups):
-        for k in range(g.w.shape[0]):
-            phi_rows.append(us[i][0, k] * g.z)
-    Phi = np.vstack(phi_rows)
+    # stacked linear model in the hidden weights: row (i, k) is u_ik * z_i,
+    # so the solution holds each group's W_i neuron-major
+    Phi = np.vstack([u[0, k] * g.z for u, g in zip(us, inst.groups) for k in range(u.shape[1])])
     v_star = np.linalg.lstsq(Phi.T, inst.Y.ravel(), rcond=None)[0]
-    before = snapshot()
-    off = 0
-    for i, g in enumerate(inst.groups):
-        for k in range(g.w.shape[0]):
-            d_i = g.z.shape[0]
-            ws[i][k] = v_star[off:off + d_i]
-            off += d_i
-    segments.append(PathSegment("solve_hidden", before, snapshot()))
+    parts = np.split(v_star, np.cumsum([w.size for w in ws])[:-1])
+    ws[:] = [v.reshape(w.shape) for v, w in zip(parts, ws)]
+    move("solve_hidden")
 
-    return _trace_segments(segments, inst.loss_at, n_samples)
+    return _trace(names, points, inst.loss_at, n_samples)
 
 
 def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,

@@ -301,13 +301,11 @@ def net_from_json(obj: dict) -> SparseNet:
     layers = []
     for spec in obj["layers"]:
         w = _parse_matrix(spec["weights"])
-        mask = np.array(spec.get("mask", np.ones_like(w)), dtype=bool)
         bias = spec.get("bias")
-        bias_mask = spec.get("bias_mask")
         if bias is not None:
             bias = np.array([float(v) for v in bias])
-            bias_mask = None if bias_mask is None else np.array(bias_mask, dtype=bool)
-        layers.append(SparseLayer(w, mask, bias, bias_mask))
+        # SparseLayer judges the masks: their entries must be 0/1
+        layers.append(SparseLayer(w, spec.get("mask", np.ones_like(w)), bias, spec.get("bias_mask")))
     act = Activation.from_json(obj.get("activation", {"kind": "linear"}))
     return SparseNet(tuple(layers), act)
 

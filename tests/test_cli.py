@@ -86,6 +86,10 @@ def test_verify_conv_valley(workdir, capsys):
       for lr in ("-1", "0", "nan")],
     (["trials", "--n", "2", "--y", "1,2"], "--y", "1,2"),
     (["verify", "ss-valley", "--y", "1,2,3,4,5"], "--y", "1,2,3,4,5"),
+    (["trials", "--seed", "-1"], "--seed", "-1"),
+    (["rank", "--dims", "3,0,2"], "--dims", "3,0,2"),
+    (["train", "--dims", "3,-1,1"], "--dims", "3,-1,1"),
+    (["conv-rank", "--mode", "same", "--d", "0", "--kernel", "1"], "--d", "0"),
 ])
 def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as ei:
@@ -175,6 +179,34 @@ def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not list(workdir.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["verify", "sd-minimum", "--radius", "3", "--scale", "2", "--activation", "relu",
+      "--y", "1,2,3,4"], "--activation, --y, --radius, --scale"),
+    (["verify", "cnn-same-valley", "--activation", "relu", "--radius", "3", "--y", "1,2,3,4",
+      "--probes", "10"], "--activation, --y, --radius"),
+    (["verify", "ss-valley", "--scale", "5", "--probes", "10"], "--scale"),
+], ids=["sd-minimum", "cnn-same-valley", "ss-valley"])
+def test_verify_rejects_options_its_instance_does_not_read(workdir, capsys, argv, flags):
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: verify {argv[1]} ignores {flags}\n"
+    assert not list(workdir.glob("*.manifest.json"))
+
+
+def test_verify_unread_options_at_their_defaults_and_replay(workdir, capsys):
+    code, _ = run_cli(["verify", "cnn-same-valley", "--activation", "tanh", "--radius", "0.05",
+                       "--probes", "10"], capsys)
+    assert code == 0
+    code, _ = run_cli(["verify", "ss-valley", "--probes", "10"], capsys)
+    assert code == 0
+    manifest = json.loads((workdir / "verify.manifest.json").read_text())
+    p = workdir / "m.json"
+    p.write_text(json.dumps(dict(manifest, config=dict(manifest["config"], scale=5.0))))
+    code, cap = run_cli(["replay", str(p)], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == "error: verify ss-valley ignores --scale\n"
 
 
 def test_verify_unknown_instance_usage_error(workdir):
@@ -452,6 +484,42 @@ def test_bad_integer_lists_are_usage_errors(workdir, capsys, argv, message):
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["train", "--spec", "", "--epochs", "2"], ["rank", "--spec", ""]],
+                         ids=["train", "rank"])
+def test_empty_spec_is_a_file_that_cannot_be_read(workdir, capsys, argv):
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: cannot read : ") and cap.err.count("\n") == 1
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1])
+@pytest.mark.parametrize("key", ["mask", "bias_mask"])
+def test_spec_masks_must_hold_zero_or_one(workdir, capsys, key, bad):
+    layer = {"weights": [[1.0, 0.0], [0.0, 1.0]], "mask": [[1, 0], [0, 1]],
+             "bias": [1.0, 0.0], "bias_mask": [1, 0]}
+    layer[key] = [[1, 0], [0, bad]] if key == "mask" else [bad, 0]
+    spec = {"layers": [layer, {"weights": [[1.0, 1.0]]}], "activation": {"kind": "tanh"}}
+    (workdir / "m.json").write_text(json.dumps(spec))
+    code, cap = run_cli(["prune", "--spec", "m.json"], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == "error: bad network spec in m.json: mask entries must be 0/1\n"
+    assert [p.name for p in workdir.iterdir()] == ["m.json"]
+
+
+def test_prune_and_conv_rank_take_no_seed(spec_net, workdir, capsys, monkeypatch):
+    conv_rank = ["conv-rank", "--mode", "same", "--d", "3", "--kernel", "1"]
+    for argv in (["prune", "--spec", "n.json"], conv_rank):
+        with pytest.raises(SystemExit) as ei:
+            main([*argv, "--seed", "3"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    monkeypatch.setenv("SEED", "-1")  # SEED applies only to commands that take --seed
+    assert main(conv_rank) == 0
+    manifest = json.loads((workdir / "conv-rank.manifest.json").read_text())
+    assert manifest["seed"] is None and "seed" not in manifest["config"]
+
+
 def test_spec_without_layers_is_a_usage_error(workdir, capsys):
     (workdir / "n.json").write_text(json.dumps({"activation": {"kind": "tanh"}}))
     for argv in (["prune", "--spec", "n.json"], ["rank", "--spec", "n.json"]):
@@ -479,6 +547,36 @@ def test_seed_env_invalid(workdir, capsys, monkeypatch):
     code, cap = run_cli(["path", "--cond", "1"], capsys)
     assert code == 2
     assert "SEED must be an integer" in cap.err
+
+
+def test_seed_env_negative(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "-1")
+    code, cap = run_cli(["path", "--cond", "1"], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == "error: SEED must be an integer of at least 0, got '-1'\n"
+    assert list(workdir.iterdir()) == []
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which JSON lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trials", "--n", "2", "--lr", "1e200", "--epochs", "10"],
+    ["train", "--dims", "3,4,1", "--lr", "1e200", "--epochs", "3"],
+], ids=["trials", "train"])
+def test_non_finite_payload_numbers_are_null(workdir, capsys, argv):
+    # GD at this step size overflows to an infinite loss
+    _, cap = run_cli([*argv, "--json"], capsys)
+    payload = _strict_json(cap.out)
+    final = [t["final_loss"] for t in payload.get("trials", [payload])]
+    assert final and all(v is None for v in final)
+    manifest = next(workdir.glob("*.manifest.json"))
+    code, cap = run_cli(["replay", str(manifest), "--json"], capsys)
+    assert code == 0 and _strict_json(cap.out)["match"] is True
 
 
 def test_replay_reproduces_bitwise(workdir, capsys):

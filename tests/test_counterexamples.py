@@ -12,12 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sparseland.counterexamples as counterexamples
 from sparseland import (
     Activation,
     ConstructionError,
     conv_matrix,
     ConvSpec,
     conv_valley_instance,
+    ConvValleyInstance,
     fd_gradient,
     fd_hessian,
     loss as net_loss,
@@ -26,6 +28,7 @@ from sparseland import (
     SparseLayer,
     SparseNet,
     spurious_minimum_instance,
+    SpuriousValleyInstance,
     sym_eig,
     valley_instance,
     valley_trial_objective,
@@ -115,6 +118,38 @@ def test_builder_self_validates():
     assert inst.minimum.loss_at(inst.theta) == pytest.approx(MIN_LOSS_REF, abs=1e-14)
     assert np.vstack([z1, z2]).shape == (4, 4)
     assert np.array_equal(inst.theta, (1, 1, 1, 1, 1, 2, 1, 2))
+
+
+# Each self-check of a builder is broken on its own, by moving what it
+# compares against; the ConstructionError names that identity and no other.
+
+@pytest.mark.parametrize("name,value,problem", [
+    ("RESIDUAL_Z1_REF", RESIDUAL_Z1_REF + 1e-9, "R Z1^T: max deviation "),
+    ("RESIDUAL_Z2_REF", RESIDUAL_Z2_REF - 1e-9, "R Z2^T: max deviation "),
+    ("MIN_LOSS_REF", MIN_LOSS_REF + 1e-9, "loss at theta: max deviation "),
+    ("BETTER_LOSS_BOUND", 0.5, "better point: loss "),
+], ids=["residual-z1", "residual-z2", "min-loss", "better-point"])
+def test_minimum_builder_names_the_broken_identity(monkeypatch, name, value, problem):
+    monkeypatch.setattr(counterexamples, name, value)
+    with pytest.raises(ConstructionError) as ei:
+        spurious_minimum_instance()
+    message = str(ei.value)
+    assert message.startswith("minimum instance failed validation: " + problem)
+    assert "; " not in message
+
+
+@pytest.mark.parametrize("name,change,identity", [
+    ("Z1_REF", lambda z: 2 * z, "Z1 Z1^T = I"),
+    ("Z2_REF", lambda z: 2 * z, "Z2 Z2^T = I"),
+    ("Z2_REF", lambda z: z[::-1], "Z1 Z2^T = diag(0.6, 0.8)"),  # rows swapped: still orthonormal
+], ids=["z1-gram", "z2-gram", "cross-gram"])
+def test_minimum_builder_checks_the_data_gram(monkeypatch, name, change, identity):
+    # the data also enter the target and the residual, so more checks fail
+    monkeypatch.setattr(counterexamples, name, change(getattr(counterexamples, name)))
+    with pytest.raises(ConstructionError) as ei:
+        spurious_minimum_instance()
+    problems = str(ei.value).removeprefix("minimum instance failed validation: ").split("; ")
+    assert any(p.startswith(identity + ": max deviation ") for p in problems)
 
 
 def test_verification_report():
@@ -220,6 +255,28 @@ def test_experimental_y_flags_constraint():
     assert not inst.constraints_ok
     assert inst.valley_loss == 4.0              # losses still exact
     assert inst.loss(inst.valley_theta) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("level,value,problem", [
+    ("valley_loss", 5.0, "valley loss 4.0 != y4^2 = 5.0"),
+    ("escape_loss", 0.0, f"escape loss {(9.0 / 11.0) ** 2!r} != 0.0"),
+], ids=["valley", "escape"])
+def test_valley_builder_names_the_broken_level(monkeypatch, level, value, problem):
+    monkeypatch.setattr(SpuriousValleyInstance, level, property(lambda self: value))
+    with pytest.raises(ConstructionError) as ei:
+        valley_instance(STRICT_Y)
+    assert str(ei.value) == "valley instance failed validation: " + problem
+
+
+def test_valley_builder_checks_the_ordering_and_the_scale():
+    # y2 < 0 puts the escape level above y1^2; tanh still reaches the scale
+    # targets, relu cannot reach the negative one
+    with pytest.raises(ConstructionError) as ei:
+        valley_instance((1, -2, 9, 2))
+    assert str(ei.value) == "valley instance failed validation: ordering escape < y1^2 < y4^2 failed"
+    with pytest.raises(ConstructionError) as ei:
+        valley_instance((1, -2, 9, 2), Activation.relu())
+    assert str(ei.value) == f"no valid scale: {-2 / 7!r} outside range of relu"
 
 
 def test_valley_theta_is_stationary():
@@ -378,6 +435,21 @@ def test_conv_valley_exact_levels(a):
     assert inst.loss(inst.global_witness()) == 0.0
     with pytest.raises(ValueError, match="a > 0"):
         inst.valley_point(-1.0)
+
+
+@pytest.mark.parametrize("target,name,value,problems", [
+    (ConvValleyInstance, "valley_point", lambda self, a=None: np.zeros(6),
+     [f"valley loss at a={a} is 8.5, expected exactly 0.5" for a in (0.5, 1.0, 2.0, 1.0)]),
+    (ConvValleyInstance, "global_witness", lambda self: np.zeros(6),
+     ["global witness loss 8.5 not < 1e-20"]),
+    (counterexamples, "conv_matrix", lambda spec: conv_matrix(spec).T,
+     ["conv matrix layout unexpected: [[1.0, 0.0], [2.0, 1.0]]"]),
+], ids=["valley-level", "witness", "conv-layout"])
+def test_conv_valley_builder_names_the_broken_identity(monkeypatch, target, name, value, problems):
+    monkeypatch.setattr(target, name, value)
+    with pytest.raises(ConstructionError) as ei:
+        conv_valley_instance()
+    assert str(ei.value) == "conv valley failed validation: " + "; ".join(problems)
 
 
 def test_conv_valley_loss_matches_dense_route():

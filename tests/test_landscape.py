@@ -159,6 +159,20 @@ def test_scalar_path(seed):
     assert trace.segments[-1].name == "solve_hidden"
 
 
+@pytest.mark.parametrize("cond,build", [("overparam", nonincreasing_path_overparam),
+                                        ("scalar", nonincreasing_path_scalar_output)])
+def test_path_segments_are_consecutive_points(cond, build):
+    # the path starts at the instance's parameters, each segment starts
+    # where the one before it ends, and end_loss is the loss at the last end
+    for seed in range(4):
+        inst = random_grouped_instance(cond, seed=seed)
+        trace = build(inst, n_samples=20)
+        segs = trace.segments
+        assert np.array_equal(segs[0].start, inst.pack())
+        assert all(np.array_equal(a.end, b.start) for a, b in zip(segs, segs[1:]))
+        assert trace.end_loss == inst.loss_at(segs[-1].end)
+
+
 def test_scalar_path_parks_and_revives_zero_output_neurons():
     inst = random_grouped_instance("scalar", seed=0)
     assert sum(int(np.count_nonzero(g.u == 0.0)) for g in inst.groups) >= 1

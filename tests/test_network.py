@@ -431,6 +431,15 @@ def test_json_roundtrip():
         assert np.array_equal(a.bias_mask, b.bias_mask)
 
 
+def test_json_masks_accept_zero_one_as_ints_bools_and_floats():
+    for mask in ([[1, 0], [0, 1]], [[True, False], [False, True]], [[1.0, 0.0], [0.0, 1.0]]):
+        spec = {"layers": [{"weights": [[1, 0], [0, 2]], "mask": mask,
+                            "bias": [1, 0], "bias_mask": mask[0]}, {"weights": [[1, 1]]}]}
+        layer = net_from_json(spec).layers[0]
+        assert layer.mask.dtype == bool and np.array_equal(layer.mask, np.eye(2, dtype=bool))
+        assert layer.bias_mask.dtype == bool and layer.bias_mask.tolist() == [True, False]
+
+
 def test_json_accepts_decimal_strings_and_defaults():
     spec = {
         "layers": [
