@@ -9,7 +9,7 @@ deeper masked networks under squared loss:
   classification, and self-validating spurious-minimum / spurious-valley
   instances (`calculus`, `counterexamples`);
 * guarantees: non-increasing descent paths under structural conditions,
-  rank certificates, admissibility and feature-map machinery
+  rank certificates and feature-map machinery
   (`landscape`), plus convolution mode ranks (`convmodes`);
 * experiments: full-batch GD training and batched trial statistics
   (`trainer`), all reachable from the `sparseland` CLI (`cli`).
@@ -19,14 +19,14 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from importlib import import_module
 
 _EXPORTS = {
     name: module
     for module, names in {
-        "activations": ("ANALYTIC_KINDS", "KINDS", "Activation", "activation_named"),
+        "activations": ("KINDS", "Activation", "activation_named"),
         "calculus": ("GroupBlock", "StationaryReport", "TwoLayerLinearInstance",
                      "classify_stationary", "fd_gradient", "fd_hessian",
                      "hessian_two_layer_linear", "instance_from_net", "sym_eig"),
@@ -38,11 +38,10 @@ _EXPORTS = {
                             "valley_instance", "valley_trial_objective",
                             "verify_spurious_minimum"),
         "landscape": ("AssumptionReport", "ConditionReport", "FeatureMaps", "PathSegment",
-                      "PathTrace", "ZeroColumnResult", "activation_admissible",
-                      "check_assumptions", "check_conditions", "hidden_rank_certificate",
-                      "nonincreasing_path_overparam", "nonincreasing_path_scalar_output",
-                      "numerical_rank", "poly_feature_maps", "random_grouped_instance",
-                      "zero_column_transform"),
+                      "PathTrace", "ZeroColumnResult", "check_assumptions", "check_conditions",
+                      "hidden_rank_certificate", "nonincreasing_path_overparam",
+                      "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",
+                      "random_grouped_instance", "zero_column_transform"),
         "network": ("PatternDecomposition", "RemovalReport", "SparseLayer", "SparseNet",
                     "decompose_patterns", "effective_subnetwork", "forward", "loss",
                     "net_from_json", "net_to_json"),

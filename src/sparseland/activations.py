@@ -1,18 +1,15 @@
-"""Scalar activation functions with exact Taylor data at the origin.
+"""Scalar activation functions.
 
 Every activation used by the package is represented by a frozen
-:class:`Activation` value.  Besides vectorized evaluation and first
-derivatives (needed for backprop), activations expose their derivative
-orders at 0 exactly (as `fractions.Fraction` where rational), which the
-admissibility checks in :mod:`sparseland.landscape` rely on.
+:class:`Activation` value: vectorized evaluation, first derivatives (needed
+for backprop), range queries and inverses (needed to place the valley
+instance's points), and a JSON form for network specs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +25,6 @@ KINDS = (
     "polynomial",
 )
 
-# kinds that are real-analytic at 0 (admissibility checks only apply to these)
-ANALYTIC_KINDS = ("linear", "tanh", "sigmoid", "shifted_sigmoid", "softplus", "polynomial")
-
 
 def _logistic(z):
     # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below;
@@ -38,19 +32,6 @@ def _logistic(z):
     z = np.asarray(z, dtype=float)
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-@lru_cache(maxsize=None)
-def _tanh_series(order: int) -> tuple:
-    """Maclaurin coefficients of tanh up to z**order, exact rationals.
-
-    Recurrence from tanh' = 1 - tanh**2.
-    """
-    t = [Fraction(0)] * (order + 1)
-    for k in range(order):
-        conv = sum(t[i] * t[k - i] for i in range(k + 1))
-        t[k + 1] = (Fraction(1 if k == 0 else 0) - conv) / (k + 1)
-    return tuple(t)
 
 
 @dataclass(frozen=True)
@@ -182,51 +163,6 @@ class Activation:
             return (s if k == "sigmoid" else s - 0.5), s * (1.0 - s)
         return self(z), self.derivative(z)
 
-    # -- Taylor data at 0 ------------------------------------------------
-    @property
-    def is_analytic(self) -> bool:
-        return self.kind in ANALYTIC_KINDS
-
-    def taylor_fraction(self, k: int):
-        """Exact k-th derivative of sigma at 0 as a Fraction, when rational.
-
-        Returns None for softplus order 0 (log 2, irrational but nonzero;
-        see taylor_at_zero / taylor_nonzero).  Raises for non-analytic kinds.
-        """
-        if not self.is_analytic:
-            raise ValueError(f"{self.kind} is not analytic at 0")
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        kind = self.kind
-        if kind == "linear":
-            return Fraction(1) if k == 1 else Fraction(0)
-        if kind == "polynomial":
-            if k >= len(self.coeffs):
-                return Fraction(0)
-            return Fraction(self.coeffs[k]) * math.factorial(k)
-        if kind == "tanh":
-            return _tanh_series(k)[k] * math.factorial(k)
-        if kind in ("sigmoid", "shifted_sigmoid"):
-            if k == 0:
-                return Fraction(0) if kind == "shifted_sigmoid" else Fraction(1, 2)
-            # sigma(z) = 1/2 + tanh(z/2)/2
-            return _tanh_series(k)[k] / Fraction(2) ** (k + 1) * math.factorial(k)
-        # softplus: derivative is the logistic function
-        if k == 0:
-            return None  # log 2
-        return Activation.sigmoid().taylor_fraction(k - 1)
-
-    def taylor_at_zero(self, k: int) -> float:
-        """k-th derivative of sigma at 0 as a float."""
-        frac = self.taylor_fraction(k)
-        if frac is None:
-            return math.log(2.0)
-        return float(frac)
-
-    def taylor_nonzero(self, k: int) -> bool:
-        frac = self.taylor_fraction(k)
-        return True if frac is None else frac != 0
-
     # -- inversion (monotone kinds) ---------------------------------------
     def contains(self, y: float) -> bool:
         """Whether y is attained by sigma over the reals."""
@@ -295,7 +231,7 @@ class Activation:
         return cls(kind)
 
 
-def activation_named(name: str, *, slope: float = 0.01, alpha: float = 1.0, coeffs=()) -> Activation:
+def activation_named(name: str) -> Activation:
     """Look up an activation by kind name; hyphens/case are normalized so
     "LeakyReLU", "leaky-relu" and "leaky_relu" all resolve the same way."""
     key = name.replace("-", "_").replace(" ", "_").lower()
@@ -303,10 +239,4 @@ def activation_named(name: str, *, slope: float = 0.01, alpha: float = 1.0, coef
     key = aliases.get(key, key)
     if key not in KINDS:
         raise ValueError(f"unknown activation {name!r}; known: {', '.join(KINDS)}")
-    if key == "polynomial":
-        return Activation.polynomial(coeffs)
-    if key == "leaky_relu":
-        return Activation.leaky_relu(slope)
-    if key == "elu":
-        return Activation.elu(alpha)
-    return getattr(Activation, key)()
+    return Activation(key)

@@ -231,6 +231,8 @@ def cmd_train(args):
     from .landscape import least_squares_optimum
     from .trainer import TrainConfig, gd_train, gen_synthetic, init_net
 
+    if args.target == "identity":
+        _reject_unread(args, "train", {"a_norm"}, "--target identity")
     net = _spec_or_random_net(args, "train")
     if args.reinit:
         net = init_net(net, args.scale_init, args.seed)
@@ -531,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
     sp.add_argument("--radius", type=_positive_float, default=0.05,
                     help="ss-valley only: probe radius")
-    sp.add_argument("--scale", type=_finite_float, default=None,
+    sp.add_argument("--scale", type=_positive_float, default=None,
                     help="cnn-same-valley only: valley parameter a")
     common(sp)
 
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sparsity", type=_finite_float, default=0.0)
     sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
-    sp.add_argument("--noise", type=_finite_float, default=1.0)
+    sp.add_argument("--noise", type=_nonnegative_float, default=1.0)
     sp.add_argument("--a-norm", type=_nonnegative_float, default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
     sp.add_argument("--lr", type=_positive_float, default=0.01)

@@ -23,7 +23,6 @@ RANK_TOL = 1e-8
 ORTHO_TOL = 1e-10
 BASIS_TOL = 1e-10  # zero_column_transform: a pivot at most this x the largest is no basis row
 MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and duplicate pairs
-MAX_ORDER, MAX_START, MAX_STEP = 64, 6, 4  # bounds of activation_admissible's progressions
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +402,6 @@ def check_assumptions(X: np.ndarray, mask: np.ndarray) -> AssumptionReport:
         mask_ok=not zero_rows,
         zero_rows=zero_rows,
     )
-
-
-def activation_admissible(act: Activation, n: int):
-    """Search for n derivative orders in arithmetic progression that are all
-    nonzero at 0.  Returns (True, orders) or (False, None).
-
-    Only analytic activations qualify; the witness orders feed the
-    rank-certificate argument for sigma(W X) with n samples.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not act.is_analytic:
-        return False, None
-    for start in range(MAX_START + 1):
-        for step in range(1, MAX_STEP + 1):
-            orders = tuple(start + step * i for i in range(n))
-            if orders[-1] > MAX_ORDER:
-                continue
-            if all(act.taylor_nonzero(k) for k in orders):
-                return True, orders
-    return False, None
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0
     """X ~ N(0,1), Y = A X + noise * eps with ||A||_F scaled to a_norm.
 
     target "identity" uses A = the first d_y rows of I instead (then a_norm
-    is ignored).  X, A and eps each draw from their own stream of seed.
+    is ignored, and the CLI rejects --a-norm with it).  X, A and eps each
+    draw from their own stream of seed.
     """
     rng_x, rng_a, rng_e = (stream(seed, purpose) for purpose in ("data", "target", "noise"))
     X = rng_x.standard_normal((d_x, n))

@@ -90,6 +90,7 @@ def test_verify_conv_valley(workdir, capsys):
     (["rank", "--dims", "3,0,2"], "--dims", "3,0,2"),
     (["train", "--dims", "3,-1,1"], "--dims", "3,-1,1"),
     (["conv-rank", "--mode", "same", "--d", "0", "--kernel", "1"], "--d", "0"),
+    (["verify", "cnn-same-valley", "--scale", "0"], "--scale", "0"),
 ])
 def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     with pytest.raises(SystemExit) as ei:
@@ -106,6 +107,7 @@ def test_vacuous_counts_are_usage_errors(workdir, capsys, argv, flag, value):
     (["train", "--dims", "3,4,1", "--epochs", "5", "--scale-init", "-1"], "--scale-init"),
     (["rank", "--scale-init", "-1"], "--scale-init"),
     (["train", "--dims", "3,4,1", "--epochs", "5", "--a-norm", "-1"], "--a-norm"),
+    (["train", "--dims", "3,4,1", "--epochs", "5", "--noise", "-1"], "--noise"),
 ])
 def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     with pytest.raises(SystemExit) as ei:
@@ -137,8 +139,11 @@ def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-1,2"], "kernel", (-1.0, 2.0)),
     (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-.5e1"], "kernel", (-5.0,)),
     (["verify", "ss-valley", "--y", "-1,2,9,2"], "y", (-1.0, 2.0, 9.0, 2.0)),
-    (["verify", "cnn-same-valley", "--scale", "-2E-1"], "scale", -0.2),
+    (["verify", "cnn-same-valley", "--scale", "-2E-1"], "scale",
+     "a finite number above 0, got -2E-1"),
     (["verify", "cnn-same-valley", "--scale", "-Inf"], "scale", "a finite number, got -Inf"),
+    (["train", "--dims", "3,4,1", "--noise", "-1e-3"], "noise",
+     "a finite number of at least 0, got -1e-3"),
 ])
 def test_negative_numbers_are_values(capsys, argv, dest, value):
     # argparse alone reads -1e-3 and -1,2 as options ("expected one argument")
@@ -242,6 +247,29 @@ def test_train_writes_csv_trace(workdir, capsys):
     assert manifest["outputs"]["primary"]["sha256"] == \
         hashlib.sha256(out.read_text().encode()).hexdigest()
     assert manifest["outputs"]["primary"]["path"] == str(out)
+
+
+def test_identity_target_rejects_a_norm(workdir, capsys):
+    # gen_synthetic ignores a_norm when the target is the identity
+    argv = ["train", "--dims", "3,4,1", "--target", "identity", "--epochs", "2"]
+    for a_norm in ("3", "0"):
+        code, cap = run_cli(argv + ["--a-norm", a_norm], capsys)
+        assert code == 2 and cap.out == ""
+        assert cap.err == "error: --target identity ignores --a-norm\n"
+        assert not list(workdir.glob("*.manifest.json"))
+    code, _ = run_cli(argv + ["--a-norm", "5"], capsys)  # the default
+    assert code == 0
+
+
+def test_identity_target_replay_rejects_a_norm(workdir, capsys):
+    code, _ = run_cli(["train", "--dims", "3,4,1", "--target", "identity", "--epochs", "2"], capsys)
+    assert code == 0
+    manifest = json.loads((workdir / "train.manifest.json").read_text())
+    p = workdir / "m.json"
+    p.write_text(json.dumps(dict(manifest, config=dict(manifest["config"], a_norm=3.0))))
+    code, cap = run_cli(["replay", str(p)], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err == "error: --target identity ignores --a-norm\n"
 
 
 def test_train_needs_spec_or_dims(workdir, capsys):

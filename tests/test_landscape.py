@@ -12,7 +12,6 @@ from sparseland import (
     SparseLayer,
     SparseNet,
     TwoLayerLinearInstance,
-    activation_admissible,
     check_assumptions,
     check_conditions,
     hidden_rank_certificate,
@@ -349,38 +348,6 @@ def test_check_assumptions():
     assert not rep.mask_ok
     assert rep.zero_rows == (1,)
     assert not rep.ok
-
-
-# ---------------------------------------------------------------------------
-# activation admissibility for the rank certificates
-# ---------------------------------------------------------------------------
-
-def test_admissible_witnesses():
-    assert activation_admissible(Activation.tanh(), 3) == (True, (1, 3, 5))
-    assert activation_admissible(Activation.sigmoid(), 4) == (True, (1, 3, 5, 7))
-    assert activation_admissible(Activation.softplus(), 3) == (True, (0, 1, 2))
-    assert activation_admissible(Activation.shifted_sigmoid(), 3) == (True, (1, 3, 5))
-    assert activation_admissible(Activation.relu(), 2) == (False, None)
-    assert activation_admissible(Activation.leaky_relu(), 2) == (False, None)
-
-
-def test_admissible_polynomial_limits():
-    quad = Activation.polynomial((0.0, 1.0, 1.0))  # z + z^2
-    ok, orders = activation_admissible(quad, 2)
-    assert ok and orders == (1, 2)
-    # degree-2 polynomial has at most 3 nonzero taylor orders
-    ok, orders = activation_admissible(quad, 4)
-    assert not ok and orders is None
-    with pytest.raises(ValueError):
-        activation_admissible(Activation.tanh(), 0)
-
-
-def test_admissible_orders_stop_at_64():
-    # tanh's nonzero orders are the odd ones: n of them need step 2, and the
-    # last order 1 + 2 (n - 1) must not pass 64, so n = 32 is the largest
-    assert activation_admissible(Activation.tanh(), 32) == (True, tuple(range(1, 64, 2)))
-    for n in (33, 40):
-        assert activation_admissible(Activation.tanh(), n) == (False, None)
 
 
 # ---------------------------------------------------------------------------
