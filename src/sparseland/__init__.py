@@ -19,14 +19,14 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"
 
 from importlib import import_module
 
 _EXPORTS = {
     name: module
     for module, names in {
-        "activations": ("KINDS", "Activation", "activation_named"),
+        "activations": ("KINDS", "Activation"),
         "calculus": ("GroupBlock", "StationaryReport", "TwoLayerLinearInstance",
                      "classify_stationary", "fd_gradient", "fd_hessian",
                      "hessian_two_layer_linear", "instance_from_net", "sym_eig"),
@@ -37,8 +37,8 @@ _EXPORTS = {
                             "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
                             "valley_instance", "valley_trial_objective",
                             "verify_spurious_minimum"),
-        "landscape": ("AssumptionReport", "ConditionReport", "FeatureMaps", "PathSegment",
-                      "PathTrace", "ZeroColumnResult", "check_assumptions", "check_conditions",
+        "landscape": ("AssumptionReport", "ConditionReport", "FeatureMaps", "PathTrace",
+                      "ZeroColumnResult", "check_assumptions", "check_conditions",
                       "hidden_rank_certificate", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",
                       "random_grouped_instance", "zero_column_transform"),

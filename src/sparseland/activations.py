@@ -230,13 +230,3 @@ class Activation:
             return cls.polynomial([float(c) for c in params["coeffs"]])
         return cls(kind)
 
-
-def activation_named(name: str) -> Activation:
-    """Look up an activation by kind name; hyphens/case are normalized so
-    "LeakyReLU", "leaky-relu" and "leaky_relu" all resolve the same way."""
-    key = name.replace("-", "_").replace(" ", "_").lower()
-    aliases = {"leakyrelu": "leaky_relu", "shiftedsigmoid": "shifted_sigmoid"}
-    key = aliases.get(key, key)
-    if key not in KINDS:
-        raise ValueError(f"unknown activation {name!r}; known: {', '.join(KINDS)}")
-    return Activation(key)

@@ -244,20 +244,15 @@ class StationaryReport:
     probe_evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """Standard JSON: a non-finite number (an infinite probe loss, say) is null."""
+        """The report without its null basis, an arbitrary rotation inside
+        the kernel; the kernel's size is probe_evidence["null_dim"]."""
         return {
-            "grad_norm": _json_float(self.grad_norm),
-            "eigenvalues": list(map(_json_float, self.eigenvalues)),
-            "null_basis": self.null_basis.tolist(),
+            "grad_norm": self.grad_norm,
+            "eigenvalues": self.eigenvalues.tolist(),
             "min_probe": self.min_probe,
-            "probe_evidence": {k: (_json_float(v) if isinstance(v, (int, float, np.floating)) else v)
+            "probe_evidence": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                                for k, v in self.probe_evidence.items()},
         }
-
-
-def _json_float(value) -> float | None:
-    value = float(value)
-    return value if np.isfinite(value) else None
 
 
 def classify_stationary(

@@ -29,6 +29,8 @@ from . import __version__
 KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigmoid",
          "softplus", "polynomial")
 MODES = ("full", "same", "valid")
+# the kinds `--activation` names: a polynomial needs coefficients, which only a spec gives
+FLAG_KINDS = tuple(k for k in KINDS if k != "polynomial")
 
 # the instance options that each verify instance reads; it rejects the others
 VERIFY_READS = {"sd-minimum": (), "ss-valley": ("activation", "y", "radius"),
@@ -78,6 +80,13 @@ def _parse_dims(text: str):
     if min(dims) < 1:
         raise argparse.ArgumentTypeError(f"layer sizes must be at least 1, got {text}")
     return dims
+
+
+def _activation_kind(text: str) -> str:
+    """argparse type of `--activation`: a kind name in any case, with hyphens or
+    spaces for underscores, so "LeakyReLU", "leaky-relu" and "leaky_relu" agree."""
+    key = text.replace("-", "_").replace(" ", "_").lower()
+    return {"leakyrelu": "leaky_relu", "shiftedsigmoid": "shifted_sigmoid"}.get(key, key)
 
 
 def _int_at_least(low: int):
@@ -143,24 +152,16 @@ def _spec_or_random_net(args, command: str):
     train --reinit still redraws the spec's weights at --scale-init.
     """
     if args.spec is None:
-        from .activations import activation_named
+        from .activations import Activation
         from .trainer import random_effective_net
 
         net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed,
-                                      activation=activation_named(args.activation),
+                                      activation=Activation(args.activation),
                                       init_scale=args.scale_init)
         return net
     unused = {"sparsity", "activation"} | (set() if getattr(args, "reinit", False) else {"scale_init"})
     _reject_unread(args, command, unused, "--spec", ": they shape only a random --dims net")
     return _load_net_spec(args.spec)
-
-
-def _mask_sparsity(net) -> float:
-    import numpy as np
-
-    total = sum(layer.mask.size for layer in net.layers)
-    zeros = sum(int(layer.mask.size - np.count_nonzero(layer.mask)) for layer in net.layers)
-    return zeros / total
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def _mask_sparsity(net) -> float:
 def cmd_verify(args):
     unread = set().union(*VERIFY_READS.values()) - set(VERIFY_READS[args.instance])
     _reject_unread(args, "verify", unread, f"verify {args.instance}")
-    from .activations import activation_named
+    from .activations import Activation
     from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
                                   spurious_minimum_instance, valley_instance,
                                   verify_spurious_minimum)
@@ -185,7 +186,7 @@ def cmd_verify(args):
         return (0 if ver.passed else 1), payload, None, lines
 
     if args.instance == "ss-valley":
-        act = activation_named(args.activation)
+        act = Activation(args.activation)
         inst = valley_instance(args.y, act)
         probe = probe_valley(inst, n_probes=args.probes, radius=args.radius, seed=args.seed)
         verified = probe.ok and inst.constraints_ok
@@ -253,7 +254,7 @@ def cmd_train(args):
         "final_loss": trace.final_loss,
         "stop_reason": trace.stop_reason,
         "epochs": trace.epochs,
-        "realized_sparsity": _mask_sparsity(trace.net),
+        "realized_sparsity": trace.net.sparsity,
         "optimum": optimum,
         "gap": gap,
         "monotone_violation": trace.monotone_violation,
@@ -267,11 +268,11 @@ def cmd_train(args):
 
 
 def cmd_trials(args):
-    from .activations import activation_named
+    from .activations import Activation
     from .counterexamples import valley_instance, valley_trial_objective
     from .trainer import TrainConfig, run_trials
 
-    act = activation_named(args.activation)
+    act = Activation(args.activation)
     inst = valley_instance(args.y, act)
     objective = valley_trial_objective(inst)
     config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs, seed=args.seed)
@@ -311,10 +312,10 @@ def cmd_path(args):
         "end_loss": trace.end_loss,
         "optimum": optimum,
         "gap": gap,
-        "segments": [s.name for s in trace.segments],
+        "segments": list(trace.names),
         "ok": ok,
     }
-    lines = [f"cond-{args.cond} path, {len(trace.segments)} segments",
+    lines = [f"cond-{args.cond} path, {len(trace.names)} segments",
              f"monotone violation {violation:.3e}",
              f"end loss {trace.end_loss!r}, optimum {optimum!r}, gap {gap:.3e}"]
     return (0 if ok else 1), payload, trace.to_csv(), lines
@@ -332,8 +333,8 @@ def cmd_prune(args):
         "isolated_inputs": list(report.isolated_inputs),
         "isolated_outputs": list(report.isolated_outputs),
         "is_effective": report.is_effective,
-        "sparsity_before": _mask_sparsity(net),
-        "sparsity_after": _mask_sparsity(reduced),
+        "sparsity_before": net.sparsity,
+        "sparsity_after": reduced.sparsity,
         "reduced": net_to_json(reduced),
     }
     lines = [
@@ -517,6 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def activation(sp, default, note=""):
+        sp.add_argument("--activation", type=_activation_kind, choices=FLAG_KINDS, default=default,
+                        metavar="KIND", help=note + "one of %(choices)s, in any case")
+
     def common(sp, seeded=True):
         if seeded:
             sp.add_argument("--seed", type=_int_at_least(0), default=0,
@@ -527,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
     sp.add_argument("instance", choices=tuple(VERIFY_READS))
-    sp.add_argument("--activation", default="tanh", help="ss-valley only")
+    activation(sp, "tanh", "ss-valley only: ")
     sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0),
                     help="ss-valley only: target values y1,y2,y3,y4")
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_source.add_argument("--dims", type=_parse_dims, default=None,
                             help="layer sizes, e.g. 20,100,100,1 (random masked net)")
     sp.add_argument("--sparsity", type=_finite_float, default=0.0)
-    sp.add_argument("--activation", default="linear", help=f"one of {', '.join(KINDS[:-1])}")
+    activation(sp, "linear")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
     sp.add_argument("--noise", type=_nonnegative_float, default=1.0)
     sp.add_argument("--a-norm", type=_nonnegative_float, default=5.0)
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
-    sp.add_argument("--activation", default="tanh")
+    activation(sp, "tanh")
     sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0))
     sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
@@ -586,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_source.add_argument("--dims", type=_parse_dims, default=(6, 6, 6),
                             help="layer sizes for a random masked net")
     sp.add_argument("--sparsity", type=_finite_float, default=0.3)
-    sp.add_argument("--activation", default="tanh")
+    activation(sp, "tanh")
     sp.add_argument("--scale-init", type=_nonnegative_float, default=3.0)
     sp.add_argument("--n", type=_int_at_least(1), default=6, help="number of samples")
     common(sp)

@@ -30,21 +30,17 @@ MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and d
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PathSegment:
-    name: str
-    start: np.ndarray  # flat parameter vector
-    end: np.ndarray
-
-
-@dataclass(frozen=True)
 class PathTrace:
-    """Sampled piecewise-linear path.  t runs over [0, 1); the loss at the
-    terminal point, segments[-1].end, is reported separately as end_loss."""
+    """Sampled piecewise-linear path through points (K + 1, P): segment k,
+    named names[k], runs from points[k] to points[k + 1] over t in
+    [k/K, (k+1)/K).  t runs over [0, 1); the loss at the terminal point,
+    points[-1], is reported separately as end_loss."""
 
     t: np.ndarray
     losses: np.ndarray
-    params: np.ndarray  # (len(t), dim)
-    segments: tuple
+    params: np.ndarray  # (len(t), P)
+    names: tuple
+    points: np.ndarray
     end_loss: float
 
     @property
@@ -63,10 +59,17 @@ class PathTrace:
         return buf.getvalue()
 
 
-def _trace(names: list, points: list, loss_at, n_samples: int) -> PathTrace:
-    # segment k, named names[k], runs from points[k] to points[k + 1] over
-    # [k/K, (k+1)/K); t is a uniform grid plus every segment start, and
-    # loss_at maps the (len(t), P) samples to their losses
+def _trace(inst: TwoLayerLinearInstance, moves, n_samples: int) -> PathTrace:
+    """The path from inst's parameters through one point per name that
+    moves(us, ws) yields, each the packed blocks us, ws as moves left them
+    (moves edits copies of inst's blocks in place).  t is a uniform grid
+    plus every segment start."""
+    us = [g.u.copy() for g in inst.groups]
+    ws = [g.w.copy() for g in inst.groups]
+    names, points = [], [inst.pack()]
+    for name in moves(us, ws):
+        names.append(name)
+        points.append(pack_blocks(zip(us, ws)))
     K = len(names)
     ts = set(np.linspace(0.0, 1.0, n_samples, endpoint=False).tolist())
     ts.update(k / K for k in range(K))
@@ -77,10 +80,11 @@ def _trace(names: list, points: list, loss_at, n_samples: int) -> PathTrace:
     params = (1.0 - s) * P[k] + s * P[k + 1]
     return PathTrace(
         t=ts,
-        losses=loss_at(params),
+        losses=inst.loss_at(params),
         params=params,
-        segments=tuple(map(PathSegment, names, points, points[1:])),
-        end_loss=float(loss_at(points[-1])),
+        names=tuple(names),
+        points=P,
+        end_loss=float(inst.loss_at(P[-1])),
     )
 
 
@@ -185,34 +189,28 @@ def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, n_samples: int = 
     constant); finally move all output blocks jointly to the least-squares
     solution (convex segment ending at its minimum).
     """
-    us = [g.u.copy() for g in inst.groups]
-    ws = [g.w.copy() for g in inst.groups]
     for i, g in enumerate(inst.groups):
         p_i, d_i = g.w.shape
         if p_i < d_i:
             raise ValueError(f"group {i} has width {p_i} < support {d_i}; path needs p_i >= d_i")
-    names, points = [], [inst.pack()]
 
-    def move(name):
-        names.append(name)
-        points.append(pack_blocks(zip(us, ws)))
+    def moves(us, ws):
+        for i in range(len(ws)):
+            res = zero_column_transform(us[i], ws[i])
+            if res.rank == ws[i].shape[1]:
+                continue  # already full column rank; nothing to free
+            us[i] = res.U0
+            yield f"rewire_output_g{i}"
+            ws[i] = _full_rank_completion(ws[i], res)
+            yield f"complete_rank_g{i}"
 
-    for i in range(len(ws)):
-        res = zero_column_transform(us[i], ws[i])
-        if res.rank == ws[i].shape[1]:
-            continue  # already full column rank; nothing to free
-        us[i] = res.U0
-        move(f"rewire_output_g{i}")
-        ws[i] = _full_rank_completion(ws[i], res)
-        move(f"complete_rank_g{i}")
+        Z = np.vstack([g.z for g in inst.groups])
+        M = inst.Y @ np.linalg.pinv(Z)
+        parts = np.split(M, np.cumsum([g.z.shape[0] for g in inst.groups])[:-1], axis=1)
+        us[:] = [m @ np.linalg.pinv(w) for m, w in zip(parts, ws)]
+        yield "solve_output"
 
-    Z = np.vstack([g.z for g in inst.groups])
-    M = inst.Y @ np.linalg.pinv(Z)
-    parts = np.split(M, np.cumsum([g.z.shape[0] for g in inst.groups])[:-1], axis=1)
-    us[:] = [m @ np.linalg.pinv(w) for m, w in zip(parts, ws)]
-    move("solve_output")
-
-    return _trace(names, points, inst.loss_at, n_samples)
+    return _trace(inst, moves, n_samples)
 
 
 def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: int = 1000) -> PathTrace:
@@ -225,32 +223,26 @@ def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: in
     """
     if inst.d_y != 1:
         raise ValueError("path construction requires d_y = 1")
-    us = [g.u.copy() for g in inst.groups]
-    ws = [g.w.copy() for g in inst.groups]
-    names, points = [], [inst.pack()]
 
-    def move(name):
-        names.append(name)
-        points.append(pack_blocks(zip(us, ws)))
+    def moves(us, ws):
+        for i, g in enumerate(inst.groups):
+            for k in range(g.w.shape[0]):
+                if us[i][0, k] == 0.0:
+                    if np.any(ws[i][k] != 0.0):
+                        ws[i][k] = 0.0
+                        yield f"park_w_g{i}n{k}"
+                    us[i][0, k] = 1.0
+                    yield f"revive_u_g{i}n{k}"
 
-    for i, g in enumerate(inst.groups):
-        for k in range(g.w.shape[0]):
-            if us[i][0, k] == 0.0:
-                if np.any(ws[i][k] != 0.0):
-                    ws[i][k] = 0.0
-                    move(f"park_w_g{i}n{k}")
-                us[i][0, k] = 1.0
-                move(f"revive_u_g{i}n{k}")
+        # stacked linear model in the hidden weights: row (i, k) is u_ik * z_i,
+        # so the solution holds each group's W_i neuron-major
+        Phi = np.vstack([u[0, k] * g.z for u, g in zip(us, inst.groups) for k in range(u.shape[1])])
+        v_star = np.linalg.lstsq(Phi.T, inst.Y.ravel(), rcond=None)[0]
+        parts = np.split(v_star, np.cumsum([w.size for w in ws])[:-1])
+        ws[:] = [v.reshape(w.shape) for v, w in zip(parts, ws)]
+        yield "solve_hidden"
 
-    # stacked linear model in the hidden weights: row (i, k) is u_ik * z_i,
-    # so the solution holds each group's W_i neuron-major
-    Phi = np.vstack([u[0, k] * g.z for u, g in zip(us, inst.groups) for k in range(u.shape[1])])
-    v_star = np.linalg.lstsq(Phi.T, inst.Y.ravel(), rcond=None)[0]
-    parts = np.split(v_star, np.cumsum([w.size for w in ws])[:-1])
-    ws[:] = [v.reshape(w.shape) for v, w in zip(parts, ws)]
-    move("solve_hidden")
-
-    return _trace(names, points, inst.loss_at, n_samples)
+    return _trace(inst, moves, n_samples)
 
 
 def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,

@@ -107,6 +107,13 @@ class SparseNet:
         """(d_in, hidden..., d_out)"""
         return (self.layers[0].n_in,) + tuple(l.n_out for l in self.layers)
 
+    @property
+    def sparsity(self) -> float:
+        """The share of weight entries that the masks pin to zero."""
+        total = sum(layer.mask.size for layer in self.layers)
+        zeros = sum(layer.mask.size - np.count_nonzero(layer.mask) for layer in self.layers)
+        return zeros / total
+
 
 def forward(net: SparseNet, X: np.ndarray):
     """Network output plus the post-activation hidden outputs, in order.

@@ -412,60 +412,47 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
 # random masked nets
 # ---------------------------------------------------------------------------
 
-def _repair_mask(mask: np.ndarray, rng) -> np.ndarray:
-    for i in np.flatnonzero(~mask.any(axis=1)):
-        mask[i, rng.integers(mask.shape[1])] = True
-    for j in np.flatnonzero(~mask.any(axis=0)):
-        mask[rng.integers(mask.shape[0]), j] = True
+def _draw_mask(rng, shape, sparsity: float, repair: bool) -> np.ndarray:
+    """One (p, d) Bernoulli mask from rng with zero-probability `sparsity` per
+    entry.  repair=True gives each all-zero row, then each all-zero column,
+    one entry drawn from rng; otherwise such a draw raises."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError("sparsity must be in [0, 1)")
+    mask = rng.random(shape) >= sparsity
+    if repair:
+        for i in np.flatnonzero(~mask.any(axis=1)):
+            mask[i, rng.integers(mask.shape[1])] = True
+        for j in np.flatnonzero(~mask.any(axis=0)):
+            mask[rng.integers(mask.shape[0]), j] = True
+    elif not mask.any(axis=1).all():
+        raise ValueError("mask draw has an all-zero row; pick another seed or repair=True")
+    elif not mask.any(axis=0).all():
+        raise ValueError("mask draw has an all-zero column; pick another seed or repair=True")
     return mask
 
 
-def random_sparse_mask(shape, sparsity: float, seed: int = 0, repair: bool | None = None):
-    """Bernoulli masks with zero-probability `sparsity` per entry.
-
-    One (p, d) shape: returns a single mask; a draw with an all-zero row or
-    column raises unless repair=True.  A list of layer shapes: returns
-    (masks, realized_sparsity) with every row/column repaired to be nonzero,
-    which keeps the stacked net effective (bias-free removal rules find
-    nothing to strip).
-    """
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError("sparsity must be in [0, 1)")
-    rng = stream(seed, "mask")
-    single = len(shape) == 2 and all(isinstance(v, (int, np.integer)) for v in shape)
-    shapes = [tuple(shape)] if single else [tuple(s) for s in shape]
-
-    masks = []
-    for shp in shapes:
-        m = rng.random(shp) >= sparsity
-        if single and not repair:
-            if not m.any(axis=1).all():
-                raise ValueError("mask draw has an all-zero row; pick another seed or repair=True")
-            if not m.any(axis=0).all():
-                raise ValueError("mask draw has an all-zero column; pick another seed or repair=True")
-        else:
-            m = _repair_mask(m, rng)
-        masks.append(m)
-
-    if single:
-        return masks[0]
-    total = sum(m.size for m in masks)
-    zeros = sum(int(m.size - np.count_nonzero(m)) for m in masks)
-    return masks, zeros / total
+def random_sparse_mask(shape, sparsity: float, seed: int = 0, repair: bool = False) -> np.ndarray:
+    """A (p, d) Bernoulli mask with zero-probability `sparsity` per entry,
+    drawn from the mask stream of seed (see _draw_mask for repair)."""
+    return _draw_mask(stream(seed, "mask"), shape, sparsity, repair)
 
 
 def random_effective_net(dims, sparsity: float, seed: int = 0,
                          activation: Activation | None = None,
                          init_scale: float = 1.0):
-    """Random masked net over the dim chain with all rows/cols kept nonzero.
+    """Random masked net over the dim chain, its layers' masks drawn in order
+    from one mask stream with every row and column repaired to be nonzero,
+    which keeps the net effective (the reduction finds nothing to strip).
 
-    Returns (net, realized_sparsity).  dims = (d_x, p_1, ..., d_y).
+    Returns (net, net.sparsity).  dims = (d_x, p_1, ..., d_y).
     """
     dims = [int(d) for d in dims]
     if len(dims) < 3:
         raise ValueError("need at least input, one hidden and output dims")
-    shapes = [(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
-    masks, realized = random_sparse_mask(shapes, sparsity, seed=seed)
+    rng = stream(seed, "mask")
+    masks = [_draw_mask(rng, (n_out, n_in), sparsity, repair=True)
+             for n_in, n_out in zip(dims, dims[1:])]
     act = activation if activation is not None else Activation.linear()
     blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), act)
-    return init_net(blank, init_scale, seed, "weights"), realized
+    net = init_net(blank, init_scale, seed, "weights")
+    return net, net.sparsity

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from sparseland import Activation, activation_named
+from sparseland import Activation
 
 ALL_KINDS = [
     Activation.linear(),
@@ -177,17 +177,6 @@ def test_validation():
         Activation.leaky_relu(0.0)
     with pytest.raises(ValueError):
         Activation.elu(-1.0)
-
-
-def test_activation_named_aliases():
-    assert activation_named("LeakyReLU") == Activation.leaky_relu()
-    assert activation_named("shifted-sigmoid").kind == "shifted_sigmoid"
-    assert activation_named("Tanh").kind == "tanh"
-    assert activation_named("elu") == Activation.elu()
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        activation_named("Polynomial")
-    with pytest.raises(ValueError):
-        activation_named("swish")
 
 
 def test_json_roundtrip():

@@ -18,6 +18,7 @@ from sparseland import (
     sym_eig,
 )
 from sparseland.calculus import PROBE_BLOCK
+from sparseland.cli import _finite_json
 
 from fd_oracle import grad_fd
 
@@ -391,14 +392,15 @@ def test_classify_non_finite_gradient_is_inconclusive():
 def test_report_json_writes_non_finite_numbers_as_null():
     rep = classify_stationary(lambda x: np.where(np.any(x, axis=-1), np.inf, 0.0), np.zeros(2),
                               grad_fn=lambda x: 0 * x, hessian_fn=lambda x: 2 * np.eye(2))
-    payload = json.loads(json.dumps(rep.to_json(), allow_nan=False))
+    payload = json.loads(json.dumps(_finite_json(rep.to_json()), allow_nan=False))
     assert payload["probe_evidence"]["worst_probe_delta"] is None
     assert payload["probe_evidence"]["f0"] == 0.0
     assert payload["eigenvalues"] == [2.0, 2.0]
     nan_hessian = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2),
                                       grad_fn=lambda x: 0 * x,
                                       hessian_fn=lambda x: np.diag([np.nan, 2.0]))
-    assert json.loads(json.dumps(nan_hessian.to_json(), allow_nan=False))["eigenvalues"] == [None, 2.0]
+    payload = json.loads(json.dumps(_finite_json(nan_hessian.to_json()), allow_nan=False))
+    assert payload["eigenvalues"] == [None, 2.0]
 
 
 # ---------------------------------------------------------------------------

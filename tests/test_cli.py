@@ -172,7 +172,7 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["train", "--dims", "3,4,1", "--sparsity", "1.5"], "sparsity must be in [0, 1)"),
-    (["trials", "--activation", "bogus"], "unknown activation 'bogus'"),
+    (["trials", "--activation", "softplus"], "sigma(0) = 0"),
     (["verify", "ss-valley", "--activation", "sigmoid"], "sigma(0) = 0"),
     (["path", "--groups", "0"], "need at least one group"),
     (["train", "--dims", "3"], "need at least input, one hidden and output dims"),
@@ -183,6 +183,25 @@ def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     assert cap.out == ""
     lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not list(workdir.glob("*.manifest.json"))
+
+
+def test_activation_flag_normalises_and_rejects(workdir, capsys):
+    # every --activation takes a kind in any case, with hyphens for underscores
+    parse = build_parser().parse_args
+    for command in (["verify", "ss-valley"], ["train", "--dims", "3,4,1"], ["trials"], ["rank"]):
+        assert parse([*command, "--activation", "LeakyReLU"]).activation == "leaky_relu"
+        assert parse([*command, "--activation", "shifted-sigmoid"]).activation == "shifted_sigmoid"
+        assert parse([*command, "--activation", "Tanh"]).activation == "tanh"
+    # a polynomial needs coefficients, which only a spec gives
+    for argv in (["train", "--dims", "3,4,1", "--activation", "polynomial", "--epochs", "2"],
+                 ["trials", "--activation", "swish"], ["rank", "--activation", "bogus"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "argument --activation: invalid choice" in errors[0]
+        assert "polynomial" not in errors[0].split("choose from")[1]
     assert not list(workdir.glob("*.manifest.json"))
 
 
@@ -803,6 +822,20 @@ def test_verify_memory_does_not_grow_with_probes(workdir):
     large = _exit_code_and_peak_rss_kb(["verify", "ss-valley", "--probes", "2000000"])
     assert small[0] == large[0] == 0
     assert large[1] - small[1] <= 16 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["verify", "cnn-same-valley", "--scale", "1e-300"], 1, ""),
+    (["verify", "ss-valley", "--y", "1,2,1e200,2"], 2,
+     "error: valley instance failed validation: valley loss inf != y4^2 = 4.0; "),
+], ids=["cnn-overflow", "ss-valley-overflow"])
+def test_verify_overflow_prints_no_numpy_warning(tmp_path, argv, code, err):
+    # the losses overflow: stderr holds the one error line, or nothing
+    proc = subprocess.run([sys.executable, "-m", "sparseland.cli", *argv], capture_output=True,
+                          text=True, env=_checkout_env(), cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
+    assert (tmp_path / "verify.manifest.json").exists() == (code != 2)
 
 
 def test_console_script_version():

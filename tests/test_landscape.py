@@ -140,7 +140,7 @@ def test_overparam_path(seed):
     assert trace.monotone_violation <= 1e-10
     assert trace.end_loss <= trace.losses[0] + 1e-12
     assert abs(trace.end_loss - grouped_optimum(inst)) < 1e-8
-    names = [s.name for s in trace.segments]
+    names = trace.names
     assert names[-1] == "solve_output"
     assert all(n.startswith(("rewire_output_g", "complete_rank_g", "solve_output"))
                for n in names)
@@ -155,47 +155,46 @@ def test_scalar_path(seed):
     trace = nonincreasing_path_scalar_output(inst, n_samples=400)
     assert trace.monotone_violation <= 1e-10
     assert abs(trace.end_loss - grouped_optimum(inst)) < 1e-8
-    assert trace.segments[-1].name == "solve_hidden"
+    assert trace.names[-1] == "solve_hidden"
 
 
 @pytest.mark.parametrize("cond,build", [("overparam", nonincreasing_path_overparam),
                                         ("scalar", nonincreasing_path_scalar_output)])
 def test_path_segments_are_consecutive_points(cond, build):
-    # the path starts at the instance's parameters, each segment starts
-    # where the one before it ends, and end_loss is the loss at the last end
+    # the path starts at the instance's parameters, each name ends one
+    # segment at the next point, and end_loss is the loss at the last point
     for seed in range(4):
         inst = random_grouped_instance(cond, seed=seed)
         trace = build(inst, n_samples=20)
-        segs = trace.segments
-        assert np.array_equal(segs[0].start, inst.pack())
-        assert all(np.array_equal(a.end, b.start) for a, b in zip(segs, segs[1:]))
-        assert trace.end_loss == inst.loss_at(segs[-1].end)
+        assert np.array_equal(trace.points[0], inst.pack())
+        assert len(trace.points) == len(trace.names) + 1
+        assert trace.end_loss == inst.loss_at(trace.points[-1])
 
 
 def test_scalar_path_parks_and_revives_zero_output_neurons():
     inst = random_grouped_instance("scalar", seed=0)
     assert sum(int(np.count_nonzero(g.u == 0.0)) for g in inst.groups) >= 1
-    names = [s.name for s in nonincreasing_path_scalar_output(inst).segments]
+    names = nonincreasing_path_scalar_output(inst).names
     assert any(n.startswith("park_w_") for n in names)
     assert any(n.startswith("revive_u_") for n in names)
     # park and revive segments hold the loss exactly constant at both ends
     trace = nonincreasing_path_scalar_output(inst, n_samples=50)
-    for seg in trace.segments:
-        if seg.name.startswith(("park_w_", "revive_u_")):
-            assert inst.loss_at(seg.start) == pytest.approx(inst.loss_at(seg.end), rel=1e-12)
+    for name, start, end in zip(trace.names, trace.points, trace.points[1:]):
+        if name.startswith(("park_w_", "revive_u_")):
+            assert inst.loss_at(start) == pytest.approx(inst.loss_at(end), rel=1e-12)
 
 
 def test_overparam_path_rewires_and_completes_rank_deficient_groups():
     inst = random_grouped_instance("overparam", seed=0)
     assert any(np.linalg.matrix_rank(g.w) < g.w.shape[1] for g in inst.groups)
     trace = nonincreasing_path_overparam(inst, n_samples=50)
-    names = [s.name for s in trace.segments]
+    names = trace.names
     assert any(n.startswith("rewire_output_") for n in names)
     assert any(n.startswith("complete_rank_") for n in names)
     # rewire and complete segments hold the loss constant at both ends
-    for seg in trace.segments:
-        if seg.name.startswith(("rewire_output_", "complete_rank_")):
-            assert inst.loss_at(seg.start) == pytest.approx(inst.loss_at(seg.end), rel=1e-12)
+    for name, start, end in zip(names, trace.points, trace.points[1:]):
+        if name.startswith(("rewire_output_", "complete_rank_")):
+            assert inst.loss_at(start) == pytest.approx(inst.loss_at(end), rel=1e-12)
 
 
 def test_path_shape_requirements():

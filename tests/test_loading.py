@@ -98,11 +98,33 @@ METHODS_NOT_REACHED = {
 }
 
 
-def _uses(tree) -> set:
-    """The names a tree reads, plus ".attr" for each attribute it reads: a
-    method is known at its call sites only by its name."""
-    return {f".{node.attr}" if isinstance(node, ast.Attribute) else node.id
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+def _uses(tree, names: dict) -> set:
+    """The definitions a tree names: each name that `names` maps to a
+    definition of sparseland, plus ".attr" for each attribute it reads (a
+    method is known at its call sites only by its name)."""
+    return {f".{node.attr}" if isinstance(node, ast.Attribute) else names[node.id]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and node.id in names}
+
+
+def _imports(tree) -> dict:
+    """{local name: definition name} of what tree imports from sparseland,
+    by `from .x import` in the package or `from sparseland import` in a test."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "sparseland")
+            for alias in node.names}
+
+
+def _names(path) -> tuple:
+    """(tree, names) of a module of sparseland: a name resolves to a
+    definition only where the module defines it at top level or imports it,
+    so a local variable that shares an export's name reaches nothing."""
+    tree = ast.parse(path.read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    return tree, {**_imports(tree), **{name: name for name in defined}}
 
 
 def _is_public_method(node) -> bool:
@@ -116,19 +138,20 @@ def definitions():
     dunder and private methods go with their class."""
     uses, methods = {}, {}
     for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
+        tree, names = _names(path)
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 public = [m for m in node.body if _is_public_method(m)]
                 methods[node.name] = [m.name for m in public]
                 for m in public:
-                    uses.setdefault(f".{m.name}", set()).update(_uses(m))
+                    uses.setdefault(f".{m.name}", set()).update(_uses(m, names))
                 node.body = [m for m in node.body if not _is_public_method(m)]
-                uses.setdefault(node.name, set()).update(_uses(node))
+                uses.setdefault(node.name, set()).update(_uses(node, names))
             elif isinstance(node, ast.FunctionDef):
-                uses.setdefault(node.name, set()).update(_uses(node))
+                uses.setdefault(node.name, set()).update(_uses(node, names))
             elif isinstance(node, ast.Assign):
-                for name in set().union(*map(_uses, node.targets)):
-                    uses.setdefault(name, set()).update(_uses(node.value))
+                for name in set().union(*(_uses(t, names) for t in node.targets)):
+                    uses.setdefault(name, set()).update(_uses(node.value, names))
     return uses, methods
 
 
@@ -136,9 +159,9 @@ def reached_names(planned=()) -> set:
     """Names used by the CLI or the acceptance tests, or listed in `planned`,
     closed under the names each definition of sparseland uses in turn."""
     uses, _ = definitions()
-    todo = list(_uses(ast.parse((PACKAGE / "cli.py").read_text()))
-                | _uses(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-                | set(planned))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    todo = list(_uses(*_names(PACKAGE / "cli.py"))
+                | _uses(acceptance, _imports(acceptance)) | set(planned))
     reached = set()
     while todo:
         name = todo.pop()
@@ -148,11 +171,18 @@ def reached_names(planned=()) -> set:
     return reached
 
 
+# exported and reached only from tests: each names why the tests need it
+REACHED_BY_TESTS_ONLY = {
+    "loss": "tests compare instance losses against the network's",
+}
+
+
 def test_every_export_is_reached_or_planned():
     reached = reached_names()
-    assert not set(sparseland.__all__) - reached - NOT_YET_REACHED.keys()
-    assert not NOT_YET_REACHED.keys() & reached  # a planned name that is now reached leaves the list
-    assert NOT_YET_REACHED.keys() <= set(sparseland.__all__)
+    listed = NOT_YET_REACHED.keys() | REACHED_BY_TESTS_ONLY.keys()
+    assert not set(sparseland.__all__) - reached - listed
+    assert not listed & reached  # a listed name that is now reached leaves its list
+    assert listed <= set(sparseland.__all__)
 
 
 def unreached_methods() -> set:
@@ -177,6 +207,7 @@ SET_ONLY_BY_TESTS = {
     ("fd_hessian", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
     ("numerical_rank", "tol"): "test_landscape.py::test_numerical_rank",
     ("random_sparse_mask", "repair"): "test_trainer.py::test_single_mask_draw",
+    ("random_sparse_mask", "seed"): "test_trainer.py::test_single_mask_draw",
 }
 
 
