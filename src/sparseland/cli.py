@@ -116,16 +116,20 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _load_net_spec(path: str):
-    """Parse a network JSON file; a ValueError names the file and what is wrong with it."""
+def _load_net_spec(args):
+    """Parse the --spec network JSON file, and record the path and SHA-256 of
+    the bytes parsed as args.inputs["spec"]; a ValueError names the file and
+    what is wrong with it."""
     from .network import net_from_json
 
+    path = args.spec
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}")
+    args.inputs["spec"] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     try:
-        obj = json.loads(text)
+        obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}")
     try:
@@ -161,7 +165,7 @@ def _spec_or_random_net(args, command: str):
         return net
     unused = {"sparsity", "activation"} | (set() if getattr(args, "reinit", False) else {"scale_init"})
     _reject_unread(args, command, unused, "--spec", ": they shape only a random --dims net")
-    return _load_net_spec(args.spec)
+    return _load_net_spec(args)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def cmd_path(args):
 def cmd_prune(args):
     from .network import effective_subnetwork, net_to_json
 
-    net = _load_net_spec(args.spec)
+    net = _load_net_spec(args)
     reduced, report = effective_subnetwork(net)
     payload = {
         "removed_edges": [list(e) for e in report.removed_edges],
@@ -386,8 +390,9 @@ HANDLERS = {
     "conv-rank": cmd_conv_rank,
 }
 
-# config keys that are plumbing, not inputs
-_NON_CONFIG = {"command", "out", "json_out"}
+# args keys that are plumbing, not config: `inputs` collects the input
+# files a handler read, which the manifest records apart
+_NON_CONFIG = {"command", "out", "json_out", "inputs"}
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -414,10 +419,14 @@ def _run(handler, args):
 
 
 def _environment() -> dict:
-    """BLAS thread settings and numpy version: either can move the last bits of a result."""
+    """What can move the last bits of a result: the BLAS thread settings and
+    CPU count, numpy and its BLAS build, and the Python version."""
     import numpy as np
 
-    return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__}
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {**{name: os.environ.get(name) for name in _THREAD_VARS}, "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "python": "{}.{}.{}".format(*sys.version_info[:3]), "cpu_count": os.cpu_count()}
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:
@@ -454,8 +463,13 @@ def cmd_replay(args):
         expected_payload = manifest["payload_sha256"]
         expected_primary = manifest["outputs"]["primary"]["sha256"]
         recorded_env = manifest.get("environment", {})  # absent in older manifests
+        recorded_inputs = manifest.get("inputs", {})  # absent before 0.3.5
         if not (isinstance(config, dict) and isinstance(recorded_env, dict)):
             raise TypeError("config and environment must be JSON objects")
+        if not (isinstance(recorded_inputs, dict) and all(
+                isinstance(e, dict) and isinstance(e.get("path"), str)
+                for e in recorded_inputs.values())):
+            raise TypeError("inputs must map names to objects with a path")
         if not (isinstance(command, str) and command in HANDLERS):
             raise ValueError(f"unknown command {command!r}")
         parser = _subparser(command)
@@ -463,7 +477,8 @@ def cmd_replay(args):
         missing = {a.dest for a in actions} - config.keys()
         if missing:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
-        ns = argparse.Namespace(**{a.dest: _reparse(a, config[a.dest]) for a in actions})
+        ns = argparse.Namespace(**{a.dest: _reparse(a, config[a.dest]) for a in actions},
+                                inputs={})
         for group in parser._mutually_exclusive_groups:  # as argparse checks the command line
             given = [a.dest for a in group._group_actions if getattr(ns, a.dest) != a.default]
             if len(given) > 1 or (group.required and not given):
@@ -484,14 +499,19 @@ def cmd_replay(args):
         "replayed_exit_code": code,
     }
     lines = [f"replayed {command}: {'outputs identical' if match else 'OUTPUT MISMATCH'}"]
-    recorded = manifest.get("version")
-    if not match and recorded != __version__:
-        lines.append(f"version differs from the recorded run: {recorded!r} -> {__version__!r}")
-    now = _environment()
-    changed = [f"{k} {v!r} -> {now[k]!r}" for k, v in recorded_env.items()
-               if k in now and v != now[k]]
-    if not match and changed:
-        lines.append("environment differs from the recorded run: " + ", ".join(changed))
+    if not match:
+        recorded = manifest.get("version")
+        if recorded != __version__:
+            lines.append(f"version differs from the recorded run: {recorded!r} -> {__version__!r}")
+        now = _environment()
+        changed = [f"{k} {v!r} -> {now[k]!r}" for k, v in recorded_env.items()
+                   if k in now and v != now[k]]
+        if changed:
+            lines.append("environment differs from the recorded run: " + ", ".join(changed))
+        inputs = [f"{name} {e['path']}" for name, e in recorded_inputs.items()
+                  if ns.inputs.get(name, {}).get("sha256") != e.get("sha256")]
+        if inputs:
+            lines.append("input differs from the recorded run: " + ", ".join(inputs))
     if args.out:
         Path(args.out).write_text(primary_text)
         lines.append(f"wrote {args.out}")
@@ -622,6 +642,7 @@ def main(argv=None) -> int:
             print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
             return 2
 
+    args.inputs = {}
     try:
         code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
                                                   else HANDLERS[command], args)
@@ -645,6 +666,7 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "environment": _environment(),
+        "inputs": args.inputs,
         "payload_sha256": _payload_digest(payload),
         "outputs": {
             "primary": {

@@ -115,14 +115,29 @@ class SparseNet:
         return zeros / total
 
 
+def _checked_input(net: SparseNet, X) -> np.ndarray:
+    """X as floats, which must be (d_in, n) for net."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != net.layers[0].n_in:
+        raise ValueError(f"X must be ({net.layers[0].n_in}, n)")
+    return X
+
+
+def _checked_target(net: SparseNet, n: int, Y) -> np.ndarray:
+    """Y as floats, which must be net's output shape on n samples, (d_out, n)."""
+    Y = np.asarray(Y, dtype=float)
+    shape = (net.layers[-1].n_out, n)
+    if Y.shape != shape:
+        raise ValueError(f"Y shape {Y.shape} != output shape {shape}")
+    return Y
+
+
 def forward(net: SparseNet, X: np.ndarray):
     """Network output plus the post-activation hidden outputs, in order.
 
     X is (d_in, n).  Returns (output (d_out, n), [hidden_1, ..., hidden_{L-1}]).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != net.layers[0].n_in:
-        raise ValueError(f"X must be ({net.layers[0].n_in}, n)")
+    X = _checked_input(net, X)
     hiddens = []
     h = X
     for layer in net.layers[:-1]:
@@ -135,10 +150,7 @@ def forward(net: SparseNet, X: np.ndarray):
 def loss(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> float:
     """0.5 * squared Frobenius residual of the network on (X, Y)."""
     out, _ = forward(net, X)
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != out.shape:
-        raise ValueError(f"Y shape {Y.shape} != output shape {out.shape}")
-    r = out - Y
+    r = out - _checked_target(net, out.shape[1], Y)
     return 0.5 * float(np.sum(r * r))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .activations import Activation
 from .landscape import numerical_rank
-from .network import SparseLayer, SparseNet, forward
+from .network import SparseLayer, SparseNet, _checked_input, _checked_target, forward
 
 DIVERGE_FACTOR = 1e12
 CLUSTER_REL_TOL = 1e-3  # loss_clusters: relative distance that joins a loss to a cluster
@@ -101,17 +101,24 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
     """Masked gradients of 0.5 ||net(X) - Y||_F^2 for every layer.
 
     Returns (weight_grads, bias_grads, loss_value); bias grads are None
-    where the layer has no bias.
+    where the layer has no bias.  X must be (d_in, n) and Y (d_out, n).
+
+    A linear net is one affine map, so its gradients are grouped through the
+    matrix chain (_chain_grads); other nets take backprop.
     """
+    X = _checked_input(net, X)
+    Y = _checked_target(net, X.shape[1], Y)
     act = net.activation
-    linear = act.kind == "linear"  # a linear sigma is the identity and sigma' all ones
+    L = len(net.layers)
     with np.errstate(over="ignore", invalid="ignore"):
-        hiddens = [np.asarray(X, dtype=float)]
+        if act.kind == "linear":
+            return _chain_grads(net, X, Y)
+
+        hiddens = [X]
         derivs = []  # sigma'(pre) of each hidden layer, from the forward pass
-        L = len(net.layers)
         for k, layer in enumerate(net.layers):
             pre = layer.affine(hiddens[-1])
-            if k == L - 1 or linear:
+            if k == L - 1:
                 hiddens.append(pre)
             else:
                 h, d = act.value_and_derivative(pre)
@@ -130,9 +137,55 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
                 b_grads[k] = G.sum(axis=1) * layer.bias_mask
             if k > 0:
                 G = layer.weights.T @ G
-                if not linear:
-                    G *= derivs[k - 1]
+                G *= derivs[k - 1]
         return w_grads, b_grads, value
+
+
+def _chain_grads(net: SparseNet, X: np.ndarray, Y: np.ndarray):
+    """grad_net of a linear net, its matrix chain grouped from the narrow ends.
+
+    With A_k = W_k ... W_1 and offsets a_k = W_k a_{k-1} + b_k (A_0 = I,
+    a_0 = 0), and B_k = W_L ... W_{k+1} (B_L = I), the residual is
+    R = A_L X + a_L 1^T - Y, and
+        dW_k = mask_k * B_k^T (S A_{k-1}^T + rho a_{k-1}^T)
+        db_k = bias_mask_k * B_k^T rho
+    with S = R X^T and rho = R 1: the n samples enter only through S and rho.
+    The loss is taken from R itself, not from a Gram form that would cancel
+    near the optimum.
+    """
+    layers = net.layers
+    d_x, n = X.shape
+    biased = any(layer.bias is not None for layer in layers)
+    # heads[k] = [A_k | a_k], or A_k alone when no layer has a bias, for k >= 1;
+    # heads[0] = [I | 0] is never formed.  Xh = [X; 1^T] to match, so that
+    # heads[k] @ Xh = A_k X + a_k 1^T.
+    first = layers[0]
+    H = first.weights
+    if biased:
+        H = np.column_stack([H, np.zeros(first.n_out) if first.bias is None else first.bias])
+    heads = [None, H]
+    for layer in layers[1:]:
+        H = layer.weights @ H
+        if layer.bias is not None:
+            H[:, -1] += layer.bias
+        heads.append(H)
+    Xh = np.vstack([X, np.ones((1, n))]) if biased else X
+    resid = heads[-1] @ Xh - Y
+    value = 0.5 * float(np.sum(resid * resid))
+    M = resid @ Xh.T  # [S | rho]
+
+    w_grads = [None] * len(layers)
+    b_grads = [None] * len(layers)
+    Bt = None  # B_k^T; None stands for B_L = I
+    for k in range(len(layers) - 1, -1, -1):
+        layer = layers[k]
+        C = M @ heads[k].T if k else M[:, :d_x]
+        w_grads[k] = (C if Bt is None else Bt @ C) * layer.mask
+        if layer.bias is not None:
+            b_grads[k] = (M[:, -1] if Bt is None else Bt @ M[:, -1]) * layer.bias_mask
+        if k > 0:
+            Bt = layer.weights.T if Bt is None else layer.weights.T @ Bt
+    return w_grads, b_grads, value
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import re
@@ -12,8 +13,8 @@ import pytest
 
 import sparseland
 from sparseland import __version__, net_to_json
-from sparseland.cli import (_finite_float, _four_floats, _nonnegative_float, _parse_floats,
-                            _payload_digest, _positive_float, build_parser, main)
+from sparseland.cli import (HANDLERS, _finite_float, _four_floats, _nonnegative_float,
+                            _parse_floats, _payload_digest, _positive_float, build_parser, main)
 
 
 @pytest.fixture
@@ -697,6 +698,86 @@ def test_replay_accepts_manifest_without_environment(workdir, capsys, monkeypatc
     code, cap = run_cli(["replay", str(mpath)], capsys)
     assert code == 1
     assert cap.out.splitlines() == ["replayed path: OUTPUT MISMATCH"]
+
+
+def test_manifest_records_platform_and_inputs_outside_the_digest(workdir, capsys):
+    out = workdir / "p.csv"
+    _, cap = run_cli(["path", "--cond", "1", "--seed", "2", "--out", str(out), "--json"], capsys)
+    manifest = json.loads((workdir / "p.csv.manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert env["cpu_count"] == os.cpu_count()
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert manifest["inputs"] == {}  # path reads no file
+    assert "inputs" not in manifest["config"]
+    assert manifest["payload_sha256"] == _payload_digest(json.loads(cap.out))
+
+
+@pytest.mark.parametrize("argv", [["train", "--spec", "n.json", "--epochs", "3"],
+                                  ["rank", "--spec", "n.json"], ["prune", "--spec", "n.json"]])
+def test_manifest_records_the_spec_digest(spec_net, workdir, capsys, argv):
+    command = argv[0]
+    run_cli(argv + ["--json"], capsys)
+    mpath = workdir / f"{command}.manifest.json"
+    manifest = json.loads(mpath.read_text())
+    spec = workdir / "n.json"
+    digest = hashlib.sha256(spec.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {"spec": {"path": "n.json", "sha256": digest}}
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 0 and cap.out.splitlines() == [f"replayed {command}: outputs identical"]
+
+    # zero first-layer weights change every output; replay names the input
+    obj = json.loads(spec.read_text())
+    obj["layers"][0]["weights"] = np.zeros((5, 3)).tolist()
+    spec.write_text(json.dumps(obj))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 1
+    assert cap.out.splitlines() == [f"replayed {command}: OUTPUT MISMATCH",
+                                    "input differs from the recorded run: spec n.json"]
+    # a manifest without inputs replays as before
+    del manifest["inputs"]
+    mpath.write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", str(mpath)], capsys)
+    assert code == 1 and cap.out.splitlines() == [f"replayed {command}: OUTPUT MISMATCH"]
+
+
+def test_spec_digest_is_of_the_bytes_parsed(spec_net, workdir, capsys, monkeypatch):
+    # the spec changes on disk after it was read: the manifest holds the
+    # digest of what the run parsed
+    spec = workdir / "n.json"
+    parsed = spec.read_bytes()
+    prune = HANDLERS["prune"]
+
+    def prune_then_edit(args):
+        result = prune(args)
+        spec.write_text(" " + parsed.decode())
+        return result
+
+    monkeypatch.setitem(HANDLERS, "prune", prune_then_edit)
+    run_cli(["prune", "--spec", "n.json"], capsys)
+    manifest = json.loads((workdir / "prune.manifest.json").read_text())
+    assert manifest["inputs"]["spec"]["sha256"] == hashlib.sha256(parsed).hexdigest()
+
+
+def test_replay_of_a_missing_spec_is_a_usage_error(spec_net, workdir, capsys):
+    run_cli(["prune", "--spec", "n.json"], capsys)
+    (workdir / "n.json").unlink()
+    assert main(["replay", str(workdir / "prune.manifest.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read n.json: ")
+
+
+def test_replay_rejects_malformed_inputs(spec_net, workdir, capsys):
+    run_cli(["prune", "--spec", "n.json"], capsys)
+    manifest = json.loads((workdir / "prune.manifest.json").read_text())
+    p = workdir / "m.json"
+    for bad in (["n.json"], {"spec": "n.json"}, {"spec": {"path": 3, "sha256": "0"}}):
+        p.write_text(json.dumps(dict(manifest, inputs=bad)))
+        with pytest.raises(SystemExit) as ei:
+            main(["replay", str(p)])
+        assert ei.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: bad manifest {p}: inputs must map names to objects with a path\n"
 
 
 def test_replay_bad_manifest(workdir, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,7 +112,9 @@ def reference_backprop(net, X, Y):
     act = net.activation
     hs, pres = [X], []
     for k, layer in enumerate(net.layers):
-        pre = layer.weights @ hs[-1] + layer.bias[:, None]
+        pre = layer.weights @ hs[-1]
+        if layer.bias is not None:
+            pre = pre + layer.bias[:, None]
         pres.append(pre)
         hs.append(pre if k == len(net.layers) - 1 else act(pre))
     resid = hs[-1] - Y
@@ -119,7 +122,7 @@ def reference_backprop(net, X, Y):
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         w_grads.insert(0, (G @ hs[k].T) * layer.mask)
-        b_grads.insert(0, G.sum(axis=1) * layer.bias_mask)
+        b_grads.insert(0, None if layer.bias is None else G.sum(axis=1) * layer.bias_mask)
         if k > 0:
             G = (layer.weights.T @ G) * act.derivative(pres[k - 1])
     return w_grads, b_grads, 0.5 * float(np.sum(resid * resid))
@@ -144,6 +147,87 @@ def test_grad_net_equals_reference_backprop_bitwise(act):
     assert value == ref_value
     for got, want in zip(w_grads + b_grads, ref_w + ref_b):
         assert got.tobytes() == want.tobytes()
+
+
+def random_linear_net(r, dims, biases):
+    """A masked linear net over dims; biases: None (no layer has one), "some"
+    (each layer has one with probability 1/2, under a random bias mask) or
+    "all" (every layer has one, with no bias mask)."""
+    layers = []
+    for n_in, n_out in zip(dims, dims[1:]):
+        mask = r.random((n_out, n_in)) < 0.7
+        W = r.standard_normal((n_out, n_in)) * mask / math.sqrt(n_in)
+        if biases == "all":
+            layers.append(SparseLayer(W, mask, r.standard_normal(n_out)))
+        elif biases == "some" and r.random() < 0.5:
+            bias_mask = r.random(n_out) < 0.7
+            layers.append(SparseLayer(W, mask, r.standard_normal(n_out) * bias_mask, bias_mask))
+        else:
+            layers.append(SparseLayer(W, mask))
+    return SparseNet(tuple(layers), Activation.linear())
+
+
+# Rounding error of the chain form and of backprop: each computes a gradient
+# entry as a sum over products of at most 6 factors with inner dimensions up
+# to 40, so each is within about (6 + 40) * 2**-53 ~ 5e-15 of the exact value,
+# relative to the same sum taken in absolute values.  That sum may exceed the
+# largest gradient entry by cancellation, so the bound allows a factor 100:
+# 1e-12 of each layer's largest entry (and of the loss).  Fixed from float64
+# before any comparison was run.
+CHAIN_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("biases", [None, "some", "all"])
+def test_linear_grad_net_matches_reference_backprop(biases):
+    # the chain form against the textbook route: depths 2-5, on 40 samples
+    # and on 1-3
+    r = np.random.default_rng({None: 30, "some": 31, "all": 32}[biases])
+    for trial in range(40):
+        depth = 2 + trial % 4
+        dims = tuple(int(d) for d in r.integers(1, 9, size=depth + 1))
+        n = 40 if trial % 2 else int(r.integers(1, 4))
+        net = random_linear_net(r, dims, biases)
+        X, Y = r.standard_normal((dims[0], n)), r.standard_normal((dims[-1], n))
+        w_grads, b_grads, value = grad_net(net, X, Y)
+        ref_w, ref_b, ref_value = reference_backprop(net, X, Y)
+        assert abs(value - ref_value) <= CHAIN_RTOL * max(1.0, ref_value)
+        for k, layer in enumerate(net.layers):
+            scale = max(np.max(np.abs(ref_w[k])), 1e-300)
+            assert np.max(np.abs(w_grads[k] - ref_w[k])) <= CHAIN_RTOL * scale, (trial, k)
+            # masked coordinates carry exactly zero gradient
+            assert np.all(w_grads[k][~layer.mask] == 0.0)
+            if layer.bias is None:
+                assert b_grads[k] is None and ref_b[k] is None
+            else:
+                scale = max(np.max(np.abs(ref_b[k])), 1e-300)
+                assert np.max(np.abs(b_grads[k] - ref_b[k])) <= CHAIN_RTOL * scale, (trial, k)
+                assert np.all(b_grads[k][~layer.bias_mask] == 0.0)
+
+
+@pytest.mark.parametrize("dims,biases", [((3, 5, 2), None), ((2, 4, 3, 2), "all"),
+                                         ((3, 4, 4, 3, 2, 1), "some")])
+def test_linear_chain_form_matches_fd(dims, biases):
+    r = np.random.default_rng(len(dims))
+    net = random_linear_net(r, dims, biases)
+    X, Y = r.standard_normal((dims[0], 30)), r.standard_normal((dims[-1], 30))
+    w_grads, b_grads, value = grad_net(net, X, Y)
+    assert value == pytest.approx(loss(net, X, Y), rel=1e-14)
+    for k, (fw, fb) in enumerate(grad_fd(net, X, Y)):
+        assert np.allclose(w_grads[k], fw, rtol=1e-6, atol=1e-7), k
+        if fb is not None:
+            assert np.allclose(b_grads[k], fb, rtol=1e-6, atol=1e-7), k
+
+
+@pytest.mark.parametrize("act", ["linear", "tanh"])  # the chain form and backprop
+def test_grad_net_checks_data_shapes(act):
+    net, _ = random_effective_net((3, 4, 2), 0.0, seed=1, activation=Activation(act))
+    ds = gen_synthetic(10, 3, 1)
+    with pytest.raises(ValueError, match=re.escape("Y shape (1, 10) != output shape (2, 10)")):
+        grad_net(net, ds.X, ds.Y)
+    with pytest.raises(ValueError, match=re.escape("Y shape (1, 10) != output shape (2, 10)")):
+        gd_train(net, ds, TrainConfig(max_epochs=50))
+    with pytest.raises(ValueError, match=re.escape("X must be (3, n)")):
+        grad_net(net, np.zeros((4, 10)), np.zeros((2, 10)))
 
 
 def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
