@@ -27,7 +27,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "activations": ("KINDS", "Activation"),
-        "calculus": ("GroupBlock", "StationaryReport", "TwoLayerLinearInstance",
+        "calculus": ("StationaryReport", "TwoLayerLinearInstance",
                      "classify_stationary", "fd_gradient", "fd_hessian",
                      "hessian_two_layer_linear", "instance_from_net", "sym_eig"),
         "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),

@@ -202,10 +202,9 @@ class Activation:
             return math.log(y / (1.0 - y))
         if k == "shifted_sigmoid":
             return math.log((y + 0.5) / (0.5 - y))
-        if k == "softplus":
-            # y = log(1+e^z)  =>  z = log(e^y - 1)
-            return math.log(math.expm1(y))
-        raise ValueError(f"inverse not supported for {self.kind}")
+        # softplus, the one kind left that contains() admits:
+        # y = log(1+e^z)  =>  z = log(e^y - 1)
+        return math.log(math.expm1(y))
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:

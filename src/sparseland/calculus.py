@@ -20,32 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import SparseNet
+from .network import SparseNet, _checked_target, decompose_patterns
 
 GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
 NULL_TOL = 1e-6
 PROBE_RADIUS = 1e-2
 PROBE_BLOCK = 1 << 13  # most probe points per loss call, so memory does not grow with n_probes
-
-
-@dataclass(frozen=True)
-class GroupBlock:
-    """One grouped factor: contribution u @ w @ z to the fit."""
-
-    u: np.ndarray  # (d_y, p_i)
-    w: np.ndarray  # (p_i, d_i)
-    z: np.ndarray  # (d_i, n)
-
-    def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        w = np.atleast_2d(np.asarray(self.w, dtype=float))
-        z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        if u.shape[1] != w.shape[0] or w.shape[1] != z.shape[0]:
-            raise ValueError(f"inconsistent block shapes {u.shape} {w.shape} {z.shape}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "z", z)
 
 
 def pack_blocks(blocks) -> np.ndarray:
@@ -57,99 +38,94 @@ def pack_blocks(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoLayerLinearInstance:
-    """Grouped two-layer linear objective with target Y (d_y, n)."""
+    """Data of the grouped two-layer linear objective: data blocks zs (Z_i,
+    each (d_i, n)), group widths p_i and target Y (d_y, n).  The weights
+    U_i (d_y, p_i) and W_i (p_i, d_i) are a flat theta in pack_blocks order."""
 
-    groups: tuple
+    zs: tuple
+    widths: tuple
     Y: np.ndarray
 
     def __post_init__(self):
-        groups = tuple(self.groups)
-        if not groups:
+        zs = tuple(np.array(z, dtype=float, ndmin=2) for z in self.zs)
+        widths = tuple(int(p) for p in self.widths)
+        Y = np.array(self.Y, dtype=float, ndmin=2)
+        if not zs:
             raise ValueError("need at least one group")
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        d_y = groups[0].u.shape[0]
-        n = groups[0].z.shape[1]
-        for g in groups:
-            if g.u.shape[0] != d_y or g.z.shape[1] != n:
-                raise ValueError("groups disagree on d_y or n")
-        if Y.shape != (d_y, n):
-            raise ValueError(f"Y must be ({d_y}, {n})")
-        object.__setattr__(self, "groups", groups)
+        if len(widths) != len(zs) or min(widths) < 1:
+            raise ValueError(f"need one width >= 1 per group, got {widths} for {len(zs)} groups")
+        if Y.ndim != 2 or any(z.ndim != 2 or z.shape[1] != Y.shape[1] for z in zs):
+            raise ValueError(f"Y and every Z_i must be 2-d with one n, got Y {Y.shape}, "
+                             f"Z {[z.shape for z in zs]}")
+        object.__setattr__(self, "zs", zs)
+        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "Y", Y)
 
     @property
     def d_y(self) -> int:
-        return self.groups[0].u.shape[0]
+        return self.Y.shape[0]
+
+    def blocks(self, theta) -> list:
+        """[(U_i, W_i)] views of flat parameters theta (..., P), the inverse of pack_blocks."""
+        theta = np.asarray(theta, dtype=float)
+        shapes = [s for p, z in zip(self.widths, self.zs) for s in ((self.d_y, p), (p, z.shape[0]))]
+        sizes = [a * b for a, b in shapes]
+        if theta.shape[-1:] != (sum(sizes),):
+            raise ValueError(f"flat vector has wrong length: shape {theta.shape}, need (..., {sum(sizes)})")
+        parts = np.split(theta, np.cumsum(sizes)[:-1], axis=-1)
+        parts = [part.reshape(theta.shape[:-1] + shape) for part, shape in zip(parts, shapes)]
+        return list(zip(parts[0::2], parts[1::2]))
 
     def _residual(self, blocks) -> np.ndarray:
         """R = sum_i U_i W_i Z_i - Y for blocks [(U_i, W_i)] with leading axes (...)."""
-        R = -self.Y
-        for (u, w), g in zip(blocks, self.groups):
-            R = R + u @ w @ g.z
-        return R
+        return sum((u @ w @ z for (u, w), z in zip(blocks, self.zs)), -self.Y)
 
-    def residual(self) -> np.ndarray:
-        return self._residual([(g.u, g.w) for g in self.groups])
+    def residual_at(self, theta) -> np.ndarray:
+        """R (..., d_y, n) at flat parameters theta (..., P)."""
+        return self._residual(self.blocks(theta))
 
-    def loss(self) -> float:
-        R = self.residual()
-        return 0.5 * float(np.sum(R * R))
-
-    def pack(self) -> np.ndarray:
-        return pack_blocks((g.u, g.w) for g in self.groups)
-
-    def _split(self, theta: np.ndarray) -> list:
-        """[(U_i, W_i)] views of flat parameters theta (..., P) in pack() order."""
-        sizes = [size for g in self.groups for size in (g.u.size, g.w.size)]
-        if theta.shape[-1:] != (sum(sizes),):
-            raise ValueError(f"flat vector has wrong length: shape {theta.shape}, need (..., {sum(sizes)})")
-        parts, lead = np.split(theta, np.cumsum(sizes)[:-1], axis=-1), theta.shape[:-1]
-        return [(u.reshape(lead + g.u.shape), w.reshape(lead + g.w.shape))
-                for g, u, w in zip(self.groups, parts[0::2], parts[1::2])]
-
-    def unpack(self, theta: np.ndarray) -> "TwoLayerLinearInstance":
-        blocks = self._split(np.ravel(theta))
-        return TwoLayerLinearInstance(
-            tuple(GroupBlock(u, w, g.z) for (u, w), g in zip(blocks, self.groups)), self.Y)
-
-    def loss_at(self, theta: np.ndarray):
+    def loss_at(self, theta):
         """Loss at flat parameters theta (..., P): shape (...), a float for 1-D theta."""
         theta = np.asarray(theta, dtype=float)
-        R = self._residual(self._split(theta))
+        R = self.residual_at(theta)
         loss = 0.5 * np.sum(R * R, axis=(-2, -1))
         return float(loss) if theta.ndim == 1 else loss
 
     def value_and_grad_at(self, theta):
-        """(loss_at(theta), gradient (..., P) in pack() order) at flat theta (..., P).
+        """(loss_at(theta), gradient (..., P) in pack_blocks order) at flat theta (..., P).
 
         With R = sum U_i W_i Z_i - Y: dU_i = R (W_i Z_i)^T, dW_i = U_i^T R Z_i^T.
         """
         theta = np.asarray(theta, dtype=float)
-        blocks = self._split(theta)
+        blocks = self.blocks(theta)
         R = self._residual(blocks)
         loss = 0.5 * np.sum(R * R, axis=(-2, -1))
-        grad = pack_blocks((R @ np.swapaxes(w @ g.z, -1, -2), np.swapaxes(u, -1, -2) @ R @ g.z.T)
-                           for (u, w), g in zip(blocks, self.groups))
+        grad = pack_blocks((R @ np.swapaxes(w @ z, -1, -2), np.swapaxes(u, -1, -2) @ R @ z.T)
+                           for (u, w), z in zip(blocks, self.zs))
         return (float(loss) if theta.ndim == 1 else loss), grad
 
 
-def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> TwoLayerLinearInstance:
-    """Grouped view of a 2-layer linear network (dense output layer)."""
-    from .network import decompose_patterns
-
+def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
+    """(instance, theta): the grouped view of a bias-free 2-layer linear
+    network with a dense output layer, and the net's weights as its flat theta."""
     if len(net.layers) != 2:
         raise ValueError("grouped instance requires exactly 2 layers")
     if net.activation.kind != "linear":
         raise ValueError("grouped instance requires the linear activation")
+    if any(layer.bias is not None for layer in net.layers):
+        raise ValueError("grouped instance requires a net without biases")
+    if not net.layers[1].mask.all():
+        raise ValueError("grouped instance requires a dense output layer")
     dec = decompose_patterns(net.layers[0], X)
+    Y = _checked_target(net, np.shape(X)[1], Y)
     ws = dec.weight_blocks(net.layers[0].weights)
     us = dec.output_blocks(net.layers[1].weights)
-    groups = tuple(GroupBlock(u, w, z) for u, w, z in zip(us, ws, dec.data_slices))
-    return TwoLayerLinearInstance(groups, np.asarray(Y, dtype=float))
+    return TwoLayerLinearInstance(dec.data_slices, dec.group_widths, Y), pack_blocks(zip(us, ws))
 
 
-def hessian_two_layer_linear(inst: TwoLayerLinearInstance) -> np.ndarray:
-    """Exact Hessian in pack() order, for any number and width of groups.
+def hessian_two_layer_linear(inst: TwoLayerLinearInstance, theta) -> np.ndarray:
+    """Exact Hessian at one flat point theta (P,), in pack_blocks order, for
+    any number and width of groups.
 
     With the row-major identity vec(A B C) = (A kron C^T) vec(B), the
     Jacobian of vec(R) has the blocks [I kron (W_i Z_i)^T, U_i kron Z_i^T]
@@ -157,19 +133,23 @@ def hessian_two_layer_linear(inst: TwoLayerLinearInstance) -> np.ndarray:
     between U_i and W_i of the same group (Magnus & Neudecker, Matrix
     Differential Calculus).
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"the Hessian is taken at one point, got theta of shape {theta.shape}")
+    blocks = inst.blocks(theta)
     I_dy = np.eye(inst.d_y)
     J = np.hstack([
         block
-        for g in inst.groups
-        for block in (np.kron(I_dy, (g.w @ g.z).T), np.kron(g.u, g.z.T))
+        for (u, w), z in zip(blocks, inst.zs)
+        for block in (np.kron(I_dy, (w @ z).T), np.kron(u, z.T))
     ])
     H = J.T @ J
-    R = inst.residual()
+    R = inst.residual_at(theta)
     off = 0
-    for g in inst.groups:
-        nu, nw = g.u.size, g.w.size
+    for (u, w), z in zip(blocks, inst.zs):
+        nu, nw = u.size, w.size
         # d^2 L / dU[a, j] dW[l, k] = (R Z^T)[a, k] * [j == l]
-        C = np.einsum("ak,jl->ajlk", R @ g.z.T, np.eye(g.w.shape[0])).reshape(nu, nw)
+        C = np.einsum("ak,jl->ajlk", R @ z.T, np.eye(w.shape[0])).reshape(nu, nw)
         H[off:off + nu, off + nu:off + nu + nw] += C
         H[off + nu:off + nu + nw, off:off + nu] += C.T
         off += nu + nw

@@ -300,13 +300,12 @@ def cmd_path(args):
                             nonincreasing_path_scalar_output, random_grouped_instance)
 
     cond = "overparam" if args.cond == 1 else "scalar"
-    inst = random_grouped_instance(cond, seed=args.seed, n_groups=args.groups, n=args.n)
+    inst, theta = random_grouped_instance(cond, seed=args.seed, n_groups=args.groups, n=args.n)
     if cond == "overparam":
-        trace = nonincreasing_path_overparam(inst, n_samples=args.samples)
+        trace = nonincreasing_path_overparam(inst, theta, n_samples=args.samples)
     else:
-        trace = nonincreasing_path_scalar_output(inst, n_samples=args.samples)
-    Z = np.vstack([g.z for g in inst.groups])
-    optimum = least_squares_optimum(Z, inst.Y)
+        trace = nonincreasing_path_scalar_output(inst, theta, n_samples=args.samples)
+    optimum = least_squares_optimum(np.vstack(inst.zs), inst.Y)
     violation = trace.monotone_violation
     gap = trace.end_loss - optimum
     ok = violation <= 1e-10 and abs(gap) <= 1e-8

@@ -23,7 +23,6 @@ from .activations import Activation
 from .calculus import (
     PROBE_BLOCK,
     TwoLayerLinearInstance,
-    GroupBlock,
     StationaryReport,
     classify_stationary,
     hessian_two_layer_linear,
@@ -66,18 +65,15 @@ EIGENVALUES_REF = (0.0, 0.0, 0.0997, 1.2886, 1.8647, 5.2568, 7.1369, 12.3533)
 
 @dataclass(frozen=True)
 class SpuriousMinimumInstance:
-    """The certified minimum as a grouped instance, plus a strictly better point.
+    """The grouped instance, its certified minimum and a strictly better point.
 
     Two groups of one neuron each: U_i is (2, 1), W_i is (1, 2) and Z_i is
-    (2, 4), so theta = minimum.pack() = (u1, w1, u2, w2) in R^8.
+    (2, 4), so theta = (u1, w1, u2, w2) in R^8.
     """
 
-    minimum: TwoLayerLinearInstance  # its blocks are the certified minimum
+    minimum: TwoLayerLinearInstance  # the objective
+    theta: np.ndarray                # the certified minimum
     theta_prime: np.ndarray          # a strictly better point elsewhere
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.minimum.pack()
 
 
 def spurious_minimum_instance() -> SpuriousMinimumInstance:
@@ -88,11 +84,8 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
     (Z1 Z2^T = diag(0.6, 0.8)), which is what pins the gradient to zero
     at theta while leaving room for a strictly better point.
     """
-    minimum = TwoLayerLinearInstance(
-        (GroupBlock(np.ones((2, 1)), np.ones((1, 2)), Z1_REF.copy()),
-         GroupBlock(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), Z2_REF.copy())),
-        A1_REF @ Z1_REF + A2_REF @ Z2_REF,
-    )
+    minimum = TwoLayerLinearInstance((Z1_REF, Z2_REF), (1, 1), A1_REF @ Z1_REF + A2_REF @ Z2_REF)
+    theta = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0])  # u1 = w1 = (1, 1), u2 = w2 = (1, 2)
     theta_prime = np.array([0.25, 1.0, 0.65, 2.2, 0.8, 1.0, 2.2, 2.9])
 
     problems = []
@@ -102,16 +95,16 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
         if err > tol:
             problems.append(f"{name}: max deviation {err:.3e} > {tol:.0e}")
 
-    z1, z2 = (g.z for g in minimum.groups)
+    z1, z2 = minimum.zs
     I2 = np.eye(2)
     check("Z1 Z1^T = I", z1 @ z1.T, I2, 1e-12)
     check("Z2 Z2^T = I", z2 @ z2.T, I2, 1e-12)
     check("Z1 Z2^T = diag(0.6, 0.8)", z1 @ z2.T, np.diag([0.6, 0.8]), 1e-12)
 
-    R = minimum.residual()
+    R = minimum.residual_at(theta)
     check("R Z1^T", R @ z1.T, RESIDUAL_Z1_REF, 1e-12)
     check("R Z2^T", R @ z2.T, RESIDUAL_Z2_REF, 1e-12)
-    check("loss at theta", minimum.loss(), MIN_LOSS_REF, 1e-12)
+    check("loss at theta", minimum.loss_at(theta), MIN_LOSS_REF, 1e-12)
 
     loss_prime = minimum.loss_at(theta_prime)
     if not (loss_prime < BETTER_LOSS_BOUND < MIN_LOSS_REF):
@@ -121,45 +114,33 @@ def spurious_minimum_instance() -> SpuriousMinimumInstance:
 
     if problems:
         raise ConstructionError("minimum instance failed validation: " + "; ".join(problems))
-    return SpuriousMinimumInstance(minimum, theta_prime)
+    return SpuriousMinimumInstance(minimum, theta, theta_prime)
 
 
 @dataclass(frozen=True)
 class MinimumVerification:
     report: StationaryReport
-    grad_zero: bool
-    hessian_match: bool
-    hessian_psd: bool
-    eigs_match: bool
-    strict_probe_pass: bool
-    better_point_exists: bool
-    details: dict = field(default_factory=dict)
+    checks: dict  # check name -> bool, in payload order
+    details: dict
 
     @property
     def passed(self) -> bool:
-        return (self.grad_zero and self.hessian_match and self.hessian_psd
-                and self.eigs_match and self.strict_probe_pass and self.better_point_exists)
+        return all(self.checks.values())
 
     def to_json(self) -> dict:
-        out = {
-            "grad_zero": self.grad_zero,
-            "hessian_match": self.hessian_match,
-            "hessian_psd": self.hessian_psd,
-            "eigs_match": self.eigs_match,
-            "strict_probe_pass": self.strict_probe_pass,
-            "better_point_exists": self.better_point_exists,
+        return {
+            **self.checks,
             "passed": self.passed,
             "report": self.report.to_json(),
             "details": {k: float(v) for k, v in self.details.items()},
         }
-        return out
 
 
 def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
                             seed: int = 0) -> MinimumVerification:
     """Re-derive every certified property of the minimum instance."""
     minimum, theta = inst.minimum, inst.theta
-    H = hessian_two_layer_linear(minimum)
+    H = hessian_two_layer_linear(minimum, theta)
     report = classify_stationary(
         minimum.loss_at, theta,
         grad_fn=lambda th: minimum.value_and_grad_at(th)[1], hessian_fn=lambda th: H,
@@ -172,12 +153,14 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
     loss_theta = minimum.loss_at(theta)
     return MinimumVerification(
         report=report,
-        grad_zero=report.grad_norm < 1e-10,
-        hessian_match=hess_err < 1e-12,
-        hessian_psd=bool(evals[0] >= -1e-8 * max(1.0, float(evals[-1]))),
-        eigs_match=eig_err <= 1e-3,
-        strict_probe_pass=report.min_probe == "strict_local_min",
-        better_point_exists=bool(loss_prime < BETTER_LOSS_BOUND < loss_theta),
+        checks={
+            "grad_zero": report.grad_norm < 1e-10,
+            "hessian_match": hess_err < 1e-12,
+            "hessian_psd": bool(evals[0] >= -1e-8 * max(1.0, float(evals[-1]))),
+            "eigs_match": eig_err <= 1e-3,
+            "strict_probe_pass": report.min_probe == "strict_local_min",
+            "better_point_exists": bool(loss_prime < BETTER_LOSS_BOUND < loss_theta),
+        },
         details={
             "hessian_max_err": hess_err,
             "eig_max_err": eig_err,

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .activations import Activation
-from .calculus import GroupBlock, TwoLayerLinearInstance, pack_blocks
+from .calculus import TwoLayerLinearInstance, pack_blocks
 from .network import SparseNet, decompose_patterns, forward
 
 RANK_TOL = 1e-8
@@ -38,7 +38,6 @@ class PathTrace:
 
     t: np.ndarray
     losses: np.ndarray
-    params: np.ndarray  # (len(t), P)
     names: tuple
     points: np.ndarray
     end_loss: float
@@ -59,14 +58,14 @@ class PathTrace:
         return buf.getvalue()
 
 
-def _trace(inst: TwoLayerLinearInstance, moves, n_samples: int) -> PathTrace:
-    """The path from inst's parameters through one point per name that
+def _trace(inst: TwoLayerLinearInstance, theta, moves, n_samples: int) -> PathTrace:
+    """The path from flat parameters theta through one point per name that
     moves(us, ws) yields, each the packed blocks us, ws as moves left them
-    (moves edits copies of inst's blocks in place).  t is a uniform grid
+    (moves edits copies of theta's blocks in place).  t is a uniform grid
     plus every segment start."""
-    us = [g.u.copy() for g in inst.groups]
-    ws = [g.w.copy() for g in inst.groups]
-    names, points = [], [inst.pack()]
+    blocks = inst.blocks(np.array(theta, dtype=float))  # a copy, for moves to edit
+    us, ws = [u for u, _ in blocks], [w for _, w in blocks]
+    names, points = [], [np.asarray(theta, dtype=float)]
     for name in moves(us, ws):
         names.append(name)
         points.append(pack_blocks(zip(us, ws)))
@@ -77,11 +76,9 @@ def _trace(inst: TwoLayerLinearInstance, moves, n_samples: int) -> PathTrace:
     k = np.minimum((ts * K).astype(int), K - 1)
     s = (ts * K - k)[:, None]
     P = np.array(points)
-    params = (1.0 - s) * P[k] + s * P[k + 1]
     return PathTrace(
         t=ts,
-        losses=inst.loss_at(params),
-        params=params,
+        losses=inst.loss_at((1.0 - s) * P[k] + s * P[k + 1]),
         names=tuple(names),
         points=P,
         end_loss=float(inst.loss_at(P[-1])),
@@ -180,17 +177,19 @@ def least_squares_optimum(X: np.ndarray, Y: np.ndarray) -> float:
     return 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
 
 
-def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, n_samples: int = 1000) -> PathTrace:
-    """Non-increasing path to the grouped optimum when every group has at
-    least as many neurons as support coordinates (p_i >= d_i).
+def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, theta,
+                                 n_samples: int = 1000) -> PathTrace:
+    """Non-increasing path from flat parameters theta to the grouped optimum
+    when every group has at least as many neurons as support coordinates
+    (p_i >= d_i).
 
     Per deficient group: rewrite the output weights onto a row basis (loss
     constant), then complete the freed rows to full column rank (loss
     constant); finally move all output blocks jointly to the least-squares
     solution (convex segment ending at its minimum).
     """
-    for i, g in enumerate(inst.groups):
-        p_i, d_i = g.w.shape
+    for i, (p_i, z) in enumerate(zip(inst.widths, inst.zs)):
+        d_i = z.shape[0]
         if p_i < d_i:
             raise ValueError(f"group {i} has width {p_i} < support {d_i}; path needs p_i >= d_i")
 
@@ -204,17 +203,19 @@ def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, n_samples: int = 
             ws[i] = _full_rank_completion(ws[i], res)
             yield f"complete_rank_g{i}"
 
-        Z = np.vstack([g.z for g in inst.groups])
+        Z = np.vstack(inst.zs)
         M = inst.Y @ np.linalg.pinv(Z)
-        parts = np.split(M, np.cumsum([g.z.shape[0] for g in inst.groups])[:-1], axis=1)
+        parts = np.split(M, np.cumsum([z.shape[0] for z in inst.zs])[:-1], axis=1)
         us[:] = [m @ np.linalg.pinv(w) for m, w in zip(parts, ws)]
         yield "solve_output"
 
-    return _trace(inst, moves, n_samples)
+    return _trace(inst, theta, moves, n_samples)
 
 
-def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: int = 1000) -> PathTrace:
-    """Non-increasing path to the dense optimum for scalar-output instances.
+def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, theta,
+                                     n_samples: int = 1000) -> PathTrace:
+    """Non-increasing path from flat parameters theta to the dense optimum
+    for scalar-output instances.
 
     Neurons with exactly zero output weight are parked (w -> 0, loss
     constant) and revived (u: 0 -> 1, loss constant); the hidden weights
@@ -225,8 +226,8 @@ def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: in
         raise ValueError("path construction requires d_y = 1")
 
     def moves(us, ws):
-        for i, g in enumerate(inst.groups):
-            for k in range(g.w.shape[0]):
+        for i, p_i in enumerate(inst.widths):
+            for k in range(p_i):
                 if us[i][0, k] == 0.0:
                     if np.any(ws[i][k] != 0.0):
                         ws[i][k] = 0.0
@@ -236,19 +237,18 @@ def nonincreasing_path_scalar_output(inst: TwoLayerLinearInstance, n_samples: in
 
         # stacked linear model in the hidden weights: row (i, k) is u_ik * z_i,
         # so the solution holds each group's W_i neuron-major
-        Phi = np.vstack([u[0, k] * g.z for u, g in zip(us, inst.groups) for k in range(u.shape[1])])
+        Phi = np.vstack([u[0, k] * z for u, z in zip(us, inst.zs) for k in range(u.shape[1])])
         v_star = np.linalg.lstsq(Phi.T, inst.Y.ravel(), rcond=None)[0]
         parts = np.split(v_star, np.cumsum([w.size for w in ws])[:-1])
         ws[:] = [v.reshape(w.shape) for v, w in zip(parts, ws)]
         yield "solve_hidden"
 
-    return _trace(inst, moves, n_samples)
+    return _trace(inst, theta, moves, n_samples)
 
 
-def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
-                            n: int = 12) -> TwoLayerLinearInstance:
-    """Random grouped two-layer linear instance shaped for one of the two
-    path constructions.
+def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3, n: int = 12):
+    """(instance, theta): a random grouped two-layer linear instance shaped
+    for one of the two path constructions, and flat parameters on it.
 
     cond "overparam": d_y = 2; group widths p_i = d_i + r with r cycling 0,
     1, 2, so every group satisfies p_i >= d_i, and even-indexed groups with
@@ -261,7 +261,7 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
         raise ValueError(f"cond must be 'overparam' or 'scalar', got {cond!r}")
     rng = np.random.default_rng(seed)
     d_y = 1 if cond == "scalar" else 2
-    groups = []
+    zs, blocks = [], []
     for i in range(n_groups):
         d_i = int(rng.integers(1, 4))
         if cond == "overparam":
@@ -276,9 +276,10 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3,
             w = w @ np.linalg.qr(rng.standard_normal((d_i, d_i)))[0]
         if cond == "scalar":
             u = u * (rng.random((d_y, p_i)) >= 0.25)
-        groups.append(GroupBlock(u, w, z))
+        zs.append(z)
+        blocks.append((u, w))
     Y = rng.standard_normal((d_y, n))
-    return TwoLayerLinearInstance(tuple(groups), Y)
+    return TwoLayerLinearInstance(zs, [w.shape[0] for _, w in blocks], Y), pack_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +321,8 @@ def _poly_degree(act: Activation):
     return None
 
 
-def check_conditions(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> ConditionReport:
+def check_conditions(net: SparseNet, X: np.ndarray) -> ConditionReport:
     X = np.asarray(X, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[1]
     dec = decompose_patterns(net.layers[0], X)
 

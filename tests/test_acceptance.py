@@ -20,7 +20,6 @@ from sparseland import (
     fd_hessian,
     gd_train,
     gen_synthetic,
-    GroupBlock,
     hessian_two_layer_linear,
     init_net,
     MODES,
@@ -41,6 +40,7 @@ from sparseland import (
     verify_spurious_minimum,
     zero_column_transform,
 )
+from sparseland.calculus import pack_blocks
 from sparseland.counterexamples import EXPERIMENT_Y, MIN_LOSS_REF
 
 
@@ -50,7 +50,7 @@ def report(n, ok, detail):
 
 
 def grouped_optimum(inst):
-    Z = np.vstack([g.z for g in inst.groups])
+    Z = np.vstack(inst.zs)
     R = inst.Y - inst.Y @ np.linalg.pinv(Z) @ Z
     return 0.5 * float(np.sum(R * R))
 
@@ -71,8 +71,8 @@ def test_criterion_1_minimum_verification():
 
 def test_criterion_2_residual_identities():
     inst = spurious_minimum_instance()
-    R = inst.minimum.residual()
-    z1, z2 = (g.z for g in inst.minimum.groups)
+    R = inst.minimum.residual_at(inst.theta)
+    z1, z2 = inst.minimum.zs
     err1 = np.max(np.abs(R @ z1.T - np.array([[-0.4, 0.4], [0.4, -0.4]])))
     err2 = np.max(np.abs(R @ z2.T - np.array([[-0.8, 0.4], [0.4, -0.2]])))
     ok = err1 < 1e-12 and err2 < 1e-12
@@ -83,13 +83,13 @@ def test_criterion_3_paths():
     t0 = time.perf_counter()
     worst_viol = worst_gap = 0.0
     for seed in range(50):
-        inst = random_grouped_instance("overparam", seed=seed)
-        tr = nonincreasing_path_overparam(inst, n_samples=500)
+        inst, theta = random_grouped_instance("overparam", seed=seed)
+        tr = nonincreasing_path_overparam(inst, theta, n_samples=500)
         worst_viol = max(worst_viol, tr.monotone_violation)
         worst_gap = max(worst_gap, abs(tr.end_loss - grouped_optimum(inst)))
     for seed in range(50):
-        inst = random_grouped_instance("scalar", seed=seed)
-        tr = nonincreasing_path_scalar_output(inst, n_samples=500)
+        inst, theta = random_grouped_instance("scalar", seed=seed)
+        tr = nonincreasing_path_scalar_output(inst, theta, n_samples=500)
         worst_viol = max(worst_viol, tr.monotone_violation)
         worst_gap = max(worst_gap, abs(tr.end_loss - grouped_optimum(inst)))
     elapsed = time.perf_counter() - t0
@@ -225,33 +225,33 @@ def test_criterion_9_deep_sparse_linear():
 
 
 def random_instance(rng, n_groups, width):
-    groups = []
+    """(instance, theta) with u, w and z drawn per group, then Y."""
+    blocks, zs = [], []
     n = int(rng.integers(6, 14))
     d_y = int(rng.integers(1, 4))
     for _ in range(n_groups):
         d = int(rng.integers(1, 5))
-        groups.append(GroupBlock(rng.standard_normal((d_y, width)),
-                                 rng.standard_normal((width, d)),
-                                 rng.standard_normal((d, n))))
-    return TwoLayerLinearInstance(tuple(groups), rng.standard_normal((d_y, n)))
+        blocks.append((rng.standard_normal((d_y, width)), rng.standard_normal((width, d))))
+        zs.append(rng.standard_normal((d, n)))
+    inst = TwoLayerLinearInstance(zs, [width] * n_groups, rng.standard_normal((d_y, n)))
+    return inst, pack_blocks(blocks)
 
 
 def test_criterion_10_derivative_cross_checks():
     rng = np.random.default_rng(31)
     worst_grad = 0.0
     for _ in range(100):
-        inst = random_instance(rng, n_groups=int(rng.integers(1, 4)),
-                               width=int(rng.integers(1, 4)))
-        theta = inst.pack()
+        inst, theta = random_instance(rng, n_groups=int(rng.integers(1, 4)),
+                                      width=int(rng.integers(1, 4)))
         g = inst.value_and_grad_at(theta)[1]
         fd = fd_gradient(inst.loss_at, theta)
         rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g)))
         worst_grad = max(worst_grad, rel)
     worst_hess = 0.0
     for _ in range(20):
-        inst = random_instance(rng, n_groups=2, width=1)
-        H = hessian_two_layer_linear(inst)
-        Hfd = fd_hessian(inst.loss_at, inst.pack())
+        inst, theta = random_instance(rng, n_groups=2, width=1)
+        H = hessian_two_layer_linear(inst, theta)
+        Hfd = fd_hessian(inst.loss_at, theta)
         worst_hess = max(worst_hess, np.max(np.abs(H - Hfd)) / max(1.0, np.max(np.abs(H))))
     ok = worst_grad < 1e-6 and worst_hess < 1e-4
     assert report(10, ok, f"100 gradients, worst rel err {worst_grad:.2e} (< 1e-6); "

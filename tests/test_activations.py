@@ -169,6 +169,8 @@ def test_inverse_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_validation():
+    with pytest.raises(ValueError, match="unknown activation kind 'bogus'"):
+        Activation("bogus")
     with pytest.raises(ValueError):
         Activation.polynomial(())
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from sparseland import (
     Activation,
-    GroupBlock,
     SparseLayer,
     SparseNet,
     TwoLayerLinearInstance,
@@ -17,23 +16,28 @@ from sparseland import (
     loss,
     sym_eig,
 )
-from sparseland.calculus import PROBE_BLOCK
+from sparseland.calculus import PROBE_BLOCK, pack_blocks
 from sparseland.cli import _finite_json
 
 from fd_oracle import grad_fd
 
 
 def random_instance(seed, n_groups=2, d_y=2, width=1, n=10):
+    """(instance, theta) with u, w and z drawn per group, then Y."""
     r = np.random.default_rng(seed)
-    groups = []
+    blocks, zs = [], []
     for _ in range(n_groups):
         d = int(r.integers(1, 4))
-        groups.append(GroupBlock(
-            r.standard_normal((d_y, width)),
-            r.standard_normal((width, d)),
-            r.standard_normal((d, n)),
-        ))
-    return TwoLayerLinearInstance(tuple(groups), r.standard_normal((d_y, n)))
+        blocks.append((r.standard_normal((d_y, width)), r.standard_normal((width, d))))
+        zs.append(r.standard_normal((d, n)))
+    inst = TwoLayerLinearInstance(zs, [width] * n_groups, r.standard_normal((d_y, n)))
+    return inst, pack_blocks(blocks)
+
+
+def hand_loss(inst, theta):
+    """0.5 ||sum_i U_i W_i Z_i - Y||^2 at one flat point, written out."""
+    R = sum((u @ w @ z for (u, w), z in zip(inst.blocks(theta), inst.zs)), -inst.Y)
+    return 0.5 * float(np.sum(R * R))
 
 
 # ---------------------------------------------------------------------------
@@ -41,34 +45,38 @@ def random_instance(seed, n_groups=2, d_y=2, width=1, n=10):
 # ---------------------------------------------------------------------------
 
 def test_block_shape_validation():
-    with pytest.raises(ValueError, match="inconsistent"):
-        GroupBlock(np.zeros((2, 1)), np.zeros((2, 3)), np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        TwoLayerLinearInstance((), np.zeros((1, 1)))
-    g = GroupBlock(np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((3, 5)))
-    with pytest.raises(ValueError, match="Y must be"):
-        TwoLayerLinearInstance((g,), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="at least one group"):
+        TwoLayerLinearInstance((), (), np.zeros((1, 1)))
+    for widths in ((1, 1), (0,)):
+        with pytest.raises(ValueError, match="one width >= 1 per group"):
+            TwoLayerLinearInstance((np.zeros((3, 5)),), widths, np.zeros((2, 5)))
+    for zs, Y in (((np.zeros((3, 5)),), np.zeros((2, 4))),
+                  ((np.zeros((3, 5)), np.zeros((1, 4))), np.zeros((2, 5))),
+                  ((np.zeros((3, 5)),), np.zeros((2, 5, 1)))):
+        with pytest.raises(ValueError, match="one n"):
+            TwoLayerLinearInstance(zs, [1] * len(zs), Y)
 
 
 def test_residual_and_loss_hand_value():
     # single group, 1x1 everywhere: residual = u*w*z - y
-    inst = TwoLayerLinearInstance(
-        (GroupBlock([[2.0]], [[3.0]], [[1.0, -1.0]]),),
-        [[5.0, 0.0]],
-    )
-    assert np.array_equal(inst.residual(), [[1.0, -6.0]])
-    assert inst.loss() == pytest.approx(0.5 * 37.0, abs=0)
+    inst = TwoLayerLinearInstance(([[1.0, -1.0]],), (1,), [[5.0, 0.0]])
+    theta = np.array([2.0, 3.0])
+    assert inst.d_y == 1
+    assert np.array_equal(inst.residual_at(theta), [[1.0, -6.0]])
+    assert inst.loss_at(theta) == pytest.approx(0.5 * 37.0, abs=0)
 
 
 def test_pack_unpack_roundtrip():
-    inst = random_instance(1, n_groups=3)
-    theta = inst.pack()
-    back = inst.unpack(theta)
-    assert back.loss() == inst.loss()
-    assert np.array_equal(back.pack(), theta)
-    with pytest.raises(ValueError):
-        inst.unpack(theta[:-1])
-    assert inst.loss_at(theta) == inst.loss()
+    inst, theta = random_instance(1, n_groups=3)
+    blocks = inst.blocks(theta)
+    assert [(u.shape, w.shape) for u, w in blocks] == [((2, 1), (1, z.shape[0])) for z in inst.zs]
+    assert all(np.shares_memory(part, theta) for block in blocks for part in block)
+    assert np.array_equal(pack_blocks(blocks), theta)
+    with pytest.raises(ValueError, match="wrong length"):
+        inst.blocks(theta[:-1])
+    with pytest.raises(ValueError, match="one point"):
+        hessian_two_layer_linear(inst, theta[None])
+    assert inst.loss_at(theta) == hand_loss(inst, theta)
 
 
 def test_instance_from_net_matches_net_loss():
@@ -82,12 +90,35 @@ def test_instance_from_net_matches_net_loss():
     )
     X = r.standard_normal((3, 12))
     Y = r.standard_normal((2, 12))
-    inst = instance_from_net(net, X, Y)
-    assert inst.loss() == pytest.approx(loss(net, X, Y), rel=1e-14)
-    assert len(inst.groups) == 2  # two mask patterns
+    inst, theta = instance_from_net(net, X, Y)
+    assert inst.loss_at(theta) == pytest.approx(loss(net, X, Y), rel=1e-14)
+    assert inst.widths == (2, 1)  # two mask patterns
 
     with pytest.raises(ValueError, match="linear"):
         instance_from_net(SparseNet(net.layers, Activation.tanh()), X, Y)
+    three = SparseNet(net.layers + (SparseLayer(np.ones((1, 2)), np.ones((1, 2))),),
+                      Activation.linear())
+    with pytest.raises(ValueError, match="exactly 2 layers"):
+        instance_from_net(three, X, Y[:1])
+    with pytest.raises(ValueError, match="Y shape"):
+        instance_from_net(net, X, Y[:1])
+
+
+@pytest.mark.parametrize("out_mask,biased,message", [
+    ([[1, 1], [1, 1]], True, "without biases"),
+    ([[1, 0], [1, 1]], False, "dense output layer"),
+], ids=["bias", "masked-output"])
+def test_instance_from_net_rejects_what_the_grouped_objective_drops(out_mask, biased, message):
+    # a bias term and a pinned output weight have no place in
+    # sum_i U_i W_i Z_i: the instance would silently change the objective
+    r = np.random.default_rng(0)
+    mask, out_mask = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool), np.array(out_mask, dtype=bool)
+    W, b, U = r.standard_normal((2, 3)) * mask, r.standard_normal(2), r.standard_normal((2, 2)) * out_mask
+    net = SparseNet((SparseLayer(W, mask, b if biased else None), SparseLayer(U, out_mask)),
+                    Activation.linear())
+    X, Y = r.standard_normal((3, 6)), r.standard_normal((2, 6))
+    with pytest.raises(ValueError, match=message):
+        instance_from_net(net, X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +129,7 @@ def test_instance_from_net_matches_net_loss():
     (0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 2, 2), (3, 2, 3, 4),
 ])
 def test_grad_matches_fd(seed, n_groups, d_y, width):
-    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
-    theta = inst.pack()
+    inst, theta = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
     fd = fd_gradient(inst.loss_at, theta)
     assert np.allclose(inst.value_and_grad_at(theta)[1], fd, rtol=1e-6, atol=1e-7)
 
@@ -136,9 +166,9 @@ HESSIAN_CASES = [pytest.param(seed, 2, 1, 2, id=str(seed)) for seed in range(6)]
 
 @pytest.mark.parametrize("seed,n_groups,width,d_y", HESSIAN_CASES)
 def test_hessian_matches_fd(seed, n_groups, width, d_y):
-    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
-    H = hessian_two_layer_linear(inst)
-    Hfd = fd_hessian(inst.loss_at, inst.pack())
+    inst, theta = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
+    H = hessian_two_layer_linear(inst, theta)
+    Hfd = fd_hessian(inst.loss_at, theta)
     scale = max(1.0, np.max(np.abs(H)))
     assert np.max(np.abs(H - Hfd)) < 1e-4 * scale
     assert np.array_equal(H, H.T)
@@ -411,12 +441,12 @@ def test_report_json_writes_non_finite_numbers_as_null():
     (20, 1, 1, 1), (21, 3, 1, 2), (22, 2, 2, 3), (23, 4, 3, 1), (24, 4, 3, 3),
 ])
 def test_loss_at_batch_matches_rowwise_unpack(seed, n_groups, width, d_y):
-    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
-    P = inst.pack().size
+    inst, theta = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
+    P = theta.size
     stack = np.random.default_rng(seed).standard_normal((9, P))
     got = inst.loss_at(stack)
     assert got.shape == (9,)
-    assert np.array_equal(got, [inst.unpack(row).loss() for row in stack])
+    assert np.array_equal(got, [hand_loss(inst, row) for row in stack])
     assert isinstance(inst.loss_at(stack[0]), float)
     assert inst.loss_at(stack[0]) == got[0]
 
@@ -425,8 +455,8 @@ def test_loss_at_batch_matches_rowwise_unpack(seed, n_groups, width, d_y):
     (20, 1, 1, 1), (21, 3, 1, 2), (22, 2, 2, 3), (23, 4, 3, 1), (24, 4, 3, 3),
 ])
 def test_value_and_grad_at_batch_matches_rowwise(seed, n_groups, width, d_y):
-    inst = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
-    P = inst.pack().size
+    inst, theta = random_instance(seed, n_groups=n_groups, d_y=d_y, width=width)
+    P = theta.size
     stack = np.random.default_rng(seed).standard_normal((9, P))
     values, grads = inst.value_and_grad_at(stack)
     assert values.shape == (9,) and grads.shape == (9, P)
@@ -444,17 +474,17 @@ def test_value_and_grad_at_batch_matches_rowwise(seed, n_groups, width, d_y):
 
 
 def test_loss_at_keeps_leading_shape():
-    inst = random_instance(25, n_groups=2, d_y=2, width=2)
-    cube = np.random.default_rng(25).standard_normal((2, 3, inst.pack().size))
+    inst, theta = random_instance(25, n_groups=2, d_y=2, width=2)
+    cube = np.random.default_rng(25).standard_normal((2, 3, theta.size))
     got = inst.loss_at(cube)
     assert got.shape == (2, 3)
-    want = [[inst.unpack(row).loss() for row in plane] for plane in cube]
+    want = [[hand_loss(inst, row) for row in plane] for plane in cube]
     assert np.array_equal(got, want)
 
 
 def test_loss_at_rejects_wrong_length():
-    inst = random_instance(26, n_groups=3)
-    P = inst.pack().size
+    inst, theta = random_instance(26, n_groups=3)
+    P = theta.size
     for bad in (np.zeros(P - 1), np.zeros((4, P + 1)), np.zeros((2, 3, P - 2)), np.float64(1.0)):
         with pytest.raises(ValueError, match="wrong length"):
             inst.loss_at(bad)

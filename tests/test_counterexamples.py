@@ -112,7 +112,7 @@ def test_rational_residual_displays_match_frozen():
 
 def test_builder_self_validates():
     inst = spurious_minimum_instance()
-    z1, z2 = (g.z for g in inst.minimum.groups)
+    z1, z2 = inst.minimum.zs
     assert np.allclose(z1 @ z1.T, np.eye(2), atol=1e-15)
     assert np.allclose(z2 @ z2.T, np.eye(2), atol=1e-15)
     assert np.allclose(z1 @ z2.T, np.diag([0.6, 0.8]), atol=1e-15)
@@ -157,13 +157,15 @@ def test_verification_report():
     inst = spurious_minimum_instance()
     v = verify_spurious_minimum(inst)
     assert v.passed
-    assert v.grad_zero and v.hessian_match and v.hessian_psd
-    assert v.eigs_match and v.strict_probe_pass and v.better_point_exists
+    assert list(v.checks) == ["grad_zero", "hessian_match", "hessian_psd", "eigs_match",
+                              "strict_probe_pass", "better_point_exists"]
+    assert all(value is True for value in v.checks.values())
     assert v.details["hessian_max_err"] < 1e-12
     assert v.details["eig_max_err"] <= 1e-3
     assert v.details["grad_norm"] < 1e-10
     assert v.details["loss_theta_prime"] < BETTER_LOSS_BOUND
     blob = json.loads(json.dumps(v.to_json()))
+    assert list(blob) == [*v.checks, "passed", "report", "details"]
     assert blob["passed"] is True
     assert blob["report"]["min_probe"] == "strict_local_min"
 
@@ -174,7 +176,7 @@ def test_verification_builds_one_hessian(monkeypatch):
     calls = []
     real = ce.hessian_two_layer_linear
     monkeypatch.setattr(ce, "hessian_two_layer_linear",
-                        lambda inst: calls.append(inst) or real(inst))
+                        lambda inst, theta: calls.append(inst) or real(inst, theta))
     assert verify_spurious_minimum(spurious_minimum_instance(), n_probes=50).passed
     assert len(calls) == 1
 
@@ -207,15 +209,23 @@ def test_minimum_loss_at_batch_matches_group_instances():
                        inst.theta + 0.1 * r.standard_normal((6, 8))])
     got = inst.minimum.loss_at(stack)
     assert got.shape == (8,)
-    assert np.array_equal(got, [inst.minimum.unpack(row).loss() for row in stack])
-    assert inst.minimum.loss_at(inst.theta) == inst.minimum.loss()
+    z1, z2 = inst.minimum.zs
+
+    def hand_loss(th):
+        # theta = (u1, w1, u2, w2) sliced by hand; R = sum_i u_i w_i z_i - Y
+        u1, w1, u2, w2 = (th[k:k + 2] for k in (0, 2, 4, 6))
+        R = -inst.minimum.Y + u1[:, None] @ w1[None, :] @ z1 + u2[:, None] @ w2[None, :] @ z2
+        return 0.5 * float(np.sum(R * R))
+
+    assert np.array_equal(got, [hand_loss(row) for row in stack])
+    assert inst.minimum.loss_at(inst.theta) == hand_loss(inst.theta)
 
 
 def test_minimum_as_network_matches_group_loss():
     # the same objective as a masked 2-layer linear net on X = [Z1; Z2],
     # with theta = (u1, w1, u2, w2) sliced here by hand
     inst = spurious_minimum_instance()
-    X = np.vstack([g.z for g in inst.minimum.groups])
+    X = np.vstack(inst.minimum.zs)
     mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
     for th in (inst.theta, inst.theta_prime):
         u1, w1, u2, w2 = th[0:2], th[2:4], th[4:6], th[6:8]

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sparseland import (
     Activation,
-    GroupBlock,
     SparseLayer,
     SparseNet,
     TwoLayerLinearInstance,
@@ -28,7 +27,7 @@ from sparseland.landscape import _pivoted_row_basis
 def grouped_optimum(inst):
     """Best achievable loss once the hidden layer can express any linear map
     of the stacked slices: 0.5 * ||Y - Y Z^+ Z||_F^2."""
-    Z = np.vstack([g.z for g in inst.groups])
+    Z = np.vstack(inst.zs)
     R = inst.Y - inst.Y @ np.linalg.pinv(Z) @ Z
     return 0.5 * float(np.sum(R * R))
 
@@ -135,8 +134,8 @@ def test_zero_column_shape_check():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_overparam_path(seed):
-    inst = random_grouped_instance("overparam", seed=seed)
-    trace = nonincreasing_path_overparam(inst, n_samples=400)
+    inst, theta = random_grouped_instance("overparam", seed=seed)
+    trace = nonincreasing_path_overparam(inst, theta, n_samples=400)
     assert trace.monotone_violation <= 1e-10
     assert trace.end_loss <= trace.losses[0] + 1e-12
     assert abs(trace.end_loss - grouped_optimum(inst)) < 1e-8
@@ -144,15 +143,18 @@ def test_overparam_path(seed):
     assert names[-1] == "solve_output"
     assert all(n.startswith(("rewire_output_g", "complete_rank_g", "solve_output"))
                for n in names)
-    # losses really are the objective at the sampled parameters
-    k = len(trace.t) // 2
-    assert trace.losses[k] == pytest.approx(inst.loss_at(trace.params[k]), abs=0)
+    # losses really are the objective at the sampled parameters: at the
+    # start t = k/K of segment k, the loss at points[k]
+    K = len(names)
+    for k in range(K):
+        (i,) = np.flatnonzero(trace.t == k / K)
+        assert trace.losses[i] == inst.loss_at(trace.points[k])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scalar_path(seed):
-    inst = random_grouped_instance("scalar", seed=seed)
-    trace = nonincreasing_path_scalar_output(inst, n_samples=400)
+    inst, theta = random_grouped_instance("scalar", seed=seed)
+    trace = nonincreasing_path_scalar_output(inst, theta, n_samples=400)
     assert trace.monotone_violation <= 1e-10
     assert abs(trace.end_loss - grouped_optimum(inst)) < 1e-8
     assert trace.names[-1] == "solve_hidden"
@@ -164,30 +166,30 @@ def test_path_segments_are_consecutive_points(cond, build):
     # the path starts at the instance's parameters, each name ends one
     # segment at the next point, and end_loss is the loss at the last point
     for seed in range(4):
-        inst = random_grouped_instance(cond, seed=seed)
-        trace = build(inst, n_samples=20)
-        assert np.array_equal(trace.points[0], inst.pack())
+        inst, theta = random_grouped_instance(cond, seed=seed)
+        trace = build(inst, theta, n_samples=20)
+        assert np.array_equal(trace.points[0], theta)
         assert len(trace.points) == len(trace.names) + 1
         assert trace.end_loss == inst.loss_at(trace.points[-1])
 
 
 def test_scalar_path_parks_and_revives_zero_output_neurons():
-    inst = random_grouped_instance("scalar", seed=0)
-    assert sum(int(np.count_nonzero(g.u == 0.0)) for g in inst.groups) >= 1
-    names = nonincreasing_path_scalar_output(inst).names
+    inst, theta = random_grouped_instance("scalar", seed=0)
+    assert sum(int(np.count_nonzero(u == 0.0)) for u, _ in inst.blocks(theta)) >= 1
+    names = nonincreasing_path_scalar_output(inst, theta).names
     assert any(n.startswith("park_w_") for n in names)
     assert any(n.startswith("revive_u_") for n in names)
     # park and revive segments hold the loss exactly constant at both ends
-    trace = nonincreasing_path_scalar_output(inst, n_samples=50)
+    trace = nonincreasing_path_scalar_output(inst, theta, n_samples=50)
     for name, start, end in zip(trace.names, trace.points, trace.points[1:]):
         if name.startswith(("park_w_", "revive_u_")):
             assert inst.loss_at(start) == pytest.approx(inst.loss_at(end), rel=1e-12)
 
 
 def test_overparam_path_rewires_and_completes_rank_deficient_groups():
-    inst = random_grouped_instance("overparam", seed=0)
-    assert any(np.linalg.matrix_rank(g.w) < g.w.shape[1] for g in inst.groups)
-    trace = nonincreasing_path_overparam(inst, n_samples=50)
+    inst, theta = random_grouped_instance("overparam", seed=0)
+    assert any(np.linalg.matrix_rank(w) < w.shape[1] for _, w in inst.blocks(theta))
+    trace = nonincreasing_path_overparam(inst, theta, n_samples=50)
     names = trace.names
     assert any(n.startswith("rewire_output_") for n in names)
     assert any(n.startswith("complete_rank_") for n in names)
@@ -198,26 +200,20 @@ def test_overparam_path_rewires_and_completes_rank_deficient_groups():
 
 
 def test_path_shape_requirements():
-    bad = TwoLayerLinearInstance(
-        (GroupBlock(np.ones((1, 1)), np.ones((1, 2)), np.ones((2, 4))),),
-        np.ones((1, 4)),
-    )
+    bad = TwoLayerLinearInstance((np.ones((2, 4)),), (1,), np.ones((1, 4)))
     with pytest.raises(ValueError, match="p_i >= d_i"):
-        nonincreasing_path_overparam(bad)
-    two_out = TwoLayerLinearInstance(
-        (GroupBlock(np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 4))),),
-        np.ones((2, 4)),
-    )
+        nonincreasing_path_overparam(bad, np.ones(3))
+    two_out = TwoLayerLinearInstance((np.ones((2, 4)),), (1,), np.ones((2, 4)))
     with pytest.raises(ValueError, match="d_y = 1"):
-        nonincreasing_path_scalar_output(two_out)
+        nonincreasing_path_scalar_output(two_out, np.ones(4))
 
 
 def test_trace_grid_and_csv():
-    inst = random_grouped_instance("overparam", seed=2)
-    trace = nonincreasing_path_overparam(inst, n_samples=100)
+    inst, theta = random_grouped_instance("overparam", seed=2)
+    trace = nonincreasing_path_overparam(inst, theta, n_samples=100)
     assert np.all(np.diff(trace.t) > 0)
     assert trace.t[0] == 0.0 and trace.t[-1] < 1.0
-    assert len(trace.losses) == len(trace.t) == trace.params.shape[0]
+    assert len(trace.losses) == len(trace.t)
 
     rows = list(csv.reader(io.StringIO(trace.to_csv())))
     assert rows[0] == ["t", "loss"]
@@ -231,17 +227,17 @@ def test_trace_grid_and_csv():
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_path_monotone_property(seed):
-    inst = random_grouped_instance("overparam", seed=seed, n_groups=2, n=8)
-    trace = nonincreasing_path_overparam(inst, n_samples=60)
+    inst, theta = random_grouped_instance("overparam", seed=seed, n_groups=2, n=8)
+    trace = nonincreasing_path_overparam(inst, theta, n_samples=60)
     assert trace.monotone_violation <= 1e-9
 
 
 def test_random_grouped_instance_contracts():
     for seed in range(5):
-        inst = random_grouped_instance("overparam", seed=seed)
-        assert all(g.w.shape[0] >= g.w.shape[1] for g in inst.groups)
+        inst, theta = random_grouped_instance("overparam", seed=seed)
+        assert all(w.shape[0] >= w.shape[1] for _, w in inst.blocks(theta))
         assert inst.d_y == 2
-        inst = random_grouped_instance("scalar", seed=seed)
+        inst, theta = random_grouped_instance("scalar", seed=seed)
         assert inst.d_y == 1
     with pytest.raises(ValueError):
         random_grouped_instance("other", seed=0)
@@ -267,7 +263,7 @@ def test_check_conditions_underparam_group():
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
         Activation.linear(),
     )
-    rep = check_conditions(net, X, np.ones((1, 3)))
+    rep = check_conditions(net, X)
     assert not rep.cond_overparam
     assert rep.group_widths == (2, 1)
     assert rep.support_sizes == (2, 2)
@@ -284,7 +280,7 @@ def test_check_conditions_fields():
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
         Activation.linear(),
     )
-    rep = check_conditions(net, X, np.ones((1, 3)))
+    rep = check_conditions(net, X)
     assert rep.cond_overparam          # widths (3, 2) >= supports (2, 2)
     assert rep.cond_orthogonal         # second slice is all zero
     assert rep.cond_scalar
@@ -305,7 +301,7 @@ def test_check_conditions_nonorthogonal():
          SparseLayer(np.ones((2, 2)), np.ones((2, 2), dtype=bool))),
         Activation.tanh(),
     )
-    rep = check_conditions(net, X, np.ones((2, 2)))
+    rep = check_conditions(net, X)
     assert not rep.cond_orthogonal
     assert not rep.cond_scalar
     # non-polynomial activation: intrinsic dim capped only by n
@@ -322,7 +318,7 @@ def test_check_conditions_polynomial_degree():
             (SparseLayer(np.ones((2, 3)) * mask, mask), SparseLayer(np.ones((1, 2)), np.ones((1, 2)))),
             Activation.polynomial(coeffs),
         )
-        assert check_conditions(net, X, np.ones((1, 10))).intrinsic_dims == dims
+        assert check_conditions(net, X).intrinsic_dims == dims
 
 
 def test_check_assumptions():

@@ -94,7 +94,6 @@ NOT_YET_REACHED = {
 METHODS_NOT_REACHED = {
     "Activation.softplus": "the one constructor per kind; from_json builds softplus as cls(kind)",
     "SpuriousValleyInstance.as_network": "tests check the valley loss against the network's",
-    "TwoLayerLinearInstance.unpack": "tests check loss_at and value_and_grad_at against it",
 }
 
 

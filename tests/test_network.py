@@ -43,6 +43,10 @@ def test_layer_rejects_nonzero_masked_entries():
     mask = np.array([[1, 0], [0, 1]], dtype=bool)
     with pytest.raises(ValueError, match="masks pin exact zeros"):
         SparseLayer(w, mask)
+    with pytest.raises(ValueError, match=r"mask shape \(2, 1\) != weight shape \(2, 2\)"):
+        SparseLayer(w, mask[:, :1])
+    with pytest.raises(ValueError, match="weights must be a 2-d array"):
+        SparseLayer(w[0], mask[0])
 
 
 @pytest.mark.parametrize("dtype", [int, float, bool])
@@ -194,6 +198,8 @@ def test_decompose_rejects_dead_row():
     layer = SparseLayer(np.zeros((3, 2)), mask)
     with pytest.raises(ValueError, match=r"all-zero mask row"):
         decompose_patterns(layer, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"X must be \(2, n\)"):
+        decompose_patterns(layer, np.zeros((3, 4)))
 
 
 def test_block_reassembly():

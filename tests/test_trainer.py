@@ -758,6 +758,8 @@ def test_single_mask_draw():
     # seed 0 at this sparsity draws an empty row, which the strict mode rejects
     with pytest.raises(ValueError, match="all-zero row"):
         random_sparse_mask((4, 4), 0.75, seed=0)
+    with pytest.raises(ValueError, match="all-zero column"):
+        random_sparse_mask((1, 5), 0.5, seed=0)
     m = random_sparse_mask((4, 4), 0.75, seed=0, repair=True)
     assert m.any(axis=1).all() and m.any(axis=0).all()
     again = random_sparse_mask((4, 4), 0.75, seed=0, repair=True)
