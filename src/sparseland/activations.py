@@ -58,47 +58,10 @@ class Activation:
             if not all(math.isfinite(v) for v in c):
                 raise ValueError("polynomial coefficients must be finite")
             object.__setattr__(self, "coeffs", c)
-        if self.kind == "leaky_relu" and self.slope <= 0:
-            raise ValueError("leaky_relu slope must be positive")
-        if self.kind == "elu" and self.alpha <= 0:
-            raise ValueError("elu alpha must be positive")
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def linear(cls):
-        return cls("linear")
-
-    @classmethod
-    def relu(cls):
-        return cls("relu")
-
-    @classmethod
-    def leaky_relu(cls, slope: float = 0.01):
-        return cls("leaky_relu", slope=slope)
-
-    @classmethod
-    def elu(cls, alpha: float = 1.0):
-        return cls("elu", alpha=alpha)
-
-    @classmethod
-    def tanh(cls):
-        return cls("tanh")
-
-    @classmethod
-    def sigmoid(cls):
-        return cls("sigmoid")
-
-    @classmethod
-    def shifted_sigmoid(cls):
-        return cls("shifted_sigmoid")
-
-    @classmethod
-    def softplus(cls):
-        return cls("softplus")
-
-    @classmethod
-    def polynomial(cls, coeffs):
-        return cls("polynomial", coeffs=tuple(coeffs))
+        if self.kind == "leaky_relu" and not 0 < self.slope < math.inf:
+            raise ValueError("leaky_relu slope must be positive and finite")
+        if self.kind == "elu" and not 0 < self.alpha < math.inf:
+            raise ValueError("elu alpha must be positive and finite")
 
     # -- evaluation ------------------------------------------------------
     def __call__(self, z):
@@ -219,13 +182,23 @@ class Activation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Activation":
-        kind = obj["kind"]
-        params = obj.get("params", {}) or {}
-        if kind == "leaky_relu":
-            return cls.leaky_relu(float(params.get("slope", 0.01)))
-        if kind == "elu":
-            return cls.elu(float(params.get("alpha", 1.0)))
-        if kind == "polynomial":
-            return cls.polynomial([float(c) for c in params["coeffs"]])
-        return cls(kind)
-
+        """The activation a spec's {"kind": ..., "params": {...}} names.
+        params, when given, is an object naming at most the one parameter the
+        kind reads: slope (leaky_relu), alpha (elu) or coeffs (polynomial)."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"activation must be a JSON object, got {obj!r}")
+        kind, params = obj["kind"], obj.get("params", {})
+        if kind not in KINDS:
+            raise ValueError(f"unknown activation kind {kind!r}")
+        if not isinstance(params, dict):
+            raise TypeError(f"activation params must be a JSON object, got {params!r}")
+        reads = {"leaky_relu": "slope", "elu": "alpha", "polynomial": "coeffs"}.get(kind)
+        unread = sorted(set(params) - {reads})
+        if unread:
+            raise ValueError(f"{kind} activation reads no param {', '.join(map(repr, unread))}")
+        if kind != "polynomial":
+            return cls(kind, **{name: float(v) for name, v in params.items()})
+        coeffs = params.get("coeffs")
+        if not isinstance(coeffs, list):
+            raise TypeError(f"polynomial coeffs must be a JSON list, got {coeffs!r}")
+        return cls(kind, coeffs=tuple(float(c) for c in coeffs))

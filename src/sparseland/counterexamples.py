@@ -278,16 +278,8 @@ class SpuriousValleyInstance:
         return SparseNet((layer1, layer2), self.activation)
 
 
-def _pick_scale(act: Activation) -> float:
-    """Choose a with 1/a in the positive part of sigma's range."""
-    if act.kind == "tanh":
-        return 2.0
-    if act.kind in ("sigmoid", "shifted_sigmoid"):
-        return 4.0
-    return 1.0  # unbounded-above kinds reach 1
-
-
-def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> SpuriousValleyInstance:
+def valley_instance(y_values=STRICT_Y,
+                    activation: Activation = Activation("tanh")) -> SpuriousValleyInstance:
     """Build and self-validate the two-layer valley instance.
 
     Requires sigma(0) = 0 and a positive value in sigma's range.  The
@@ -295,17 +287,21 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
     violating them still builds the instance (the probes' lower bound is
     then not guaranteed) so measured/legacy value sets stay usable.
     """
-    act = activation if activation is not None else Activation.tanh()
     y1, y2, y3, y4 = (float(v) for v in y_values)
-    if float(act(0.0)) != 0.0:
-        raise ConstructionError(f"valley construction needs sigma(0) = 0, got {act(0.0)} for {act.kind}")
+    if y2 + y3 == 0.0:
+        raise ConstructionError(f"valley construction needs y2 + y3 != 0, got {y2} + {y3}")
+    if float(activation(0.0)) != 0.0:
+        raise ConstructionError(f"valley construction needs sigma(0) = 0, "
+                                f"got {activation(0.0)} for {activation.kind}")
 
-    a = _pick_scale(act)
+    # a: the least power of two with 1/a in sigma's range (1 when none up to
+    # 2^63 is, which the check below rejects)
+    a = next((2.0 ** k for k in range(64) if activation.contains(2.0 ** -k)), 1.0)
     for target in (1.0 / a, y2 / ((y2 + y3) * a)):
-        if not act.contains(target):
-            raise ConstructionError(f"no valid scale: {target} outside range of {act.kind}")
+        if not activation.contains(target):
+            raise ConstructionError(f"no valid scale: {target} outside range of {activation.kind}")
 
-    inv = act.inverse
+    inv = activation.inverse
     valley_theta = np.array([
         y1 * a, y2 * a, y3 * a, 0.0,
         inv(1.0 / a), inv(1.0 / a), inv(1.0 / a), 0.0,
@@ -322,7 +318,7 @@ def valley_instance(y_values=STRICT_Y, activation: Activation | None = None) -> 
     }
     Y = np.array([[y1, y1, 0.0], [y2, y2 + y3, 0.0], [0.0, 0.0, y4]])
     inst = SpuriousValleyInstance(
-        y=(y1, y2, y3, y4), activation=act,
+        y=(y1, y2, y3, y4), activation=activation,
         valley_theta=valley_theta, escape_theta=escape_theta,
         constraints=constraints, Y=Y,
     )

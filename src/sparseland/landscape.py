@@ -405,6 +405,9 @@ def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
+    # scaled by an exact power of two to max |M| in [0.5, 1): the rank is the
+    # same, and the SVD cannot overflow on large finite entries
+    M = np.ldexp(M, -math.frexp(np.max(np.abs(M)))[1])
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0

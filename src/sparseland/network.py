@@ -8,6 +8,7 @@ package preserves that invariant bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,9 +306,14 @@ def effective_subnetwork(net: SparseNet):
 # JSON network specs
 # ---------------------------------------------------------------------------
 
-def _parse_matrix(rows) -> np.ndarray:
-    # entries may be numbers or decimal strings ("0.125"), row-major lists
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+def _parse_numbers(values, what: str) -> list:
+    """A JSON list of finite numbers or decimal strings ("0.125") as floats."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a JSON list, got {values!r}")
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{what} entries must be finite, got {values!r}")
+    return out
 
 
 def net_from_json(obj: dict) -> SparseNet:
@@ -316,13 +322,18 @@ def net_from_json(obj: dict) -> SparseNet:
     {"layers": [{"weights": [[...]], "mask": [[...]], "bias": [...]?,
                  "bias_mask": [...]?}, ...],
      "activation": {"kind": ..., "params": {...}}}
+
+    Weight rows and biases are JSON lists of finite numbers.
     """
     layers = []
     for spec in obj["layers"]:
-        w = _parse_matrix(spec["weights"])
+        rows = spec["weights"]
+        if not isinstance(rows, list):
+            raise TypeError(f"weights must be a JSON list of rows, got {rows!r}")
+        w = np.array([_parse_numbers(row, "weight row") for row in rows])
         bias = spec.get("bias")
         if bias is not None:
-            bias = np.array([float(v) for v in bias])
+            bias = _parse_numbers(bias, "bias")
         # SparseLayer judges the masks: their entries must be 0/1
         layers.append(SparseLayer(w, spec.get("mask", np.ones_like(w)), bias, spec.get("bias_mask")))
     act = Activation.from_json(obj.get("activation", {"kind": "linear"}))

@@ -491,7 +491,7 @@ def random_sparse_mask(shape, sparsity: float, seed: int = 0, repair: bool = Fal
 
 
 def random_effective_net(dims, sparsity: float, seed: int = 0,
-                         activation: Activation | None = None,
+                         activation: Activation = Activation("linear"),
                          init_scale: float = 1.0):
     """Random masked net over the dim chain, its layers' masks drawn in order
     from one mask stream with every row and column repaired to be nonzero,
@@ -505,7 +505,6 @@ def random_effective_net(dims, sparsity: float, seed: int = 0,
     rng = stream(seed, "mask")
     masks = [_draw_mask(rng, (n_out, n_in), sparsity, repair=True)
              for n_in, n_out in zip(dims, dims[1:])]
-    act = activation if activation is not None else Activation.linear()
-    blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), act)
+    blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), activation)
     net = init_net(blank, init_scale, seed, "weights")
     return net, net.sparsity

@@ -169,7 +169,7 @@ def test_criterion_7_full_rank_certificate():
     d, scale, sparsity = 5, 2.0, 0.3
     bound = scale / math.sqrt(d)
     results = []
-    for act in (Activation.sigmoid(), Activation.tanh()):
+    for act in (Activation("sigmoid"), Activation("tanh")):
         for n in (6, 8, 12):
             hits = 0
             for s in range(100):
@@ -192,7 +192,7 @@ def test_criterion_8_valley_trials():
     t0 = time.perf_counter()
     cfg = TrainConfig(learning_rate=0.01, max_epochs=50000, seed=0)
     outcomes = {}
-    for act in (Activation.tanh(), Activation.shifted_sigmoid(), Activation.relu()):
+    for act in (Activation("tanh"), Activation("shifted_sigmoid"), Activation("relu")):
         inst = valley_instance(EXPERIMENT_Y, act)
         stats = run_trials(valley_trial_objective(inst), 100, cfg)
         outcomes[act.kind] = (stats.fraction("valley"), len(stats.clusters))
@@ -209,7 +209,7 @@ def test_criterion_8_valley_trials():
 
 def test_criterion_9_deep_sparse_linear():
     net, realized = random_effective_net((20, 100, 100, 100, 100, 1), sparsity=0.45,
-                                         seed=7, activation=Activation.linear())
+                                         seed=7, activation=Activation("linear"))
     net = init_net(net, 1.0, 3)
     ds = gen_synthetic(100, 20, 1, seed=11)
     trace = gd_train(net, ds, TrainConfig(learning_rate=3e-4, max_epochs=50000,
@@ -263,7 +263,7 @@ def test_criterion_11_feature_maps():
     worst = 0.0
     dims_ok = True
     for coeffs in ((0.3, 1.0, 0.5), (0.1, 1.0, -0.5, 1.0 / 3)):
-        act = Activation.polynomial(coeffs)
+        act = Activation("polynomial", coeffs=coeffs)
         t = len(coeffs) - 1
         for d in (2, 3, 4):
             maps = poly_feature_maps(coeffs, d)

@@ -6,18 +6,18 @@ from hypothesis import given, settings, strategies as st
 from sparseland import Activation
 
 ALL_KINDS = [
-    Activation.linear(),
-    Activation.relu(),
-    Activation.leaky_relu(0.01),
-    Activation.leaky_relu(0.2),
-    Activation.elu(1.0),
-    Activation.elu(0.7),
-    Activation.tanh(),
-    Activation.sigmoid(),
-    Activation.shifted_sigmoid(),
-    Activation.softplus(),
-    Activation.polynomial((0.5, 1.0, 0.25)),
-    Activation.polynomial((0.1, 1.0, -0.5, 1.0 / 3)),
+    Activation("linear"),
+    Activation("relu"),
+    Activation("leaky_relu", slope=0.01),
+    Activation("leaky_relu", slope=0.2),
+    Activation("elu", alpha=1.0),
+    Activation("elu", alpha=0.7),
+    Activation("tanh"),
+    Activation("sigmoid"),
+    Activation("shifted_sigmoid"),
+    Activation("softplus"),
+    Activation("polynomial", coeffs=(0.5, 1.0, 0.25)),
+    Activation("polynomial", coeffs=(0.1, 1.0, -0.5, 1.0 / 3)),
 ]
 
 Z = sp.symbols("z")
@@ -63,12 +63,12 @@ def test_values_match_reference_grid():
 def test_extreme_arguments_do_not_overflow():
     z = np.array([-745.0, -710.0, 710.0, 745.0])
     with np.errstate(over="raise"):
-        assert np.all(np.isfinite(Activation.softplus()(z)))
-        assert np.all(np.isfinite(Activation.sigmoid()(z)))
-        assert np.all(np.isfinite(Activation.elu()(z)))
-    assert Activation.softplus()(np.array([745.0]))[0] == 745.0
-    assert Activation.sigmoid()(np.array([-745.0]))[0] < 1e-300
-    assert Activation.sigmoid()(np.array([745.0]))[0] == 1.0
+        assert np.all(np.isfinite(Activation("softplus")(z)))
+        assert np.all(np.isfinite(Activation("sigmoid")(z)))
+        assert np.all(np.isfinite(Activation("elu")(z)))
+    assert Activation("softplus")(np.array([745.0]))[0] == 745.0
+    assert Activation("sigmoid")(np.array([-745.0]))[0] < 1e-300
+    assert Activation("sigmoid")(np.array([745.0]))[0] == 1.0
 
 
 def test_derivative_matches_fd():
@@ -81,9 +81,9 @@ def test_derivative_matches_fd():
 
 def test_derivative_kink_convention():
     # documented: relu-family derivatives take the z > 0 branch at 0
-    assert Activation.relu().derivative(np.array([0.0]))[0] == 0.0
-    assert Activation.leaky_relu(0.3).derivative(np.array([0.0]))[0] == 0.3
-    assert Activation.elu(2.0).derivative(np.array([0.0]))[0] == 2.0
+    assert Activation("relu").derivative(np.array([0.0]))[0] == 0.0
+    assert Activation("leaky_relu", slope=0.3).derivative(np.array([0.0]))[0] == 0.3
+    assert Activation("elu", alpha=2.0).derivative(np.array([0.0]))[0] == 2.0
 
 
 @pytest.mark.parametrize("act", ALL_KINDS, ids=lambda a: a.kind)
@@ -133,21 +133,23 @@ def test_scalar_and_array_agree():
 # ---------------------------------------------------------------------------
 
 def test_contains():
-    assert Activation.tanh().contains(0.5) and not Activation.tanh().contains(1.0)
-    assert Activation.sigmoid().contains(0.25) and not Activation.sigmoid().contains(-0.1)
-    assert Activation.shifted_sigmoid().contains(0.49) and not Activation.shifted_sigmoid().contains(0.5)
-    assert Activation.relu().contains(0.0) and not Activation.relu().contains(-1e-9)
-    assert Activation.elu(1.0).contains(-0.9) and not Activation.elu(1.0).contains(-1.0)
-    assert Activation.softplus().contains(1e-8) and not Activation.softplus().contains(0.0)
-    assert Activation.linear().contains(-1e9)
+    assert Activation("tanh").contains(0.5) and not Activation("tanh").contains(1.0)
+    assert Activation("sigmoid").contains(0.25) and not Activation("sigmoid").contains(-0.1)
+    assert (Activation("shifted_sigmoid").contains(0.49)
+            and not Activation("shifted_sigmoid").contains(0.5))
+    assert Activation("relu").contains(0.0) and not Activation("relu").contains(-1e-9)
+    assert (Activation("elu", alpha=1.0).contains(-0.9)
+            and not Activation("elu", alpha=1.0).contains(-1.0))
+    assert Activation("softplus").contains(1e-8) and not Activation("softplus").contains(0.0)
+    assert Activation("linear").contains(-1e9)
 
 
 @given(st.floats(min_value=-20, max_value=20))
 @settings(max_examples=60, deadline=None)
 def test_inverse_roundtrip(z):
-    for act in (Activation.tanh(), Activation.sigmoid(), Activation.shifted_sigmoid(),
-                Activation.softplus(), Activation.linear(), Activation.leaky_relu(0.1),
-                Activation.elu(1.3)):
+    for act in (Activation("tanh"), Activation("sigmoid"), Activation("shifted_sigmoid"),
+                Activation("softplus"), Activation("linear"), Activation("leaky_relu", slope=0.1),
+                Activation("elu", alpha=1.3)):
         y = float(act(z))
         if not act.contains(y):  # saturation can round onto the boundary
             continue
@@ -159,9 +161,9 @@ def test_inverse_roundtrip(z):
 
 def test_inverse_rejects_out_of_range():
     with pytest.raises(ValueError):
-        Activation.tanh().inverse(1.5)
+        Activation("tanh").inverse(1.5)
     with pytest.raises(ValueError):
-        Activation.softplus().inverse(-0.1)
+        Activation("softplus").inverse(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +174,13 @@ def test_validation():
     with pytest.raises(ValueError, match="unknown activation kind 'bogus'"):
         Activation("bogus")
     with pytest.raises(ValueError):
-        Activation.polynomial(())
+        Activation("polynomial", coeffs=())
     with pytest.raises(ValueError):
-        Activation.polynomial((1.0, float("nan")))
+        Activation("polynomial", coeffs=(1.0, float("nan")))
     with pytest.raises(ValueError):
-        Activation.leaky_relu(0.0)
+        Activation("leaky_relu", slope=0.0)
     with pytest.raises(ValueError):
-        Activation.elu(-1.0)
+        Activation("elu", alpha=-1.0)
 
 
 def test_json_roundtrip():
@@ -189,4 +191,4 @@ def test_json_roundtrip():
 
 def test_shifted_sigmoid_identity():
     z = np.linspace(-8, 8, 101)
-    assert np.allclose(Activation.shifted_sigmoid()(z), Activation.sigmoid()(z) - 0.5, atol=0)
+    assert np.allclose(Activation("shifted_sigmoid")(z), Activation("sigmoid")(z) - 0.5, atol=0)

@@ -86,7 +86,7 @@ def test_instance_from_net_matches_net_loss():
     U = r.standard_normal((2, 3))
     net = SparseNet(
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation.linear(),
+        Activation("linear"),
     )
     X = r.standard_normal((3, 12))
     Y = r.standard_normal((2, 12))
@@ -95,9 +95,9 @@ def test_instance_from_net_matches_net_loss():
     assert inst.widths == (2, 1)  # two mask patterns
 
     with pytest.raises(ValueError, match="linear"):
-        instance_from_net(SparseNet(net.layers, Activation.tanh()), X, Y)
+        instance_from_net(SparseNet(net.layers, Activation("tanh")), X, Y)
     three = SparseNet(net.layers + (SparseLayer(np.ones((1, 2)), np.ones((1, 2))),),
-                      Activation.linear())
+                      Activation("linear"))
     with pytest.raises(ValueError, match="exactly 2 layers"):
         instance_from_net(three, X, Y[:1])
     with pytest.raises(ValueError, match="Y shape"):
@@ -115,7 +115,7 @@ def test_instance_from_net_rejects_what_the_grouped_objective_drops(out_mask, bi
     mask, out_mask = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool), np.array(out_mask, dtype=bool)
     W, b, U = r.standard_normal((2, 3)) * mask, r.standard_normal(2), r.standard_normal((2, 2)) * out_mask
     net = SparseNet((SparseLayer(W, mask, b if biased else None), SparseLayer(U, out_mask)),
-                    Activation.linear())
+                    Activation("linear"))
     X, Y = r.standard_normal((3, 6)), r.standard_normal((2, 6))
     with pytest.raises(ValueError, match=message):
         instance_from_net(net, X, Y)
@@ -141,7 +141,7 @@ def test_grad_fd_respects_masks():
     U = r.standard_normal((1, 3))
     net = SparseNet(
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation.tanh(),
+        Activation("tanh"),
     )
     X, Y = r.standard_normal((2, 8)), r.standard_normal((1, 8))
     gw0, gb0 = grad_fd(net, X, Y)[0]

@@ -177,7 +177,11 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
     (["verify", "ss-valley", "--activation", "sigmoid"], "sigma(0) = 0"),
     (["path", "--groups", "0"], "need at least one group"),
     (["train", "--dims", "3"], "need at least input, one hidden and output dims"),
-], ids=["train-sparsity", "trials-activation", "verify-sigmoid", "path-groups", "train-dims"])
+    (["verify", "ss-valley", "--y", "1,2,-2,2"], "needs y2 + y3 != 0, got 2.0 + -2.0"),
+    (["verify", "ss-valley", "--y", "0,0,0,0"], "needs y2 + y3 != 0, got 0.0 + 0.0"),
+    (["trials", "--y", "1,1,-1,2"], "needs y2 + y3 != 0, got 1.0 + -1.0"),
+], ids=["train-sparsity", "trials-activation", "verify-sigmoid", "path-groups", "train-dims",
+        "verify-y2-plus-y3", "verify-y-zero", "trials-y2-plus-y3"])
 def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     code, cap = run_cli(argv, capsys)
     assert code == 2
@@ -360,6 +364,14 @@ def test_conv_rank_worked_example(workdir, capsys):
     assert "expected 3, numeric 3" in cap.out
 
 
+def test_conv_rank_of_a_large_finite_kernel(workdir, capsys):
+    # the unscaled SVD overflowed to numeric 0, a false falsification
+    code, cap = run_cli(["conv-rank", "--mode", "same", "--d", "3",
+                         "--kernel", "1e308,1e308"], capsys)
+    assert code == 0
+    assert cap.out == "expected 3, numeric 3\n"
+
+
 def test_conv_rank_bad_mode(workdir, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["conv-rank", "--mode", "wrap", "--d", "4", "--kernel", "1"])
@@ -428,7 +440,7 @@ def test_rank_spec_and_dims_are_exclusive(workdir, capsys):
 
 def test_rank_spec_alone_replays(workdir, capsys):
     net, _ = sparseland.random_effective_net((4, 5, 2), 0.2, seed=3,
-                                             activation=sparseland.Activation.tanh())
+                                             activation=sparseland.Activation("tanh"))
     (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
     code, cap = run_cli(["rank", "--spec", "n.json", "--n", "4", "--json"], capsys)
     assert code in (0, 1) and len(json.loads(cap.out)["ranks"]) == 1
@@ -452,7 +464,7 @@ def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
 def spec_net(workdir):
     """A masked tanh net, written to n.json in the working directory."""
     net, _ = sparseland.random_effective_net((3, 5, 2), 0.4, seed=2,
-                                             activation=sparseland.Activation.tanh())
+                                             activation=sparseland.Activation("tanh"))
     (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
     return net
 
@@ -566,6 +578,62 @@ def test_prune_and_conv_rank_take_no_seed(spec_net, workdir, capsys, monkeypatch
     assert main(conv_rank) == 0
     manifest = json.loads((workdir / "conv-rank.manifest.json").read_text())
     assert manifest["seed"] is None and "seed" not in manifest["config"]
+
+
+def _two_layer_spec(**edits):
+    """A valid 2-2-1 spec, with the first layer's keys and the activation
+    replaced by `edits` (key "activation")."""
+    layer = {"weights": [[1.0, 0.0], [0.5, 2.0]], "mask": [[1, 0], [1, 1]], "bias": [1.0, 0.0]}
+    activation = edits.pop("activation", {"kind": "tanh"})
+    return {"layers": [{**layer, **edits}, {"weights": [[1.0, -1.0]]}], "activation": activation}
+
+
+@pytest.mark.parametrize("command", ["prune", "rank", "train"])
+@pytest.mark.parametrize("edits,message", [
+    ({"weights": ["12", "34"]}, "weight row must be a JSON list, got '12'"),
+    ({"weights": "12"}, "weights must be a JSON list of rows, got '12'"),
+    ({"bias": "12"}, "bias must be a JSON list, got '12'"),
+    ({"weights": [[1.0, 0.0], [0.5, "inf"]]}, "weight row entries must be finite"),
+    ({"weights": [[1.0, 0.0], ["nan", 2.0]]}, "weight row entries must be finite"),
+    ({"weights": [[1.0, 0.0], [0.5, 1e999]]}, "weight row entries must be finite"),
+    ({"bias": [1.0, "-inf"]}, "bias entries must be finite"),
+    ({"activation": {"kind": "polynomial", "params": {"coeffs": "12"}}},
+     "polynomial coeffs must be a JSON list, got '12'"),
+    ({"activation": {"kind": "leaky_relu", "params": [1]}},
+     "activation params must be a JSON object, got [1]"),
+    ({"activation": {"kind": "tanh", "params": {"slope": 3}}},
+     "tanh activation reads no param 'slope'"),
+    ({"activation": {"kind": "elu", "params": {"slope": 3}}}, "elu activation reads no param 'slope'"),
+    ({"activation": {"kind": "leaky_relu", "params": {"slope": "nan"}}},
+     "leaky_relu slope must be positive and finite"),
+    ({"activation": "tanh"}, "activation must be a JSON object, got 'tanh'"),
+], ids=["row-string", "weights-string", "bias-string", "weight-inf", "weight-nan",
+        "weight-overflow", "bias-inf", "coeffs-string", "params-list", "params-unread",
+        "params-other-kind", "slope-nan", "activation-string"])
+def test_bad_spec_values_are_usage_errors(workdir, capsys, command, edits, message):
+    (workdir / "m.json").write_text(json.dumps(_two_layer_spec(**edits)))
+    code, cap = run_cli([command, "--spec", "m.json"], capsys)
+    assert code == 2 and cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad network spec in m.json: ")
+    assert message in lines[0]
+    assert [p.name for p in workdir.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("activation,params", [
+    ({"kind": "leaky_relu", "params": {"slope": "0.2"}}, {"slope": 0.2}),
+    ({"kind": "elu", "params": {"alpha": 2}}, {"alpha": 2.0}),
+    ({"kind": "polynomial", "params": {"coeffs": [0, 1, "0.5"]}}, {"coeffs": [0.0, 1.0, 0.5]}),
+    ({"kind": "elu", "params": {}}, {"alpha": 1.0}),
+    ({"kind": "relu"}, {}),
+], ids=["slope-string", "alpha-int", "coeffs-mixed", "elu-default", "relu-no-params"])
+def test_spec_params_load(workdir, capsys, activation, params):
+    # each kind's own parameter as a number or decimal string; absent, its default
+    (workdir / "m.json").write_text(json.dumps(_two_layer_spec(activation=activation)))
+    code, cap = run_cli(["prune", "--spec", "m.json", "--json"], capsys)
+    assert code == 0, cap.err
+    assert json.loads(cap.out)["reduced"]["activation"] == {"kind": activation["kind"],
+                                                            "params": params}
 
 
 def test_spec_without_layers_is_a_usage_error(workdir, capsys):

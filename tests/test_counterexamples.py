@@ -232,7 +232,7 @@ def test_minimum_as_network_matches_group_loss():
         W = np.array([[w1[0], w1[1], 0.0, 0.0], [0.0, 0.0, w2[0], w2[1]]])
         U = np.column_stack([u1, u2])
         layers = (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool)))
-        got = net_loss(SparseNet(layers, Activation.linear()), X, inst.minimum.Y)
+        got = net_loss(SparseNet(layers, Activation("linear")), X, inst.minimum.Y)
         assert got == pytest.approx(inst.minimum.loss_at(th), rel=1e-14)
 
 
@@ -240,8 +240,8 @@ def test_minimum_as_network_matches_group_loss():
 # spurious valley
 # ---------------------------------------------------------------------------
 
-VALLEY_ACTS = [Activation.tanh(), Activation.shifted_sigmoid(),
-               Activation.leaky_relu(0.1), Activation.elu(1.0)]
+VALLEY_ACTS = [Activation("tanh"), Activation("shifted_sigmoid"),
+               Activation("leaky_relu", slope=0.1), Activation("elu", alpha=1.0)]
 
 
 @pytest.mark.parametrize("act", VALLEY_ACTS, ids=lambda a: a.kind)
@@ -257,7 +257,7 @@ def test_valley_losses_all_activations(act):
 
 def test_valley_rejects_sigmoid():
     with pytest.raises(ConstructionError, match="sigma\\(0\\) = 0"):
-        valley_instance(STRICT_Y, Activation.sigmoid())
+        valley_instance(STRICT_Y, Activation("sigmoid"))
 
 
 def test_experimental_y_flags_constraint():
@@ -286,7 +286,7 @@ def test_valley_builder_checks_the_ordering_and_the_scale():
         valley_instance((1, -2, 9, 2))
     assert str(ei.value) == "valley instance failed validation: ordering escape < y1^2 < y4^2 failed"
     with pytest.raises(ConstructionError) as ei:
-        valley_instance((1, -2, 9, 2), Activation.relu())
+        valley_instance((1, -2, 9, 2), Activation("relu"))
     assert str(ei.value) == f"no valid scale: {-2 / 7!r} outside range of relu"
 
 
@@ -321,20 +321,47 @@ def test_valley_batched_loss_and_grad():
 
 
 # every activation valley_instance builds with: sigma(0) = 0 and 1/a in range
-VALLEY_BUILDS = [Activation.linear(), Activation.relu(), Activation.leaky_relu(0.1),
-                 Activation.elu(1.0), Activation.tanh(), Activation.shifted_sigmoid()]
+VALLEY_BUILDS = [Activation("linear"), Activation("relu"), Activation("leaky_relu", slope=0.1),
+                 Activation("elu", alpha=1.0), Activation("tanh"), Activation("shifted_sigmoid")]
 
 
 def test_valley_builds_list_is_every_accepted_kind():
     accepted = set()
     for kind in KINDS:
-        act = Activation.polynomial((0.0, 1.0, 0.5)) if kind == "polynomial" else Activation(kind)
+        act = (Activation("polynomial", coeffs=(0.0, 1.0, 0.5)) if kind == "polynomial"
+               else Activation(kind))
         try:
             valley_instance(STRICT_Y, act)
         except (ConstructionError, ValueError):
             continue
         accepted.add(kind)
     assert accepted == {act.kind for act in VALLEY_BUILDS}
+
+
+# the scale a of each kind: the least power of two with 1/a in sigma's range
+VALLEY_SCALES = {"linear": 1.0, "relu": 1.0, "leaky_relu": 1.0, "elu": 1.0,
+                 "tanh": 2.0, "shifted_sigmoid": 4.0}
+
+
+@pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)
+def test_valley_scale_is_the_least_power_of_two_in_range(act):
+    a = VALLEY_SCALES[act.kind]
+    inst = valley_instance(STRICT_Y, act)
+    assert inst.valley_theta[:3].tolist() == [1.0 * a, 2.0 * a, 9.0 * a]
+    assert inst.valley_theta[4] == act.inverse(1.0 / a)
+
+
+def test_valley_scale_of_a_polynomial_is_a_range_query_error():
+    with pytest.raises(ValueError, match="range query not supported for polynomial"):
+        valley_instance(STRICT_Y, Activation("polynomial", coeffs=(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("y", [(1, 2, -2, 2), (0, 0, 0, 0), (1, 1, -1, 2)])
+def test_valley_builder_rejects_y2_plus_y3_zero(y):
+    # the escape point and the escape level both divide by y2 + y3
+    with pytest.raises(ConstructionError) as ei:
+        valley_instance(y)
+    assert str(ei.value) == f"valley construction needs y2 + y3 != 0, got {float(y[1])} + {float(y[2])}"
 
 
 def valley_layouts():

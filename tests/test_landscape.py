@@ -261,7 +261,7 @@ def test_check_conditions_underparam_group():
     U = np.ones((1, 3))
     net = SparseNet(
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation.linear(),
+        Activation("linear"),
     )
     rep = check_conditions(net, X)
     assert not rep.cond_overparam
@@ -278,7 +278,7 @@ def test_check_conditions_fields():
     U = r.standard_normal((1, 5))
     net = SparseNet(
         (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation.linear(),
+        Activation("linear"),
     )
     rep = check_conditions(net, X)
     assert rep.cond_overparam          # widths (3, 2) >= supports (2, 2)
@@ -299,7 +299,7 @@ def test_check_conditions_nonorthogonal():
     net = SparseNet(
         (SparseLayer(np.eye(2) * mask, mask),
          SparseLayer(np.ones((2, 2)), np.ones((2, 2), dtype=bool))),
-        Activation.tanh(),
+        Activation("tanh"),
     )
     rep = check_conditions(net, X)
     assert not rep.cond_orthogonal
@@ -316,7 +316,7 @@ def test_check_conditions_polynomial_degree():
     for coeffs, dims in (((0.0, 1.0, 0.5, 0.0), (6, 3)), ((0.0, 0.0), (1, 1))):
         net = SparseNet(
             (SparseLayer(np.ones((2, 3)) * mask, mask), SparseLayer(np.ones((1, 2)), np.ones((1, 2)))),
-            Activation.polynomial(coeffs),
+            Activation("polynomial", coeffs=coeffs),
         )
         assert check_conditions(net, X).intrinsic_dims == dims
 
@@ -359,6 +359,10 @@ def test_numerical_rank():
     A = np.outer(v, v) + 1e-14 * np.eye(4)
     assert numerical_rank(A) == 1
     assert numerical_rank(A, tol=1e-16) == 4
+    # large finite entries: the SVD of M itself overflows to rank 0
+    assert numerical_rank(np.full((3, 3), 1e308)) == 1
+    assert numerical_rank(1e308 * np.eye(3)) == 3
+    assert numerical_rank(5e-324 * np.eye(3)) == 3
 
 
 def test_hidden_rank_certificate():
@@ -369,7 +373,7 @@ def test_hidden_rank_certificate():
     net = SparseNet(
         (SparseLayer(W, np.ones_like(W, dtype=bool)),
          SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation.tanh(),
+        Activation("tanh"),
     )
     X = r.standard_normal((3, 10))
     ranks = hidden_rank_certificate(net, X)
@@ -399,7 +403,7 @@ def test_quadratic_feature_layout():
     ((1.0,), 4),
 ])
 def test_feature_identity(coeffs, d):
-    act = Activation.polynomial(coeffs)
+    act = Activation("polynomial", coeffs=coeffs)
     maps = poly_feature_maps(coeffs, d)
     assert maps.feature_dim == math.comb(d + maps.degree, maps.degree)
     r = np.random.default_rng(42)

@@ -92,7 +92,6 @@ NOT_YET_REACHED = {
 # public methods of exported classes that no workflow calls, not even through
 # a planned name above: each names who calls it
 METHODS_NOT_REACHED = {
-    "Activation.softplus": "the one constructor per kind; from_json builds softplus as cls(kind)",
     "SpuriousValleyInstance.as_network": "tests check the valley loss against the network's",
 }
 

@@ -31,7 +31,7 @@ def rand_net(mask_w, mask_u, act=None, biases=False, seed=0):
         )
     else:
         layers = (SparseLayer(W, mask_w), SparseLayer(U, mask_u))
-    return SparseNet(layers, act or Activation.tanh())
+    return SparseNet(layers, act or Activation("tanh"))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,10 @@ def test_layer_bias_validation():
 def test_net_needs_two_layers_and_matching_dims():
     l1 = SparseLayer(np.zeros((3, 2)), np.ones((3, 2), dtype=bool))
     with pytest.raises(ValueError):
-        SparseNet((l1,), Activation.relu())
+        SparseNet((l1,), Activation("relu"))
     l_bad = SparseLayer(np.zeros((1, 4)), np.ones((1, 4), dtype=bool))
     with pytest.raises(ValueError, match="mismatch"):
-        SparseNet((l1, l_bad), Activation.relu())
+        SparseNet((l1, l_bad), Activation("relu"))
 
 
 def test_dims_and_forward_shapes():
@@ -209,7 +209,7 @@ def test_block_reassembly():
     W = r.standard_normal((4, 3)) * mask
     U = r.standard_normal((2, 4))
     X = r.standard_normal((3, 9))
-    act = Activation.tanh()
+    act = Activation("tanh")
     layer = SparseLayer(W, mask)
     dec = decompose_patterns(layer, X)
     total = np.zeros((2, 9))
@@ -232,7 +232,7 @@ def test_reduction_cascade_isolates_input():
         (SparseLayer(np.ones((2, 2)) * m1, m1),
          SparseLayer(np.ones((2, 2)) * m2, m2),
          SparseLayer(np.array([[1.0, 0.0]]), m3)),
-        Activation.relu(),
+        Activation("relu"),
     )
     reduced, report = effective_subnetwork(net)
     assert report.isolated_inputs == (1,)
@@ -251,7 +251,7 @@ def test_live_bias_keeps_out_edges():
                      bias=np.array([0.0, 3.0]),
                      bias_mask=np.array([False, True])),
          SparseLayer(np.array([[1.0, 4.0]]), np.ones((1, 2), dtype=bool))),
-        Activation.relu(),
+        Activation("relu"),
     )
     reduced, report = effective_subnetwork(net)
     assert report.removed_edges == ()
@@ -272,7 +272,7 @@ def test_dead_bias_is_removed_and_recorded():
                      bias=np.array([0.0, 3.0]),
                      bias_mask=np.array([False, True])),
          SparseLayer(np.array([[1.0, 0.0]]), m2)),
-        Activation.relu(),
+        Activation("relu"),
     )
     reduced, report = effective_subnetwork(net)
     assert report.removed_biases == ((0, 1),)
@@ -306,7 +306,7 @@ def test_biasfree_reduction_matches_reachability(seed):
     widths = [int(r.integers(2, 6)) for _ in range(4)]
     masks = [r.random((widths[i + 1], widths[i])) < 0.45 for i in range(3)]
     layers = tuple(SparseLayer(r.standard_normal(m.shape) * m, m) for m in masks)
-    net = SparseNet(layers, Activation.tanh())
+    net = SparseNet(layers, Activation("tanh"))
     reduced, _ = effective_subnetwork(net)
     want = reachability_edges(masks)
     for layer, w in zip(reduced.layers, want):
@@ -352,7 +352,7 @@ def random_biased_net(r):
                                       r.standard_normal(n_out) * bm, bm))
         else:
             layers.append(SparseLayer(r.standard_normal(m.shape) * m, m))
-    return SparseNet(tuple(layers), Activation.tanh())
+    return SparseNet(tuple(layers), Activation("tanh"))
 
 
 def test_reduction_matches_path_enumeration_with_biases():
@@ -393,7 +393,7 @@ def test_reduced_forward_agrees_when_removed_params_zero():
     m2 = np.array([[1, 0, 0], [0, 1, 0]], dtype=bool)  # hidden 2 is dead
     W = r.standard_normal((3, 3)) * m1
     U = r.standard_normal((2, 3)) * m2
-    net = SparseNet((SparseLayer(W, m1), SparseLayer(U, m2)), Activation.sigmoid())
+    net = SparseNet((SparseLayer(W, m1), SparseLayer(U, m2)), Activation("sigmoid"))
     reduced, report = effective_subnetwork(net)
     assert report.removed_edges  # something actually got stripped
     # removed positions held zero weight, so outputs agree everywhere
@@ -405,7 +405,7 @@ def test_reduction_idempotent():
     r = np.random.default_rng(9)
     masks = [r.random((5, 4)) < 0.4, r.random((3, 5)) < 0.4, r.random((2, 3)) < 0.5]
     layers = tuple(SparseLayer(r.standard_normal(m.shape) * m, m) for m in masks)
-    net = SparseNet(layers, Activation.relu())
+    net = SparseNet(layers, Activation("relu"))
     once, _ = effective_subnetwork(net)
     twice, rep2 = effective_subnetwork(once)
     assert rep2.removed_edges == () and rep2.removed_biases == ()

@@ -46,7 +46,7 @@ def small_net(seed=0, act=None, biases=True):
                   SparseLayer(U, m2, r.standard_normal(2)))
     else:
         layers = (SparseLayer(W, m1), SparseLayer(U, m2))
-    return SparseNet(layers, act or Activation.tanh())
+    return SparseNet(layers, act or Activation("tanh"))
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,8 @@ def test_gen_synthetic_noiseless_and_identity():
 # gradients
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid(),
-                                 Activation.softplus()], ids=lambda a: a.kind)
+@pytest.mark.parametrize("act", [Activation("tanh"), Activation("sigmoid"),
+                                 Activation("softplus")], ids=lambda a: a.kind)
 def test_grad_net_matches_fd(act):
     net = small_net(seed=1, act=act)
     r = np.random.default_rng(2)
@@ -128,8 +128,8 @@ def reference_backprop(net, X, Y):
     return w_grads, b_grads, 0.5 * float(np.sum(resid * resid))
 
 
-@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid(),
-                                 Activation.relu(), Activation.softplus()],
+@pytest.mark.parametrize("act", [Activation("tanh"), Activation("sigmoid"),
+                                 Activation("relu"), Activation("softplus")],
                          ids=lambda a: a.kind)
 def test_grad_net_equals_reference_backprop_bitwise(act):
     r = np.random.default_rng(6)
@@ -164,7 +164,7 @@ def random_linear_net(r, dims, biases):
             layers.append(SparseLayer(W, mask, r.standard_normal(n_out) * bias_mask, bias_mask))
         else:
             layers.append(SparseLayer(W, mask))
-    return SparseNet(tuple(layers), Activation.linear())
+    return SparseNet(tuple(layers), Activation("linear"))
 
 
 # Rounding error of the chain form and of backprop: each computes a gradient
@@ -241,7 +241,7 @@ def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
         return tanh(z, *args, **kwargs)
 
     net, _ = random_effective_net((3, 6, 6, 2), sparsity=0.0, seed=1,
-                                  activation=Activation.tanh())
+                                  activation=Activation("tanh"))
     ds = gen_synthetic(8, 3, 2, seed=2)
     monkeypatch.setattr(np, "tanh", counting_tanh)
     trace = gd_train(net, ds, TrainConfig(max_epochs=10, seed=3))
@@ -289,7 +289,7 @@ def test_train_deterministic():
 
 def test_train_divergence_recorded():
     ds = gen_synthetic(20, 3, 2, seed=5)
-    net = small_net(seed=6, act=Activation.linear())
+    net = small_net(seed=6, act=Activation("linear"))
     trace = gd_train(net, ds, TrainConfig(learning_rate=10.0, max_epochs=500, seed=1))
     assert trace.stop_reason == "diverged"
     assert trace.diverged
@@ -298,7 +298,7 @@ def test_train_divergence_recorded():
 
 def test_backtracking_prevents_divergence():
     ds = gen_synthetic(20, 3, 2, seed=5)
-    net = small_net(seed=6, act=Activation.linear())
+    net = small_net(seed=6, act=Activation("linear"))
     cfg = TrainConfig(learning_rate=10.0, max_epochs=400, seed=1, backtrack=True)
     trace = gd_train(net, ds, cfg)
     assert not trace.diverged
@@ -309,7 +309,7 @@ def test_train_plateau_stop_epoch():
     # all-zero linear weights have zero gradient, so the loss never moves;
     # the plateau test first fires at plateau_window + 1, as in run_trials
     zero = SparseNet((SparseLayer(np.zeros((4, 3)), np.ones((4, 3))),
-                      SparseLayer(np.zeros((2, 4)), np.ones((2, 4)))), Activation.linear())
+                      SparseLayer(np.zeros((2, 4)), np.ones((2, 4)))), Activation("linear"))
     ds = gen_synthetic(10, 3, 2, seed=1)
     cfg = TrainConfig(max_epochs=100, grad_tol=0.0, plateau_window=5)
     trace = gd_train(zero, ds, cfg)
