@@ -9,6 +9,7 @@ instance's points), and a JSON form for network specs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,22 @@ def _logistic(z):
     z = np.asarray(z, dtype=float)
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# the form of a JSON number, in which a spec may also write one as a string
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def spec_number(v) -> float:
+    """A number of a network spec as a float: a JSON number, or a string in
+    JSON-number form ("0.125").  Anything else (true, "1_0", "inf", null)
+    reads as NaN, which the finiteness rule of every spec number rejects."""
+    if type(v) in (int, float) or type(v) is str and _JSON_NUMBER.fullmatch(v):
+        try:
+            return float(v)
+        except OverflowError:  # an integer beyond the float range
+            return math.inf
+    return math.nan
 
 
 @dataclass(frozen=True)
@@ -119,7 +136,7 @@ class Activation:
         z = np.asarray(z, dtype=float)
         k = self.kind
         if k == "tanh":
-            t = np.tanh(z)
+            t = self(z)
             return t, 1.0 - t * t
         if k in ("sigmoid", "shifted_sigmoid"):
             s = _logistic(z)
@@ -197,8 +214,8 @@ class Activation:
         if unread:
             raise ValueError(f"{kind} activation reads no param {', '.join(map(repr, unread))}")
         if kind != "polynomial":
-            return cls(kind, **{name: float(v) for name, v in params.items()})
+            return cls(kind, **{name: spec_number(v) for name, v in params.items()})
         coeffs = params.get("coeffs")
         if not isinstance(coeffs, list):
             raise TypeError(f"polynomial coeffs must be a JSON list, got {coeffs!r}")
-        return cls(kind, coeffs=tuple(float(c) for c in coeffs))
+        return cls(kind, coeffs=tuple(spec_number(c) for c in coeffs))

@@ -180,6 +180,11 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
 STRICT_Y = (1.0, 2.0, 9.0, 2.0)
 EXPERIMENT_Y = (1.0, 2.0, 6.0, 2.0)
 
+# the rows of w = theta[:4] and of s = sigma(theta[4:]) whose products fill
+# the slots of the valley's residual table
+_W_ROWS = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+_S_ROWS = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+
 
 @dataclass(frozen=True)
 class SpuriousValleyInstance:
@@ -198,10 +203,12 @@ class SpuriousValleyInstance:
     escape_theta: np.ndarray
     constraints: dict
     Y: np.ndarray
-    # the targets of _residuals' table (slot [1, 0, 0] holds no residual), kept
-    # at the width of the last table: a same-shape subtraction skips numpy's
+    # the targets of _residuals' table (slot 4 holds no residual), kept at the
+    # width of the last table: a same-shape subtraction skips numpy's
     # broadcasting set-up, which costs more than the arithmetic at trial widths
     _targets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # (theta, loss) of the last grad call, for a loss call on that same array
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def valley_loss(self) -> float:
@@ -217,48 +224,68 @@ class SpuriousValleyInstance:
         return all(self.constraints.values())
 
     def _residuals(self, c, s):
-        """The residual table r of M(theta) - Y for coordinate-major rows c
-        (8, n) and s = sigma(c[4:]) (4, n): with w = c[:4],
-        r[i, j, k] = w[2i + j] s[2i + k] - target, and w2 s6 + w3 s7 in slot
-        [0, 1, 1].  So r11, r12, r21, r22, r23, r32, r33 are the slots 000,
-        001, 010, 011, 101, 110 and 111; slot 100 holds w3 s7, no residual.
-        The table and the kept targets hold 8 x n floats each, so
-        8 x PROBE_BLOCK floats per table for a probe block."""
+        """The (8, n) residual table r of M(theta) - Y for coordinate-major
+        rows c (8, n) and s = sigma(c[4:]) (4, n), with the gathered rows it
+        is made of: with w = c[:4], slot m holds w[_W_ROWS[m]] s[_S_ROWS[m]] -
+        target, and w2 s6 + w3 s7 in slot 3.  So r11, r12, r21, r22, r23, r32,
+        r33 are the slots 0, 1, 2, 3, 5, 6 and 7; slot 4 holds w3 s7, no
+        residual.  Returns (r, w[_W_ROWS], s[_S_ROWS]), three C-order (8, n)
+        tables joined by one same-shape multiply: at trial widths a gather or
+        such a multiply costs a fraction of a broadcasting one.  With the kept
+        targets that is 8 x PROBE_BLOCK floats per table for a probe block."""
         n = c.shape[1]
-        r = c[:4].reshape(2, 2, 1, n) * s.reshape(2, 1, 2, n)
-        r[0, 1, 1] += r[1, 0, 0]
+        w, s = c.take(_W_ROWS, axis=0), s.take(_S_ROWS, axis=0)
+        r = w * s
+        r[3] += r[4]
         t = self._targets
         if t is None or t.shape[-1] != n:
             y1, y2, y3, y4 = self.y
-            t = np.repeat([y1, y1, y2, y2 + y3, 0.0, 0.0, 0.0, y4], n).reshape(r.shape)
+            t = np.repeat([y1, y1, y2, y2 + y3, 0.0, 0.0, 0.0, y4], n).reshape(8, n)
             object.__setattr__(self, "_targets", t)
         r -= t
-        return r
+        return r, w, s
 
-    def loss(self, theta) -> np.ndarray | float:
-        """Unscaled ||M(theta) - Y||_F^2, broadcasting over leading axes."""
-        th = np.asarray(theta, dtype=float)
-        c = th.reshape(-1, 8).T
-        q = np.square(self._residuals(c, self.activation(c[4:]))).reshape(8, c.shape[1])
-        # the seven squares added in order, one row at a time: a reduce over the
-        # table may sum pairwise, and then a row's loss would depend on the batch
+    @staticmethod
+    def _value(r, shape):
+        """The loss of a residual table: the seven squares added in order, one
+        row at a time (a reduce over the table may sum pairwise, and then a
+        row's loss would depend on the batch), shaped to theta's leading axes."""
+        q = np.square(r)
         L = q[0] + q[1]
         for k in (2, 3, 5, 6, 7):
             L += q[k]
-        L = L.reshape(th.shape[:-1])
+        L = L.reshape(shape)
         return L if L.ndim else float(L)
 
+    def loss(self, theta) -> np.ndarray | float:
+        """Unscaled ||M(theta) - Y||_F^2, broadcasting over leading axes.
+
+        Called on the very array object the last grad call took, it returns
+        the loss that call computed, once: a trial epoch computes its
+        gradient and then its loss at the same point, and so makes one sigma
+        pass and one table.  theta must not change in between."""
+        kept = self._kept
+        if kept is not None:
+            object.__setattr__(self, "_kept", None)
+            if kept[0] is theta:
+                return kept[1]
+        th = np.asarray(theta, dtype=float)
+        c = th.reshape(-1, 8).T
+        return self._value(self._residuals(c, self.activation(c[4:]))[0], th.shape[:-1])
+
     def grad(self, theta) -> np.ndarray:
+        """The gradient of loss; the loss value is kept for a loss call on theta."""
         th = np.asarray(theta, dtype=float)
         c = th.reshape(-1, 8).T
         n = c.shape[1]
         s, ds = self.activation.value_and_derivative(c[4:])
-        r = self._residuals(c, s)
-        r[1, 0, 0] = r[0, 1, 1]  # r22 enters both the w3 and the s7 pair
+        r, w, s = self._residuals(c, s)
+        object.__setattr__(self, "_kept", (theta, self._value(r, th.shape[:-1])))
+        r[4] = r[3]  # r22 enters both the w3 and the s7 pair
         g = np.empty((8, n))
-        rs = r * s.reshape(2, 1, 2, n)
-        np.add(rs[:, :, 0], rs[:, :, 1], out=g[:4].reshape(2, 2, n))  # dL/dw: pairs over s
-        rw = r * c[:4].reshape(2, 2, 1, n)
+        rs = (r * s).reshape(4, 2, n)
+        np.add(rs[:, 0], rs[:, 1], out=g[:4])  # dL/dw: pairs over s
+        rw = (r * w).reshape(2, 2, 2, n)
         np.add(rw[:, 0], rw[:, 1], out=g[4:].reshape(2, 2, n))  # dL/ds: pairs over w
         g[4:] *= ds
         g *= 2  # the d/dM factor, applied once: doubling is exact

@@ -415,8 +415,15 @@ def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
 
 
 def hidden_rank_certificate(net: SparseNet, X: np.ndarray) -> tuple:
-    """Numerical rank of every post-activation hidden output on X."""
-    _, hiddens = forward(net, X)
+    """Numerical rank of every post-activation hidden output on X.  A hidden
+    output that is not finite (the forward pass overflowed) has no measured
+    rank: it raises ValueError naming its layer."""
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        _, hiddens = forward(net, X)
+    for k, h in enumerate(hiddens, 1):
+        if not np.isfinite(h).all():
+            raise ValueError(f"hidden output of layer {k} is not finite on the samples, "
+                             f"so its rank is not measured")
     return tuple(numerical_rank(h) for h in hiddens)
 
 

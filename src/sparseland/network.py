@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation
+from .activations import Activation, spec_number
 
 
 def _as_mask(mask, shape) -> np.ndarray:
@@ -307,12 +307,14 @@ def effective_subnetwork(net: SparseNet):
 # ---------------------------------------------------------------------------
 
 def _parse_numbers(values, what: str) -> list:
-    """A JSON list of finite numbers or decimal strings ("0.125") as floats."""
+    """A JSON list of finite numbers or decimal strings ("0.125") as floats,
+    read by spec_number; a float entry, the common case, is taken as it is."""
     if not isinstance(values, list):
         raise TypeError(f"{what} must be a JSON list, got {values!r}")
-    out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{what} entries must be finite, got {values!r}")
+    out = [v if type(v) is float else spec_number(v) for v in values]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} entries must be finite numbers or decimal strings, "
+                         f"got {values!r}")
     return out
 
 

@@ -445,7 +445,10 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
         theta[t] = np.random.default_rng(config.seed + t).uniform(-bounds, bounds)
 
     def value_and_grad(params):
-        return objective.loss(params[0]), [objective.grad(params[0])]
+        # grad first: an objective may keep the loss it computes on the way
+        # and hand it to the loss call on the same array
+        g = objective.grad(params[0])
+        return objective.loss(params[0]), [g]
 
     (theta,), final_losses, epochs, stop_reason = _descend(value_and_grad, [theta], config)
     diverged = stop_reason == "diverged"

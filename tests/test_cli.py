@@ -597,6 +597,9 @@ def _two_layer_spec(**edits):
     ({"weights": [[1.0, 0.0], ["nan", 2.0]]}, "weight row entries must be finite"),
     ({"weights": [[1.0, 0.0], [0.5, 1e999]]}, "weight row entries must be finite"),
     ({"bias": [1.0, "-inf"]}, "bias entries must be finite"),
+    ({"weights": [[1.0, 0.0], [True, 2.0]]},
+     "weight row entries must be finite numbers or decimal strings"),
+    ({"bias": [1.0, "1_0"]}, "bias entries must be finite numbers or decimal strings"),
     ({"activation": {"kind": "polynomial", "params": {"coeffs": "12"}}},
      "polynomial coeffs must be a JSON list, got '12'"),
     ({"activation": {"kind": "leaky_relu", "params": [1]}},
@@ -608,8 +611,8 @@ def _two_layer_spec(**edits):
      "leaky_relu slope must be positive and finite"),
     ({"activation": "tanh"}, "activation must be a JSON object, got 'tanh'"),
 ], ids=["row-string", "weights-string", "bias-string", "weight-inf", "weight-nan",
-        "weight-overflow", "bias-inf", "coeffs-string", "params-list", "params-unread",
-        "params-other-kind", "slope-nan", "activation-string"])
+        "weight-overflow", "bias-inf", "weight-bool", "bias-underscore", "coeffs-string",
+        "params-list", "params-unread", "params-other-kind", "slope-nan", "activation-string"])
 def test_bad_spec_values_are_usage_errors(workdir, capsys, command, edits, message):
     (workdir / "m.json").write_text(json.dumps(_two_layer_spec(**edits)))
     code, cap = run_cli([command, "--spec", "m.json"], capsys)
@@ -985,6 +988,32 @@ def test_verify_overflow_prints_no_numpy_warning(tmp_path, argv, code, err):
     assert proc.returncode == code
     assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
     assert (tmp_path / "verify.manifest.json").exists() == (code != 2)
+
+
+def _big_linear_spec(dims):
+    """A linear net over the dim chain with every weight 1e308."""
+    return {"layers": [{"weights": [[1e308] * n_in for _ in range(n_out)]}
+                       for n_in, n_out in zip(dims, dims[1:])],
+            "activation": {"kind": "linear"}}
+
+
+@pytest.mark.parametrize("dims,seed,code,err", [
+    # the rank samples of seed 2 overflow the hidden layer, those of seed 0
+    # only the output: its two equal hidden rows then have rank 1 < 2
+    ((2, 2, 1), 2, 2, "error: hidden output of layer 1 is not finite on the samples"),
+    ((2, 2, 2, 1), 0, 2, "error: hidden output of layer 2 is not finite on the samples"),
+    ((2, 2, 1), 0, 1, ""),
+], ids=["2-2-1-hidden-overflow", "2-2-2-1", "2-2-1-output-overflow"])
+def test_rank_of_an_overflowing_forward_pass(tmp_path, dims, seed, code, err):
+    (tmp_path / "big.json").write_text(json.dumps(_big_linear_spec(dims)))
+    proc = subprocess.run([sys.executable, "-m", "sparseland.cli", "rank", "--spec", "big.json",
+                           "--seed", str(seed)], capture_output=True, text=True,
+                          env=_checkout_env(), cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
+    assert (tmp_path / "rank.manifest.json").exists() == (code != 2)
+    if code == 1:
+        assert proc.stdout.startswith("hidden ranks on n=6 gaussian samples: [1]\n")
 
 
 def test_console_script_version():

@@ -382,12 +382,28 @@ def test_valley_objective_matches_the_column_oracle_bit_for_bit(act, y):
     inst = valley_instance(y, act)
     with np.errstate(all="ignore"):
         for name, th in valley_layouts().items():
-            for new, old in ((inst.loss, valley_loss), (inst.grad, valley_grad)):
-                got, want = np.asarray(new(th)), np.asarray(old(inst, th))
+            # the second loss call returns the value the grad call kept
+            for new, old in ((inst.loss, valley_loss), (inst.grad, valley_grad),
+                             (inst.loss, valley_loss)):
+                got, want = new(th), old(inst, th)
+                assert type(got) is type(want), (name, new.__name__)  # a float for 1-d
+                got, want = np.asarray(got), np.asarray(want)
                 assert got.shape == want.shape, (name, new.__name__)
                 assert got.tobytes() == want.tobytes(), (name, new.__name__)
-            if th.ndim == 1:
-                assert isinstance(inst.loss(th), float)
+
+
+def test_valley_loss_takes_the_kept_value_once_and_for_that_array_only():
+    inst = valley_instance(EXPERIMENT_Y)
+    th1, th2 = valley_layouts()["F"].copy(), valley_layouts()["C"]
+    with np.errstate(all="ignore"):
+        inst.grad(th1)
+        assert inst.loss(th2).tobytes() == valley_loss(inst, th2).tobytes()
+        th1[:, 4:] += 0.5  # a kept value of the old th1 would now be stale
+        assert inst.loss(th1).tobytes() == valley_loss(inst, th1).tobytes()
+        inst.grad(th1)
+        assert inst.loss(th1).tobytes() == valley_loss(inst, th1).tobytes()
+        th1[:, :4] *= 2.0
+        assert inst.loss(th1).tobytes() == valley_loss(inst, th1).tobytes()
 
 
 @pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)

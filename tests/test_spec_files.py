@@ -2,9 +2,10 @@
 replaced by a drawn JSON value either loads (and the command exits 0 or 1)
 or is a usage error (exit 2, one `error:` line, no manifest).  A value that
 breaks a file rule must be the latter.  The rules: weight rows, biases and
-polynomial coeffs are JSON lists of finite numbers (or decimal strings),
-masks are 0/1 matrices, and an activation's params is an object that names
-at most the one parameter its kind reads."""
+polynomial coeffs are JSON lists of finite numbers (or strings that read as
+one JSON number; true/false are not numbers), masks are 0/1 matrices, and
+an activation's params is an object that names at most the one parameter
+its kind reads."""
 
 import io
 import json
@@ -25,7 +26,8 @@ READS = {kind: next(iter(params)) for kind, params in PARAMS.items()}
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3),
     st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.sampled_from(["nan", "inf", "-inf", "0", "1", "0.5", "12", "tanh", "slope", ""]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "1", "0.5", "12", "tanh", "slope", "",
+                     "1_0", "1e2", " 1", "0x1", "true"]),
     st.text(max_size=3),
 )
 KEYS = st.sampled_from(["slope", "alpha", "coeffs", "kind", "params", "x"])
@@ -51,9 +53,18 @@ def valid_specs(draw):
 
 
 def _finite_number(v) -> bool:
+    """A JSON number, or a string holding one JSON number and nothing else,
+    that is finite as a float."""
+    if isinstance(v, str):
+        try:
+            v = json.loads(v) if v == v.strip() else None
+        except ValueError:
+            return False
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
     try:
         return math.isfinite(float(v))
-    except (TypeError, ValueError):
+    except OverflowError:
         return False
 
 
