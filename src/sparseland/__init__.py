@@ -3,8 +3,8 @@
 The package answers four kinds of questions about one-hidden-layer and
 deeper masked networks under squared loss:
 
-* structure: pattern decomposition of a masked layer, effective
-  subnetworks, random sparse masks (`network`, `trainer`);
+* structure: effective subnetworks and random sparse masks (`network`,
+  `trainer`);
 * certificates: closed-form gradients/Hessians, stationary-point
   classification, and self-validating spurious-minimum / spurious-valley
   instances (`calculus`, `counterexamples`);
@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.6"
+__version__ = "0.3.7"
 
 from importlib import import_module
 
@@ -29,7 +29,7 @@ _EXPORTS = {
         "activations": ("KINDS", "Activation"),
         "calculus": ("StationaryReport", "TwoLayerLinearInstance",
                      "classify_stationary", "fd_gradient", "fd_hessian",
-                     "hessian_two_layer_linear", "instance_from_net", "sym_eig"),
+                     "hessian_two_layer_linear", "sym_eig"),
         "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),
         "counterexamples": ("ConstructionError", "ConvValleyInstance", "GdObjective",
                             "MinimumVerification", "SpuriousMinimumInstance",
@@ -37,14 +37,12 @@ _EXPORTS = {
                             "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
                             "valley_instance", "valley_trial_objective",
                             "verify_spurious_minimum"),
-        "landscape": ("AssumptionReport", "ConditionReport", "FeatureMaps", "PathTrace",
-                      "ZeroColumnResult", "check_assumptions", "check_conditions",
-                      "hidden_rank_certificate", "nonincreasing_path_overparam",
+        "landscape": ("AssumptionReport", "FeatureMaps", "PathTrace", "ZeroColumnResult",
+                      "check_assumptions", "hidden_rank_certificate", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",
                       "random_grouped_instance", "zero_column_transform"),
-        "network": ("PatternDecomposition", "RemovalReport", "SparseLayer", "SparseNet",
-                    "decompose_patterns", "effective_subnetwork", "forward", "loss",
-                    "net_from_json", "net_to_json"),
+        "network": ("RemovalReport", "SparseLayer", "SparseNet", "effective_subnetwork",
+                    "forward", "loss", "net_from_json", "net_to_json"),
         "trainer": ("Dataset", "TrainConfig", "TrainTrace", "TrialStats", "gd_train",
                     "gen_synthetic", "grad_net", "init_net", "loss_clusters",
                     "random_effective_net", "random_sparse_mask", "run_trials"),

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import SparseNet, _checked_target, decompose_patterns
-
 GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
 NULL_TOL = 1e-6
@@ -103,24 +101,6 @@ class TwoLayerLinearInstance:
         grad = pack_blocks((R @ np.swapaxes(w @ z, -1, -2), np.swapaxes(u, -1, -2) @ R @ z.T)
                            for (u, w), z in zip(blocks, self.zs))
         return (float(loss) if theta.ndim == 1 else loss), grad
-
-
-def instance_from_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
-    """(instance, theta): the grouped view of a bias-free 2-layer linear
-    network with a dense output layer, and the net's weights as its flat theta."""
-    if len(net.layers) != 2:
-        raise ValueError("grouped instance requires exactly 2 layers")
-    if net.activation.kind != "linear":
-        raise ValueError("grouped instance requires the linear activation")
-    if any(layer.bias is not None for layer in net.layers):
-        raise ValueError("grouped instance requires a net without biases")
-    if not net.layers[1].mask.all():
-        raise ValueError("grouped instance requires a dense output layer")
-    dec = decompose_patterns(net.layers[0], X)
-    Y = _checked_target(net, np.shape(X)[1], Y)
-    ws = dec.weight_blocks(net.layers[0].weights)
-    us = dec.output_blocks(net.layers[1].weights)
-    return TwoLayerLinearInstance(dec.data_slices, dec.group_widths, Y), pack_blocks(zip(us, ws))
 
 
 def hessian_two_layer_linear(inst: TwoLayerLinearInstance, theta) -> np.ndarray:

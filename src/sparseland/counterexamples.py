@@ -370,11 +370,11 @@ class ValleyProbeReport:
     radius: float
     min_excess: float          # min over probes of loss - valley loss
     falsifications: int        # probes more than a tolerance below the valley loss
-    delta4_strict_ok: bool     # moving w4 alone (conv: the kernel's w1) strictly increases
+    line_strict_ok: bool       # moving w4 alone (conv: the kernel's w1) strictly increases
 
     @property
     def ok(self) -> bool:
-        return self.falsifications == 0 and self.delta4_strict_ok
+        return self.falsifications == 0 and self.line_strict_ok
 
     def to_json(self) -> dict:
         return {
@@ -382,7 +382,7 @@ class ValleyProbeReport:
             "radius": self.radius,
             "min_excess": self.min_excess,
             "falsifications": self.falsifications,
-            "line_strict_ok": self.delta4_strict_ok,
+            "line_strict_ok": self.line_strict_ok,
             "ok": self.ok,
         }
 
@@ -436,7 +436,7 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
         radius=radius,
         min_excess=float(min_excess),
         falsifications=falsifications,
-        delta4_strict_ok=bool(np.all(np.isfinite(line_losses) & (line_losses > level))),
+        line_strict_ok=bool(np.all(np.isfinite(line_losses) & (line_losses > level))),
     )
 
 

@@ -1,4 +1,4 @@
-"""Descent paths, structural condition checks and rank certificates.
+"""Descent paths, data and mask assumption checks and rank certificates.
 
 The path builders emit piecewise-linear parameter paths whose sampled loss
 is non-increasing; they are the constructive side of the "no spurious
@@ -11,16 +11,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .activations import Activation
 from .calculus import TwoLayerLinearInstance, pack_blocks
-from .network import SparseNet, decompose_patterns, forward
+from .network import SparseNet, forward
 
 RANK_TOL = 1e-8
-ORTHO_TOL = 1e-10
 BASIS_TOL = 1e-10  # zero_column_transform: a pivot at most this x the largest is no basis row
 MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and duplicate pairs
 
@@ -283,77 +281,8 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3, n: int 
 
 
 # ---------------------------------------------------------------------------
-# condition and assumption checks
+# assumption checks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Which sufficient landscape conditions an instance satisfies."""
-
-    cond_overparam: bool          # every group: width >= support size
-    cond_orthogonal: bool         # pairwise Z_i Z_j^T ~ 0 across groups
-    cond_scalar: bool             # single output dimension
-    width_vs_n: bool              # last hidden width >= number of samples
-    fanin_ok: bool                # each output neuron reads >= n hidden units
-    intrinsic_dims: tuple         # per-group upper bound on dim span{sigma(w^T Z_i)}
-    group_widths: tuple
-    support_sizes: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "cond_overparam": self.cond_overparam,
-            "cond_orthogonal": self.cond_orthogonal,
-            "cond_scalar": self.cond_scalar,
-            "width_vs_n": self.width_vs_n,
-            "fanin_ok": self.fanin_ok,
-            "intrinsic_dims": list(self.intrinsic_dims),
-            "group_widths": list(self.group_widths),
-            "support_sizes": list(self.support_sizes),
-        }
-
-
-def _poly_degree(act: Activation):
-    if act.kind == "linear":
-        return 1
-    if act.kind == "polynomial":
-        nz = [i for i, c in enumerate(act.coeffs) if c != 0.0]
-        return max(nz) if nz else 0
-    return None
-
-
-def check_conditions(net: SparseNet, X: np.ndarray) -> ConditionReport:
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    dec = decompose_patterns(net.layers[0], X)
-
-    overparam = all(p >= d for p, d in zip(dec.group_widths, dec.support_sizes))
-    ortho = True
-    norms = [float(np.linalg.norm(z)) for z in dec.data_slices]
-    for i, j in combinations(range(dec.n_groups), 2):
-        cross = float(np.linalg.norm(dec.data_slices[i] @ dec.data_slices[j].T))
-        if cross > ORTHO_TOL * norms[i] * norms[j]:
-            ortho = False
-            break
-
-    t = _poly_degree(net.activation)
-    dims = []
-    for d_i in dec.support_sizes:
-        if t is None:
-            dims.append(n)
-        else:
-            dims.append(min(math.comb(d_i + t, t), n))
-
-    return ConditionReport(
-        cond_overparam=overparam,
-        cond_orthogonal=ortho,
-        cond_scalar=(net.layers[-1].n_out == 1),
-        width_vs_n=(net.layers[-1].n_in >= n),
-        fanin_ok=bool(np.all(net.layers[-1].mask.sum(axis=1) >= n)),
-        intrinsic_dims=tuple(dims),
-        group_widths=dec.group_widths,
-        support_sizes=dec.support_sizes,
-    )
-
 
 @dataclass(frozen=True)
 class AssumptionReport:

@@ -156,74 +156,6 @@ def loss(net: SparseNet, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pattern decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PatternDecomposition:
-    """Grouping of first-layer neurons by identical mask rows.
-
-    groups[i] holds the neuron indices that share one mask row (groups in
-    first-occurrence order); supports[i] the input indices that row keeps;
-    data_slices[i] the corresponding row slice of X, shape (d_i, n).
-    """
-
-    groups: tuple
-    supports: tuple
-    data_slices: tuple
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def group_widths(self) -> tuple:
-        return tuple(len(g) for g in self.groups)
-
-    @property
-    def support_sizes(self) -> tuple:
-        return tuple(len(s) for s in self.supports)
-
-    def weight_blocks(self, W: np.ndarray) -> list:
-        """Per-group dense blocks W_i = W[group rows][:, support]."""
-        W = np.asarray(W, dtype=float)
-        return [W[np.ix_(g, s)] for g, s in zip(self.groups, self.supports)]
-
-    def output_blocks(self, U: np.ndarray) -> list:
-        """Per-group output-weight blocks U_i = U[:, group rows]."""
-        U = np.asarray(U, dtype=float)
-        return [U[:, list(g)] for g in self.groups]
-
-
-def decompose_patterns(layer: SparseLayer, X: np.ndarray) -> PatternDecomposition:
-    """Group the layer's neurons by identical mask rows.
-
-    Rows with an all-zero mask have no surviving inputs and make the grouped
-    form ill-defined; run `effective_subnetwork` first to strip them.
-    """
-    X = np.asarray(X, dtype=float)
-    mask = layer.mask
-    if X.ndim != 2 or X.shape[0] != mask.shape[1]:
-        raise ValueError(f"X must be ({mask.shape[1]}, n)")
-    dead = np.flatnonzero(~mask.any(axis=1))
-    if dead.size:
-        raise ValueError(f"ineffective hidden neuron(s) {dead.tolist()}: all-zero mask row")
-    groups, supports, seen = [], [], {}
-    for j in range(mask.shape[0]):
-        key = mask[j].tobytes()
-        if key not in seen:
-            seen[key] = len(groups)
-            groups.append([])
-            supports.append(tuple(np.flatnonzero(mask[j])))
-        groups[seen[key]].append(j)
-    return PatternDecomposition(
-        groups=tuple(tuple(g) for g in groups),
-        supports=tuple(supports),
-        data_slices=tuple(_locked(X[list(s), :]) for s in supports),
-    )
-
-
-# ---------------------------------------------------------------------------
 # effective subnetwork reduction
 # ---------------------------------------------------------------------------
 

@@ -194,7 +194,7 @@ class TrainTrace:
     grad_norms: np.ndarray
     net: SparseNet                  # final parameters
     stop_reason: str                # converged_grad | plateau | max_epochs | diverged
-    ranks: tuple = ()               # ((epoch, (rank_h1, ...)), ...)
+    ranks: tuple = ()               # ((epoch, (rank_h1, ...)), ...); None: not finite
 
     @property
     def final_loss(self) -> float:
@@ -219,9 +219,8 @@ class TrainTrace:
         buf = io.StringIO()
         buf.write("epoch,loss" + "".join(f",rank_layer_{k+1}" for k in range(n_layers)) + "\n")
         for e, lv in enumerate(self.losses):
-            cells = [str(e), repr(float(lv))]
-            r = rank_at.get(e)
-            cells += [str(v) for v in r] if r is not None else [""] * n_layers
+            r = rank_at.get(e, (None,) * n_layers)  # None: no sample, or not measured
+            cells = [str(e), repr(float(lv))] + ["" if v is None else str(v) for v in r]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 
@@ -370,7 +369,9 @@ def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig
         grad_norms.append(gnorm[0])
         if config.rank_every and epoch % config.rank_every == 0:
             out, hiddens = forward(as_net(params), X)
-            ranks.append((epoch, tuple(numerical_rank(h) for h in (*hiddens, out))))
+            # a layer whose output is not finite has no measured rank
+            ranks.append((epoch, tuple(numerical_rank(h) if np.isfinite(h).all() else None
+                                       for h in (*hiddens, out))))
 
     params = ([layer.weights[None] for layer in net.layers]
               + [layer.bias[None] for layer in net.layers if layer.bias is not None])

@@ -157,7 +157,7 @@ def test_criterion_6_same_valley():
             exact = False
         rep = probe_conv_valley(inst, n_probes=500, seed=0)
         worst_excess = min(worst_excess, rep.min_excess)
-        if rep.falsifications or not rep.delta4_strict_ok:
+        if rep.falsifications or not rep.line_strict_ok:
             exact = False
         witness_worst = max(witness_worst, float(inst.loss(inst.global_witness())))
     ok = exact and worst_excess >= -1e-12 and witness_worst < 1e-20

@@ -12,8 +12,6 @@ from sparseland import (
     fd_gradient,
     fd_hessian,
     hessian_two_layer_linear,
-    instance_from_net,
-    loss,
     sym_eig,
 )
 from sparseland.calculus import PROBE_BLOCK, pack_blocks
@@ -77,48 +75,6 @@ def test_pack_unpack_roundtrip():
     with pytest.raises(ValueError, match="one point"):
         hessian_two_layer_linear(inst, theta[None])
     assert inst.loss_at(theta) == hand_loss(inst, theta)
-
-
-def test_instance_from_net_matches_net_loss():
-    r = np.random.default_rng(4)
-    mask = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
-    W = r.standard_normal((3, 3)) * mask
-    U = r.standard_normal((2, 3))
-    net = SparseNet(
-        (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation("linear"),
-    )
-    X = r.standard_normal((3, 12))
-    Y = r.standard_normal((2, 12))
-    inst, theta = instance_from_net(net, X, Y)
-    assert inst.loss_at(theta) == pytest.approx(loss(net, X, Y), rel=1e-14)
-    assert inst.widths == (2, 1)  # two mask patterns
-
-    with pytest.raises(ValueError, match="linear"):
-        instance_from_net(SparseNet(net.layers, Activation("tanh")), X, Y)
-    three = SparseNet(net.layers + (SparseLayer(np.ones((1, 2)), np.ones((1, 2))),),
-                      Activation("linear"))
-    with pytest.raises(ValueError, match="exactly 2 layers"):
-        instance_from_net(three, X, Y[:1])
-    with pytest.raises(ValueError, match="Y shape"):
-        instance_from_net(net, X, Y[:1])
-
-
-@pytest.mark.parametrize("out_mask,biased,message", [
-    ([[1, 1], [1, 1]], True, "without biases"),
-    ([[1, 0], [1, 1]], False, "dense output layer"),
-], ids=["bias", "masked-output"])
-def test_instance_from_net_rejects_what_the_grouped_objective_drops(out_mask, biased, message):
-    # a bias term and a pinned output weight have no place in
-    # sum_i U_i W_i Z_i: the instance would silently change the objective
-    r = np.random.default_rng(0)
-    mask, out_mask = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool), np.array(out_mask, dtype=bool)
-    W, b, U = r.standard_normal((2, 3)) * mask, r.standard_normal(2), r.standard_normal((2, 2)) * out_mask
-    net = SparseNet((SparseLayer(W, mask, b if biased else None), SparseLayer(U, out_mask)),
-                    Activation("linear"))
-    X, Y = r.standard_normal((3, 6)), r.standard_normal((2, 6))
-    with pytest.raises(ValueError, match=message):
-        instance_from_net(net, X, Y)
 
 
 # ---------------------------------------------------------------------------

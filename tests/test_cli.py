@@ -353,6 +353,29 @@ def test_train_divergence_exit_code(workdir, capsys):
     assert "diverged" in cap.out
 
 
+@pytest.mark.parametrize("lr", ["1e160", "1e120"])
+@pytest.mark.parametrize("activation", ["linear", "relu"])
+def test_train_rank_of_a_non_finite_layer_is_unmeasured(workdir, capsys, activation, lr):
+    # the first step overflows: an SVD of a NaN output exited 2 with no
+    # manifest, and an inf output read as rank 0; now such a layer's rank is
+    # null in the payload and an empty cell in the CSV, and the run diverged
+    out = workdir / "trace.csv"
+    code, cap = run_cli(["train", "--dims", "3,4,4,1", "--lr", lr, "--epochs", "5",
+                         "--rank-every", "1", "--activation", activation, "--json",
+                         "--out", str(out)], capsys)
+    assert code == 1, cap.err
+    payload = json.loads(cap.out)
+    assert payload["stop_reason"] == "diverged"
+    assert (workdir / "trace.csv.manifest.json").exists()
+    ranks = dict(payload["ranks"])
+    assert sorted(ranks) == [0, 1]
+    assert all(isinstance(v, int) for v in ranks[0])
+    assert ranks[1][-1] is None  # the output layer overflowed
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2:] for row in rows] == [["" if v is None else str(v) for v in ranks[e]]
+                                         for e in (0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from sparseland import (
     loss as net_loss,
     probe_conv_valley,
     probe_valley,
+    random_grouped_instance,
     SparseLayer,
     SparseNet,
     spurious_minimum_instance,
@@ -221,19 +222,43 @@ def test_minimum_loss_at_batch_matches_group_instances():
     assert inst.minimum.loss_at(inst.theta) == hand_loss(inst.theta)
 
 
+def grouped_as_masked_net(inst, theta):
+    """(net, X): the grouped linear objective at flat theta as a masked
+    2-layer linear net on X = [Z_1; ...; Z_k], built by hand: group i's p_i
+    hidden rows read only its d_i columns, and U = [U_1 ... U_k] is dense.
+    theta is sliced here in its pack order, vec(U_1), vec(W_1), vec(U_2), ...
+    each row-major."""
+    ds = [z.shape[0] for z in inst.zs]
+    W = np.zeros((sum(inst.widths), sum(ds)))
+    mask = np.zeros(W.shape, dtype=bool)
+    us, k, row, col = [], 0, 0, 0
+    for p, d in zip(inst.widths, ds):
+        us.append(theta[k:k + inst.d_y * p].reshape(inst.d_y, p))
+        k += inst.d_y * p
+        W[row:row + p, col:col + d] = theta[k:k + p * d].reshape(p, d)
+        mask[row:row + p, col:col + d] = True
+        k, row, col = k + p * d, row + p, col + d
+    assert k == theta.size
+    U = np.hstack(us)
+    layers = (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool)))
+    return SparseNet(layers, Activation("linear")), np.vstack(inst.zs)
+
+
 def test_minimum_as_network_matches_group_loss():
-    # the same objective as a masked 2-layer linear net on X = [Z1; Z2],
-    # with theta = (u1, w1, u2, w2) sliced here by hand
+    # the same objective as a masked 2-layer linear net on X = [Z1; Z2]
     inst = spurious_minimum_instance()
-    X = np.vstack(inst.minimum.zs)
-    mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
     for th in (inst.theta, inst.theta_prime):
-        u1, w1, u2, w2 = th[0:2], th[2:4], th[4:6], th[6:8]
-        W = np.array([[w1[0], w1[1], 0.0, 0.0], [0.0, 0.0, w2[0], w2[1]]])
-        U = np.column_stack([u1, u2])
-        layers = (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool)))
-        got = net_loss(SparseNet(layers, Activation("linear")), X, inst.minimum.Y)
-        assert got == pytest.approx(inst.minimum.loss_at(th), rel=1e-14)
+        net, X = grouped_as_masked_net(inst.minimum, th)
+        assert net_loss(net, X, inst.minimum.Y) == pytest.approx(inst.minimum.loss_at(th), rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("cond", ["overparam", "scalar"])
+def test_grouped_instance_as_network_matches_group_loss(cond, seed):
+    # groups up to 5 wide, so one block of the mask holds several hidden rows
+    inst, theta = random_grouped_instance(cond, seed)
+    net, X = grouped_as_masked_net(inst, theta)
+    assert net_loss(net, X, inst.Y) == pytest.approx(inst.loss_at(theta), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +463,7 @@ def test_valley_probe_holds():
     rep = probe_valley(inst, n_probes=5000, seed=3)
     assert rep.ok
     assert rep.falsifications == 0
-    assert rep.delta4_strict_ok
+    assert rep.line_strict_ok
     assert rep.min_excess >= -1e-10
     blob = rep.to_json()
     assert blob["ok"] is True and blob["n_probes"] == 5000
@@ -524,7 +549,7 @@ def test_conv_valley_probe(a):
     assert rep.ok
     assert rep.falsifications == 0
     assert rep.min_excess >= -1e-12
-    assert rep.delta4_strict_ok  # kernel-tap perturbations strictly increase
+    assert rep.line_strict_ok  # kernel-tap perturbations strictly increase
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +604,7 @@ def test_conv_probe_non_finite_losses_falsify():
     with np.errstate(over="ignore"):
         rep = probe_conv_valley(conv_valley_instance(1e-300), n_probes=50)
     assert rep.falsifications == 50
-    assert not rep.delta4_strict_ok and not rep.ok
+    assert not rep.line_strict_ok and not rep.ok
     assert rep.min_excess == np.inf
     blob = _finite_json(rep.to_json())
     assert blob["min_excess"] is None

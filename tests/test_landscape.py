@@ -12,7 +12,6 @@ from sparseland import (
     SparseNet,
     TwoLayerLinearInstance,
     check_assumptions,
-    check_conditions,
     hidden_rank_certificate,
     nonincreasing_path_overparam,
     nonincreasing_path_scalar_output,
@@ -244,82 +243,8 @@ def test_random_grouped_instance_contracts():
 
 
 # ---------------------------------------------------------------------------
-# condition and assumption reports
+# assumption reports
 # ---------------------------------------------------------------------------
-
-def test_check_conditions_underparam_group():
-    # group 1: width 2 on support {0,1}; group 2: width 1 on support {2,3},
-    # so the overparameterization condition fails on group 2 alone
-    mask = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
-    X = np.array([
-        [1.0, 2.0, 0.5],
-        [0.5, -1.0, 2.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    W = np.array([[1.0, 1, 0, 0], [2.0, 1, 0, 0], [0, 0, 1.0, 1]]) * mask
-    U = np.ones((1, 3))
-    net = SparseNet(
-        (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation("linear"),
-    )
-    rep = check_conditions(net, X)
-    assert not rep.cond_overparam
-    assert rep.group_widths == (2, 1)
-    assert rep.support_sizes == (2, 2)
-
-
-def test_check_conditions_fields():
-    r = np.random.default_rng(0)
-    mask = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
-                    dtype=bool)
-    X = np.vstack([r.standard_normal((2, 3)), np.zeros((2, 3))])
-    W = r.standard_normal(mask.shape) * mask
-    U = r.standard_normal((1, 5))
-    net = SparseNet(
-        (SparseLayer(W, mask), SparseLayer(U, np.ones_like(U, dtype=bool))),
-        Activation("linear"),
-    )
-    rep = check_conditions(net, X)
-    assert rep.cond_overparam          # widths (3, 2) >= supports (2, 2)
-    assert rep.cond_orthogonal         # second slice is all zero
-    assert rep.cond_scalar
-    assert rep.width_vs_n              # 5 >= 3
-    assert rep.fanin_ok
-    # linear activation on a 2-coordinate support: dim <= min(C(2+1,1), n) = 3
-    assert rep.intrinsic_dims == (3, 3)
-    blob = rep.to_json()
-    assert blob["group_widths"] == [3, 2]
-    assert blob["cond_orthogonal"] is True
-
-
-def test_check_conditions_nonorthogonal():
-    mask = np.array([[1, 0], [0, 1]], dtype=bool)
-    X = np.array([[1.0, 2.0], [1.0, 2.0]])  # identical rows: slices collinear
-    net = SparseNet(
-        (SparseLayer(np.eye(2) * mask, mask),
-         SparseLayer(np.ones((2, 2)), np.ones((2, 2), dtype=bool))),
-        Activation("tanh"),
-    )
-    rep = check_conditions(net, X)
-    assert not rep.cond_orthogonal
-    assert not rep.cond_scalar
-    # non-polynomial activation: intrinsic dim capped only by n
-    assert rep.intrinsic_dims == (2, 2)
-
-
-def test_check_conditions_polynomial_degree():
-    # sigma(z) = z + z^2 / 2 (a trailing zero coefficient does not count):
-    # degree t = 2, so a group on d_i inputs spans at most C(d_i + 2, 2)
-    mask = np.array([[1, 1, 0], [0, 0, 1]], dtype=bool)
-    X = np.random.default_rng(3).standard_normal((3, 10))
-    for coeffs, dims in (((0.0, 1.0, 0.5, 0.0), (6, 3)), ((0.0, 0.0), (1, 1))):
-        net = SparseNet(
-            (SparseLayer(np.ones((2, 3)) * mask, mask), SparseLayer(np.ones((1, 2)), np.ones((1, 2)))),
-            Activation("polynomial", coeffs=coeffs),
-        )
-        assert check_conditions(net, X).intrinsic_dims == dims
-
 
 def test_check_assumptions():
     good = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -7.0]])

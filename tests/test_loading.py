@@ -78,19 +78,8 @@ def test_parser_name_lists_match_their_modules():
     assert cli.MODES == convmodes.MODES
 
 
-# exported but not yet reached from a workflow: each names the ROADMAP
-# direction that will call it
-NOT_YET_REACHED = {
-    "instance_from_net": "direction 4 (search) builds its instances from nets",
-    "check_conditions": "direction 4 (search) checks the grouped structure",
-    "ConditionReport": "direction 4, as check_conditions' result",
-    "decompose_patterns": "direction 4, through instance_from_net and check_conditions",
-    "PatternDecomposition": "direction 4, as decompose_patterns' result",
-}
-
-
-# public methods of exported classes that no workflow calls, not even through
-# a planned name above: each names who calls it
+# public methods of exported classes that no workflow calls: each names who
+# calls it
 METHODS_NOT_REACHED = {
     "SpuriousValleyInstance.as_network": "tests check the valley loss against the network's",
 }
@@ -153,13 +142,12 @@ def definitions():
     return uses, methods
 
 
-def reached_names(planned=()) -> set:
-    """Names used by the CLI or the acceptance tests, or listed in `planned`,
-    closed under the names each definition of sparseland uses in turn."""
+def reached_names() -> set:
+    """Names used by the CLI or the acceptance tests, closed under the names
+    each definition of sparseland uses in turn."""
     uses, _ = definitions()
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    todo = list(_uses(*_names(PACKAGE / "cli.py"))
-                | _uses(acceptance, _imports(acceptance)) | set(planned))
+    todo = list(_uses(*_names(PACKAGE / "cli.py")) | _uses(acceptance, _imports(acceptance)))
     reached = set()
     while todo:
         name = todo.pop()
@@ -177,7 +165,7 @@ REACHED_BY_TESTS_ONLY = {
 
 def test_every_export_is_reached_or_planned():
     reached = reached_names()
-    listed = NOT_YET_REACHED.keys() | REACHED_BY_TESTS_ONLY.keys()
+    listed = REACHED_BY_TESTS_ONLY.keys()
     assert not set(sparseland.__all__) - reached - listed
     assert not listed & reached  # a listed name that is now reached leaves its list
     assert listed <= set(sparseland.__all__)
@@ -185,8 +173,8 @@ def test_every_export_is_reached_or_planned():
 
 def unreached_methods() -> set:
     """Each public method of an exported class, as "Class.method", that is not
-    reached, counting what the planned names reach."""
-    reached = reached_names(NOT_YET_REACHED)
+    reached."""
+    reached = reached_names()
     _, methods = definitions()
     return {f"{cls}.{m}" for cls in sparseland.__all__ for m in methods.get(cls, ())
             if f".{m}" not in reached}

@@ -6,7 +6,6 @@ from sparseland import (
     Activation,
     SparseLayer,
     SparseNet,
-    decompose_patterns,
     effective_subnetwork,
     forward,
     loss,
@@ -155,67 +154,6 @@ def test_loss_is_half_frobenius():
     Y = rng.standard_normal((2, 5))
     out, _ = forward(net, X)
     assert loss(net, X, Y) == pytest.approx(0.5 * np.sum((out - Y) ** 2), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# pattern decomposition
-# ---------------------------------------------------------------------------
-
-def brute_groups(mask):
-    """Reference grouping: neurons by identical mask rows, first-seen order."""
-    order, buckets = [], {}
-    for j, row in enumerate(np.asarray(mask, dtype=bool)):
-        key = tuple(row.tolist())
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(j)
-    return [tuple(buckets[k]) for k in order], [tuple(np.flatnonzero(k)) for k in order]
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_decompose_matches_brute_force(seed):
-    r = np.random.default_rng(seed)
-    p, d = int(r.integers(2, 9)), int(r.integers(2, 6))
-    mask = r.random((p, d)) < 0.6
-    mask[:, 0] |= ~mask.any(axis=1)  # no dead rows
-    layer = SparseLayer(r.standard_normal((p, d)) * mask, mask)
-    X = r.standard_normal((d, 11))
-    dec = decompose_patterns(layer, X)
-    want_groups, want_supports = brute_groups(mask)
-    assert dec.groups == tuple(want_groups)
-    assert dec.supports == tuple(want_supports)
-    assert dec.group_widths == tuple(len(g) for g in want_groups)
-    assert dec.support_sizes == tuple(len(s) for s in want_supports)
-    assert dec.n_groups == len(want_groups)
-    for Z, s in zip(dec.data_slices, dec.supports):
-        assert np.array_equal(Z, X[list(s), :])
-        assert not Z.flags.writeable
-
-
-def test_decompose_rejects_dead_row():
-    mask = np.array([[1, 1], [0, 0], [1, 0]], dtype=bool)
-    layer = SparseLayer(np.zeros((3, 2)), mask)
-    with pytest.raises(ValueError, match=r"all-zero mask row"):
-        decompose_patterns(layer, np.zeros((2, 4)))
-    with pytest.raises(ValueError, match=r"X must be \(2, n\)"):
-        decompose_patterns(layer, np.zeros((3, 4)))
-
-
-def test_block_reassembly():
-    # U sigma(W X) must equal the sum of the per-group contributions
-    r = np.random.default_rng(3)
-    mask = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]], dtype=bool)
-    W = r.standard_normal((4, 3)) * mask
-    U = r.standard_normal((2, 4))
-    X = r.standard_normal((3, 9))
-    act = Activation("tanh")
-    layer = SparseLayer(W, mask)
-    dec = decompose_patterns(layer, X)
-    total = np.zeros((2, 9))
-    for Wi, Ui, Zi in zip(dec.weight_blocks(W), dec.output_blocks(U), dec.data_slices):
-        total += Ui @ act(Wi @ Zi)
-    assert np.allclose(total, U @ act(W @ X), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
