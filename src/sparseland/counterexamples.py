@@ -28,7 +28,6 @@ from .calculus import (
     hessian_two_layer_linear,
 )
 from .convmodes import ConvSpec, conv_matrix
-from .network import SparseLayer, SparseNet
 
 
 class ConstructionError(ValueError):
@@ -290,19 +289,6 @@ class SpuriousValleyInstance:
         g[4:] *= ds
         g *= 2  # the d/dM factor, applied once: doubling is exact
         return g.T.reshape(th.shape)
-
-    def as_network(self, theta=None) -> SparseNet:
-        th = self.valley_theta if theta is None else np.asarray(theta, dtype=float)
-        w1, w2, w3, w4, w5, w6, w7, w8 = th
-        layer1 = SparseLayer(
-            np.array([[w5, w6, 0.0], [0.0, w7, w8]]),
-            np.array([[1, 1, 0], [0, 1, 1]], dtype=bool),
-        )
-        layer2 = SparseLayer(
-            np.array([[w1, 0.0], [w2, w3], [0.0, w4]]),
-            np.array([[1, 0], [1, 1], [0, 1]], dtype=bool),
-        )
-        return SparseNet((layer1, layer2), self.activation)
 
 
 def valley_instance(y_values=STRICT_Y,

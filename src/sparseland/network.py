@@ -115,6 +115,40 @@ class SparseNet:
         zeros = sum(layer.mask.size - np.count_nonzero(layer.mask) for layer in self.layers)
         return zeros / total
 
+    @property
+    def n_params(self) -> int:
+        """The length of theta."""
+        return sum(layer.weights.size + (0 if layer.bias is None else layer.n_out)
+                   for layer in self.layers)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The flat parameter vector: layer by layer, the weights row-major
+        (masked positions hold their exact 0.0), then the bias if there is one."""
+        return np.concatenate([p.ravel() for layer in self.layers
+                               for p in (layer.weights, layer.bias) if p is not None])
+
+    def views(self, theta: np.ndarray) -> list:
+        """[(W_k, b_k), ...]: each layer's weights and bias (None where the
+        layer has none) as shaped views into the 1-d theta, cut by slicing."""
+        if theta.shape != (self.n_params,):
+            raise ValueError(f"theta shape {theta.shape} != ({self.n_params},)")
+        out, start = [], 0
+        for layer in self.layers:
+            W = theta[start:start + layer.weights.size].reshape(layer.weights.shape)
+            start += W.size
+            b = None if layer.bias is None else theta[start:start + layer.n_out]
+            start += 0 if b is None else b.size
+            out.append((W, b))
+        return out
+
+    def with_theta(self, theta) -> SparseNet:
+        """This net's masks and activation with theta's parameters, checked by SparseLayer."""
+        theta = np.asarray(theta, dtype=float)
+        return SparseNet(tuple(SparseLayer(W, layer.mask, b, layer.bias_mask)
+                               for (W, b), layer in zip(self.views(theta), self.layers)),
+                         self.activation)
+
 
 def _checked_input(net: SparseNet, X) -> np.ndarray:
     """X as floats, which must be (d_in, n) for net."""

@@ -8,7 +8,6 @@ coordinates never move.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from collections import Counter
@@ -18,7 +17,7 @@ import numpy as np
 
 from .activations import Activation
 from .landscape import numerical_rank
-from .network import SparseLayer, SparseNet, _checked_input, _checked_target, forward
+from .network import SparseLayer, SparseNet, _checked_input, _checked_target, forward, loss
 
 DIVERGE_FACTOR = 1e12
 CLUSTER_REL_TOL = 1e-3  # loss_clusters: relative distance that joins a loss to a cluster
@@ -86,22 +85,20 @@ def init_net(net: SparseNet, scale: float, seed: int, purpose: str = "init") -> 
     """net with fresh weights on its masks: uniform(-s/sqrt(fan_in), s/sqrt(fan_in))
     per layer with s = scale, drawn from the `purpose` stream of seed."""
     rng = stream(seed, purpose)
-    layers = []
-    for layer in net.layers:
+    theta = np.empty(net.n_params)
+    for (W, b), layer in zip(net.views(theta), net.layers):
         bound = scale / math.sqrt(layer.n_in)
-        W = rng.uniform(-bound, bound, size=layer.weights.shape) * layer.mask
-        b = None
-        if layer.bias is not None:
-            b = rng.uniform(-bound, bound, size=layer.bias.shape) * layer.bias_mask
-        layers.append(SparseLayer(W, layer.mask, b, layer.bias_mask))
-    return SparseNet(tuple(layers), net.activation)
+        np.multiply(rng.uniform(-bound, bound, size=W.shape), layer.mask, out=W)
+        if b is not None:
+            np.multiply(rng.uniform(-bound, bound, size=b.shape), layer.bias_mask, out=b)
+    return net.with_theta(theta)
 
 
 def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
-    """Masked gradients of 0.5 ||net(X) - Y||_F^2 for every layer.
+    """The masked gradient of 0.5 ||net(X) - Y||_F^2 and its value.
 
-    Returns (weight_grads, bias_grads, loss_value); bias grads are None
-    where the layer has no bias.  X must be (d_in, n) and Y (d_out, n).
+    Returns (grad, value), grad laid out like net.theta, so net.views(grad)
+    gives it per layer.  X must be (d_in, n) and Y (d_out, n).
 
     A linear net is one affine map, so its gradients are grouped through the
     matrix chain (_chain_grads); other nets take backprop.
@@ -127,18 +124,19 @@ def grad_net(net: SparseNet, X: np.ndarray, Y: np.ndarray):
         resid = hiddens[-1] - Y
         value = 0.5 * float(np.sum(resid * resid))
 
-        w_grads = [None] * L
-        b_grads = [None] * L
+        grad = np.empty(net.n_params)
+        views = net.views(grad)
         G = resid
         for k in range(L - 1, -1, -1):
             layer = net.layers[k]
-            w_grads[k] = (G @ hiddens[k].T) * layer.mask
-            if layer.bias is not None:
-                b_grads[k] = G.sum(axis=1) * layer.bias_mask
+            gW, gb = views[k]
+            np.multiply(G @ hiddens[k].T, layer.mask, out=gW)
+            if gb is not None:
+                np.multiply(G.sum(axis=1), layer.bias_mask, out=gb)
             if k > 0:
                 G = layer.weights.T @ G
                 G *= derivs[k - 1]
-        return w_grads, b_grads, value
+        return grad, value
 
 
 def _chain_grads(net: SparseNet, X: np.ndarray, Y: np.ndarray):
@@ -151,7 +149,8 @@ def _chain_grads(net: SparseNet, X: np.ndarray, Y: np.ndarray):
         db_k = bias_mask_k * B_k^T rho
     with S = R X^T and rho = R 1: the n samples enter only through S and rho.
     The loss is taken from R itself, not from a Gram form that would cancel
-    near the optimum.
+    near the optimum; where it is not finite, from the layer-by-layer `loss`,
+    which reads an overflowed output as inf, as backprop does, not as NaN.
     """
     layers = net.layers
     d_x, n = X.shape
@@ -172,20 +171,23 @@ def _chain_grads(net: SparseNet, X: np.ndarray, Y: np.ndarray):
     Xh = np.vstack([X, np.ones((1, n))]) if biased else X
     resid = heads[-1] @ Xh - Y
     value = 0.5 * float(np.sum(resid * resid))
+    if not math.isfinite(value):
+        value = loss(net, X, Y)
     M = resid @ Xh.T  # [S | rho]
 
-    w_grads = [None] * len(layers)
-    b_grads = [None] * len(layers)
+    grad = np.empty(net.n_params)
+    views = net.views(grad)
     Bt = None  # B_k^T; None stands for B_L = I
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
+        gW, gb = views[k]
         C = M @ heads[k].T if k else M[:, :d_x]
-        w_grads[k] = (C if Bt is None else Bt @ C) * layer.mask
-        if layer.bias is not None:
-            b_grads[k] = (M[:, -1] if Bt is None else Bt @ M[:, -1]) * layer.bias_mask
+        np.multiply(C if Bt is None else Bt @ C, layer.mask, out=gW)
+        if gb is not None:
+            np.multiply(M[:, -1] if Bt is None else Bt @ M[:, -1], layer.bias_mask, out=gb)
         if k > 0:
             Bt = layer.weights.T if Bt is None else layer.weights.T @ Bt
-    return w_grads, b_grads, value
+    return grad, value
 
 
 @dataclass(frozen=True)
@@ -225,35 +227,35 @@ class TrainTrace:
         return buf.getvalue()
 
 
-def _descend(value_and_grad, params, config: TrainConfig, observe=None):
+def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     """Plain GD on T independent runs under one stopping rule.
 
-    params is a list of arrays sharing a leading run axis of length T, and
-    value_and_grad(params) gives the losses and gradients of the rows it is
-    passed, laid out like params.  Each epoch tests every run for, in order:
+    theta is a (T, P) array, one run's parameters per row, and
+    value_and_grad(theta) gives the (T,) losses and the (T, P) gradients of
+    the rows it is passed.  Each epoch tests every run for, in order:
     "diverged" (loss non-finite or above DIVERGE_FACTOR times its start),
     "converged_grad" (gradient norm below grad_tol), "plateau" (loss fell by
     at most plateau_rel over plateau_window epochs, first at epoch
     plateau_window + 1), "max_epochs".  The tests form one stop mask per
     epoch; a run that stops gets the first reason that holds for it, is
     written out once and leaves the batch, so later epochs evaluate only the
-    runs still moving.  Leaving keeps each array's memory order, so a
-    coordinate-major (Fortran-order) params stays coordinate-major.  With
+    runs still moving.  Leaving keeps theta's memory order, so a
+    coordinate-major (Fortran-order) theta stays coordinate-major.  With
     backtrack each run halves its own step while it would raise its loss,
     down to 1e-16 of the learning rate.
 
-    observe(epoch, params, values, grad_norms) runs before each epoch's
+    observe(epoch, theta, values, grad_norms) runs before each epoch's
     tests and sees only the runs not yet stopped.  Without observe the norms
     are computed only at epochs where some run has every gradient entry below
     grad_tol, which gives the same stops.
-    Returns (params, values, stop_epoch, stop_reason), each over all T runs.
+    Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
     w = config.plateau_window
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grads = value_and_grad(params)
+        values, grads = value_and_grad(theta)
         n = len(values)
-        out_params = [np.empty_like(p) for p in params]
+        out_theta = np.empty_like(theta)
         out_values = np.empty_like(values)
         stop_epoch = np.full(n, config.max_epochs)
         stop_reason = np.full(n, "max_epochs", dtype=object)
@@ -270,13 +272,14 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
         for epoch in range(config.max_epochs + 1):
             history[epoch % len(history)] = values
             if screen:
-                converged = _entries_below(grads, len(runs), config.grad_tol)
+                # boolean reductions are exact in any order; a NaN entry is not below
+                converged = np.logical_and.reduce(np.abs(grads) < config.grad_tol, axis=1)
                 if converged.any():
-                    converged = _grad_norms(grads, len(runs)) < config.grad_tol
+                    converged = _grad_norms(grads) < config.grad_tol
             else:
-                gnorm = _grad_norms(grads, len(runs))
+                gnorm = _grad_norms(grads)
                 if observe is not None:
-                    observe(epoch, params, values, gnorm)
+                    observe(epoch, theta, values, gnorm)
                 converged = gnorm < config.grad_tol
             diverged = ~np.isfinite(values) | (values > limit)
             stop = diverged | converged
@@ -295,17 +298,16 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
                         stop_reason[runs[hit]] = reason
                 stop_epoch[runs[stop]] = epoch
                 out_values[runs[stop]] = values[stop]
-                for out, p in zip(out_params, params):
-                    out[runs[stop]] = p[stop]
+                out_theta[runs[stop]] = theta[stop]
                 if stop.all():
                     break
                 keep = ~stop
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
-                params, grads = [_rows(p, keep) for p in params], [_rows(g, keep) for g in grads]
+                theta, grads = _rows(theta, keep), _rows(grads, keep)
 
-            step = lr
+            step = lr  # one per run once a run has backtracked
             while True:
-                trial = _stepped(params, grads, step)
+                trial = theta - (step[:, None] if isinstance(step, np.ndarray) else step) * grads
                 new_values, new_grads = value_and_grad(trial)
                 if not config.backtrack:
                     break
@@ -313,21 +315,14 @@ def _descend(value_and_grad, params, config: TrainConfig, observe=None):
                 if not worse.any():
                     break
                 step = np.where(worse, 0.5 * step, step)
-            params, values, grads = trial, new_values, new_grads
-    return out_params, out_values, stop_epoch, stop_reason
+            theta, values, grads = trial, new_values, new_grads
+    return out_theta, out_values, stop_epoch, stop_reason
 
 
-def _grad_norms(grads, n: int) -> np.ndarray:
-    """Each run's gradient norm over all of grads; the squares are taken in C
-    order, so each run's row is summed alike whatever grads' memory order."""
-    return np.sqrt(sum(np.square(g, order="C").reshape(n, -1).sum(axis=1) for g in grads))
-
-
-def _entries_below(grads, n: int, tol: float) -> np.ndarray:
-    """Whether every gradient entry of each run has |g| < tol (a NaN has not);
-    boolean reductions are exact in any order."""
-    return functools.reduce(np.logical_and, (
-        np.logical_and.reduce(np.abs(g).reshape(n, -1) < tol, axis=1) for g in grads))
+def _grad_norms(grads: np.ndarray) -> np.ndarray:
+    """Each row's norm; the squares are taken in C order, so each row is
+    summed alike whatever grads' memory order."""
+    return np.sqrt(np.square(grads, order="C").sum(axis=1))
 
 
 def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -340,45 +335,29 @@ def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.compress(keep, a, axis=0, out=out)
 
 
-def _stepped(params, grads, step) -> list:
-    """params - step * grads, with step a scalar or one per run."""
-    if not isinstance(step, np.ndarray):
-        return [p - step * g for p, g in zip(params, grads)]
-    return [p - step.reshape((-1,) + (1,) * (p.ndim - 1)) * g for p, g in zip(params, grads)]
-
-
 def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainTrace:
-    """Full-batch GD from net's own weights: one _descend run over weights then biases."""
+    """Full-batch GD from net's own parameters: one _descend run over net.theta."""
     X, Y = dataset.X, dataset.Y
 
-    def as_net(params) -> SparseNet:
-        biases = iter(params[len(net.layers):])
-        return SparseNet(tuple(
-            SparseLayer(w[0], layer.mask, None if layer.bias is None else next(biases)[0],
-                        layer.bias_mask)
-            for w, layer in zip(params, net.layers)), net.activation)
-
-    def value_and_grad(params):
-        w_grads, b_grads, value = grad_net(as_net(params), X, Y)
-        return np.array([value]), [g[None] for g in w_grads + b_grads if g is not None]
+    def value_and_grad(theta):
+        grad, value = grad_net(net.with_theta(theta[0]), X, Y)
+        return np.array([value]), grad[None]
 
     losses, grad_norms, ranks = [], [], []
 
-    def observe(epoch, params, values, gnorm):
+    def observe(epoch, theta, values, gnorm):
         losses.append(values[0])
         grad_norms.append(gnorm[0])
         if config.rank_every and epoch % config.rank_every == 0:
-            out, hiddens = forward(as_net(params), X)
+            out, hiddens = forward(net.with_theta(theta[0]), X)
             # a layer whose output is not finite has no measured rank
             ranks.append((epoch, tuple(numerical_rank(h) if np.isfinite(h).all() else None
                                        for h in (*hiddens, out))))
 
-    params = ([layer.weights[None] for layer in net.layers]
-              + [layer.bias[None] for layer in net.layers if layer.bias is not None])
-    params, _, _, stop_reason = _descend(value_and_grad, params, config, observe)
+    theta, _, _, stop_reason = _descend(value_and_grad, net.theta[None], config, observe)
     return TrainTrace(
         losses=np.asarray(losses), grad_norms=np.asarray(grad_norms),
-        net=as_net(params), stop_reason=stop_reason[0], ranks=tuple(ranks),
+        net=net.with_theta(theta[0]), stop_reason=stop_reason[0], ranks=tuple(ranks),
     )
 
 
@@ -445,13 +424,13 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     for t in range(n_trials):
         theta[t] = np.random.default_rng(config.seed + t).uniform(-bounds, bounds)
 
-    def value_and_grad(params):
+    def value_and_grad(theta):
         # grad first: an objective may keep the loss it computes on the way
         # and hand it to the loss call on the same array
-        g = objective.grad(params[0])
-        return objective.loss(params[0]), [g]
+        g = objective.grad(theta)
+        return objective.loss(theta), g
 
-    (theta,), final_losses, epochs, stop_reason = _descend(value_and_grad, [theta], config)
+    theta, final_losses, epochs, stop_reason = _descend(value_and_grad, theta, config)
     diverged = stop_reason == "diverged"
     labels = tuple("diverged" if bad else objective.classify(float(lv), th)
                    for bad, lv, th in zip(diverged, final_losses, theta))

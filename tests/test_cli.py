@@ -376,6 +376,19 @@ def test_train_rank_of_a_non_finite_layer_is_unmeasured(workdir, capsys, activat
                                          for e in (0, 1)]
 
 
+@pytest.mark.parametrize("activation", ["linear", "relu"])
+def test_train_overflowed_loss_is_inf_for_both_gradient_routes(workdir, capsys, activation):
+    # the first step overflows the output.  A linear net takes its loss from
+    # the grouped matrix chain, whose residual then holds NaN; it reports the
+    # layer-by-layer loss there, inf, as backprop does for relu
+    code, cap = run_cli(["train", "--dims", "3,4,4,1", "--lr", "1e120", "--epochs", "5",
+                         "--activation", activation, "--out", "t.csv"], capsys)
+    assert code == 1 and cap.err == ""
+    assert "final loss inf after 1 epochs (diverged)" in cap.out
+    rows = (workdir / "t.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[2] == "1,inf,,,"
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------
@@ -619,6 +632,8 @@ def _two_layer_spec(**edits):
     ({"weights": [[1.0, 0.0], [0.5, "inf"]]}, "weight row entries must be finite"),
     ({"weights": [[1.0, 0.0], ["nan", 2.0]]}, "weight row entries must be finite"),
     ({"weights": [[1.0, 0.0], [0.5, 1e999]]}, "weight row entries must be finite"),
+    # an integer beyond the float range, written as a JSON integer
+    ({"weights": [[1.0, 0.0], [0.5, 10**400]]}, "weight row entries must be finite"),
     ({"bias": [1.0, "-inf"]}, "bias entries must be finite"),
     ({"weights": [[1.0, 0.0], [True, 2.0]]},
      "weight row entries must be finite numbers or decimal strings"),
@@ -632,10 +647,13 @@ def _two_layer_spec(**edits):
     ({"activation": {"kind": "elu", "params": {"slope": 3}}}, "elu activation reads no param 'slope'"),
     ({"activation": {"kind": "leaky_relu", "params": {"slope": "nan"}}},
      "leaky_relu slope must be positive and finite"),
+    ({"activation": {"kind": "elu", "params": {"alpha": 10**400}}},
+     "elu alpha must be positive and finite"),
     ({"activation": "tanh"}, "activation must be a JSON object, got 'tanh'"),
 ], ids=["row-string", "weights-string", "bias-string", "weight-inf", "weight-nan",
-        "weight-overflow", "bias-inf", "weight-bool", "bias-underscore", "coeffs-string",
-        "params-list", "params-unread", "params-other-kind", "slope-nan", "activation-string"])
+        "weight-overflow", "weight-huge-int", "bias-inf", "weight-bool", "bias-underscore",
+        "coeffs-string", "params-list", "params-unread", "params-other-kind", "slope-nan",
+        "alpha-huge-int", "activation-string"])
 def test_bad_spec_values_are_usage_errors(workdir, capsys, command, edits, message):
     (workdir / "m.json").write_text(json.dumps(_two_layer_spec(**edits)))
     code, cap = run_cli([command, "--spec", "m.json"], capsys)

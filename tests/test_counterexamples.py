@@ -470,12 +470,23 @@ def test_valley_probe_holds():
 
 
 def test_valley_as_network_half_loss():
-    # the network loss is 0.5 ||.||_F^2 while the instance uses the
-    # unscaled square, so the two differ by exactly a factor 2
+    # the valley's 3-2-3 masked net: first layer rows (w5, w6, 0), (0, w7, w8),
+    # second layer [[w1, 0], [w2, w3], [0, w4]].  Its theta holds the first
+    # layer's weights row-major, then the second's, so the unmasked entries
+    # are (w5, ..., w8, w1, ..., w4) in order.  The network loss is
+    # 0.5 ||.||_F^2 while the instance uses the unscaled square, so the two
+    # differ by exactly a factor 2
     inst = valley_instance(STRICT_Y)
+    masks = (np.array([[1, 1, 0], [0, 1, 1]], dtype=bool),
+             np.array([[1, 0], [1, 1], [0, 1]], dtype=bool))
+    blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), inst.activation)
+    on_mask = np.concatenate([m.ravel() for m in masks])
     X = np.eye(3)
     for th in (inst.valley_theta, inst.escape_theta):
-        net = inst.as_network(th)
+        theta = np.zeros(blank.n_params)
+        theta[on_mask] = np.concatenate([th[4:], th[:4]])
+        net = blank.with_theta(theta)
+        assert net.layers[1].weights[1].tolist() == [th[1], th[2]]  # w2, w3
         assert net_loss(net, X, inst.Y) == pytest.approx(inst.loss(th) / 2, rel=1e-13)
 
 

@@ -80,9 +80,7 @@ def test_parser_name_lists_match_their_modules():
 
 # public methods of exported classes that no workflow calls: each names who
 # calls it
-METHODS_NOT_REACHED = {
-    "SpuriousValleyInstance.as_network": "tests check the valley loss against the network's",
-}
+METHODS_NOT_REACHED = {}
 
 
 def _uses(tree, names: dict) -> set:
@@ -158,9 +156,7 @@ def reached_names() -> set:
 
 
 # exported and reached only from tests: each names why the tests need it
-REACHED_BY_TESTS_ONLY = {
-    "loss": "tests compare instance losses against the network's",
-}
+REACHED_BY_TESTS_ONLY = {}
 
 
 def test_every_export_is_reached_or_planned():

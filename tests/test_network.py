@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,64 @@ def test_dims_and_forward_shapes():
     assert len(hiddens) == 1 and hiddens[0].shape == (4, 7)
     # hidden is post-activation of the first affine map
     assert np.allclose(hiddens[0], net.activation(net.layers[0].weights @ X))
+
+
+def masked_bias_net():
+    """rand_net with biases, the first layer's under a bias mask."""
+    net = rand_net([[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1]], biases=True, seed=3)
+    first, second = net.layers
+    bias_mask = np.array([False, True])
+    first = SparseLayer(first.weights, first.mask, first.bias * bias_mask, bias_mask)
+    return SparseNet((first, second), net.activation)
+
+
+THETA_NETS = {
+    "no-biases": lambda: rand_net([[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1]], seed=1),
+    "all-biases": lambda: rand_net([[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1]], biases=True, seed=2),
+    "masked-biases": masked_bias_net,
+}
+
+
+@pytest.mark.parametrize("make", THETA_NETS.values(), ids=THETA_NETS.keys())
+def test_theta_round_trips_bit_for_bit(make):
+    net = make()
+    theta = net.theta
+    # layer by layer: the weights row-major, masked zeros included, then the bias
+    parts = [p.ravel() for layer in net.layers for p in (layer.weights, layer.bias)
+             if p is not None]
+    assert theta.tobytes() == np.concatenate(parts).tobytes()
+    assert theta.shape == (net.n_params,)
+    for (W, b), layer in zip(net.views(theta), net.layers):
+        assert np.shares_memory(W, theta) and W.tobytes() == layer.weights.tobytes()
+        assert (b is None) == (layer.bias is None)
+        if b is not None:
+            assert np.shares_memory(b, theta) and b.tobytes() == layer.bias.tobytes()
+    again = net.with_theta(theta)
+    assert again.activation == net.activation
+    for got, want in zip(again.layers, net.layers):
+        for name in ("weights", "mask", "bias", "bias_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+def test_with_theta_rejects_a_theta_of_the_wrong_length():
+    net = masked_bias_net()
+    assert net.n_params == 6 + 2 + 4 + 2
+    for bad in (np.zeros(13), np.zeros(15), np.zeros((1, 14))):
+        with pytest.raises(ValueError, match=re.escape(f"theta shape {bad.shape} != (14,)")):
+            net.with_theta(bad)
+
+
+def test_with_theta_rejects_nonzero_masked_entries():
+    net = masked_bias_net()
+    weight = net.theta
+    weight[1] = 0.5  # the first layer's masked weight (0, 1)
+    with pytest.raises(ValueError, match="masks pin exact zeros"):
+        net.with_theta(weight)
+    bias = net.theta
+    bias[6] = 0.5  # the first layer's masked bias entry 0
+    with pytest.raises(ValueError, match="masked bias entries must be exactly zero"):
+        net.with_theta(bias)
 
 
 def test_loss_is_half_frobenius():

@@ -89,7 +89,8 @@ def test_grad_net_matches_fd(act):
     net = small_net(seed=1, act=act)
     r = np.random.default_rng(2)
     X, Y = r.standard_normal((3, 12)), r.standard_normal((2, 12))
-    w_grads, b_grads, value = grad_net(net, X, Y)
+    grad, value = grad_net(net, X, Y)
+    w_grads, b_grads = zip(*net.views(grad))
     assert value == pytest.approx(loss(net, X, Y), rel=1e-14)
     fd = grad_fd(net, X, Y)
     for k, (fw, fb) in enumerate(fd):
@@ -103,8 +104,10 @@ def test_grad_net_no_bias():
     net = small_net(seed=4, biases=False)
     r = np.random.default_rng(5)
     X, Y = r.standard_normal((3, 6)), r.standard_normal((2, 6))
-    _, b_grads, _ = grad_net(net, X, Y)
-    assert b_grads == [None, None]
+    grad, _ = grad_net(net, X, Y)
+    assert grad.shape == (12 + 8,)
+    _, b_grads = zip(*net.views(grad))
+    assert b_grads == (None, None)
 
 
 def reference_backprop(net, X, Y):
@@ -142,11 +145,12 @@ def test_grad_net_equals_reference_backprop_bitwise(act):
                                   r.standard_normal(n_out) * bias_mask, bias_mask))
     net = SparseNet(tuple(layers), act)
     X, Y = r.standard_normal((3, 9)), r.standard_normal((2, 9))
-    w_grads, b_grads, value = grad_net(net, X, Y)
+    grad, value = grad_net(net, X, Y)
     ref_w, ref_b, ref_value = reference_backprop(net, X, Y)
     assert value == ref_value
-    for got, want in zip(w_grads + b_grads, ref_w + ref_b):
-        assert got.tobytes() == want.tobytes()
+    for (got_w, got_b), want_w, want_b in zip(net.views(grad), ref_w, ref_b):
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
 
 
 def random_linear_net(r, dims, biases):
@@ -188,7 +192,8 @@ def test_linear_grad_net_matches_reference_backprop(biases):
         n = 40 if trial % 2 else int(r.integers(1, 4))
         net = random_linear_net(r, dims, biases)
         X, Y = r.standard_normal((dims[0], n)), r.standard_normal((dims[-1], n))
-        w_grads, b_grads, value = grad_net(net, X, Y)
+        grad, value = grad_net(net, X, Y)
+        w_grads, b_grads = zip(*net.views(grad))
         ref_w, ref_b, ref_value = reference_backprop(net, X, Y)
         assert abs(value - ref_value) <= CHAIN_RTOL * max(1.0, ref_value)
         for k, layer in enumerate(net.layers):
@@ -210,7 +215,8 @@ def test_linear_chain_form_matches_fd(dims, biases):
     r = np.random.default_rng(len(dims))
     net = random_linear_net(r, dims, biases)
     X, Y = r.standard_normal((dims[0], 30)), r.standard_normal((dims[-1], 30))
-    w_grads, b_grads, value = grad_net(net, X, Y)
+    grad, value = grad_net(net, X, Y)
+    w_grads, b_grads = zip(*net.views(grad))
     assert value == pytest.approx(loss(net, X, Y), rel=1e-14)
     for k, (fw, fb) in enumerate(grad_fd(net, X, Y)):
         assert np.allclose(w_grads[k], fw, rtol=1e-6, atol=1e-7), k
@@ -337,6 +343,49 @@ def test_init_net_bounds_and_kept_weights():
         assert np.array_equal(layer.mask, old.mask)
     again = init_net(net, 0.1, 0)
     assert all(np.array_equal(a.weights, b.weights) for a, b in zip(fresh.layers, again.layers))
+
+
+def biased_elu_net():
+    """A 3-5-4-2 elu net with a bias on every layer, each under a mixed bias mask."""
+    r = np.random.default_rng(14)
+    dims = (3, 5, 4, 2)
+    layers = []
+    for n_in, n_out in zip(dims, dims[1:]):
+        mask = r.random((n_out, n_in)) < 0.7
+        bias_mask = r.random(n_out) < 0.6
+        layers.append(SparseLayer(r.standard_normal((n_out, n_in)) * mask / math.sqrt(n_in), mask,
+                                  r.standard_normal(n_out) * bias_mask, bias_mask))
+    return SparseNet(tuple(layers), Activation("elu", alpha=0.7))
+
+
+# SHA-256 of the losses, final weights and biases, stop reason and ranks of
+# gd_train on a biased elu net (backtracking, max_epochs) and on a linear
+# random_effective_net (plateau), pinned so that a rewrite of the parameter
+# handling of gd_train cannot move training rounding silently
+TRAIN_DIGEST = "0a254e97c440e9d67eb151a1005641cbba6e4eca7d992121383b9711eb21f970"
+
+
+def test_gd_train_results_are_pinned():
+    runs = [
+        (biased_elu_net(), gen_synthetic(30, 3, 2, seed=4),
+         TrainConfig(learning_rate=0.5, max_epochs=300, rank_every=40, backtrack=True)),
+        (random_effective_net((4, 7, 6, 3), 0.3, seed=2)[0], gen_synthetic(25, 4, 3, seed=6),
+         TrainConfig(learning_rate=0.002, max_epochs=3000, grad_tol=1e-6, rank_every=250)),
+    ]
+    h = hashlib.sha256()
+    stops = []
+    for net, ds, config in runs:
+        trace = gd_train(net, ds, config)
+        stops.append((trace.epochs, trace.stop_reason))
+        h.update(np.asarray(trace.losses, dtype="<f8").tobytes())
+        for layer in trace.net.layers:
+            h.update(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+            if layer.bias is not None:
+                h.update(np.asarray(layer.bias, dtype="<f8").tobytes())
+        h.update(trace.stop_reason.encode())
+        h.update(repr(trace.ranks).encode())
+    assert stops == [(300, "max_epochs"), (1992, "plateau")]
+    assert h.hexdigest() == TRAIN_DIGEST
 
 
 def test_trace_csv_rank_columns():
@@ -469,15 +518,15 @@ def mixed_stop_objective(rows):
     b = 1 sits on a flat loss, c = 1e-3 is still descending at epoch 60.
     """
     x0 = np.random.default_rng(5).uniform(0.5, 1.5, size=len(rows))
-    params = [np.column_stack([x0, np.asarray(rows, dtype=float)])]
+    theta = np.column_stack([x0, np.asarray(rows, dtype=float)])
 
-    def value_and_grad(params):
-        x, c, b = params[0].T
-        grad = np.zeros_like(params[0])
+    def value_and_grad(theta):
+        x, c, b = theta.T
+        grad = np.zeros_like(theta)
         grad[:, 0] = 2 * c * x + b
-        return c * x * x, [grad]
+        return c * x * x, grad
 
-    return value_and_grad, params
+    return value_and_grad, theta
 
 
 MIXED_ROWS = [(1000, 0), (2.5, 0), (0, 1), (1e-3, 0), (2.5, 0), (1000, 0), (1e-3, 0), (0, 1)]
@@ -495,19 +544,19 @@ def test_descend_batch_equals_each_run_alone(max_epochs, reasons):
     from sparseland.trainer import _descend
 
     config = dataclasses.replace(MIXED_CONFIG, max_epochs=max_epochs)
-    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
-    (theta,), values, stop_epoch, stop_reason = _descend(value_and_grad, params, config)
+    value_and_grad, start = mixed_stop_objective(MIXED_ROWS)
+    theta, values, stop_epoch, stop_reason = _descend(value_and_grad, start, config)
     assert list(stop_reason) == reasons
     for t in range(len(MIXED_ROWS)):
-        one = [params[0][t:t + 1]]
-        (solo,), solo_values, solo_epoch, solo_reason = _descend(value_and_grad, one, config)
+        solo, solo_values, solo_epoch, solo_reason = _descend(value_and_grad, start[t:t + 1],
+                                                              config)
         assert solo.tobytes() == theta[t:t + 1].tobytes()
         assert solo_values.tobytes() == values[t:t + 1].tobytes()
         assert (solo_epoch[0], solo_reason[0]) == (stop_epoch[t], stop_reason[t])
 
     # the same runs held coordinate-major give the same bytes, epochs and reasons
-    (theta_f,), values_f, epoch_f, reason_f = _descend(
-        value_and_grad, [np.asfortranarray(params[0])], config)
+    theta_f, values_f, epoch_f, reason_f = _descend(
+        value_and_grad, np.asfortranarray(start), config)
     assert theta_f.flags.f_contiguous
     assert theta_f.tobytes(order="C") == theta.tobytes()
     assert values_f.tobytes() == values.tobytes()
@@ -522,13 +571,13 @@ def coincident_stop_objective():
     2^-(k+1) and the loss is d 4^k: with d = 1 it first exceeds 1e12 times
     its start at epoch 20; with d = 0 it is flat.
     """
-    def value_and_grad(params):
-        x, d = params[0].T
-        grad = np.zeros_like(params[0])
+    def value_and_grad(theta):
+        x, d = theta.T
+        grad = np.zeros_like(theta)
         grad[:, 0] = 0.5 * x
-        return d / (x * x), [grad]
+        return d / (x * x), grad
 
-    return value_and_grad, [np.array([[1.0, 1.0], [1.0, 0.0]])]
+    return value_and_grad, np.array([[1.0, 1.0], [1.0, 0.0]])
 
 
 def test_descend_keeps_the_first_reason_of_a_coincident_stop():
@@ -537,10 +586,10 @@ def test_descend_keeps_the_first_reason_of_a_coincident_stop():
     # diverged, converged_grad, plateau.
     from sparseland.trainer import _descend
 
-    value_and_grad, params = coincident_stop_objective()
+    value_and_grad, theta = coincident_stop_objective()
     config = TrainConfig(learning_rate=1.0, max_epochs=100, grad_tol=0.75 * 0.5 ** 20,
                          plateau_rel=0.0, plateau_window=19)
-    _, _, stop_epoch, stop_reason = _descend(value_and_grad, params, config)
+    _, _, stop_epoch, stop_reason = _descend(value_and_grad, theta, config)
     assert stop_epoch.tolist() == [20, 20]
     assert list(stop_reason) == ["diverged", "converged_grad"]
 
@@ -549,15 +598,14 @@ def test_descend_keeps_the_first_reason_of_a_coincident_stop():
 def test_descend_keeps_the_memory_order_of_params(order):
     from sparseland.trainer import _descend
 
-    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
-    params = [np.asarray(params[0], order=order)]
+    value_and_grad, theta = mixed_stop_objective(MIXED_ROWS)
     seen = []
 
-    def recording(params):
-        seen.append(params[0].flags[f"{order}_CONTIGUOUS"])
-        return value_and_grad(params)
+    def recording(theta):
+        seen.append(theta.flags[f"{order}_CONTIGUOUS"])
+        return value_and_grad(theta)
 
-    (theta,), _, stop_epoch, _ = _descend(recording, params, MIXED_CONFIG)
+    theta, _, stop_epoch, _ = _descend(recording, np.asarray(theta, order=order), MIXED_CONFIG)
     assert len(set(stop_epoch.tolist())) > 2  # the batch was compacted more than once
     assert all(seen)
     assert theta.flags[f"{order}_CONTIGUOUS"]
@@ -573,9 +621,9 @@ def test_descend_grad_norms_do_not_depend_on_memory_order():
     norms = {}
     for order in "CF":
         seen = norms[order] = []
-        _descend(lambda p: (inst.loss(p[0]), [inst.grad(p[0])]),
-                 [np.asarray(theta, order=order)], TrainConfig(max_epochs=20),
-                 lambda epoch, params, values, gnorm: seen.append(gnorm.tobytes()))
+        _descend(lambda th: (inst.loss(th), inst.grad(th)),
+                 np.asarray(theta, order=order), TrainConfig(max_epochs=20),
+                 lambda epoch, theta, values, gnorm: seen.append(gnorm.tobytes()))
     assert norms["F"] == norms["C"]
 
 
@@ -641,14 +689,14 @@ def test_descend_evaluates_only_moving_runs():
     # its e steps; stopped runs are not carried to the end of the batch
     from sparseland.trainer import _descend
 
-    value_and_grad, params = mixed_stop_objective(MIXED_ROWS)
+    value_and_grad, theta = mixed_stop_objective(MIXED_ROWS)
     rows = []
 
-    def recording(params):
-        rows.append(len(params[0]))
-        return value_and_grad(params)
+    def recording(theta):
+        rows.append(len(theta))
+        return value_and_grad(theta)
 
-    _, _, stop_epoch, _ = _descend(recording, params, MIXED_CONFIG)
+    _, _, stop_epoch, _ = _descend(recording, theta, MIXED_CONFIG)
     assert sum(rows) == len(MIXED_ROWS) + stop_epoch.sum()
     assert len(rows) == stop_epoch.max() + 1
 
@@ -660,13 +708,12 @@ def scripted_objective(grads, values):
     holds i, so each row keeps its script when the batch shrinks."""
     calls = []
 
-    def value_and_grad(params):
-        p = params[0]
-        run, e = p[:, 0].astype(int), len(calls)
+    def value_and_grad(theta):
+        run, e = theta[:, 0].astype(int), len(calls)
         calls.append(e)
-        g = np.zeros_like(p)
+        g = np.zeros_like(theta)
         g[:, 1:] = grads[e % len(grads)][run]
-        return (100.0 - e) * values[e % len(values)][run], [g]
+        return (100.0 - e) * values[e % len(values)][run], g
 
     return value_and_grad
 
@@ -705,15 +752,15 @@ def test_descend_grad_screen_is_exact(script):
 
     grads, values, config = script
     n_runs, dim = grads.shape[1:]
-    params = [np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])]
+    theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
     with np.errstate(invalid="ignore", over="ignore"):
-        screened = _descend(scripted_objective(grads, values), params, config)
-        exact = _descend(scripted_objective(grads, values), params, config,
-                         lambda epoch, params, values, gnorm: None)
+        screened = _descend(scripted_objective(grads, values), theta, config)
+        exact = _descend(scripted_objective(grads, values), theta, config,
+                         lambda epoch, theta, values, gnorm: None)
     assert screened[2].tolist() == exact[2].tolist()
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
-    assert screened[0][0].tobytes() == exact[0][0].tobytes()
+    assert screened[0].tobytes() == exact[0].tobytes()
 
 
 def test_trial_stats_json():
