@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.8"
+__version__ = "0.3.9"
 
 from importlib import import_module
 
@@ -43,9 +43,9 @@ _EXPORTS = {
                       "random_grouped_instance", "zero_column_transform"),
         "network": ("RemovalReport", "SparseLayer", "SparseNet", "effective_subnetwork",
                     "forward", "loss", "net_from_json", "net_to_json"),
-        "trainer": ("Dataset", "TrainConfig", "TrainTrace", "TrialStats", "gd_train",
-                    "gen_synthetic", "grad_net", "init_net", "loss_clusters",
-                    "random_effective_net", "random_sparse_mask", "run_trials"),
+        "trainer": ("TrainConfig", "TrainTrace", "TrialStats", "gd_train", "gen_synthetic",
+                    "grad_net", "init_net", "loss_clusters", "random_effective_net",
+                    "random_sparse_mask", "run_trials"),
     }.items()
     for name in names
 }  # exported name -> the submodule that defines it

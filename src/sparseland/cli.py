@@ -24,11 +24,12 @@ from pathlib import Path
 from . import __version__
 
 # Numerical modules load inside the handlers, so --version, --help and usage
-# errors import no numpy.  These two copies of activations.KINDS and
-# convmodes.MODES build the parser; a test pins them to the originals.
+# errors import no numpy.  These copies of activations.KINDS, convmodes.MODES
+# and counterexamples.STRICT_Y build the parser; a test pins them to the originals.
 KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigmoid",
          "softplus", "polynomial")
 MODES = ("full", "same", "valid")
+STRICT_Y = (1.0, 2.0, 9.0, 2.0)  # the default `--y` of `verify` and `trials`
 # the kinds `--activation` names: a polynomial needs coefficients, which only a spec gives
 FLAG_KINDS = tuple(k for k in KINDS if k != "polynomial")
 
@@ -243,15 +244,15 @@ def cmd_train(args):
         net = init_net(net, args.scale_init, args.seed)
 
     d_x, d_y = net.layers[0].n_in, net.layers[-1].n_out
-    dataset = gen_synthetic(args.n, d_x, d_y, seed=args.seed, a_norm=args.a_norm,
-                            noise=args.noise, target=args.target)
+    X, Y = gen_synthetic(args.n, d_x, d_y, seed=args.seed, a_norm=args.a_norm,
+                         noise=args.noise, target=args.target)
     config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs,
                          rank_every=args.rank_every, backtrack=args.backtrack)
-    trace = gd_train(net, dataset, config)
+    trace = gd_train(net, X, Y, config)
 
     optimum = gap = None
     if trace.net.activation.kind == "linear":
-        optimum = least_squares_optimum(dataset.X, dataset.Y)
+        optimum = least_squares_optimum(X, Y)
         gap = trace.final_loss - optimum
 
     payload = {
@@ -552,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
     sp.add_argument("instance", choices=tuple(VERIFY_READS))
     activation(sp, "tanh", "ss-valley only: ")
-    sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0),
+    sp.add_argument("--y", type=_four_floats, default=STRICT_Y,
                     help="ss-valley only: target values y1,y2,y3,y4")
     sp.add_argument("--probes", type=_int_at_least(1), default=500)
     sp.add_argument("--radius", type=_positive_float, default=0.05,
@@ -586,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
     sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
     activation(sp, "tanh")
-    sp.add_argument("--y", type=_four_floats, default=(1.0, 2.0, 9.0, 2.0))
+    sp.add_argument("--y", type=_four_floats, default=STRICT_Y)
     sp.add_argument("--lr", type=_positive_float, default=0.01)
     sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
     common(sp)

@@ -2,13 +2,12 @@
 
 The path builders emit piecewise-linear parameter paths whose sampled loss
 is non-increasing; they are the constructive side of the "no spurious
-valley" guarantees for grouped two-layer linear objectives.
+valley" guarantees for grouped two-layer linear objectives.  Their traces
+and trainer's share one loss-rise rule and one CSV writer.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -24,8 +23,20 @@ MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and d
 
 
 # ---------------------------------------------------------------------------
-# paths
+# loss traces: paths here, GD runs in trainer
 # ---------------------------------------------------------------------------
+
+def loss_rise(losses) -> float:
+    """Largest rise between consecutive losses, 0.0 when none rises.  A NaN
+    loss gives NaN, so a NaN never reads as "no rise"."""
+    return float(np.max(np.diff(losses), initial=0.0))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of string cells holding no comma or quote: the header, then
+    one line per row, each line ending in \\n."""
+    return "".join(",".join(cells) + "\n" for cells in (header, *rows))
+
 
 @dataclass(frozen=True)
 class PathTrace:
@@ -42,18 +53,12 @@ class PathTrace:
 
     @property
     def monotone_violation(self) -> float:
-        """Largest positive jump between consecutive sampled losses."""
-        seq = np.append(self.losses, self.end_loss)
-        return float(max(0.0, np.max(np.diff(seq))))
+        """Largest rise between consecutive sampled losses, end_loss last."""
+        return loss_rise(np.append(self.losses, self.end_loss))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "loss"])
-        for t, l in zip(self.t, self.losses):
-            writer.writerow([repr(float(t)), repr(float(l))])
-        writer.writerow([repr(1.0), repr(float(self.end_loss))])
-        return buf.getvalue()
+        rows = [[repr(float(t)), repr(float(l))] for t, l in zip(self.t, self.losses)]
+        return csv_text(["t", "loss"], rows + [[repr(1.0), repr(float(self.end_loss))]])
 
 
 def _trace(inst: TwoLayerLinearInstance, theta, moves, n_samples: int) -> PathTrace:

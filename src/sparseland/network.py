@@ -2,8 +2,8 @@
 
 A network here is a stack of :class:`SparseLayer` objects (linear output,
 shared hidden activation).  Masks are hard structural constraints: a masked
-entry holds the exact float 0.0 at all times, and every operation in the
-package preserves that invariant bit-exactly.
+entry holds the exact float 0.0 at all times (+0.0 where the package writes
+it), and every operation in the package preserves that invariant bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _locked(a, dtype=float) -> np.ndarray:
 class SparseLayer:
     """One affine layer with a binary mask (and optional masked bias).
 
-    weights: (n_out, n_in); mask: same shape, True = trainable/connected.
+    weights: (n_out, n_in), both at least 1; mask: same shape, True =
+    trainable/connected.
     Masked positions must carry weight exactly 0.0; the constructor rejects
     anything else rather than silently projecting.
     """
@@ -50,8 +51,9 @@ class SparseLayer:
 
     def __post_init__(self):
         w = _locked(self.weights)
-        if w.ndim != 2:
-            raise ValueError("weights must be a 2-d array")
+        if w.ndim != 2 or 0 in w.shape:
+            raise ValueError(f"weights must be a 2-d array with no empty axis, "
+                             f"got shape {w.shape}")
         m = _as_mask(self.mask, w.shape)
         # nonzero (NaN and inf included) where the mask is False, counted with no gather
         bad = np.count_nonzero((w != 0) > m)
@@ -232,7 +234,7 @@ def effective_subnetwork(net: SparseNet):
     bias is kept.
 
     Returns (reduced net, RemovalReport).  The reduced net has the same
-    shapes; removed positions are masked and zeroed, so evaluating it agrees
+    shapes; removed positions are masked and hold +0.0, so evaluating it agrees
     with the original whenever the removed parameters are zero.
     """
     layers = net.layers
@@ -252,8 +254,9 @@ def effective_subnetwork(net: SparseNet):
         if bm is not None and k < len(layers) - 1:
             bm = bm & bwd[k + 1]
             removed_biases += _removed(k, layer.bias_mask, bm)
-        bias = None if layer.bias is None else layer.bias * bm
-        new_layers.append(SparseLayer(layer.weights * m, m, bias, bm))
+        # np.where, not a product: a negative weight times False is -0.0
+        bias = None if layer.bias is None else np.where(bm, layer.bias, 0.0)
+        new_layers.append(SparseLayer(np.where(m, layer.weights, 0.0), m, bias, bm))
     reduced = SparseNet(tuple(new_layers), net.activation)
 
     report = RemovalReport(

@@ -1,22 +1,23 @@
 """Gradient-descent training for masked nets, plus a batched trial harness.
 
-Everything here is full-batch plain GD; the only adaptivity is optional
-step halving when a step would increase the loss (off by default).  Masks
-are enforced by zeroing the corresponding gradient entries, so pruned
-coordinates never move.
+Everything here is full-batch plain GD on data given as two arrays, X
+(d_in, n) and Y (d_out, n); the only adaptivity is optional step halving
+when a step would increase the loss (off by default).  Masks are enforced
+by zeroing the corresponding gradient entries, so pruned coordinates never
+move.  A trace's loss rise and CSV text come from landscape's `loss_rise`
+and `csv_text`, which the descent paths use too.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import Activation
-from .landscape import numerical_rank
+from .landscape import csv_text, loss_rise, numerical_rank
 from .network import SparseLayer, SparseNet, _checked_input, _checked_target, forward, loss
 
 DIVERGE_FACTOR = 1e12
@@ -33,24 +34,9 @@ def stream(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=STREAMS[purpose]))
 
 
-@dataclass(frozen=True)
-class Dataset:
-    X: np.ndarray
-    Y: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-            raise ValueError(f"need X (d_x, n) and Y (d_y, n); got {X.shape} and {Y.shape}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-
 def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0,
-                  noise: float = 1.0, target: str = "gaussian") -> Dataset:
-    """X ~ N(0,1), Y = A X + noise * eps with ||A||_F scaled to a_norm.
+                  noise: float = 1.0, target: str = "gaussian"):
+    """(X, Y): X (d_x, n) ~ N(0,1), Y = A X + noise * eps with ||A||_F scaled to a_norm.
 
     target "identity" uses A = the first d_y rows of I instead (then a_norm
     is ignored, and the CLI rejects --a-norm with it).  X, A and eps each
@@ -66,7 +52,7 @@ def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0
     else:
         raise ValueError(f"unknown target {target!r}")
     Y = A @ X + noise * rng_e.standard_normal((d_y, n))
-    return Dataset(X, Y, metadata={"A": A, "noise": noise, "target": target})
+    return X, Y
 
 
 @dataclass(frozen=True)
@@ -83,14 +69,15 @@ class TrainConfig:
 
 def init_net(net: SparseNet, scale: float, seed: int, purpose: str = "init") -> SparseNet:
     """net with fresh weights on its masks: uniform(-s/sqrt(fan_in), s/sqrt(fan_in))
-    per layer with s = scale, drawn from the `purpose` stream of seed."""
+    per layer with s = scale, drawn from the `purpose` stream of seed.  Masked
+    entries hold +0.0: a draw times False would leave -0.0 under a negative draw."""
     rng = stream(seed, purpose)
     theta = np.empty(net.n_params)
     for (W, b), layer in zip(net.views(theta), net.layers):
         bound = scale / math.sqrt(layer.n_in)
-        np.multiply(rng.uniform(-bound, bound, size=W.shape), layer.mask, out=W)
+        W[...] = np.where(layer.mask, rng.uniform(-bound, bound, size=W.shape), 0.0)
         if b is not None:
-            np.multiply(rng.uniform(-bound, bound, size=b.shape), layer.bias_mask, out=b)
+            b[...] = np.where(layer.bias_mask, rng.uniform(-bound, bound, size=b.shape), 0.0)
     return net.with_theta(theta)
 
 
@@ -212,19 +199,17 @@ class TrainTrace:
 
     @property
     def monotone_violation(self) -> float:
-        jumps = np.diff(self.losses)
-        return float(max(0.0, jumps.max())) if len(jumps) else 0.0
+        return loss_rise(self.losses)
 
     def to_csv(self) -> str:
         n_layers = len(self.net.layers)
         rank_at = {epoch: r for epoch, r in self.ranks}
-        buf = io.StringIO()
-        buf.write("epoch,loss" + "".join(f",rank_layer_{k+1}" for k in range(n_layers)) + "\n")
-        for e, lv in enumerate(self.losses):
-            r = rank_at.get(e, (None,) * n_layers)  # None: no sample, or not measured
-            cells = [str(e), repr(float(lv))] + ["" if v is None else str(v) for v in r]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        header = ["epoch", "loss"] + [f"rank_layer_{k+1}" for k in range(n_layers)]
+        rows = ([str(e), repr(float(lv))]
+                + ["" if v is None else str(v)  # None: no sample, or not measured
+                   for v in rank_at.get(e, (None,) * n_layers)]
+                for e, lv in enumerate(self.losses))
+        return csv_text(header, rows)
 
 
 def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
@@ -335,9 +320,11 @@ def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.compress(keep, a, axis=0, out=out)
 
 
-def gd_train(net: SparseNet, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainTrace:
-    """Full-batch GD from net's own parameters: one _descend run over net.theta."""
-    X, Y = dataset.X, dataset.Y
+def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
+             config: TrainConfig = TrainConfig()) -> TrainTrace:
+    """Full-batch GD on 0.5 ||net(X) - Y||_F^2 from net's own parameters: one
+    _descend run over net.theta.  grad_net checks X (d_in, n) and Y (d_out, n)
+    on the first step."""
 
     def value_and_grad(theta):
         grad, value = grad_net(net.with_theta(theta[0]), X, Y)
@@ -448,29 +435,23 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
 # random masked nets
 # ---------------------------------------------------------------------------
 
-def _draw_mask(rng, shape, sparsity: float, repair: bool) -> np.ndarray:
+def _draw_mask(rng, shape, sparsity: float) -> np.ndarray:
     """One (p, d) Bernoulli mask from rng with zero-probability `sparsity` per
-    entry.  repair=True gives each all-zero row, then each all-zero column,
-    one entry drawn from rng; otherwise such a draw raises."""
+    entry, then one entry drawn from rng for each all-zero row, then for each
+    all-zero column, so that every row and column is nonzero."""
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
     mask = rng.random(shape) >= sparsity
-    if repair:
-        for i in np.flatnonzero(~mask.any(axis=1)):
-            mask[i, rng.integers(mask.shape[1])] = True
-        for j in np.flatnonzero(~mask.any(axis=0)):
-            mask[rng.integers(mask.shape[0]), j] = True
-    elif not mask.any(axis=1).all():
-        raise ValueError("mask draw has an all-zero row; pick another seed or repair=True")
-    elif not mask.any(axis=0).all():
-        raise ValueError("mask draw has an all-zero column; pick another seed or repair=True")
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        mask[i, rng.integers(mask.shape[1])] = True
+    for j in np.flatnonzero(~mask.any(axis=0)):
+        mask[rng.integers(mask.shape[0]), j] = True
     return mask
 
 
-def random_sparse_mask(shape, sparsity: float, seed: int = 0, repair: bool = False) -> np.ndarray:
-    """A (p, d) Bernoulli mask with zero-probability `sparsity` per entry,
-    drawn from the mask stream of seed (see _draw_mask for repair)."""
-    return _draw_mask(stream(seed, "mask"), shape, sparsity, repair)
+def random_sparse_mask(shape, sparsity: float, seed: int) -> np.ndarray:
+    """_draw_mask's (p, d) mask, drawn from the mask stream of seed."""
+    return _draw_mask(stream(seed, "mask"), shape, sparsity)
 
 
 def random_effective_net(dims, sparsity: float, seed: int = 0,
@@ -486,8 +467,7 @@ def random_effective_net(dims, sparsity: float, seed: int = 0,
     if len(dims) < 3:
         raise ValueError("need at least input, one hidden and output dims")
     rng = stream(seed, "mask")
-    masks = [_draw_mask(rng, (n_out, n_in), sparsity, repair=True)
-             for n_in, n_out in zip(dims, dims[1:])]
+    masks = [_draw_mask(rng, (n_out, n_in), sparsity) for n_in, n_out in zip(dims, dims[1:])]
     blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), activation)
     net = init_net(blank, init_scale, seed, "weights")
     return net, net.sparsity

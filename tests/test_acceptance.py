@@ -175,8 +175,7 @@ def test_criterion_7_full_rank_certificate():
             for s in range(100):
                 rng = np.random.default_rng(17 + s)
                 for _ in range(50):  # redraw until the genericity checks pass
-                    mask = random_sparse_mask((n, d), sparsity,
-                                              seed=int(rng.integers(2**31)), repair=True)
+                    mask = random_sparse_mask((n, d), sparsity, seed=int(rng.integers(2**31)))
                     X = rng.standard_normal((d, n))
                     if check_assumptions(X, mask).ok:
                         break
@@ -211,10 +210,9 @@ def test_criterion_9_deep_sparse_linear():
     net, realized = random_effective_net((20, 100, 100, 100, 100, 1), sparsity=0.45,
                                          seed=7, activation=Activation("linear"))
     net = init_net(net, 1.0, 3)
-    ds = gen_synthetic(100, 20, 1, seed=11)
-    trace = gd_train(net, ds, TrainConfig(learning_rate=3e-4, max_epochs=50000,
-                                          grad_tol=1e-10))
-    X, Y = ds.X, ds.Y
+    X, Y = gen_synthetic(100, 20, 1, seed=11)
+    trace = gd_train(net, X, Y, TrainConfig(learning_rate=3e-4, max_epochs=50000,
+                                            grad_tol=1e-10))
     l_star = 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
     gap = trace.final_loss - l_star
     viol = trace.monotone_violation

@@ -376,6 +376,15 @@ def test_train_rank_of_a_non_finite_layer_is_unmeasured(workdir, capsys, activat
                                          for e in (0, 1)]
 
 
+def test_train_nan_loss_rise_is_null(workdir, capsys):
+    # the first step makes the loss NaN, which read as no rise, 0.0
+    code, cap = run_cli(["train", "--dims", "3,4,4,1", "--activation", "relu", "--lr", "1e200",
+                         "--epochs", "5", "--json", "--out", "t.csv"], capsys)
+    assert code == 1
+    assert _strict_json(cap.out)["monotone_violation"] is None
+    assert (workdir / "t.csv").read_text().splitlines()[2].startswith("1,nan,")
+
+
 @pytest.mark.parametrize("activation", ["linear", "relu"])
 def test_train_overflowed_loss_is_inf_for_both_gradient_routes(workdir, capsys, activation):
     # the first step overflows the output.  A linear net takes its loss from
@@ -431,6 +440,16 @@ def test_path_command(workdir, capsys, cond):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,loss"
     assert lines[-1].startswith("1.0,")
+
+
+def test_path_and_train_csv_rows_end_in_newline(workdir, capsys):
+    # one writer for both traces: the path CSV ended its rows in \r\n
+    for argv in (["path", "--cond", "1", "--out", "p.csv"],
+                 ["train", "--dims", "3,4,2", "--epochs", "3", "--rank-every", "1",
+                  "--out", "t.csv"]):
+        assert run_cli(argv, capsys)[0] == 0
+        data = (workdir / argv[-1]).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
 
 
 def test_prune_flags_ineffective_net(workdir, capsys):
@@ -560,10 +579,10 @@ def test_train_reinit_redraws_spec_weights(spec_net, workdir, capsys):
         assert np.array_equal(new.mask, old.mask)
         assert np.all(new.weights[~new.mask] == 0.0)
         assert not np.array_equal(new.weights, old.weights)
-    data = gen_synthetic(10, 3, 2, seed=7)
+    X, Y = gen_synthetic(10, 3, 2, seed=7)
     epoch0 = float((workdir / "t.csv").read_text().splitlines()[1].split(",")[1])
-    assert epoch0 == loss(start, data.X, data.Y)
-    assert epoch0 != loss(spec_net, data.X, data.Y)
+    assert epoch0 == loss(start, X, Y)
+    assert epoch0 != loss(spec_net, X, Y)
     code, cap = run_cli(["replay", "t.csv.manifest.json"], capsys)
     assert code == 0 and "outputs identical" in cap.out
 
@@ -650,10 +669,12 @@ def _two_layer_spec(**edits):
     ({"activation": {"kind": "elu", "params": {"alpha": 10**400}}},
      "elu alpha must be positive and finite"),
     ({"activation": "tanh"}, "activation must be a JSON object, got 'tanh'"),
+    # a layer with no inputs: train ran to a result, rank and prune exited 1
+    ({"weights": [[], []]}, "weights must be a 2-d array with no empty axis, got shape (2, 0)"),
 ], ids=["row-string", "weights-string", "bias-string", "weight-inf", "weight-nan",
         "weight-overflow", "weight-huge-int", "bias-inf", "weight-bool", "bias-underscore",
         "coeffs-string", "params-list", "params-unread", "params-other-kind", "slope-nan",
-        "alpha-huge-int", "activation-string"])
+        "alpha-huge-int", "activation-string", "weights-empty-axis"])
 def test_bad_spec_values_are_usage_errors(workdir, capsys, command, edits, message):
     (workdir / "m.json").write_text(json.dumps(_two_layer_spec(**edits)))
     code, cap = run_cli([command, "--spec", "m.json"], capsys)

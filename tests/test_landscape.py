@@ -20,7 +20,7 @@ from sparseland import (
     random_grouped_instance,
     zero_column_transform,
 )
-from sparseland.landscape import _pivoted_row_basis
+from sparseland.landscape import PathTrace, _pivoted_row_basis, loss_rise
 
 
 def grouped_optimum(inst):
@@ -223,6 +223,19 @@ def test_trace_grid_and_csv():
     assert float(rows[1][1]) == trace.losses[0]
 
 
+def test_loss_rise():
+    assert loss_rise([]) == 0.0 and loss_rise([3.0]) == 0.0
+    assert loss_rise([3.0, 2.0, 2.0, 1.0]) == 0.0
+    assert loss_rise([3.0, 2.0, 2.5, 1.0, 1.25]) == 0.5
+    assert loss_rise([1.0, math.inf]) == math.inf
+    # a NaN loss is no evidence of descent: max(0.0, nan) read it as no rise
+    assert math.isnan(loss_rise([3.0, math.nan]))
+    assert math.isnan(loss_rise([3.0, math.nan, 1.0]))
+    trace = PathTrace(t=np.array([0.0, 0.5]), losses=np.array([2.0, math.nan]), names=("a",),
+                      points=np.zeros((2, 1)), end_loss=1.0)
+    assert math.isnan(trace.monotone_violation)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_path_monotone_property(seed):
@@ -304,6 +317,17 @@ def test_hidden_rank_certificate():
     ranks = hidden_rank_certificate(net, X)
     assert len(ranks) == 1
     assert ranks[0] == 3
+
+
+@pytest.mark.parametrize("scales,layer", [((1e200, 1.0, 1.0), 1), ((1.0, 1e200, 1.0), 2)])
+def test_hidden_rank_certificate_of_an_overflowing_layer(scales, layer):
+    # a linear net whose hidden output `layer` overflows to inf: no rank is
+    # measured, and the error names the first layer that is not finite
+    eye = np.eye(3)
+    net = SparseNet(tuple(SparseLayer(s * eye, np.ones((3, 3))) for s in scales),
+                    Activation("linear"))
+    with pytest.raises(ValueError, match=f"hidden output of layer {layer} is not finite"):
+        hidden_rank_certificate(net, 1e200 * np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------

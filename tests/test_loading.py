@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import sparseland
-from sparseland import activations, cli, convmodes
+from sparseland import activations, cli, convmodes, counterexamples
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(sparseland.__file__).resolve().parent
@@ -76,6 +76,7 @@ def test_parser_name_lists_match_their_modules():
     # the CLI holds copies so that building its parser loads no numpy
     assert cli.KINDS == activations.KINDS
     assert cli.MODES == convmodes.MODES
+    assert cli.STRICT_Y == counterexamples.STRICT_Y
 
 
 # public methods of exported classes that no workflow calls: each names who
@@ -188,8 +189,6 @@ SET_ONLY_BY_TESTS = {
     ("fd_gradient", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
     ("fd_hessian", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
     ("numerical_rank", "tol"): "test_landscape.py::test_numerical_rank",
-    ("random_sparse_mask", "repair"): "test_trainer.py::test_single_mask_draw",
-    ("random_sparse_mask", "seed"): "test_trainer.py::test_single_mask_draw",
 }
 
 

@@ -48,6 +48,8 @@ def test_layer_rejects_nonzero_masked_entries():
         SparseLayer(w, mask[:, :1])
     with pytest.raises(ValueError, match="weights must be a 2-d array"):
         SparseLayer(w[0], mask[0])
+    with pytest.raises(ValueError, match=re.escape("no empty axis, got shape (0, 2)")):
+        SparseLayer(np.zeros((0, 2)), np.ones((0, 2)))
 
 
 @pytest.mark.parametrize("dtype", [int, float, bool])

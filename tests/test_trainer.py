@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from sparseland import (
     Activation,
-    Dataset,
     SparseLayer,
     SparseNet,
     TrainConfig,
@@ -53,28 +52,26 @@ def small_net(seed=0, act=None, biases=True):
 # data generation
 # ---------------------------------------------------------------------------
 
-def test_dataset_validation():
-    with pytest.raises(ValueError, match="d_x, n"):
-        Dataset(np.zeros((2, 5)), np.zeros((1, 4)))
-    with pytest.raises(ValueError):
-        Dataset(np.zeros(5), np.zeros((1, 5)))
-
-
 def test_gen_synthetic_norm_and_determinism():
-    ds = gen_synthetic(50, 7, 3, seed=11, a_norm=5.0)
-    assert np.linalg.norm(ds.metadata["A"]) == pytest.approx(5.0, abs=1e-12)
-    assert ds.X.shape == (7, 50) and ds.Y.shape == (3, 50)
-    again = gen_synthetic(50, 7, 3, seed=11, a_norm=5.0)
-    assert np.array_equal(ds.X, again.X) and np.array_equal(ds.Y, again.Y)
-    other = gen_synthetic(50, 7, 3, seed=12, a_norm=5.0)
-    assert not np.array_equal(ds.X, other.X)
+    X, Y = gen_synthetic(50, 7, 3, seed=11, a_norm=5.0)
+    # A read back from the noiseless data by least squares
+    _, Y0 = gen_synthetic(50, 7, 3, seed=11, a_norm=5.0, noise=0.0)
+    A = np.linalg.lstsq(X.T, Y0.T, rcond=None)[0].T
+    assert np.linalg.norm(A) == pytest.approx(5.0, abs=1e-12)
+    assert X.shape == (7, 50) and Y.shape == (3, 50)
+    X2, Y2 = gen_synthetic(50, 7, 3, seed=11, a_norm=5.0)
+    assert np.array_equal(X, X2) and np.array_equal(Y, Y2)
+    X3, _ = gen_synthetic(50, 7, 3, seed=12, a_norm=5.0)
+    assert not np.array_equal(X, X3)
 
 
 def test_gen_synthetic_noiseless_and_identity():
-    ds = gen_synthetic(20, 4, 2, seed=3, noise=0.0)
-    assert np.array_equal(ds.Y, ds.metadata["A"] @ ds.X)
-    ds = gen_synthetic(20, 4, 2, seed=3, target="identity")
-    assert np.array_equal(ds.metadata["A"], np.eye(2, 4))
+    X, Y = gen_synthetic(20, 4, 2, seed=3, noise=0.0)
+    A = stream(3, "target").standard_normal((2, 4))  # A redrawn from its stream
+    A *= 5.0 / np.linalg.norm(A)
+    assert np.array_equal(Y, A @ X)
+    X, Y = gen_synthetic(20, 4, 2, seed=3, noise=0.0, target="identity")
+    assert np.array_equal(Y, X[:2])
     with pytest.raises(ValueError, match="target"):
         gen_synthetic(10, 2, 1, target="laplace")
 
@@ -227,13 +224,15 @@ def test_linear_chain_form_matches_fd(dims, biases):
 @pytest.mark.parametrize("act", ["linear", "tanh"])  # the chain form and backprop
 def test_grad_net_checks_data_shapes(act):
     net, _ = random_effective_net((3, 4, 2), 0.0, seed=1, activation=Activation(act))
-    ds = gen_synthetic(10, 3, 1)
+    X, Y = gen_synthetic(10, 3, 1)
     with pytest.raises(ValueError, match=re.escape("Y shape (1, 10) != output shape (2, 10)")):
-        grad_net(net, ds.X, ds.Y)
+        grad_net(net, X, Y)
     with pytest.raises(ValueError, match=re.escape("Y shape (1, 10) != output shape (2, 10)")):
-        gd_train(net, ds, TrainConfig(max_epochs=50))
+        gd_train(net, X, Y, TrainConfig(max_epochs=50))
     with pytest.raises(ValueError, match=re.escape("X must be (3, n)")):
         grad_net(net, np.zeros((4, 10)), np.zeros((2, 10)))
+    with pytest.raises(ValueError, match=re.escape("X must be (3, n)")):
+        gd_train(net, np.zeros(3), np.zeros((2, 1)), TrainConfig(max_epochs=50))
 
 
 def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
@@ -248,9 +247,9 @@ def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
 
     net, _ = random_effective_net((3, 6, 6, 2), sparsity=0.0, seed=1,
                                   activation=Activation("tanh"))
-    ds = gen_synthetic(8, 3, 2, seed=2)
+    X, Y = gen_synthetic(8, 3, 2, seed=2)
     monkeypatch.setattr(np, "tanh", counting_tanh)
-    trace = gd_train(net, ds, TrainConfig(max_epochs=10, seed=3))
+    trace = gd_train(net, X, Y, TrainConfig(max_epochs=10, seed=3))
     assert trace.epochs == 10
     assert len(calls) == 22
 
@@ -260,13 +259,13 @@ def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_train_linear_reaches_optimum():
-    ds = gen_synthetic(30, 5, 2, seed=7, noise=0.5)
+    X, Y = gen_synthetic(30, 5, 2, seed=7, noise=0.5)
     net, _ = random_effective_net((5, 8, 2), sparsity=0.0, seed=1)
     cfg = TrainConfig(learning_rate=0.005, max_epochs=20000, grad_tol=1e-10, seed=2)
-    trace = gd_train(net, ds, cfg)
+    trace = gd_train(net, X, Y, cfg)
     # dense linear net: the optimum is ordinary least squares
-    A_star, *_ = np.linalg.lstsq(ds.X.T, ds.Y.T, rcond=None)
-    best = 0.5 * np.sum((A_star.T @ ds.X - ds.Y) ** 2)
+    A_star, *_ = np.linalg.lstsq(X.T, Y.T, rcond=None)
+    best = 0.5 * np.sum((A_star.T @ X - Y) ** 2)
     assert trace.final_loss - best < 1e-6
     assert trace.monotone_violation <= 1e-12  # ulp wobble once at the floor
     assert trace.stop_reason in ("converged_grad", "plateau")
@@ -274,19 +273,19 @@ def test_train_linear_reaches_optimum():
 
 
 def test_train_keeps_masked_weights_zero():
-    ds = gen_synthetic(25, 3, 2, seed=0)
+    X, Y = gen_synthetic(25, 3, 2, seed=0)
     net = small_net(seed=3)
-    trace = gd_train(net, ds, TrainConfig(max_epochs=300, seed=1))
+    trace = gd_train(net, X, Y, TrainConfig(max_epochs=300, seed=1))
     for layer in trace.net.layers:
         assert np.all(layer.weights[~layer.mask] == 0.0)
 
 
 def test_train_deterministic():
-    ds = gen_synthetic(20, 3, 2, seed=5)
+    X, Y = gen_synthetic(20, 3, 2, seed=5)
     net = small_net(seed=6)
     cfg = TrainConfig(max_epochs=200, seed=9)
-    t1 = gd_train(net, ds, cfg)
-    t2 = gd_train(net, ds, cfg)
+    t1 = gd_train(net, X, Y, cfg)
+    t2 = gd_train(net, X, Y, cfg)
     assert np.array_equal(t1.losses, t2.losses)
     assert np.array_equal(t1.grad_norms, t2.grad_norms)
     for a, b in zip(t1.net.layers, t2.net.layers):
@@ -294,19 +293,19 @@ def test_train_deterministic():
 
 
 def test_train_divergence_recorded():
-    ds = gen_synthetic(20, 3, 2, seed=5)
+    X, Y = gen_synthetic(20, 3, 2, seed=5)
     net = small_net(seed=6, act=Activation("linear"))
-    trace = gd_train(net, ds, TrainConfig(learning_rate=10.0, max_epochs=500, seed=1))
+    trace = gd_train(net, X, Y, TrainConfig(learning_rate=10.0, max_epochs=500, seed=1))
     assert trace.stop_reason == "diverged"
     assert trace.diverged
     assert not math.isfinite(trace.final_loss) or trace.final_loss > 1e6
 
 
 def test_backtracking_prevents_divergence():
-    ds = gen_synthetic(20, 3, 2, seed=5)
+    X, Y = gen_synthetic(20, 3, 2, seed=5)
     net = small_net(seed=6, act=Activation("linear"))
     cfg = TrainConfig(learning_rate=10.0, max_epochs=400, seed=1, backtrack=True)
-    trace = gd_train(net, ds, cfg)
+    trace = gd_train(net, X, Y, cfg)
     assert not trace.diverged
     assert trace.monotone_violation == 0.0
 
@@ -316,9 +315,9 @@ def test_train_plateau_stop_epoch():
     # the plateau test first fires at plateau_window + 1, as in run_trials
     zero = SparseNet((SparseLayer(np.zeros((4, 3)), np.ones((4, 3))),
                       SparseLayer(np.zeros((2, 4)), np.ones((2, 4)))), Activation("linear"))
-    ds = gen_synthetic(10, 3, 2, seed=1)
+    X, Y = gen_synthetic(10, 3, 2, seed=1)
     cfg = TrainConfig(max_epochs=100, grad_tol=0.0, plateau_window=5)
-    trace = gd_train(zero, ds, cfg)
+    trace = gd_train(zero, X, Y, cfg)
     assert trace.stop_reason == "plateau"
     assert trace.epochs == 6
     assert np.all(trace.grad_norms == 0.0)
@@ -327,9 +326,9 @@ def test_train_plateau_stop_epoch():
 def test_init_net_bounds_and_kept_weights():
     # gd_train starts from the weights it is given, whatever the config's seed
     net = small_net(seed=8)
-    ds = gen_synthetic(10, 3, 2, seed=1)
-    kept = gd_train(net, ds, TrainConfig(max_epochs=0, seed=5))
-    assert kept.losses[0] == pytest.approx(loss(net, ds.X, ds.Y), rel=1e-14)
+    X, Y = gen_synthetic(10, 3, 2, seed=1)
+    kept = gd_train(net, X, Y, TrainConfig(max_epochs=0, seed=5))
+    assert kept.losses[0] == pytest.approx(loss(net, X, Y), rel=1e-14)
     for got, want in zip(kept.net.layers, net.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
@@ -374,8 +373,8 @@ def test_gd_train_results_are_pinned():
     ]
     h = hashlib.sha256()
     stops = []
-    for net, ds, config in runs:
-        trace = gd_train(net, ds, config)
+    for net, (X, Y), config in runs:
+        trace = gd_train(net, X, Y, config)
         stops.append((trace.epochs, trace.stop_reason))
         h.update(np.asarray(trace.losses, dtype="<f8").tobytes())
         for layer in trace.net.layers:
@@ -389,9 +388,9 @@ def test_gd_train_results_are_pinned():
 
 
 def test_trace_csv_rank_columns():
-    ds = gen_synthetic(15, 3, 2, seed=2)
+    X, Y = gen_synthetic(15, 3, 2, seed=2)
     net = small_net(seed=1)
-    trace = gd_train(net, ds, TrainConfig(max_epochs=6, rank_every=2, seed=0,
+    trace = gd_train(net, X, Y, TrainConfig(max_epochs=6, rank_every=2, seed=0,
                                           grad_tol=0.0, plateau_window=10**6))
     rows = list(csv.reader(io.StringIO(trace.to_csv())))
     assert rows[0] == ["epoch", "loss", "rank_layer_1", "rank_layer_2"]
@@ -801,20 +800,15 @@ def test_single_mask_draw():
     m = random_sparse_mask((6, 5), 0.0, seed=0)
     assert m.all()
     with pytest.raises(ValueError, match="sparsity"):
-        random_sparse_mask((6, 5), 1.0)
-    # seed 0 at this sparsity draws an empty row, which the strict mode rejects
-    with pytest.raises(ValueError, match="all-zero row"):
-        random_sparse_mask((4, 4), 0.75, seed=0)
-    with pytest.raises(ValueError, match="all-zero column"):
-        random_sparse_mask((1, 5), 0.5, seed=0)
-    m = random_sparse_mask((4, 4), 0.75, seed=0, repair=True)
+        random_sparse_mask((6, 5), 1.0, seed=0)
+    m = random_sparse_mask((4, 4), 0.75, seed=0)
     assert m.any(axis=1).all() and m.any(axis=0).all()
-    again = random_sparse_mask((4, 4), 0.75, seed=0, repair=True)
+    again = random_sparse_mask((4, 4), 0.75, seed=0)
     assert np.array_equal(m, again)
 
 
 def test_repaired_mask_keeps_its_sparsity():
-    m = random_sparse_mask((400, 400), 0.9, seed=0, repair=True)
+    m = random_sparse_mask((400, 400), 0.9, seed=0)
     assert m.any(axis=1).all() and m.any(axis=0).all()
     realized = 1.0 - np.count_nonzero(m) / m.size
     assert realized >= 0.9      # this fixed seed keeps the target after repair
@@ -836,16 +830,39 @@ def test_streams_are_distinct_per_purpose():
     assert np.array_equal(redrawn.layers[0].weights, draw)
 
     # masks and data keep the draws they had before the purpose keys
-    mask = random_sparse_mask((30, 30), 0.3, seed=seed, repair=True)
+    mask = random_sparse_mask((30, 30), 0.3, seed=seed)
     assert np.array_equal(mask, np.random.default_rng(seed).random((30, 30)) >= 0.3)
-    ds = gen_synthetic(9, 4, 2, seed=seed, noise=0.5)
+    X, Y = gen_synthetic(9, 4, 2, seed=seed, noise=0.5)
     rng_x, rng_a, rng_e = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(seed).spawn(3))
-    X = rng_x.standard_normal((4, 9))
+    X_drawn = rng_x.standard_normal((4, 9))
     A = rng_a.standard_normal((2, 4))
     A *= 5.0 / np.linalg.norm(A)
-    assert np.array_equal(ds.X, X)
-    assert np.array_equal(ds.Y, A @ X + 0.5 * rng_e.standard_normal((2, 9)))
+    assert np.array_equal(X, X_drawn)
+    assert np.array_equal(Y, A @ X_drawn + 0.5 * rng_e.standard_normal((2, 9)))
+
+
+def test_masked_entries_hold_positive_zero():
+    # a product with a False mask entry leaves -0.0 under a negative value;
+    # every producer writes +0.0, and prune reports the reduced net's weights
+    def masked_signs(net):
+        return [np.signbit(p[~m]).any() for layer in net.layers
+                for p, m in ((layer.weights, layer.mask), (layer.bias, layer.bias_mask))
+                if p is not None]
+
+    net = biased_elu_net()
+    assert not any(masked_signs(init_net(net, 1.0, 3)))
+    assert not any(masked_signs(random_effective_net((5, 9, 9, 3), 0.5, seed=3)[0]))
+    # every weight and bias -1, and hidden neuron 2 feeds nothing, so the
+    # reduction removes its three edges in and its bias
+    feeds = np.array([[1, 1, 0], [1, 1, 0]], dtype=bool)
+    negative = SparseNet((SparseLayer(-np.ones((3, 3)), np.ones((3, 3)), -np.ones(3)),
+                          SparseLayer(np.where(feeds, -1.0, 0.0), feeds, -np.ones(2)),
+                          SparseLayer(-np.ones((1, 2)), np.ones((1, 2)))), Activation("tanh"))
+    reduced, report = effective_subnetwork(negative)
+    assert report.removed_edges == ((0, 2, 0), (0, 2, 1), (0, 2, 2))
+    assert report.removed_biases == ((0, 2),)
+    assert not any(masked_signs(reduced))
 
 
 def test_random_effective_net():
