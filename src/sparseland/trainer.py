@@ -218,25 +218,31 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     theta is a (T, P) array, one run's parameters per row, and
     value_and_grad(theta) gives the (T,) losses and the (T, P) gradients of
     the rows it is passed.  Each epoch tests every run for, in order:
-    "diverged" (loss non-finite or above DIVERGE_FACTOR times its start),
-    "converged_grad" (gradient norm below grad_tol), "plateau" (loss fell by
-    at most plateau_rel over plateau_window epochs, first at epoch
-    plateau_window + 1), "max_epochs".  The tests form one stop mask per
-    epoch; a run that stops gets the first reason that holds for it, is
-    written out once and leaves the batch, so later epochs evaluate only the
-    runs still moving.  Leaving keeps theta's memory order, so a
-    coordinate-major (Fortran-order) theta stays coordinate-major.  With
-    backtrack each run halves its own step while it would raise its loss,
-    down to 1e-16 of the learning rate.
+    "diverged" (the loss is NaN or exceeds DIVERGE_FACTOR times its start in
+    magnitude: a loss below minus that limit diverges too, though every
+    objective of the package is a sum of squares), "converged_grad" (gradient
+    norm below grad_tol), "plateau" (loss fell by at most plateau_rel over
+    plateau_window epochs, first at epoch plateau_window + 1), "max_epochs".
+    The tests form one stop mask per epoch; a run that stops gets the first
+    reason that holds for it, is written out once and leaves the batch, so
+    later epochs evaluate only the runs still moving.  Leaving keeps theta's
+    memory order, so a coordinate-major (Fortran-order) theta stays
+    coordinate-major.  With backtrack each run halves its own step while it
+    would raise its loss, down to 1e-16 of the learning rate.
 
     observe(epoch, theta, values, grad_norms) runs before each epoch's
-    tests and sees only the runs not yet stopped.  Without observe the norms
-    are computed only at epochs where some run has every gradient entry below
-    grad_tol, which gives the same stops.
+    tests and sees only the runs not yet stopped; the norms are then computed
+    every epoch.  Without observe an epoch reads one witness column of the
+    gradients, the one whose least |g| over the runs (NaN skipped) was largest
+    at the last full screen.  Only when some run's entry there is below
+    grad_tol does the epoch screen every entry and pick the column anew, and
+    only when some run has every entry below grad_tol does it compute the
+    norms.  That gives the same stops as computing every norm.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
     w = config.plateau_window
+    tol, rel = config.grad_tol, config.plateau_rel
     with np.errstate(over="ignore", invalid="ignore"):
         values, grads = value_and_grad(theta)
         n = len(values)
@@ -245,37 +251,47 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         stop_epoch = np.full(n, config.max_epochs)
         stop_reason = np.full(n, "max_epochs", dtype=object)
         runs = np.arange(n)  # the original index of each run still in the batch
-        limit = DIVERGE_FACTOR * np.maximum(1.0, np.abs(values))
+        # capped, so that an infinite loss exceeds it where the product overflows
+        limit = np.minimum(DIVERGE_FACTOR * np.maximum(1.0, np.abs(values)), np.finfo(float).max)
         # ring buffer over the last w + 1 epochs: the plateau test reads epoch - w
         history = np.empty((min(w, config.max_epochs) + 1, n))
+        depth = len(history)
         # A run with an entry |g| >= grad_tol has a norm >= grad_tol: its square is
         # normal while grad_tol >= 2**-511, so sqrt(fl(g * g)) == |g|, and rounding a
-        # sum of non-negative terms is monotone.  So without observe the norms are
-        # needed only at epochs where some run has every entry below grad_tol.
-        screen = observe is None and config.grad_tol >= 2.0 ** -511
+        # sum of non-negative terms is monotone.  A run with a NaN entry has a NaN
+        # norm.  So without observe no run converges at an epoch where each run's
+        # entry in column col is at least grad_tol or NaN, and the norms are needed
+        # only at epochs where some run has every entry below grad_tol.
+        screen = observe is None and tol >= 2.0 ** -511 and theta.shape[1] > 0
+        col = 0
 
         for epoch in range(config.max_epochs + 1):
-            history[epoch % len(history)] = values
+            history[epoch % depth] = values
+            converged = None  # None: no run converged
             if screen:
-                # boolean reductions are exact in any order; a NaN entry is not below
-                converged = np.logical_and.reduce(np.abs(grads) < config.grad_tol, axis=1)
-                if converged.any():
-                    converged = _grad_norms(grads) < config.grad_tol
+                if np.count_nonzero(np.abs(grads[:, col]) < tol):
+                    size = np.abs(grads)
+                    # boolean reductions are exact in any order; a NaN entry is not below
+                    if np.count_nonzero(np.logical_and.reduce(size < tol, axis=1)):
+                        converged = _grad_norms(grads) < tol
+                    # the column whose least |g| over the runs, NaN skipped, is largest
+                    col = np.fmin.reduce(size, axis=0).argmax()
             else:
                 gnorm = _grad_norms(grads)
                 if observe is not None:
                     observe(epoch, theta, values, gnorm)
-                converged = gnorm < config.grad_tol
-            diverged = ~np.isfinite(values) | (values > limit)
-            stop = diverged | converged
+                converged = gnorm < tol
+            diverged = ~(np.abs(values) <= limit)
+            stop = diverged if converged is None else diverged | converged
             plateau = None
             if epoch > w:
-                past = history[(epoch - w) % len(history)]
-                plateau = past - values <= config.plateau_rel * np.maximum(1.0, np.abs(past))
-                stop |= plateau
+                past = history[(epoch - w) % depth]
+                plateau = past - values <= rel * np.maximum(1.0, np.abs(past))
+                stop = stop | plateau  # not in place: stop may be diverged itself
             if epoch == config.max_epochs:
-                stop[:] = True
-            if stop.any():
+                stop = np.ones_like(stop)
+            stopped = np.count_nonzero(stop)
+            if stopped:
                 # later writes win, so a run keeps the first reason that holds for it
                 for reason, hit in (("plateau", plateau), ("converged_grad", converged),
                                     ("diverged", diverged)):
@@ -284,7 +300,7 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 stop_epoch[runs[stop]] = epoch
                 out_values[runs[stop]] = values[stop]
                 out_theta[runs[stop]] = theta[stop]
-                if stop.all():
+                if stopped == len(stop):
                     break
                 keep = ~stop
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]

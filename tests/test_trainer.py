@@ -425,6 +425,13 @@ def quadratic_objective(dim=3):
     )
 
 
+def test_run_trials_without_coordinates_converge_at_once():
+    # an empty gradient has norm 0, and the screen has no column to read
+    stats = run_trials(quadratic_objective(dim=0), 3, TrainConfig(max_epochs=5))
+    assert stats.epochs.tolist() == [0, 0, 0]
+    assert stats.labels == ("near",) * 3
+
+
 def test_run_trials_quadratic_all_converge():
     stats = run_trials(quadratic_objective(), 6,
                        TrainConfig(learning_rate=0.1, max_epochs=2000, seed=0))
@@ -744,9 +751,10 @@ def gradient_scripts(draw):
 @settings(max_examples=150, deadline=None)
 @given(gradient_scripts())
 def test_descend_grad_screen_is_exact(script):
-    # without observe, _descend computes gradient norms only when some run
-    # has every entry below grad_tol; a no-op observe forces the norms at
-    # every epoch, and both must stop each run alike
+    # without observe, _descend reads every entry only when some run's entry
+    # in its witness column is below grad_tol, and computes gradient norms
+    # only when some run has every entry below; a no-op observe forces the
+    # norms at every epoch, and both must stop each run alike
     from sparseland.trainer import _descend
 
     grads, values, config = script
@@ -760,6 +768,94 @@ def test_descend_grad_screen_is_exact(script):
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
     assert screened[0].tobytes() == exact[0].tobytes()
+
+
+# Scripts for scripted_objective at grad_tol 1e-3: one string per epoch, one
+# word per run, one letter per scripted coordinate: B (1.0, above grad_tol),
+# s (1e-4, below) or n (NaN).  Coordinate 0's gradient is 0, so epoch 0 always
+# screens every entry and moves the witness column to coordinate 1.  Each case
+# gives the (stop epoch, reason) of each run and how often the screen computes
+# the norms.
+COLUMN_SCREEN_CASES = {
+    # run 0's witness entry drops below grad_tol at epoch 1: every entry is
+    # screened and the column moves to coordinate 2, and nothing stops; at
+    # epoch 3 every entry of run 0 is below, its witness entry too
+    "witness-entry-drops": (["BBB BBB", "sBB BBB", "sBB BBB", "sss BBB", "BBB BBB", "BBB BBB"],
+                            [(3, "converged_grad"), (5, "max_epochs")], 1),
+    "runs-converge": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB BBB sss",
+                       "BBB BBB BBB", "BBB BBB BBB"],
+                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 2),
+    # a NaN in the witness column reads as not below; the column is picked
+    # skipping NaN (epoch 2 picks coordinate 3), and a column of NaN alone is
+    # picked first (epoch 4), which leaves run 1's NaN norm unconverged
+    "nan-in-column": (["BBB BBB", "nss BBB", "nsB sBB", "sss BBB", "BBB sBn", "BBB ssn"],
+                      [(3, "converged_grad"), (5, "max_epochs")], 1),
+    # run 0 leaves the batch at epoch 1, and the column is picked again on the
+    # two runs left at epoch 3
+    "compacts-between-picks": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB sBB BBB",
+                                "BBB sss BBB", "BBB BBB BBB"],
+                               [(1, "converged_grad"), (4, "converged_grad"), (5, "max_epochs")],
+                               2),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_SCREEN_CASES.values(), ids=COLUMN_SCREEN_CASES.keys())
+def test_descend_witness_column_screen_is_exact(case, monkeypatch):
+    from sparseland import trainer
+
+    script, stops, norm_calls = case
+    letters = {"B": 1.0, "s": 1e-4, "n": np.nan}
+    grads = np.array([[[letters[c] for c in word] for word in line.split()] for line in script])
+    n_calls, n_runs, dim = grads.shape
+    values = np.ones((n_calls, n_runs))
+    config = TrainConfig(learning_rate=1.0, max_epochs=n_calls - 1, grad_tol=1e-3,
+                         plateau_rel=0.0, plateau_window=2)
+    theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
+    exact = trainer._descend(scripted_objective(grads, values), theta, config,
+                             lambda epoch, theta, values, gnorm: None)
+    norms = []
+    monkeypatch.setattr(trainer, "_grad_norms",
+                        lambda g: norms.append(len(g)) or np.sqrt(np.square(g).sum(axis=1)))
+    screened = trainer._descend(scripted_objective(grads, values), theta, config)
+    assert list(zip(screened[2].tolist(), screened[3])) == stops
+    assert len(norms) == norm_calls
+    assert screened[2].tolist() == exact[2].tolist()
+    assert list(screened[3]) == list(exact[3])
+    assert screened[1].tobytes() == exact[1].tobytes()
+    assert screened[0].tobytes() == exact[0].tobytes()
+
+
+def test_descend_diverged_is_a_loss_beyond_the_limit_in_magnitude():
+    # the limit is DIVERGE_FACTOR times the start's magnitude, floored at 1 and
+    # capped at the largest float; a NaN loss, or one beyond the limit on either
+    # side, diverges
+    from sparseland.trainer import DIVERGE_FACTOR, _descend
+
+    inf, big = np.inf, np.finfo(float).max
+    limit = DIVERGE_FACTOR * 2.0
+    above = np.nextafter(limit, inf)
+    cases = [  # (start loss, loss at epoch 1, stop epoch, reason)
+        (2.0, np.nan, 1, "diverged"), (2.0, inf, 1, "diverged"), (2.0, -inf, 1, "diverged"),
+        (2.0, limit, 2, "max_epochs"), (2.0, above, 1, "diverged"),
+        (2.0, limit / 2, 2, "max_epochs"), (2.0, -limit, 2, "max_epochs"),
+        (2.0, -above, 1, "diverged"),
+        (inf, 1.0, 0, "diverged"), (1e300, inf, 1, "diverged"), (1e300, big, 2, "max_epochs"),
+    ]
+    script = np.array([[c[0] for c in cases], [c[1] for c in cases], [1.0] * len(cases)])
+
+    calls = []
+
+    def value_and_grad(theta):
+        # coordinate 0 holds the run's index and does not move
+        calls.append(None)
+        grad = np.ones_like(theta)
+        grad[:, 0] = 0.0
+        return script[len(calls) - 1][theta[:, 0].astype(int)], grad
+
+    theta = np.column_stack([np.arange(len(cases), dtype=float), np.zeros(len(cases))])
+    config = TrainConfig(learning_rate=1.0, max_epochs=2, plateau_window=5)
+    _, _, stop_epoch, stop_reason = _descend(value_and_grad, theta, config)
+    assert list(zip(stop_epoch.tolist(), stop_reason)) == [c[2:] for c in cases]
 
 
 def test_trial_stats_json():
