@@ -17,13 +17,10 @@ from .activations import Activation, spec_number
 
 
 def _as_mask(mask, shape) -> np.ndarray:
-    """mask as a locked bool array: mask itself when it already is one that owns
-    its memory, else a locked copy; non-bool entries must be exactly 0 or 1."""
+    """A locked bool copy of mask; non-bool entries must be exactly 0 or 1."""
     m = np.asarray(mask)
     if m.shape != shape:
         raise ValueError(f"mask shape {m.shape} != weight shape {shape}")
-    if m.dtype == bool and not m.flags.writeable and m.base is None:
-        return m
     out = m.astype(bool)
     if m.dtype != bool and not np.array_equal(out, m):
         raise ValueError("mask entries must be 0/1")

@@ -234,10 +234,13 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     tests and sees only the runs not yet stopped; the norms are then computed
     every epoch.  Without observe an epoch reads one witness column of the
     gradients, the one whose least |g| over the runs (NaN skipped) was largest
-    at the last full screen.  Only when some run's entry there is below
-    grad_tol does the epoch screen every entry and pick the column anew, and
-    only when some run has every entry below grad_tol does it compute the
-    norms.  That gives the same stops as computing every norm.
+    when it was picked.  Only when some run's entry there is below grad_tol
+    does the epoch screen every entry and pick the column anew.  A pick whose
+    least |g| is below grad_tol (a dead relu unit gives exact zeros) leaves no
+    witness: every epoch then screens every entry, until runs leave the batch
+    and the witness is tried again.  Only when some run has every entry below
+    grad_tol does an epoch compute the norms.  That gives the same stops as
+    computing every norm.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
@@ -263,33 +266,38 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         # entry in column col is at least grad_tol or NaN, and the norms are needed
         # only at epochs where some run has every entry below grad_tol.
         screen = observe is None and tol >= 2.0 ** -511 and theta.shape[1] > 0
-        col = 0
+        col = 0  # the witness column; None while the last pick found none
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % depth] = values
-            converged = None  # None: no run converged
-            if screen:
-                if np.count_nonzero(np.abs(grads[:, col]) < tol):
-                    size = np.abs(grads)
-                    # boolean reductions are exact in any order; a NaN entry is not below
-                    if np.count_nonzero(np.logical_and.reduce(size < tol, axis=1)):
-                        converged = _grad_norms(grads) < tol
-                    # the column whose least |g| over the runs, NaN skipped, is largest
-                    col = np.fmin.reduce(size, axis=0).argmax()
-            else:
+            if not screen:
                 gnorm = _grad_norms(grads)
                 if observe is not None:
                     observe(epoch, theta, values, gnorm)
                 converged = gnorm < tol
+            elif col is not None and not np.count_nonzero(np.abs(grads[:, col]) < tol):
+                converged = np.zeros(len(values), dtype=bool)
+            else:
+                size = np.abs(grads)
+                # boolean reductions are exact in any order; a NaN entry is not below
+                converged = np.logical_and.reduce(size < tol, axis=1)
+                if np.count_nonzero(converged):
+                    converged = _grad_norms(grads) < tol
+                if col is not None:
+                    # the column whose least |g| over the runs, NaN skipped, is largest
+                    least = np.fmin.reduce(size, axis=0)
+                    col = least.argmax()
+                    if least[col] < tol:
+                        col = None
             diverged = ~(np.abs(values) <= limit)
-            stop = diverged if converged is None else diverged | converged
+            stop = diverged | converged
             plateau = None
             if epoch > w:
                 past = history[(epoch - w) % depth]
                 plateau = past - values <= rel * np.maximum(1.0, np.abs(past))
-                stop = stop | plateau  # not in place: stop may be diverged itself
+                stop |= plateau
             if epoch == config.max_epochs:
-                stop = np.ones_like(stop)
+                stop[:] = True
             stopped = np.count_nonzero(stop)
             if stopped:
                 # later writes win, so a run keeps the first reason that holds for it
@@ -303,6 +311,8 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 if stopped == len(stop):
                     break
                 keep = ~stop
+                if col is None:
+                    col = 0  # the runs that had no witness column may be the ones leaving
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
                 theta, grads = _rows(theta, keep), _rows(grads, keep)
 

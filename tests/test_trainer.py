@@ -772,30 +772,39 @@ def test_descend_grad_screen_is_exact(script):
 
 # Scripts for scripted_objective at grad_tol 1e-3: one string per epoch, one
 # word per run, one letter per scripted coordinate: B (1.0, above grad_tol),
-# s (1e-4, below) or n (NaN).  Coordinate 0's gradient is 0, so epoch 0 always
-# screens every entry and moves the witness column to coordinate 1.  Each case
-# gives the (stop epoch, reason) of each run and how often the screen computes
-# the norms.
+# s (1e-4, below) or n (NaN).  Coordinate 0's gradient is 0, so epoch 0, and
+# the first epoch after runs leave a batch that had no witness column, always
+# screen every entry and pick the column anew.  A run that converges has every
+# entry below, so the pick at its epoch finds no witness.  Each case gives the
+# (stop epoch, reason) of each run, how often the screen computes the norms
+# and how many epochs screen every entry.
 COLUMN_SCREEN_CASES = {
     # run 0's witness entry drops below grad_tol at epoch 1: every entry is
     # screened and the column moves to coordinate 2, and nothing stops; at
     # epoch 3 every entry of run 0 is below, its witness entry too
     "witness-entry-drops": (["BBB BBB", "sBB BBB", "sBB BBB", "sss BBB", "BBB BBB", "BBB BBB"],
-                            [(3, "converged_grad"), (5, "max_epochs")], 1),
+                            [(3, "converged_grad"), (5, "max_epochs")], 1, 4),
     "runs-converge": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB BBB sss",
                        "BBB BBB BBB", "BBB BBB BBB"],
-                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 2),
+                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 2, 5),
     # a NaN in the witness column reads as not below; the column is picked
     # skipping NaN (epoch 2 picks coordinate 3), and a column of NaN alone is
     # picked first (epoch 4), which leaves run 1's NaN norm unconverged
     "nan-in-column": (["BBB BBB", "nss BBB", "nsB sBB", "sss BBB", "BBB sBn", "BBB ssn"],
-                      [(3, "converged_grad"), (5, "max_epochs")], 1),
-    # run 0 leaves the batch at epoch 1, and the column is picked again on the
-    # two runs left at epoch 3
+                      [(3, "converged_grad"), (5, "max_epochs")], 1, 4),
+    # run 0 leaves the batch at epoch 1, and the column is picked on the two
+    # runs left at epoch 2, and again at epoch 3 when run 1's entry drops
     "compacts-between-picks": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB sBB BBB",
                                 "BBB sss BBB", "BBB BBB BBB"],
                                [(1, "converged_grad"), (4, "converged_grad"), (5, "max_epochs")],
-                               2),
+                               2, 6),
+    # each column holds an entry below grad_tol at epoch 0, so there is no
+    # witness and epochs 1 and 2 screen every entry, which stops run 0 at
+    # epoch 2; once it has left, epoch 3 picks coordinate 1 and the witness
+    # holds from then on
+    "no-witness-column": (["sBB BsB BBs", "sBB BsB BBs", "sss BsB BBs", "BBB BBB BBB",
+                           "BBB BBB BBB", "BBB BBB BBB"],
+                          [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 1, 4),
 }
 
 
@@ -803,7 +812,7 @@ COLUMN_SCREEN_CASES = {
 def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     from sparseland import trainer
 
-    script, stops, norm_calls = case
+    script, stops, norm_calls, full_screens = case
     letters = {"B": 1.0, "s": 1e-4, "n": np.nan}
     grads = np.array([[[letters[c] for c in word] for word in line.split()] for line in script])
     n_calls, n_runs, dim = grads.shape
@@ -813,12 +822,24 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
     exact = trainer._descend(scripted_objective(grads, values), theta, config,
                              lambda epoch, theta, values, gnorm: None)
-    norms = []
+    norms, screens = [], []
+
+    class Numpy:  # trainer's numpy, counting the screens of every entry
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        class logical_and:
+            @staticmethod
+            def reduce(a, **kwargs):
+                screens.append(len(a))
+                return np.logical_and.reduce(a, **kwargs)
+
+    monkeypatch.setattr(trainer, "np", Numpy())
     monkeypatch.setattr(trainer, "_grad_norms",
                         lambda g: norms.append(len(g)) or np.sqrt(np.square(g).sum(axis=1)))
     screened = trainer._descend(scripted_objective(grads, values), theta, config)
     assert list(zip(screened[2].tolist(), screened[3])) == stops
-    assert len(norms) == norm_calls
+    assert (len(norms), len(screens)) == (norm_calls, full_screens)
     assert screened[2].tolist() == exact[2].tolist()
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
