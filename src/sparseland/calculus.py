@@ -6,8 +6,10 @@ objective
     L(U, W) = 0.5 * || sum_i U_i W_i Z_i  -  Y ||_F^2
 
 for any number of groups, any group widths and any output dimension; that
-is where the interesting certified points live.  Other losses use finite
-differences plus direct loss probes.
+is where the interesting certified points live.  Finite differences
+(fd_gradient, fd_hessian) cross-check derivatives; classify_stationary
+takes a loss's gradient and Hessian from its caller and adds direct loss
+probes.
 
 Losses broadcast over leading axes: a flat parameter vector (P,) gives a
 scalar and a stack (..., P) gives shape (...), so the probes of a
@@ -218,8 +220,8 @@ class StationaryReport:
 def classify_stationary(
     loss_fn,
     point: np.ndarray,
-    grad_fn=None,
-    hessian_fn=None,
+    grad_fn,
+    hessian_fn,
     n_probes: int = 500,
     seed: int = 0,
 ) -> StationaryReport:
@@ -227,8 +229,9 @@ def classify_stationary(
 
     ``loss_fn`` must broadcast: it maps a point (P,) to a scalar and a
     stack of points (K, P) to their K losses, shape (K,); any other result
-    shape raises ValueError.  Gradient/Hessian default to finite
-    differences of ``loss_fn``.  Probes evaluate the loss directly along
+    shape raises ValueError.  ``grad_fn`` and ``hessian_fn`` give the
+    gradient and Hessian at a point (fd_gradient and fd_hessian take them
+    by finite differences).  Probes evaluate the loss directly along
     random unit directions and along the numerical kernel of the Hessian
     (where flat quadratics hide quartic behavior), each at radii
     {PROBE_RADIUS, PROBE_RADIUS/10}, in blocks of at most PROBE_BLOCK points
@@ -239,9 +242,8 @@ def classify_stationary(
     """
     x0 = np.asarray(point, dtype=float)
     f0 = float(loss_fn(x0))
-    g = np.asarray(grad_fn(x0), dtype=float) if grad_fn is not None else fd_gradient(loss_fn, x0)
-    grad_norm = float(np.linalg.norm(g))
-    H = np.asarray(hessian_fn(x0), dtype=float) if hessian_fn is not None else fd_hessian(loss_fn, x0)
+    grad_norm = float(np.linalg.norm(np.asarray(grad_fn(x0), dtype=float)))
+    H = np.asarray(hessian_fn(x0), dtype=float)
     evals, evecs = sym_eig(H)
 
     lam_scale = float(np.max(np.abs(evals))) if evals.size else 0.0

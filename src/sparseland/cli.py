@@ -2,19 +2,18 @@
 
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
-input error, including a ValueError raised by a handler (one `error:` line,
-no manifest).  A non-finite float in a payload is written as null.  Every
-run writes a JSON manifest (next to --out, or <command>.manifest.json in the
-working directory) from which `replay` reproduces the outputs
-bit-identically.  The SEED environment variable overrides --seed for every
-command that takes one; replay uses the seeds recorded in the manifest.
+input error, including a ValueError raised by a handler and an --out or
+manifest path that cannot be written (one `error:` line, no manifest).  A
+non-finite float in a payload is written as null.  Every run writes a JSON
+manifest (next to --out, or <command>.manifest.json in the working
+directory) from which `replay` reproduces the outputs bit-identically.  The
+SEED environment variable overrides --seed for every command that takes
+one; replay uses the seeds recorded in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import re
@@ -23,9 +22,10 @@ from pathlib import Path
 
 from . import __version__
 
-# Numerical modules load inside the handlers, so --version, --help and usage
-# errors import no numpy.  These copies of activations.KINDS, convmodes.MODES
-# and counterexamples.STRICT_Y build the parser; a test pins them to the originals.
+# Numerical modules, hashlib and json load where they are first used, so
+# --version, --help and usage errors import none of them.  These copies of
+# activations.KINDS, convmodes.MODES and counterexamples.STRICT_Y build the
+# parser; a test pins them to the originals.
 KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigmoid",
          "softplus", "polynomial")
 MODES = ("full", "same", "valid")
@@ -39,10 +39,14 @@ VERIFY_READS = {"sd-minimum": (), "ss-valley": ("activation", "y", "radius"),
 
 
 def _sha256(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _payload_digest(payload: dict) -> str:
+    import json
+
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
@@ -121,6 +125,9 @@ def _load_net_spec(args):
     """Parse the --spec network JSON file, and record the path and SHA-256 of
     the bytes parsed as args.inputs["spec"]; a ValueError names the file and
     what is wrong with it."""
+    import hashlib
+    import json
+
     from .network import net_from_json
 
     path = args.spec
@@ -413,9 +420,21 @@ def _run(handler, args):
     """(exit code, payload, primary text, summary lines) of a handler: the
     payload holds no non-finite float, and the primary text is the artifact,
     or the payload's JSON when there is none."""
+    import json
+
     code, payload, primary, lines = handler(args)
     payload = _finite_json(payload)
     return code, payload, primary if primary is not None else json.dumps(payload, indent=2), lines
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path, making its directory; a path that cannot be
+    written is a ValueError, so that it exits 2 like any bad input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}")
 
 
 def _environment() -> dict:
@@ -454,6 +473,8 @@ def _reparse(action, value):
 
 
 def cmd_replay(args):
+    import json
+
     try:
         manifest = json.loads(Path(args.manifest_path).read_text())
         if not isinstance(manifest, dict):
@@ -513,7 +534,7 @@ def cmd_replay(args):
         if inputs:
             lines.append("input differs from the recorded run: " + ", ".join(inputs))
     if args.out:
-        Path(args.out).write_text(primary_text)
+        _write_text(Path(args.out), primary_text)
         lines.append(f"wrote {args.out}")
     return (0 if match else 1), out_payload, None, lines
 
@@ -630,38 +651,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
-
-    if "SEED" in os.environ and hasattr(args, "seed"):
-        text = os.environ["SEED"]
-        try:
-            args.seed = _int_at_least(0)(text)
-        except argparse.ArgumentTypeError:
-            print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
-            return 2
-
-    args.inputs = {}
-    try:
-        code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
-                                                  else HANDLERS[command], args)
-    except ValueError as e:  # ConstructionError included: bad input, not a falsification
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if command == "replay":
-        print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
-        return code
+def _write_outputs(args, code: int, payload: dict, primary_text: str) -> None:
+    """Write the artifact to --out, when given, and then the run's manifest."""
+    import json
 
     out_path = Path(args.out) if args.out else None
     if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(primary_text)
-
+        _write_text(out_path, primary_text)
     config = {k: (list(v) if isinstance(v, tuple) else v)
               for k, v in vars(args).items() if k not in _NON_CONFIG}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -677,9 +677,33 @@ def main(argv=None) -> int:
         "exit_code": code,
     }
     manifest_path = (Path(str(out_path) + ".manifest.json") if out_path
-                     else Path(f"{command}.manifest.json"))
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+                     else Path(f"{args.command}.manifest.json"))
+    _write_text(manifest_path, json.dumps(manifest, indent=2))
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    command = args.command
+
+    if "SEED" in os.environ and hasattr(args, "seed"):
+        text = os.environ["SEED"]
+        try:
+            args.seed = _int_at_least(0)(text)
+        except argparse.ArgumentTypeError:
+            print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
+            return 2
+
+    import json
+
+    args.inputs = {}
+    try:
+        code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
+                                                  else HANDLERS[command], args)
+        if command != "replay":
+            _write_outputs(args, code, payload, primary_text)
+    except ValueError as e:  # ConstructionError included: bad input, not a falsification
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
     return code
 

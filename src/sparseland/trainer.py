@@ -180,7 +180,6 @@ def _chain_grads(net: SparseNet, X: np.ndarray, Y: np.ndarray):
 @dataclass(frozen=True)
 class TrainTrace:
     losses: np.ndarray              # per epoch, including epoch 0
-    grad_norms: np.ndarray
     net: SparseNet                  # final parameters
     stop_reason: str                # converged_grad | plateau | max_epochs | diverged
     ranks: tuple = ()               # ((epoch, (rank_h1, ...)), ...); None: not finite
@@ -230,17 +229,18 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     coordinate-major.  With backtrack each run halves its own step while it
     would raise its loss, down to 1e-16 of the learning rate.
 
-    observe(epoch, theta, values, grad_norms) runs before each epoch's
-    tests and sees only the runs not yet stopped; the norms are then computed
-    every epoch.  Without observe an epoch reads one witness column of the
-    gradients, the one whose least |g| over the runs (NaN skipped) was largest
-    when it was picked.  Only when some run's entry there is below grad_tol
-    does the epoch screen every entry and pick the column anew.  A pick whose
-    least |g| is below grad_tol (a dead relu unit gives exact zeros) leaves no
-    witness: every epoch then screens every entry, until runs leave the batch
-    and the witness is tried again.  Only when some run has every entry below
-    grad_tol does an epoch compute the norms.  That gives the same stops as
-    computing every norm.
+    observe(epoch, theta, values) runs before each epoch's tests and sees
+    only the runs not yet stopped; it must not write to them, and no step or
+    stop depends on whether it is given.  An epoch reads one witness column
+    of the gradients, the one whose least |g| over the runs (NaN skipped)
+    was largest when it was picked.  Only when some run's entry there is
+    below grad_tol does the epoch screen every entry and pick the column
+    anew.  A pick whose least |g| is below grad_tol (a dead relu unit gives
+    exact zeros) leaves no witness: every epoch then screens every entry,
+    until runs leave the batch and the witness is tried again.  Only when
+    some run has every entry below grad_tol does an epoch compute the norms.
+    That gives the same stops as computing every norm, which every epoch
+    does while grad_tol < 2**-511 or a run has no parameters.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
@@ -262,19 +262,18 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         # A run with an entry |g| >= grad_tol has a norm >= grad_tol: its square is
         # normal while grad_tol >= 2**-511, so sqrt(fl(g * g)) == |g|, and rounding a
         # sum of non-negative terms is monotone.  A run with a NaN entry has a NaN
-        # norm.  So without observe no run converges at an epoch where each run's
-        # entry in column col is at least grad_tol or NaN, and the norms are needed
-        # only at epochs where some run has every entry below grad_tol.
-        screen = observe is None and tol >= 2.0 ** -511 and theta.shape[1] > 0
+        # norm.  So no run converges at an epoch where each run's entry in column
+        # col is at least grad_tol or NaN, and the norms are needed only at epochs
+        # where some run has every entry below grad_tol.
+        screen = tol >= 2.0 ** -511 and theta.shape[1] > 0
         col = 0  # the witness column; None while the last pick found none
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % depth] = values
+            if observe is not None:
+                observe(epoch, theta, values)
             if not screen:
-                gnorm = _grad_norms(grads)
-                if observe is not None:
-                    observe(epoch, theta, values, gnorm)
-                converged = gnorm < tol
+                converged = _grad_norms(grads) < tol
             elif col is not None and not np.count_nonzero(np.abs(grads[:, col]) < tol):
                 converged = np.zeros(len(values), dtype=bool)
             else:
@@ -356,11 +355,10 @@ def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
         grad, value = grad_net(net.with_theta(theta[0]), X, Y)
         return np.array([value]), grad[None]
 
-    losses, grad_norms, ranks = [], [], []
+    losses, ranks = [], []
 
-    def observe(epoch, theta, values, gnorm):
+    def observe(epoch, theta, values):
         losses.append(values[0])
-        grad_norms.append(gnorm[0])
         if config.rank_every and epoch % config.rank_every == 0:
             out, hiddens = forward(net.with_theta(theta[0]), X)
             # a layer whose output is not finite has no measured rank
@@ -368,10 +366,8 @@ def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
                                        for h in (*hiddens, out))))
 
     theta, _, _, stop_reason = _descend(value_and_grad, net.theta[None], config, observe)
-    return TrainTrace(
-        losses=np.asarray(losses), grad_norms=np.asarray(grad_norms),
-        net=net.with_theta(theta[0]), stop_reason=stop_reason[0], ranks=tuple(ranks),
-    )
+    return TrainTrace(losses=np.asarray(losses), net=net.with_theta(theta[0]),
+                      stop_reason=stop_reason[0], ranks=tuple(ranks))
 
 
 # ---------------------------------------------------------------------------

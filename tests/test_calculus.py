@@ -204,49 +204,58 @@ def test_sym_eig_symmetry_scale_is_the_largest_finite_entry():
 # stationary-point classification on known landscapes
 # ---------------------------------------------------------------------------
 
+def fd_derivatives(f):
+    """(grad_fn, hessian_fn) of f by central differences."""
+    return (lambda x: fd_gradient(f, x)), (lambda x: fd_hessian(f, x))
+
+
 def test_classify_pd_quadratic_is_strict():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    rep = classify_stationary(lambda x: np.einsum("...i,ij,...j->...", x, A, x), np.zeros(2))
+    f = lambda x: np.einsum("...i,ij,...j->...", x, A, x)
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
     assert rep.min_probe == "strict_local_min"
     assert rep.grad_norm < 1e-8
     assert rep.null_basis.shape[1] == 0
 
 
 def test_classify_saddle():
-    rep = classify_stationary(lambda x: x[..., 0] ** 2 - x[..., 1] ** 2, np.zeros(2))
+    f = lambda x: x[..., 0] ** 2 - x[..., 1] ** 2
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_flat_is_nonstrict():
-    rep = classify_stationary(lambda x: np.zeros(x.shape[:-1]), np.zeros(3))
+    f = lambda x: np.zeros(x.shape[:-1])
+    rep = classify_stationary(f, np.zeros(3), *fd_derivatives(f))
     assert rep.min_probe == "local_min_nonstrict"
 
 
 def test_classify_quartic_needs_probes():
     # exact Hessian is zero here; only the kernel probes see the strict growth
-    rep = classify_stationary(
-        lambda x: np.sum(x ** 4, axis=-1),
-        np.zeros(2),
-        hessian_fn=lambda x: np.zeros((2, 2)),
-    )
+    f = lambda x: np.sum(x ** 4, axis=-1)
+    rep = classify_stationary(f, np.zeros(2), grad_fn=lambda x: fd_gradient(f, x),
+                              hessian_fn=lambda x: np.zeros((2, 2)))
     assert rep.min_probe == "strict_local_min"
     assert rep.probe_evidence["null_dim"] == 2
 
 
 def test_classify_quartic_saddle_via_kernel_probe():
     # PSD Hessian diag(2, 0), but the flat direction falls off quartically
-    rep = classify_stationary(lambda x: x[..., 0] ** 2 - x[..., 1] ** 4, np.zeros(2))
+    f = lambda x: x[..., 0] ** 2 - x[..., 1] ** 4
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_nonstationary_is_inconclusive():
-    rep = classify_stationary(lambda x: x[..., 0], np.zeros(2))
+    f = lambda x: x[..., 0]
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
     assert rep.min_probe == "inconclusive"
     assert rep.grad_norm > 0.5
 
 
 def test_report_json():
-    rep = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2))
+    f = lambda x: np.sum(x * x, axis=-1)
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
     blob = json.loads(json.dumps(rep.to_json()))
     assert blob["min_probe"] == "strict_local_min"
     assert len(blob["eigenvalues"]) == 2
@@ -267,12 +276,10 @@ def test_classify_uses_supplied_derivatives():
 
 def test_classify_rejects_batch_collapsing_loss():
     # summing the whole (K, P) probe stack to one number must not certify
+    f = lambda x: float(np.sum(x ** 4))
     with pytest.raises(ValueError, match=r"expected \(\d+,\)"):
-        classify_stationary(
-            lambda x: float(np.sum(x ** 4)),
-            np.zeros(2),
-            hessian_fn=lambda x: np.zeros((2, 2)),
-        )
+        classify_stationary(f, np.zeros(2), grad_fn=lambda x: fd_gradient(f, x),
+                            hessian_fn=lambda x: np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("n_probes", [1, 7, 500, 2 * PROBE_BLOCK + 3])

@@ -608,6 +608,34 @@ def test_empty_spec_is_a_file_that_cannot_be_read(workdir, capsys, argv):
     assert list(workdir.iterdir()) == []
 
 
+CONV_RANK = ["conv-rank", "--mode", "same", "--d", "3", "--kernel", "1"]
+
+
+@pytest.mark.parametrize("argv,path,reason", [
+    (CONV_RANK + ["--out", "."], ".", "Is a directory"),
+    (["path", "--cond", "1", "--out", "afile/x.csv"], "afile/x.csv", "File exists"),
+    (CONV_RANK + ["--out", "v.json"], "v.json.manifest.json", "Is a directory"),
+], ids=["out-is-a-directory", "out-under-a-file", "manifest-is-a-directory"])
+def test_an_output_that_cannot_be_written_is_a_usage_error(workdir, capsys, argv, path, reason):
+    # after the whole run, exit 2 with one line, not a traceback with exit 1
+    # ("falsified"), and no manifest
+    (workdir / "afile").write_text("")
+    (workdir / "v.json.manifest.json").mkdir()
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith(f"error: cannot write {path}: ") and cap.err.count("\n") == 1
+    assert reason in cap.err
+    assert not [p for p in workdir.iterdir() if p.is_file() and p.name.endswith("manifest.json")]
+
+
+def test_replay_out_that_cannot_be_written_is_a_usage_error(workdir, capsys):
+    run_cli(CONV_RANK, capsys)
+    code, cap = run_cli(["replay", "conv-rank.manifest.json", "--out", "."], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: cannot write .: ") and cap.err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == ["conv-rank.manifest.json"]
+
+
 @pytest.mark.parametrize("bad", [2, 0.5, -1])
 @pytest.mark.parametrize("key", ["mask", "bias_mask"])
 def test_spec_masks_must_hold_zero_or_one(workdir, capsys, key, bad):

@@ -32,6 +32,7 @@ from sparseland.counterexamples import EXPERIMENT_Y
 from sparseland.trainer import STREAMS, stream
 
 from fd_oracle import grad_fd
+from stop_oracle import reference_descend
 
 
 def small_net(seed=0, act=None, biases=True):
@@ -287,7 +288,6 @@ def test_train_deterministic():
     t1 = gd_train(net, X, Y, cfg)
     t2 = gd_train(net, X, Y, cfg)
     assert np.array_equal(t1.losses, t2.losses)
-    assert np.array_equal(t1.grad_norms, t2.grad_norms)
     for a, b in zip(t1.net.layers, t2.net.layers):
         assert np.array_equal(a.weights, b.weights)
 
@@ -320,7 +320,6 @@ def test_train_plateau_stop_epoch():
     trace = gd_train(zero, X, Y, cfg)
     assert trace.stop_reason == "plateau"
     assert trace.epochs == 6
-    assert np.all(trace.grad_norms == 0.0)
 
 
 def test_init_net_bounds_and_kept_weights():
@@ -619,18 +618,17 @@ def test_descend_keeps_the_memory_order_of_params(order):
 
 def test_descend_grad_norms_do_not_depend_on_memory_order():
     # a row sum in another order can move the last bit of a norm, and with
-    # it a converged_grad stop
-    from sparseland.trainer import _descend
+    # it a converged_grad stop; coordinate-major valley gradients are summed
+    # as row-major ones
+    from sparseland.trainer import _grad_norms
 
     inst = valley_instance(EXPERIMENT_Y)
     theta = np.random.default_rng(2).uniform(-2, 2, size=(200, 8))
-    norms = {}
-    for order in "CF":
-        seen = norms[order] = []
-        _descend(lambda th: (inst.loss(th), inst.grad(th)),
-                 np.asarray(theta, order=order), TrainConfig(max_epochs=20),
-                 lambda epoch, theta, values, gnorm: seen.append(gnorm.tobytes()))
-    assert norms["F"] == norms["C"]
+    grads = inst.grad(np.asfortranarray(theta))
+    assert grads.flags.f_contiguous
+    by_rows = np.sqrt(np.square(np.ascontiguousarray(grads)).sum(axis=1))
+    assert _grad_norms(grads).tobytes() == by_rows.tobytes()
+    assert _grad_norms(np.ascontiguousarray(grads)).tobytes() == by_rows.tobytes()
 
 
 def counting_valley_objective(inst, calls):
@@ -751,10 +749,10 @@ def gradient_scripts(draw):
 @settings(max_examples=150, deadline=None)
 @given(gradient_scripts())
 def test_descend_grad_screen_is_exact(script):
-    # without observe, _descend reads every entry only when some run's entry
-    # in its witness column is below grad_tol, and computes gradient norms
-    # only when some run has every entry below; a no-op observe forces the
-    # norms at every epoch, and both must stop each run alike
+    # _descend reads every entry only when some run's entry in its witness
+    # column is below grad_tol, and computes gradient norms only when some
+    # run has every entry below; the reference computes every norm at every
+    # epoch, and both must stop each run alike
     from sparseland.trainer import _descend
 
     grads, values, config = script
@@ -762,8 +760,7 @@ def test_descend_grad_screen_is_exact(script):
     theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
     with np.errstate(invalid="ignore", over="ignore"):
         screened = _descend(scripted_objective(grads, values), theta, config)
-        exact = _descend(scripted_objective(grads, values), theta, config,
-                         lambda epoch, theta, values, gnorm: None)
+        exact = reference_descend(scripted_objective(grads, values), theta, config)
     assert screened[2].tolist() == exact[2].tolist()
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
@@ -820,8 +817,7 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     config = TrainConfig(learning_rate=1.0, max_epochs=n_calls - 1, grad_tol=1e-3,
                          plateau_rel=0.0, plateau_window=2)
     theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
-    exact = trainer._descend(scripted_objective(grads, values), theta, config,
-                             lambda epoch, theta, values, gnorm: None)
+    exact = reference_descend(scripted_objective(grads, values), theta, config)
     norms, screens = [], []
 
     class Numpy:  # trainer's numpy, counting the screens of every entry
@@ -844,6 +840,42 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
     assert screened[0].tobytes() == exact[0].tobytes()
+
+
+@pytest.mark.parametrize("batch", ["mixed", "valley"])
+def test_descend_observer_changes_nothing(batch, monkeypatch):
+    # observe sees each epoch's moving runs, and the screen, the norms it
+    # computes and every stop are those of the same descent without it
+    from sparseland import trainer
+
+    if batch == "mixed":
+        value_and_grad, theta = mixed_stop_objective(MIXED_ROWS)
+        config = MIXED_CONFIG
+    else:
+        obj = valley_trial_objective(valley_instance(EXPERIMENT_Y))
+        bounds = obj.init_bounds
+        theta = np.random.default_rng(4).uniform(-bounds, bounds, size=(200, len(bounds)))
+
+        def value_and_grad(theta):
+            g = obj.grad(theta)  # grad first, as run_trials calls them
+            return obj.loss(theta), g
+
+        config = STAGGERED
+    norms, grad_norms = [], trainer._grad_norms
+    monkeypatch.setattr(trainer, "_grad_norms", lambda g: norms.append(len(g)) or grad_norms(g))
+    plain = trainer._descend(value_and_grad, theta, config)
+    plain_norms = norms.copy()
+    norms.clear()
+    seen = []
+    observed = trainer._descend(value_and_grad, theta, config,
+                                lambda epoch, theta, values: seen.append((epoch, len(theta))))
+    assert norms == plain_norms
+    stop_epoch = plain[2]
+    assert seen == [(e, np.count_nonzero(stop_epoch >= e)) for e in range(stop_epoch.max() + 1)]
+    assert observed[2].tolist() == stop_epoch.tolist()
+    assert list(observed[3]) == list(plain[3])
+    assert observed[1].tobytes() == plain[1].tobytes()
+    assert observed[0].tobytes() == plain[0].tobytes()
 
 
 def test_descend_diverged_is_a_loss_beyond_the_limit_in_magnitude():
