@@ -3,7 +3,8 @@
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
 input error, including a ValueError raised by a handler and an --out or
-manifest path that cannot be written (one `error:` line, no manifest).  A
+manifest path that cannot be written (one `error:` line, no manifest, no
+artifact).  A
 non-finite float in a payload is written as null.  Every run writes a JSON
 manifest (next to --out, or <command>.manifest.json in the working
 directory) from which `replay` reproduces the outputs bit-identically.  The
@@ -14,6 +15,8 @@ one; replay uses the seeds recorded in the manifest.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import math
 import os
 import re
@@ -22,10 +25,9 @@ from pathlib import Path
 
 from . import __version__
 
-# Numerical modules, hashlib and json load where they are first used, so
-# --version, --help and usage errors import none of them.  These copies of
-# activations.KINDS, convmodes.MODES and counterexamples.STRICT_Y build the
-# parser; a test pins them to the originals.
+# Numerical modules load inside the handlers, so --version, --help and usage
+# errors import no numpy.  These copies of activations.KINDS, convmodes.MODES
+# and counterexamples.STRICT_Y build the parser; a test pins them to the originals.
 KINDS = ("linear", "relu", "leaky_relu", "elu", "tanh", "sigmoid", "shifted_sigmoid",
          "softplus", "polynomial")
 MODES = ("full", "same", "valid")
@@ -39,14 +41,10 @@ VERIFY_READS = {"sd-minimum": (), "ss-valley": ("activation", "y", "radius"),
 
 
 def _sha256(text: str) -> str:
-    import hashlib
-
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _payload_digest(payload: dict) -> str:
-    import json
-
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
@@ -125,9 +123,6 @@ def _load_net_spec(args):
     """Parse the --spec network JSON file, and record the path and SHA-256 of
     the bytes parsed as args.inputs["spec"]; a ValueError names the file and
     what is wrong with it."""
-    import hashlib
-    import json
-
     from .network import net_from_json
 
     path = args.spec
@@ -420,8 +415,6 @@ def _run(handler, args):
     """(exit code, payload, primary text, summary lines) of a handler: the
     payload holds no non-finite float, and the primary text is the artifact,
     or the payload's JSON when there is none."""
-    import json
-
     code, payload, primary, lines = handler(args)
     payload = _finite_json(payload)
     return code, payload, primary if primary is not None else json.dumps(payload, indent=2), lines
@@ -473,8 +466,6 @@ def _reparse(action, value):
 
 
 def cmd_replay(args):
-    import json
-
     try:
         manifest = json.loads(Path(args.manifest_path).read_text())
         if not isinstance(manifest, dict):
@@ -652,9 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(args, code: int, payload: dict, primary_text: str) -> None:
-    """Write the artifact to --out, when given, and then the run's manifest."""
-    import json
-
+    """Write the artifact to --out, when given, and then the run's manifest;
+    an artifact whose manifest cannot be written is removed."""
     out_path = Path(args.out) if args.out else None
     if out_path is not None:
         _write_text(out_path, primary_text)
@@ -678,7 +668,12 @@ def _write_outputs(args, code: int, payload: dict, primary_text: str) -> None:
     }
     manifest_path = (Path(str(out_path) + ".manifest.json") if out_path
                      else Path(f"{args.command}.manifest.json"))
-    _write_text(manifest_path, json.dumps(manifest, indent=2))
+    try:
+        _write_text(manifest_path, json.dumps(manifest, indent=2))
+    except ValueError:
+        if out_path is not None:
+            out_path.unlink()
+        raise
 
 
 def main(argv=None) -> int:
@@ -692,8 +687,6 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError:
             print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
             return 2
-
-    import json
 
     args.inputs = {}
     try:

@@ -236,11 +236,12 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     was largest when it was picked.  Only when some run's entry there is
     below grad_tol does the epoch screen every entry and pick the column
     anew.  A pick whose least |g| is below grad_tol (a dead relu unit gives
-    exact zeros) leaves no witness: every epoch then screens every entry,
-    until runs leave the batch and the witness is tried again.  Only when
-    some run has every entry below grad_tol does an epoch compute the norms.
-    That gives the same stops as computing every norm, which every epoch
-    does while grad_tol < 2**-511 or a run has no parameters.
+    exact zeros) leaves no witness, and every epoch screens every entry; a
+    screen that finds a run with every entry below grad_tol computes the
+    norms, and then so does every epoch, without the screen.  Either lasts
+    until runs leave the batch and the witness is tried again.  That gives
+    the same stops as computing every norm, which every epoch does while
+    grad_tol < 2**-511 or a run has no parameters.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
@@ -265,8 +266,8 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         # norm.  So no run converges at an epoch where each run's entry in column
         # col is at least grad_tol or NaN, and the norms are needed only at epochs
         # where some run has every entry below grad_tol.
-        screen = tol >= 2.0 ** -511 and theta.shape[1] > 0
-        col = 0  # the witness column; None while the last pick found none
+        exact = tol >= 2.0 ** -511 and theta.shape[1] > 0
+        screen, col = exact, 0  # col: the witness column; None while there is none
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % depth] = values
@@ -282,7 +283,8 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 converged = np.logical_and.reduce(size < tol, axis=1)
                 if np.count_nonzero(converged):
                     converged = _grad_norms(grads) < tol
-                if col is not None:
+                    screen, col = False, None
+                elif col is not None:
                     # the column whose least |g| over the runs, NaN skipped, is largest
                     least = np.fmin.reduce(size, axis=0)
                     col = least.argmax()
@@ -310,8 +312,8 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 if stopped == len(stop):
                     break
                 keep = ~stop
-                if col is None:
-                    col = 0  # the runs that had no witness column may be the ones leaving
+                if col is None:  # the runs that had no witness column may be the ones leaving
+                    screen, col = exact, 0
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
                 theta, grads = _rows(theta, keep), _rows(grads, keep)
 

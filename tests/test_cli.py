@@ -618,14 +618,14 @@ CONV_RANK = ["conv-rank", "--mode", "same", "--d", "3", "--kernel", "1"]
 ], ids=["out-is-a-directory", "out-under-a-file", "manifest-is-a-directory"])
 def test_an_output_that_cannot_be_written_is_a_usage_error(workdir, capsys, argv, path, reason):
     # after the whole run, exit 2 with one line, not a traceback with exit 1
-    # ("falsified"), and no manifest
+    # ("falsified"), and write neither a manifest nor an artifact
     (workdir / "afile").write_text("")
     (workdir / "v.json.manifest.json").mkdir()
     code, cap = run_cli(argv, capsys)
     assert code == 2 and cap.out == ""
     assert cap.err.startswith(f"error: cannot write {path}: ") and cap.err.count("\n") == 1
     assert reason in cap.err
-    assert not [p for p in workdir.iterdir() if p.is_file() and p.name.endswith("manifest.json")]
+    assert [p.name for p in workdir.iterdir() if p.is_file()] == ["afile"]
 
 
 def test_replay_out_that_cannot_be_written_is_a_usage_error(workdir, capsys):

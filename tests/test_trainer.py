@@ -769,12 +769,14 @@ def test_descend_grad_screen_is_exact(script):
 
 # Scripts for scripted_objective at grad_tol 1e-3: one string per epoch, one
 # word per run, one letter per scripted coordinate: B (1.0, above grad_tol),
-# s (1e-4, below) or n (NaN).  Coordinate 0's gradient is 0, so epoch 0, and
-# the first epoch after runs leave a batch that had no witness column, always
-# screen every entry and pick the column anew.  A run that converges has every
-# entry below, so the pick at its epoch finds no witness.  Each case gives the
-# (stop epoch, reason) of each run, how often the screen computes the norms
-# and how many epochs screen every entry.
+# s (1e-4, below), m (6e-4, below, though four of them have a norm above) or
+# n (NaN).  Coordinate 0's gradient is 0, so epoch 0, and the first epoch
+# after runs leave a batch that had no witness column, always screen every
+# entry and pick the column anew.  A screen that finds a run with every entry
+# below computes the norms and picks no column, and later epochs compute the
+# norms alone until runs leave.  Each case gives the (stop epoch, reason) of
+# each run, how often the norms are computed and how many epochs screen
+# every entry.
 COLUMN_SCREEN_CASES = {
     # run 0's witness entry drops below grad_tol at epoch 1: every entry is
     # screened and the column moves to coordinate 2, and nothing stops; at
@@ -802,6 +804,15 @@ COLUMN_SCREEN_CASES = {
     "no-witness-column": (["sBB BsB BBs", "sBB BsB BBs", "sss BsB BBs", "BBB BBB BBB",
                            "BBB BBB BBB", "BBB BBB BBB"],
                           [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 1, 4),
+    # a lone run with every entry below grad_tol and its norm above: epoch 1
+    # screens and finds it, and epochs 2-5 compute its norm alone, as the
+    # norm pass did at every epoch before the screen
+    "one-run-below-entrywise": (["BBBB", "mmmm", "mmmm", "mmmm", "mmmm", "ssss"],
+                                [(5, "converged_grad")], 5, 2),
+    # the same in a batch: norms alone at epochs 2 and 3, until run 0 leaves;
+    # epoch 4 screens every entry and picks a witness for run 1
+    "batch-below-entrywise": (["BBBB BBBB", "mmmm BBBB", "mmmm BBBB", "ssss BBBB", "BBBB BBBB",
+                               "BBBB BBBB"], [(3, "converged_grad"), (5, "max_epochs")], 3, 3),
 }
 
 
@@ -810,7 +821,7 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     from sparseland import trainer
 
     script, stops, norm_calls, full_screens = case
-    letters = {"B": 1.0, "s": 1e-4, "n": np.nan}
+    letters = {"B": 1.0, "s": 1e-4, "m": 6e-4, "n": np.nan}
     grads = np.array([[[letters[c] for c in word] for word in line.split()] for line in script])
     n_calls, n_runs, dim = grads.shape
     values = np.ones((n_calls, n_runs))
