@@ -335,6 +335,12 @@ def valley_instance(y_values=STRICT_Y,
         valley_theta=valley_theta, escape_theta=escape_theta,
         constraints=constraints, Y=Y,
     )
+    for level in ("valley loss", "escape loss"):
+        try:
+            getattr(inst, level.replace(" ", "_"))
+        except OverflowError:  # a float ** raises where * would give inf
+            raise ConstructionError(f"valley construction needs a finite {level}, "
+                                    f"got an overflow at y = {inst.y}") from None
 
     problems = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below

@@ -231,17 +231,16 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
 
     observe(epoch, theta, values) runs before each epoch's tests and sees
     only the runs not yet stopped; it must not write to them, and no step or
-    stop depends on whether it is given.  An epoch reads one witness column
-    of the gradients, the one whose least |g| over the runs (NaN skipped)
-    was largest when it was picked.  Only when some run's entry there is
-    below grad_tol does the epoch screen every entry and pick the column
-    anew.  A pick whose least |g| is below grad_tol (a dead relu unit gives
-    exact zeros) leaves no witness, and every epoch screens every entry; a
-    screen that finds a run with every entry below grad_tol computes the
-    norms, and then so does every epoch, without the screen.  Either lasts
-    until runs leave the batch and the witness is tried again.  That gives
-    the same stops as computing every norm, which every epoch does while
-    grad_tol < 2**-511 or a run has no parameters.
+    stop depends on whether it is given.  A run converges when its gradient
+    norm is below grad_tol; the norms are skipped at an epoch where each
+    run's entry in one witness column of the gradients is at least grad_tol
+    or NaN, which proves that no run converges.  The column is the one whose
+    least |g| over the runs (NaN skipped) was largest when it was picked, and
+    an epoch where the proof fails computes the norms and picks it anew.  A
+    pick whose least |g| is below grad_tol (a dead relu unit gives exact
+    zeros) leaves no witness, and every epoch computes the norms until runs
+    leave the batch and the witness is tried again.  Every epoch computes
+    them while grad_tol < 2**-511 or a run has no parameters.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr = config.learning_rate
@@ -264,29 +263,21 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         # normal while grad_tol >= 2**-511, so sqrt(fl(g * g)) == |g|, and rounding a
         # sum of non-negative terms is monotone.  A run with a NaN entry has a NaN
         # norm.  So no run converges at an epoch where each run's entry in column
-        # col is at least grad_tol or NaN, and the norms are needed only at epochs
-        # where some run has every entry below grad_tol.
+        # col is at least grad_tol or NaN.
         exact = tol >= 2.0 ** -511 and theta.shape[1] > 0
-        screen, col = exact, 0  # col: the witness column; None while there is none
+        col = 0 if exact else None  # the witness column; None while there is none
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % depth] = values
             if observe is not None:
                 observe(epoch, theta, values)
-            if not screen:
-                converged = _grad_norms(grads) < tol
-            elif col is not None and not np.count_nonzero(np.abs(grads[:, col]) < tol):
+            if col is not None and not np.count_nonzero(np.abs(grads[:, col]) < tol):
                 converged = np.zeros(len(values), dtype=bool)
             else:
-                size = np.abs(grads)
-                # boolean reductions are exact in any order; a NaN entry is not below
-                converged = np.logical_and.reduce(size < tol, axis=1)
-                if np.count_nonzero(converged):
-                    converged = _grad_norms(grads) < tol
-                    screen, col = False, None
-                elif col is not None:
+                converged = _grad_norms(grads) < tol
+                if col is not None:
                     # the column whose least |g| over the runs, NaN skipped, is largest
-                    least = np.fmin.reduce(size, axis=0)
+                    least = np.fmin.reduce(np.abs(grads), axis=0)
                     col = least.argmax()
                     if least[col] < tol:
                         col = None
@@ -313,7 +304,7 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                     break
                 keep = ~stop
                 if col is None:  # the runs that had no witness column may be the ones leaving
-                    screen, col = exact, 0
+                    col = 0 if exact else None
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
                 theta, grads = _rows(theta, keep), _rows(grads, keep)
 

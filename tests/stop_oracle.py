@@ -1,5 +1,5 @@
 """The stopping rule of `trainer._descend` written plainly, the tests' reference
-for its gradient screen: every run stays in the batch to the end, every
+for its witness column: every run stays in the batch to the end, every
 gradient norm is computed at every epoch and the whole loss history is kept.
 No witness column, no compaction, no backtracking."""
 

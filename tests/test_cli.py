@@ -180,8 +180,13 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
     (["verify", "ss-valley", "--y", "1,2,-2,2"], "needs y2 + y3 != 0, got 2.0 + -2.0"),
     (["verify", "ss-valley", "--y", "0,0,0,0"], "needs y2 + y3 != 0, got 0.0 + 0.0"),
     (["trials", "--y", "1,1,-1,2"], "needs y2 + y3 != 0, got 1.0 + -1.0"),
+    # a float ** overflows: the level it overflows is named
+    (["verify", "ss-valley", "--y", "1,2,9,1e200"], "needs a finite valley loss"),
+    (["verify", "ss-valley", "--y", "1e200,2e200,9e200,2e200"], "needs a finite valley loss"),
+    (["trials", "--y", "1e200,2,9,1"], "needs a finite escape loss"),
 ], ids=["train-sparsity", "trials-activation", "verify-sigmoid", "path-groups", "train-dims",
-        "verify-y2-plus-y3", "verify-y-zero", "trials-y2-plus-y3"])
+        "verify-y2-plus-y3", "verify-y-zero", "trials-y2-plus-y3", "verify-valley-loss-overflow",
+        "verify-every-level-overflows", "trials-escape-loss-overflow"])
 def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     code, cap = run_cli(argv, capsys)
     assert code == 2

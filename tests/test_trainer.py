@@ -425,7 +425,7 @@ def quadratic_objective(dim=3):
 
 
 def test_run_trials_without_coordinates_converge_at_once():
-    # an empty gradient has norm 0, and the screen has no column to read
+    # an empty gradient has norm 0, and there is no witness column to read
     stats = run_trials(quadratic_objective(dim=0), 3, TrainConfig(max_epochs=5))
     assert stats.epochs.tolist() == [0, 0, 0]
     assert stats.labels == ("near",) * 3
@@ -749,10 +749,10 @@ def gradient_scripts(draw):
 @settings(max_examples=150, deadline=None)
 @given(gradient_scripts())
 def test_descend_grad_screen_is_exact(script):
-    # _descend reads every entry only when some run's entry in its witness
-    # column is below grad_tol, and computes gradient norms only when some
-    # run has every entry below; the reference computes every norm at every
-    # epoch, and both must stop each run alike
+    # _descend computes gradient norms only when some run's entry in its
+    # witness column is below grad_tol, or when there is no witness; the
+    # reference computes every norm at every epoch, and both must stop each
+    # run alike
     from sparseland.trainer import _descend
 
     grads, values, config = script
@@ -771,48 +771,48 @@ def test_descend_grad_screen_is_exact(script):
 # word per run, one letter per scripted coordinate: B (1.0, above grad_tol),
 # s (1e-4, below), m (6e-4, below, though four of them have a norm above) or
 # n (NaN).  Coordinate 0's gradient is 0, so epoch 0, and the first epoch
-# after runs leave a batch that had no witness column, always screen every
-# entry and pick the column anew.  A screen that finds a run with every entry
-# below computes the norms and picks no column, and later epochs compute the
-# norms alone until runs leave.  Each case gives the (stop epoch, reason) of
-# each run, how often the norms are computed and how many epochs screen
-# every entry.
+# after runs leave a batch that had no witness column, always compute the
+# norms and pick the column anew.  So does an epoch where some run's witness
+# entry is below; a pick that finds no column at least grad_tol in every run
+# leaves no witness, and every later epoch computes the norms until runs
+# leave.  Each case gives the (stop epoch, reason) of each run and how many
+# epochs compute the norms.
 COLUMN_SCREEN_CASES = {
-    # run 0's witness entry drops below grad_tol at epoch 1: every entry is
-    # screened and the column moves to coordinate 2, and nothing stops; at
-    # epoch 3 every entry of run 0 is below, its witness entry too
+    # run 0's witness entry drops below grad_tol at epoch 1: the norms are
+    # computed, the column moves to coordinate 2, and nothing stops; at epoch 3
+    # every entry of run 0 is below, its witness entry too, and epoch 4 picks
+    # the column on run 1 alone
     "witness-entry-drops": (["BBB BBB", "sBB BBB", "sBB BBB", "sss BBB", "BBB BBB", "BBB BBB"],
-                            [(3, "converged_grad"), (5, "max_epochs")], 1, 4),
+                            [(3, "converged_grad"), (5, "max_epochs")], 4),
     "runs-converge": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB BBB sss",
                        "BBB BBB BBB", "BBB BBB BBB"],
-                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 2, 5),
+                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 5),
     # a NaN in the witness column reads as not below; the column is picked
     # skipping NaN (epoch 2 picks coordinate 3), and a column of NaN alone is
     # picked first (epoch 4), which leaves run 1's NaN norm unconverged
     "nan-in-column": (["BBB BBB", "nss BBB", "nsB sBB", "sss BBB", "BBB sBn", "BBB ssn"],
-                      [(3, "converged_grad"), (5, "max_epochs")], 1, 4),
+                      [(3, "converged_grad"), (5, "max_epochs")], 4),
     # run 0 leaves the batch at epoch 1, and the column is picked on the two
     # runs left at epoch 2, and again at epoch 3 when run 1's entry drops
     "compacts-between-picks": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB sBB BBB",
                                 "BBB sss BBB", "BBB BBB BBB"],
                                [(1, "converged_grad"), (4, "converged_grad"), (5, "max_epochs")],
-                               2, 6),
+                               6),
     # each column holds an entry below grad_tol at epoch 0, so there is no
-    # witness and epochs 1 and 2 screen every entry, which stops run 0 at
+    # witness and epochs 1 and 2 compute the norms, which stops run 0 at
     # epoch 2; once it has left, epoch 3 picks coordinate 1 and the witness
     # holds from then on
     "no-witness-column": (["sBB BsB BBs", "sBB BsB BBs", "sss BsB BBs", "BBB BBB BBB",
                            "BBB BBB BBB", "BBB BBB BBB"],
-                          [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 1, 4),
+                          [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 4),
     # a lone run with every entry below grad_tol and its norm above: epoch 1
-    # screens and finds it, and epochs 2-5 compute its norm alone, as the
-    # norm pass did at every epoch before the screen
+    # finds no witness, and epochs 1-5 compute its norm
     "one-run-below-entrywise": (["BBBB", "mmmm", "mmmm", "mmmm", "mmmm", "ssss"],
-                                [(5, "converged_grad")], 5, 2),
-    # the same in a batch: norms alone at epochs 2 and 3, until run 0 leaves;
-    # epoch 4 screens every entry and picks a witness for run 1
+                                [(5, "converged_grad")], 6),
+    # the same in a batch: norms at epochs 1-3, until run 0 leaves; epoch 4
+    # picks a witness for run 1
     "batch-below-entrywise": (["BBBB BBBB", "mmmm BBBB", "mmmm BBBB", "ssss BBBB", "BBBB BBBB",
-                               "BBBB BBBB"], [(3, "converged_grad"), (5, "max_epochs")], 3, 3),
+                               "BBBB BBBB"], [(3, "converged_grad"), (5, "max_epochs")], 5),
 }
 
 
@@ -820,7 +820,7 @@ COLUMN_SCREEN_CASES = {
 def test_descend_witness_column_screen_is_exact(case, monkeypatch):
     from sparseland import trainer
 
-    script, stops, norm_calls, full_screens = case
+    script, stops, norm_calls = case
     letters = {"B": 1.0, "s": 1e-4, "m": 6e-4, "n": np.nan}
     grads = np.array([[[letters[c] for c in word] for word in line.split()] for line in script])
     n_calls, n_runs, dim = grads.shape
@@ -829,48 +829,55 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
                          plateau_rel=0.0, plateau_window=2)
     theta = np.column_stack([np.arange(n_runs, dtype=float), np.ones((n_runs, dim))])
     exact = reference_descend(scripted_objective(grads, values), theta, config)
-    norms, screens = [], []
-
-    class Numpy:  # trainer's numpy, counting the screens of every entry
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        class logical_and:
-            @staticmethod
-            def reduce(a, **kwargs):
-                screens.append(len(a))
-                return np.logical_and.reduce(a, **kwargs)
-
-    monkeypatch.setattr(trainer, "np", Numpy())
+    norms = []
     monkeypatch.setattr(trainer, "_grad_norms",
                         lambda g: norms.append(len(g)) or np.sqrt(np.square(g).sum(axis=1)))
     screened = trainer._descend(scripted_objective(grads, values), theta, config)
     assert list(zip(screened[2].tolist(), screened[3])) == stops
-    assert (len(norms), len(screens)) == (norm_calls, full_screens)
+    assert len(norms) == norm_calls
     assert screened[2].tolist() == exact[2].tolist()
     assert list(screened[3]) == list(exact[3])
     assert screened[1].tobytes() == exact[1].tobytes()
     assert screened[0].tobytes() == exact[0].tobytes()
 
 
+def valley_descent_batch():
+    """(value_and_grad, theta) of 200 tanh valley trials from default_rng(4)."""
+    obj = valley_trial_objective(valley_instance(EXPERIMENT_Y))
+    bounds = obj.init_bounds
+    theta = np.random.default_rng(4).uniform(-bounds, bounds, size=(200, len(bounds)))
+
+    def value_and_grad(theta):
+        g = obj.grad(theta)  # grad first, as run_trials calls them
+        return obj.loss(theta), g
+
+    return value_and_grad, theta
+
+
+def test_descend_witness_keeps_the_norms_rare(monkeypatch):
+    # on the tanh valley batch the witness column holds at all but the first
+    # epoch, so trials do not fall back to a norm pass every epoch
+    from sparseland import trainer
+
+    value_and_grad, theta = valley_descent_batch()
+    norms, grad_norms = [], trainer._grad_norms
+    monkeypatch.setattr(trainer, "_grad_norms", lambda g: norms.append(len(g)) or grad_norms(g))
+    stop_epoch = trainer._descend(value_and_grad, theta, TrainConfig(max_epochs=3000))[2]
+    assert stop_epoch.max() == 3000
+    assert len(norms) <= 1
+
+
 @pytest.mark.parametrize("batch", ["mixed", "valley"])
 def test_descend_observer_changes_nothing(batch, monkeypatch):
-    # observe sees each epoch's moving runs, and the screen, the norms it
-    # computes and every stop are those of the same descent without it
+    # observe sees each epoch's moving runs, and the norm passes and every
+    # stop are those of the same descent without it
     from sparseland import trainer
 
     if batch == "mixed":
         value_and_grad, theta = mixed_stop_objective(MIXED_ROWS)
         config = MIXED_CONFIG
     else:
-        obj = valley_trial_objective(valley_instance(EXPERIMENT_Y))
-        bounds = obj.init_bounds
-        theta = np.random.default_rng(4).uniform(-bounds, bounds, size=(200, len(bounds)))
-
-        def value_and_grad(theta):
-            g = obj.grad(theta)  # grad first, as run_trials calls them
-            return obj.loss(theta), g
-
+        value_and_grad, theta = valley_descent_batch()
         config = STAGGERED
     norms, grad_norms = [], trainer._grad_norms
     monkeypatch.setattr(trainer, "_grad_norms", lambda g: norms.append(len(g)) or grad_norms(g))
