@@ -31,12 +31,11 @@ _EXPORTS = {
                      "classify_stationary", "fd_gradient", "fd_hessian",
                      "hessian_two_layer_linear", "sym_eig"),
         "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),
-        "counterexamples": ("ConstructionError", "ConvValleyInstance", "GdObjective",
+        "counterexamples": ("ConstructionError", "ConvValleyInstance",
                             "MinimumVerification", "SpuriousMinimumInstance",
                             "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
                             "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
-                            "valley_instance", "valley_trial_objective",
-                            "verify_spurious_minimum"),
+                            "valley_instance", "verify_spurious_minimum"),
         "landscape": ("AssumptionReport", "FeatureMaps", "PathTrace", "ZeroColumnResult",
                       "check_assumptions", "hidden_rank_certificate", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",

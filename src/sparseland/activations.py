@@ -108,28 +108,12 @@ class Activation:
         return acc
 
     def derivative(self, z):
-        """sigma'(z), elementwise.  relu/leaky_relu use the z>0 branch at 0."""
-        z = np.asarray(z, dtype=float)
-        k = self.kind
-        if k in ("tanh", "sigmoid", "shifted_sigmoid"):
-            return self.value_and_derivative(z)[1]
-        if k == "linear":
-            return np.ones_like(z)
-        if k == "relu":
-            return (z > 0).astype(float)
-        if k == "leaky_relu":
-            return np.where(z > 0, 1.0, self.slope)
-        if k == "elu":
-            return np.where(z > 0, 1.0, self.alpha * np.exp(np.minimum(z, 0.0)))
-        if k == "softplus":
-            return _logistic(z)
-        acc = np.zeros_like(z)
-        for j in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * z + j * self.coeffs[j]
-        return acc
+        """sigma'(z), elementwise: value_and_derivative(z)[1]."""
+        return self.value_and_derivative(z)[1]
 
     def value_and_derivative(self, z):
-        """(sigma(z), sigma'(z)), equal bit for bit to (self(z), self.derivative(z)).
+        """(sigma(z), sigma'(z)), elementwise; the value equals self(z) bit
+        for bit.  relu/leaky_relu take the z>0 branch of sigma' at 0.
 
         tanh, sigmoid and shifted_sigmoid take both from one tanh/logistic pass.
         """
@@ -141,7 +125,21 @@ class Activation:
         if k in ("sigmoid", "shifted_sigmoid"):
             s = _logistic(z)
             return (s if k == "sigmoid" else s - 0.5), s * (1.0 - s)
-        return self(z), self.derivative(z)
+        if k == "linear":
+            d = np.ones_like(z)
+        elif k == "relu":
+            d = (z > 0).astype(float)
+        elif k == "leaky_relu":
+            d = np.where(z > 0, 1.0, self.slope)
+        elif k == "elu":
+            d = np.where(z > 0, 1.0, self.alpha * np.exp(np.minimum(z, 0.0)))
+        elif k == "softplus":
+            d = _logistic(z)
+        else:
+            d = np.zeros_like(z)
+            for j in range(len(self.coeffs) - 1, 0, -1):
+                d = d * z + j * self.coeffs[j]
+        return self(z), d
 
     # -- inversion (monotone kinds) ---------------------------------------
     def contains(self, y: float) -> bool:

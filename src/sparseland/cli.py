@@ -162,10 +162,9 @@ def _spec_or_random_net(args, command: str):
         from .activations import Activation
         from .trainer import random_effective_net
 
-        net, _ = random_effective_net(args.dims, args.sparsity, seed=args.seed,
-                                      activation=Activation(args.activation),
-                                      init_scale=args.scale_init)
-        return net
+        return random_effective_net(args.dims, args.sparsity, seed=args.seed,
+                                    activation=Activation(args.activation),
+                                    init_scale=args.scale_init)
     unused = {"sparsity", "activation"} | (set() if getattr(args, "reinit", False) else {"scale_init"})
     _reject_unread(args, command, unused, "--spec", ": they shape only a random --dims net")
     return _load_net_spec(args)
@@ -276,14 +275,13 @@ def cmd_train(args):
 
 def cmd_trials(args):
     from .activations import Activation
-    from .counterexamples import valley_instance, valley_trial_objective
+    from .counterexamples import valley_instance
     from .trainer import TrainConfig, run_trials
 
     act = Activation(args.activation)
     inst = valley_instance(args.y, act)
-    objective = valley_trial_objective(inst)
     config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs, seed=args.seed)
-    stats = run_trials(objective, args.n, config)
+    stats = run_trials(inst, args.n, config)
     payload = stats.to_json()
     n = len(stats.labels)
     lines = [f"{n} trials, activation {act.kind}, y = {list(inst.y)}"]

@@ -222,6 +222,23 @@ class SpuriousValleyInstance:
     def constraints_ok(self) -> bool:
         return all(self.constraints.values())
 
+    @property
+    def init_bounds(self) -> np.ndarray:
+        """Fan-in bounds of a trial's uniform start: 1/sqrt(2) for the
+        second layer's w1..w4, 1/sqrt(3) for the first layer's w5..w8."""
+        return np.array([1 / math.sqrt(2)] * 4 + [1 / math.sqrt(3)] * 4)
+
+    def classify(self, final_loss: float, theta: np.ndarray) -> str:
+        """A trial's label: "valley" when the final loss sits at y4^2 (1e-3
+        relative) with |w4| <= 1e-4; "escaped" when the loss is at least 5%
+        below y4^2; "other" otherwise."""
+        y4sq = self.valley_loss
+        if abs(final_loss - y4sq) <= 1e-3 * y4sq and abs(theta[3]) <= 1e-4:
+            return "valley"
+        if final_loss < y4sq * 0.95:
+            return "escaped"
+        return "other"
+
     def _residuals(self, c, s):
         """The (8, n) residual table r of M(theta) - Y for coordinate-major
         rows c (8, n) and s = sigma(c[4:]) (4, n), with the gathered rows it
@@ -295,10 +312,14 @@ def valley_instance(y_values=STRICT_Y,
                     activation: Activation = Activation("tanh")) -> SpuriousValleyInstance:
     """Build and self-validate the two-layer valley instance.
 
-    Requires sigma(0) = 0 and a positive value in sigma's range.  The
-    y-constraints (y3 > 4 y4 > 4 y1 > 0, y2 > 0) are recorded as booleans;
-    violating them still builds the instance (the probes' lower bound is
-    then not guaranteed) so measured/legacy value sets stay usable.
+    Requires sigma(0) = 0, y2 + y3 != 0, and the scale targets 1/a and
+    y2 / ((y2 + y3) a) in sigma's range.  The y-constraints (y3 > 4 y4 >
+    4 y1 > 0, y2 > 0) are recorded as booleans.  A set that violates them
+    still builds (the probes' lower bound is then not guaranteed), so that
+    measured/legacy value sets stay usable, unless y4 > y1 holds and the
+    ordering escape < y1^2 < y4^2 fails: that raises ConstructionError.  So
+    (1, 2, 3, 2) and (1, -2, 9, 0.5) build, while (1, -2, 9, 2), whose y2 < 0
+    lifts the escape level above y1^2, and (0, 2, 9, 2) are rejected.
     """
     y1, y2, y3, y4 = (float(v) for v in y_values)
     if y2 + y3 == 0.0:
@@ -430,43 +451,6 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
         falsifications=falsifications,
         line_strict_ok=bool(np.all(np.isfinite(line_losses) & (line_losses > level))),
     )
-
-
-@dataclass(frozen=True)
-class GdObjective:
-    """Plain-vector view of an instance for the gradient-descent trial
-    harness: batched loss/grad plus per-coordinate init bounds."""
-
-    loss: callable
-    grad: callable
-    init_bounds: np.ndarray  # one bound per coordinate, so its length is the dimension
-    classify: callable  # (final_loss, theta) -> label
-
-    def __post_init__(self):
-        b = np.asarray(self.init_bounds, dtype=float)
-        if b.ndim != 1:
-            raise ValueError(f"init_bounds must be 1-d, got shape {b.shape}")
-        object.__setattr__(self, "init_bounds", b)
-
-
-def valley_trial_objective(inst: SpuriousValleyInstance) -> GdObjective:
-    """Trial objective for the valley instance with fan-in init bounds.
-
-    Labels: "valley" when the final loss sits at y4^2 (1e-3 relative) with
-    |w4| <= 1e-4; "escaped" when the loss is at least 5% below y4^2;
-    "other" otherwise.
-    """
-    y4sq = inst.valley_loss
-
-    def classify(final_loss: float, theta: np.ndarray) -> str:
-        if abs(final_loss - y4sq) <= 1e-3 * y4sq and abs(theta[3]) <= 1e-4:
-            return "valley"
-        if final_loss < y4sq * 0.95:
-            return "escaped"
-        return "other"
-
-    bounds = np.array([1 / math.sqrt(2)] * 4 + [1 / math.sqrt(3)] * 4)
-    return GdObjective(loss=inst.loss, grad=inst.grad, init_bounds=bounds, classify=classify)
 
 
 # ---------------------------------------------------------------------------

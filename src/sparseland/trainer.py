@@ -414,6 +414,11 @@ def loss_clusters(losses) -> tuple:
 def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) -> TrialStats:
     """n_trials independent GD runs, advanced together by one _descend.
 
+    The objective (a SpuriousValleyInstance in the trials command) has
+    loss and grad, which broadcast over the leading axis of a (T, P) stack
+    of points and are called grad first; init_bounds, of shape (P,), whose
+    entry b bounds a coordinate's uniform start to [-b, b]; and
+    classify(final_loss, theta), the label of a trial that did not diverge.
     Trial t draws its start from default_rng(config.seed + t), so results
     are identical whether trials run alone or batched.  All per-step work
     is elementwise across trials; a finished trial leaves the batch.
@@ -476,7 +481,7 @@ def random_effective_net(dims, sparsity: float, seed: int = 0,
     from one mask stream with every row and column repaired to be nonzero,
     which keeps the net effective (the reduction finds nothing to strip).
 
-    Returns (net, net.sparsity).  dims = (d_x, p_1, ..., d_y).
+    dims = (d_x, p_1, ..., d_y).
     """
     dims = [int(d) for d in dims]
     if len(dims) < 3:
@@ -484,5 +489,4 @@ def random_effective_net(dims, sparsity: float, seed: int = 0,
     rng = stream(seed, "mask")
     masks = [_draw_mask(rng, (n_out, n_in), sparsity) for n_in, n_out in zip(dims, dims[1:])]
     blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), activation)
-    net = init_net(blank, init_scale, seed, "weights")
-    return net, net.sparsity
+    return init_net(blank, init_scale, seed, "weights")

@@ -36,7 +36,6 @@ from sparseland import (
     spurious_minimum_instance,
     TwoLayerLinearInstance,
     valley_instance,
-    valley_trial_objective,
     verify_spurious_minimum,
     zero_column_transform,
 )
@@ -193,7 +192,7 @@ def test_criterion_8_valley_trials():
     outcomes = {}
     for act in (Activation("tanh"), Activation("shifted_sigmoid"), Activation("relu")):
         inst = valley_instance(EXPERIMENT_Y, act)
-        stats = run_trials(valley_trial_objective(inst), 100, cfg)
+        stats = run_trials(inst, 100, cfg)
         outcomes[act.kind] = (stats.fraction("valley"), len(stats.clusters))
     elapsed = time.perf_counter() - t0
     ok = (outcomes["tanh"][0] >= 0.80
@@ -207,8 +206,9 @@ def test_criterion_8_valley_trials():
 
 
 def test_criterion_9_deep_sparse_linear():
-    net, realized = random_effective_net((20, 100, 100, 100, 100, 1), sparsity=0.45,
-                                         seed=7, activation=Activation("linear"))
+    net = random_effective_net((20, 100, 100, 100, 100, 1), sparsity=0.45,
+                               seed=7, activation=Activation("linear"))
+    realized = net.sparsity
     net = init_net(net, 1.0, 3)
     X, Y = gen_synthetic(100, 20, 1, seed=11)
     trace = gd_train(net, X, Y, TrainConfig(learning_rate=3e-4, max_epochs=50000,

@@ -336,7 +336,7 @@ def test_train_missing_spec_file(workdir, capsys):
 
 def test_train_spec_keeps_weights(workdir, capsys):
     from sparseland import random_effective_net
-    net, _ = random_effective_net((3, 5, 1), sparsity=0.2, seed=4)
+    net = random_effective_net((3, 5, 1), sparsity=0.2, seed=4)
     spec = workdir / "net.json"
     spec.write_text(json.dumps(net_to_json(net)))
     code, cap = run_cli(["train", "--spec", str(spec), "--epochs", "0",
@@ -499,8 +499,8 @@ def test_rank_spec_and_dims_are_exclusive(workdir, capsys):
 
 
 def test_rank_spec_alone_replays(workdir, capsys):
-    net, _ = sparseland.random_effective_net((4, 5, 2), 0.2, seed=3,
-                                             activation=sparseland.Activation("tanh"))
+    net = sparseland.random_effective_net((4, 5, 2), 0.2, seed=3,
+                                          activation=sparseland.Activation("tanh"))
     (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
     code, cap = run_cli(["rank", "--spec", "n.json", "--n", "4", "--json"], capsys)
     assert code in (0, 1) and len(json.loads(cap.out)["ranks"]) == 1
@@ -523,8 +523,8 @@ def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
 @pytest.fixture
 def spec_net(workdir):
     """A masked tanh net, written to n.json in the working directory."""
-    net, _ = sparseland.random_effective_net((3, 5, 2), 0.4, seed=2,
-                                             activation=sparseland.Activation("tanh"))
+    net = sparseland.random_effective_net((3, 5, 2), 0.4, seed=2,
+                                          activation=sparseland.Activation("tanh"))
     (workdir / "n.json").write_text(json.dumps(net_to_json(net)))
     return net
 

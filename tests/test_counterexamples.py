@@ -32,7 +32,6 @@ from sparseland import (
     SpuriousValleyInstance,
     sym_eig,
     valley_instance,
-    valley_trial_objective,
     verify_spurious_minimum,
 )
 from sparseland.activations import KINDS
@@ -492,26 +491,18 @@ def test_valley_as_network_half_loss():
 
 def test_trial_objective_classification():
     inst = valley_instance(EXPERIMENT_Y)
-    obj = valley_trial_objective(inst)
-    assert obj.init_bounds.shape == (8,)
+    assert inst.init_bounds.shape == (8,)
     at_valley = inst.valley_theta.copy()
-    assert obj.classify(4.0, at_valley) == "valley"
-    assert obj.classify(4.0 * 1.0005, at_valley) == "valley"     # inside 1e-3 rel
+    assert inst.classify(4.0, at_valley) == "valley"
+    assert inst.classify(4.0 * 1.0005, at_valley) == "valley"    # inside 1e-3 rel
     off = at_valley.copy()
     off[3] = 0.01                                                 # w4 too large
-    assert obj.classify(4.0, off) == "other"
-    assert obj.classify(3.0, off) == "escaped"                    # > 5% below
-    assert obj.classify(3.99, off) == "other"
+    assert inst.classify(4.0, off) == "other"
+    assert inst.classify(3.0, off) == "escaped"                   # > 5% below
+    assert inst.classify(3.99, off) == "other"
     # fan-in init bounds: 1/sqrt(2) for output entries, 1/sqrt(3) for hidden
-    assert np.allclose(obj.init_bounds[:4], 1 / math.sqrt(2), atol=0)
-    assert np.allclose(obj.init_bounds[4:], 1 / math.sqrt(3), atol=0)
-
-
-def test_gd_objective_validates_bounds():
-    from sparseland.counterexamples import GdObjective
-    with pytest.raises(ValueError, match="init_bounds must be 1-d"):
-        GdObjective(loss=lambda t: 0.0, grad=lambda t: t,
-                    init_bounds=np.ones((2, 3)), classify=lambda l, t: "x")
+    assert np.allclose(inst.init_bounds[:4], 1 / math.sqrt(2), atol=0)
+    assert np.allclose(inst.init_bounds[4:], 1 / math.sqrt(3), atol=0)
 
 
 # ---------------------------------------------------------------------------

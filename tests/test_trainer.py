@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from sparseland import (
     random_sparse_mask,
     run_trials,
     valley_instance,
-    valley_trial_objective,
 )
 from sparseland.counterexamples import EXPERIMENT_Y
 from sparseland.trainer import STREAMS, stream
@@ -224,7 +224,7 @@ def test_linear_chain_form_matches_fd(dims, biases):
 
 @pytest.mark.parametrize("act", ["linear", "tanh"])  # the chain form and backprop
 def test_grad_net_checks_data_shapes(act):
-    net, _ = random_effective_net((3, 4, 2), 0.0, seed=1, activation=Activation(act))
+    net = random_effective_net((3, 4, 2), 0.0, seed=1, activation=Activation(act))
     X, Y = gen_synthetic(10, 3, 1)
     with pytest.raises(ValueError, match=re.escape("Y shape (1, 10) != output shape (2, 10)")):
         grad_net(net, X, Y)
@@ -246,8 +246,8 @@ def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
         calls.append(np.shape(z))
         return tanh(z, *args, **kwargs)
 
-    net, _ = random_effective_net((3, 6, 6, 2), sparsity=0.0, seed=1,
-                                  activation=Activation("tanh"))
+    net = random_effective_net((3, 6, 6, 2), sparsity=0.0, seed=1,
+                               activation=Activation("tanh"))
     X, Y = gen_synthetic(8, 3, 2, seed=2)
     monkeypatch.setattr(np, "tanh", counting_tanh)
     trace = gd_train(net, X, Y, TrainConfig(max_epochs=10, seed=3))
@@ -261,7 +261,7 @@ def test_gd_train_takes_one_tanh_pass_per_hidden_layer(monkeypatch):
 
 def test_train_linear_reaches_optimum():
     X, Y = gen_synthetic(30, 5, 2, seed=7, noise=0.5)
-    net, _ = random_effective_net((5, 8, 2), sparsity=0.0, seed=1)
+    net = random_effective_net((5, 8, 2), sparsity=0.0, seed=1)
     cfg = TrainConfig(learning_rate=0.005, max_epochs=20000, grad_tol=1e-10, seed=2)
     trace = gd_train(net, X, Y, cfg)
     # dense linear net: the optimum is ordinary least squares
@@ -367,7 +367,7 @@ def test_gd_train_results_are_pinned():
     runs = [
         (biased_elu_net(), gen_synthetic(30, 3, 2, seed=4),
          TrainConfig(learning_rate=0.5, max_epochs=300, rank_every=40, backtrack=True)),
-        (random_effective_net((4, 7, 6, 3), 0.3, seed=2)[0], gen_synthetic(25, 4, 3, seed=6),
+        (random_effective_net((4, 7, 6, 3), 0.3, seed=2), gen_synthetic(25, 4, 3, seed=6),
          TrainConfig(learning_rate=0.002, max_epochs=3000, grad_tol=1e-6, rank_every=250)),
     ]
     h = hashlib.sha256()
@@ -408,7 +408,6 @@ def test_trace_csv_rank_columns():
 # ---------------------------------------------------------------------------
 
 def quadratic_objective(dim=3):
-    from sparseland.counterexamples import GdObjective
     target = np.arange(1.0, dim + 1)
 
     def lf(th):
@@ -416,7 +415,7 @@ def quadratic_objective(dim=3):
         out = np.sum(d * d, axis=-1)
         return out if out.ndim else float(out)
 
-    return GdObjective(
+    return types.SimpleNamespace(
         loss=lf,
         grad=lambda th: 2 * (th - target),
         init_bounds=np.ones(dim),
@@ -451,8 +450,7 @@ def test_run_trials_rejects_fewer_than_one_trial(monkeypatch, n_trials):
 
 
 def test_run_trials_single_equals_batched():
-    inst = valley_instance(EXPERIMENT_Y)
-    obj = valley_trial_objective(inst)
+    obj = valley_instance(EXPERIMENT_Y)
     cfg = TrainConfig(learning_rate=0.01, max_epochs=300, seed=40)
     batch = run_trials(obj, 4, cfg)
     for t in range(4):
@@ -481,8 +479,7 @@ def test_run_trials_backtracking():
 
 def test_run_trials_backtrack_per_trial():
     # each trial halves its own step: a batch gives what the trials give alone
-    inst = valley_instance(EXPERIMENT_Y)
-    obj = valley_trial_objective(inst)
+    obj = valley_instance(EXPERIMENT_Y)
     batch = run_trials(obj, 4, TrainConfig(learning_rate=2.0, max_epochs=300, seed=7,
                                            backtrack=True))
     for t in range(4):
@@ -501,10 +498,8 @@ def test_run_trials_backtrack_per_trial():
     (0, 50, 20, 20),      # window longer than the run: max_epochs stops it
 ])
 def test_run_trials_plateau_stop_epoch(flat_from, window, max_epochs, stop):
-    from sparseland.counterexamples import GdObjective
-
     # theta starts at 0 and each lr=1 step adds 1, so theta equals the epoch
-    objective = GdObjective(
+    objective = types.SimpleNamespace(
         loss=lambda th: np.maximum(flat_from - th[..., 0], 0.0),
         grad=lambda th: -np.ones_like(th),
         init_bounds=np.zeros(1),
@@ -632,16 +627,16 @@ def test_descend_grad_norms_do_not_depend_on_memory_order():
 
 
 def counting_valley_objective(inst, calls):
-    """The valley's trial objective, recording each theta its loss and grad see."""
-    obj = valley_trial_objective(inst)
-
+    """The valley instance as a trial objective, recording each theta its loss
+    and grad see."""
     def count(kind, fn):
         def wrapped(theta):
             calls.append((kind, theta))
             return fn(theta)
         return wrapped
 
-    return dataclasses.replace(obj, loss=count("loss", obj.loss), grad=count("grad", obj.grad))
+    return types.SimpleNamespace(loss=count("loss", inst.loss), grad=count("grad", inst.grad),
+                                 init_bounds=inst.init_bounds, classify=inst.classify)
 
 
 # trials stop at epochs from 19 to 400, so run_trials compacts its batch
@@ -672,14 +667,14 @@ def test_run_trials_calls_the_objective_once_per_epoch():
 
 
 # SHA-256 of the final thetas, losses, epochs and labels of
-# run_trials(valley_trial_objective(valley_instance(EXPERIMENT_Y)), 12, STAGGERED),
+# run_trials(valley_instance(EXPERIMENT_Y), 12, STAGGERED),
 # pinned so that a rewrite of the objective or the loop cannot move trial
 # rounding (and with it the digests replay compares) silently
 TRIALS_DIGEST = "a2a13262292d5312246284efad05b4112fc7a0e1351b6519760ac54877e7e4ba"
 
 
 def test_run_trials_results_are_pinned():
-    stats = run_trials(valley_trial_objective(valley_instance(EXPERIMENT_Y)), 12, STAGGERED)
+    stats = run_trials(valley_instance(EXPERIMENT_Y), 12, STAGGERED)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(stats.final_thetas, dtype="<f8").tobytes())
     h.update(np.asarray(stats.final_losses, dtype="<f8").tobytes())
@@ -843,7 +838,7 @@ def test_descend_witness_column_screen_is_exact(case, monkeypatch):
 
 def valley_descent_batch():
     """(value_and_grad, theta) of 200 tanh valley trials from default_rng(4)."""
-    obj = valley_trial_objective(valley_instance(EXPERIMENT_Y))
+    obj = valley_instance(EXPERIMENT_Y)
     bounds = obj.init_bounds
     theta = np.random.default_rng(4).uniform(-bounds, bounds, size=(200, len(bounds)))
 
@@ -988,7 +983,7 @@ def test_streams_are_distinct_per_purpose():
         assert not np.any(stream(seed, a).random(8) == stream(seed, b).random(8)), (a, b)
 
     # the consumers: mask, net weights, a re-init and the data take their own streams
-    net, _ = random_effective_net((3, 4, 2), sparsity=0.0, seed=seed)
+    net = random_effective_net((3, 4, 2), sparsity=0.0, seed=seed)
     bound = 1.0 / math.sqrt(3)
     draw = stream(seed, "weights").uniform(-bound, bound, size=(4, 3))
     assert np.array_equal(net.layers[0].weights, draw)
@@ -1019,7 +1014,7 @@ def test_masked_entries_hold_positive_zero():
 
     net = biased_elu_net()
     assert not any(masked_signs(init_net(net, 1.0, 3)))
-    assert not any(masked_signs(random_effective_net((5, 9, 9, 3), 0.5, seed=3)[0]))
+    assert not any(masked_signs(random_effective_net((5, 9, 9, 3), 0.5, seed=3)))
     # every weight and bias -1, and hidden neuron 2 feeds nothing, so the
     # reduction removes its three edges in and its bias
     feeds = np.array([[1, 1, 0], [1, 1, 0]], dtype=bool)
@@ -1033,9 +1028,9 @@ def test_masked_entries_hold_positive_zero():
 
 
 def test_random_effective_net():
-    net, realized = random_effective_net((6, 10, 10, 2), sparsity=0.4, seed=12)
+    net = random_effective_net((6, 10, 10, 2), sparsity=0.4, seed=12)
     assert net.dims == (6, 10, 10, 2)
-    assert 0.2 < realized < 0.5
+    assert 0.2 < net.sparsity < 0.5
     assert net.activation.kind == "linear"
     for layer in net.layers:
         assert np.all(layer.weights[~layer.mask] == 0.0)
@@ -1043,7 +1038,7 @@ def test_random_effective_net():
     reduced, report = effective_subnetwork(net)
     assert report.removed_edges == ()
     assert report.is_effective
-    net2, _ = random_effective_net((6, 10, 10, 2), sparsity=0.4, seed=12)
+    net2 = random_effective_net((6, 10, 10, 2), sparsity=0.4, seed=12)
     for a, b in zip(net.layers, net2.layers):
         assert np.array_equal(a.weights, b.weights)
     with pytest.raises(ValueError):
