@@ -217,23 +217,17 @@ class StationaryReport:
         }
 
 
-def classify_stationary(
-    loss_fn,
-    point: np.ndarray,
-    grad_fn,
-    hessian_fn,
-    n_probes: int = 500,
-    seed: int = 0,
-) -> StationaryReport:
+def classify_stationary(loss_fn, point: np.ndarray, grad: np.ndarray, hessian: np.ndarray,
+                        n_probes: int = 500, seed: int = 0) -> StationaryReport:
     """Probe-backed second-order classification of a candidate minimum.
 
     ``loss_fn`` must broadcast: it maps a point (P,) to a scalar and a
     stack of points (K, P) to their K losses, shape (K,); any other result
-    shape raises ValueError.  ``grad_fn`` and ``hessian_fn`` give the
-    gradient and Hessian at a point (fd_gradient and fd_hessian take them
-    by finite differences).  Probes evaluate the loss directly along
-    random unit directions and along the numerical kernel of the Hessian
-    (where flat quadratics hide quartic behavior), each at radii
+    shape raises ValueError.  ``grad`` and ``hessian`` are the gradient and
+    Hessian at ``point`` (fd_gradient and fd_hessian take them by finite
+    differences).  Probes evaluate the loss directly along random unit
+    directions and along the numerical kernel of the Hessian (where flat
+    quadratics hide quartic behavior), each at radii
     {PROBE_RADIUS, PROBE_RADIUS/10}, in blocks of at most PROBE_BLOCK points
     per loss call.  Hessian eigenvalues within NULL_TOL of the largest in
     magnitude count as zero.  The verdict is conservative: "strict_local_min"
@@ -242,8 +236,8 @@ def classify_stationary(
     """
     x0 = np.asarray(point, dtype=float)
     f0 = float(loss_fn(x0))
-    grad_norm = float(np.linalg.norm(np.asarray(grad_fn(x0), dtype=float)))
-    H = np.asarray(hessian_fn(x0), dtype=float)
+    grad_norm = float(np.linalg.norm(np.asarray(grad, dtype=float)))
+    H = np.asarray(hessian, dtype=float)
     evals, evecs = sym_eig(H)
 
     lam_scale = float(np.max(np.abs(evals))) if evals.size else 0.0

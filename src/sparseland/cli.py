@@ -247,9 +247,8 @@ def cmd_train(args):
     d_x, d_y = net.layers[0].n_in, net.layers[-1].n_out
     X, Y = gen_synthetic(args.n, d_x, d_y, seed=args.seed, a_norm=args.a_norm,
                          noise=args.noise, target=args.target)
-    config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs,
-                         rank_every=args.rank_every, backtrack=args.backtrack)
-    trace = gd_train(net, X, Y, config)
+    config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs, backtrack=args.backtrack)
+    trace = gd_train(net, X, Y, config, rank_every=args.rank_every)
 
     optimum = gap = None
     if trace.net.activation.kind == "linear":
@@ -280,8 +279,8 @@ def cmd_trials(args):
 
     act = Activation(args.activation)
     inst = valley_instance(args.y, act)
-    config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs, seed=args.seed)
-    stats = run_trials(inst, args.n, config)
+    config = TrainConfig(learning_rate=args.lr, max_epochs=args.epochs)
+    stats = run_trials(inst, args.n, config, seed=args.seed)
     payload = stats.to_json()
     n = len(stats.labels)
     lines = [f"{n} trials, activation {act.kind}, y = {list(inst.y)}"]

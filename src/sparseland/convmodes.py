@@ -43,12 +43,7 @@ class ConvSpec:
 
     @property
     def out_len(self) -> int:
-        d1, d = self.kernel_len, self.input_len
-        if self.mode == "full":
-            return d + d1 - 1
-        if self.mode == "same":
-            return d
-        return d - d1 + 1
+        return len(self.window_starts())
 
     def window_starts(self) -> range:
         """Start offset of the kernel window for each output row."""

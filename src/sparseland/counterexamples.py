@@ -140,11 +140,8 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
     """Re-derive every certified property of the minimum instance."""
     minimum, theta = inst.minimum, inst.theta
     H = hessian_two_layer_linear(minimum, theta)
-    report = classify_stationary(
-        minimum.loss_at, theta,
-        grad_fn=lambda th: minimum.value_and_grad_at(th)[1], hessian_fn=lambda th: H,
-        n_probes=n_probes, seed=seed,
-    )
+    report = classify_stationary(minimum.loss_at, theta, minimum.value_and_grad_at(theta)[1], H,
+                                 n_probes=n_probes, seed=seed)
     evals = report.eigenvalues
     hess_err = float(np.max(np.abs(H - HESSIAN_REF)))
     eig_err = float(np.max(np.abs(evals - np.asarray(EIGENVALUES_REF))))
@@ -363,12 +360,21 @@ def valley_instance(y_values=STRICT_Y,
             raise ConstructionError(f"valley construction needs a finite {level}, "
                                     f"got an overflow at y = {inst.y}") from None
 
+    # Each of the seven residuals at the two points rounds by up to about
+    # e = 4 max|y| eps (a sigma(sigma^-1(1/a)) is 1 within an ulp or two),
+    # which moves a loss L by up to 2 e sqrt(7 L) + 7 e^2.
+    e = 4.0 * max(abs(v) for v in inst.y) * math.ulp(1.0)
+
+    def off(got, level):  # a loss that is not finite is off
+        tol = max(1e-12 * max(1.0, level), 2 * e * math.sqrt(7 * level) + 7 * e * e)
+        return not (math.isfinite(got) and abs(got - level) <= tol)
+
     problems = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
         lv, le = inst.loss(valley_theta), inst.loss(escape_theta)
-    if abs(lv - inst.valley_loss) > 1e-12 * max(1.0, inst.valley_loss):
+    if off(lv, inst.valley_loss):
         problems.append(f"valley loss {lv!r} != y4^2 = {inst.valley_loss!r}")
-    if abs(le - inst.escape_loss) > 1e-12 * max(1.0, inst.escape_loss):
+    if off(le, inst.escape_loss):
         problems.append(f"escape loss {le!r} != {inst.escape_loss!r}")
     if inst.constraints["y4 > y1"] and not (inst.escape_loss < y1 ** 2 < inst.valley_loss):
         problems.append("ordering escape < y1^2 < y4^2 failed")
@@ -406,13 +412,24 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
 
     The guarantee needs |delta_3| <= |w3|/2 and sigma(w7 + delta_7) within
     a factor 2 of sigma(w7); deltas are clipped/shrunk into that set.  The
-    lower bound only holds for constraint-satisfying y-values.
+    lower bound only holds for constraint-satisfying y-values.  The line
+    test's least step, radius/20 along w4, raises the loss by
+    (radius/20 sigma(w7))^2; a radius whose rise is below 4 ulps of the
+    valley loss cannot show it and raises ValueError naming one that can.
     """
-    rng = np.random.default_rng(seed)
     theta = inst.valley_theta
     act = inst.activation
     w3 = theta[2]
     s7 = float(act(theta[6]))
+    level = inst.valley_loss
+    least = 20 * math.sqrt(4 * math.ulp(level)) / abs(s7)
+    if radius < least:
+        digit = 10.0 ** (math.floor(math.log10(least)) - 1)  # least, rounded up to 2 digits
+        raise ValueError(f"probe radius {radius!r} cannot resolve the line test at valley loss "
+                         f"{level!r}: its least step raises the loss by "
+                         f"{(radius / 20 * s7) ** 2:.3g}, below 4 ulps; the least radius that "
+                         f"does is {math.ceil(least / digit) * digit:g}")
+    rng = np.random.default_rng(seed)
 
     def draw(k):
         deltas = rng.uniform(-radius, radius, size=(k, 8))
@@ -424,7 +441,7 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
             deltas[bad, 6] *= 0.5
         return deltas
 
-    return _probe(inst.loss, theta, inst.valley_loss, draw, n_probes, 1e-10, coord=3, radius=radius)
+    return _probe(inst.loss, theta, level, draw, n_probes, 1e-10, coord=3, radius=radius)
 
 
 def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProbeReport:

@@ -57,13 +57,13 @@ def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The one step-and-stop rule that _descend applies to both descents."""
+
     learning_rate: float = 0.01
     max_epochs: int = 50000
     grad_tol: float = 1e-8
     plateau_rel: float = 1e-12
     plateau_window: int = 200
-    seed: int = 0              # run_trials' starts; gd_train trains the net it is given
-    rank_every: int = 0        # 0 disables hidden-rank sampling
     backtrack: bool = False    # halve the step while it would increase the loss
 
 
@@ -243,8 +243,7 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     them while grad_tol < 2**-511 or a run has no parameters.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
-    lr = config.learning_rate
-    w = config.plateau_window
+    lr, w = config.learning_rate, config.plateau_window
     tol, rel = config.grad_tol, config.plateau_rel
     with np.errstate(over="ignore", invalid="ignore"):
         values, grads = value_and_grad(theta)
@@ -339,10 +338,10 @@ def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
-             config: TrainConfig = TrainConfig()) -> TrainTrace:
-    """Full-batch GD on 0.5 ||net(X) - Y||_F^2 from net's own parameters: one
-    _descend run over net.theta.  grad_net checks X (d_in, n) and Y (d_out, n)
-    on the first step."""
+             config: TrainConfig = TrainConfig(), rank_every: int = 0) -> TrainTrace:
+    """Full-batch GD on 0.5 ||net(X) - Y||_F^2 from net's own parameters (one
+    _descend run over net.theta), the layer outputs' ranks sampled every
+    rank_every epochs (0: never).  grad_net checks X and Y on the first step."""
 
     def value_and_grad(theta):
         grad, value = grad_net(net.with_theta(theta[0]), X, Y)
@@ -352,7 +351,7 @@ def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
 
     def observe(epoch, theta, values):
         losses.append(values[0])
-        if config.rank_every and epoch % config.rank_every == 0:
+        if rank_every and epoch % rank_every == 0:
             out, hiddens = forward(net.with_theta(theta[0]), X)
             # a layer whose output is not finite has no measured rank
             ranks.append((epoch, tuple(numerical_rank(h) if np.isfinite(h).all() else None
@@ -411,7 +410,8 @@ def loss_clusters(losses) -> tuple:
     return tuple(clusters)
 
 
-def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) -> TrialStats:
+def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig(),
+               seed: int = 0) -> TrialStats:
     """n_trials independent GD runs, advanced together by one _descend.
 
     The objective (a SpuriousValleyInstance in the trials command) has
@@ -419,7 +419,7 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     of points and are called grad first; init_bounds, of shape (P,), whose
     entry b bounds a coordinate's uniform start to [-b, b]; and
     classify(final_loss, theta), the label of a trial that did not diverge.
-    Trial t draws its start from default_rng(config.seed + t), so results
+    Trial t draws its start from default_rng(seed + t), so results
     are identical whether trials run alone or batched.  All per-step work
     is elementwise across trials; a finished trial leaves the batch.
     """
@@ -429,11 +429,10 @@ def run_trials(objective, n_trials: int, config: TrainConfig = TrainConfig()) ->
     # coordinate-major: each coordinate's column over the trials is contiguous
     theta = np.empty((len(bounds), n_trials)).T
     for t in range(n_trials):
-        theta[t] = np.random.default_rng(config.seed + t).uniform(-bounds, bounds)
+        theta[t] = np.random.default_rng(seed + t).uniform(-bounds, bounds)
 
     def value_and_grad(theta):
-        # grad first: an objective may keep the loss it computes on the way
-        # and hand it to the loss call on the same array
+        # grad first: an objective may keep its loss for the loss call on this array
         g = objective.grad(theta)
         return objective.loss(theta), g
 

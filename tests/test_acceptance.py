@@ -188,11 +188,11 @@ def test_criterion_7_full_rank_certificate():
 
 def test_criterion_8_valley_trials():
     t0 = time.perf_counter()
-    cfg = TrainConfig(learning_rate=0.01, max_epochs=50000, seed=0)
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=50000)
     outcomes = {}
     for act in (Activation("tanh"), Activation("shifted_sigmoid"), Activation("relu")):
         inst = valley_instance(EXPERIMENT_Y, act)
-        stats = run_trials(inst, 100, cfg)
+        stats = run_trials(inst, 100, cfg, seed=0)
         outcomes[act.kind] = (stats.fraction("valley"), len(stats.clusters))
     elapsed = time.perf_counter() - t0
     ok = (outcomes["tanh"][0] >= 0.80

@@ -204,15 +204,15 @@ def test_sym_eig_symmetry_scale_is_the_largest_finite_entry():
 # stationary-point classification on known landscapes
 # ---------------------------------------------------------------------------
 
-def fd_derivatives(f):
-    """(grad_fn, hessian_fn) of f by central differences."""
-    return (lambda x: fd_gradient(f, x)), (lambda x: fd_hessian(f, x))
+def fd_derivatives(f, x0):
+    """(gradient, Hessian) of f at x0 by central differences."""
+    return fd_gradient(f, x0), fd_hessian(f, x0)
 
 
 def test_classify_pd_quadratic_is_strict():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     f = lambda x: np.einsum("...i,ij,...j->...", x, A, x)
-    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f, np.zeros(2)))
     assert rep.min_probe == "strict_local_min"
     assert rep.grad_norm < 1e-8
     assert rep.null_basis.shape[1] == 0
@@ -220,21 +220,20 @@ def test_classify_pd_quadratic_is_strict():
 
 def test_classify_saddle():
     f = lambda x: x[..., 0] ** 2 - x[..., 1] ** 2
-    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f, np.zeros(2)))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_flat_is_nonstrict():
     f = lambda x: np.zeros(x.shape[:-1])
-    rep = classify_stationary(f, np.zeros(3), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(3), *fd_derivatives(f, np.zeros(3)))
     assert rep.min_probe == "local_min_nonstrict"
 
 
 def test_classify_quartic_needs_probes():
     # exact Hessian is zero here; only the kernel probes see the strict growth
     f = lambda x: np.sum(x ** 4, axis=-1)
-    rep = classify_stationary(f, np.zeros(2), grad_fn=lambda x: fd_gradient(f, x),
-                              hessian_fn=lambda x: np.zeros((2, 2)))
+    rep = classify_stationary(f, np.zeros(2), fd_gradient(f, np.zeros(2)), np.zeros((2, 2)))
     assert rep.min_probe == "strict_local_min"
     assert rep.probe_evidence["null_dim"] == 2
 
@@ -242,20 +241,20 @@ def test_classify_quartic_needs_probes():
 def test_classify_quartic_saddle_via_kernel_probe():
     # PSD Hessian diag(2, 0), but the flat direction falls off quartically
     f = lambda x: x[..., 0] ** 2 - x[..., 1] ** 4
-    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f, np.zeros(2)))
     assert rep.min_probe == "saddle"
 
 
 def test_classify_nonstationary_is_inconclusive():
     f = lambda x: x[..., 0]
-    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f, np.zeros(2)))
     assert rep.min_probe == "inconclusive"
     assert rep.grad_norm > 0.5
 
 
 def test_report_json():
     f = lambda x: np.sum(x * x, axis=-1)
-    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f))
+    rep = classify_stationary(f, np.zeros(2), *fd_derivatives(f, np.zeros(2)))
     blob = json.loads(json.dumps(rep.to_json()))
     assert blob["min_probe"] == "strict_local_min"
     assert len(blob["eigenvalues"]) == 2
@@ -264,12 +263,9 @@ def test_report_json():
 
 def test_classify_uses_supplied_derivatives():
     A = np.diag([1.0, 3.0])
-    rep = classify_stationary(
-        lambda x: np.einsum("...i,ij,...j->...", x, A, x),
-        np.zeros(2),
-        grad_fn=lambda x: 2 * A @ x,
-        hessian_fn=lambda x: 2 * A,
-    )
+    x0 = np.zeros(2)
+    rep = classify_stationary(lambda x: np.einsum("...i,ij,...j->...", x, A, x), x0,
+                              2 * A @ x0, 2 * A)
     assert rep.min_probe == "strict_local_min"
     assert np.allclose(rep.eigenvalues, [2.0, 6.0], atol=0)
 
@@ -278,8 +274,7 @@ def test_classify_rejects_batch_collapsing_loss():
     # summing the whole (K, P) probe stack to one number must not certify
     f = lambda x: float(np.sum(x ** 4))
     with pytest.raises(ValueError, match=r"expected \(\d+,\)"):
-        classify_stationary(f, np.zeros(2), grad_fn=lambda x: fd_gradient(f, x),
-                            hessian_fn=lambda x: np.zeros((2, 2)))
+        classify_stationary(f, np.zeros(2), fd_gradient(f, np.zeros(2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("n_probes", [1, 7, 500, 2 * PROBE_BLOCK + 3])
@@ -295,8 +290,7 @@ def test_classify_one_loss_call_per_radius(n_probes, flat_hessian):
             radii.append(float(np.linalg.norm(x[0])))
         return np.einsum("...i,ij,...j->...", x, A, x)
 
-    rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * A @ x,
-                              hessian_fn=lambda x: 0 * A if flat_hessian else 2 * A,
+    rep = classify_stationary(loss_fn, np.zeros(2), np.zeros(2), 0 * A if flat_hessian else 2 * A,
                               n_probes=n_probes)
     K = rep.probe_evidence["n_directions"]
     assert K > n_probes if flat_hessian else K == n_probes
@@ -323,8 +317,7 @@ def test_classify_blocks_equal_one_batch(kernel, n_probes):
     loss_fn = _kernel_loss if kernel else (lambda x: np.einsum("...i,ij,...j->...", x, A, x))
     H = np.diag([2.0, 0.0, 0.0]) if kernel else 2 * A
     x0 = np.zeros(3)
-    rep = classify_stationary(loss_fn, x0, grad_fn=lambda x: np.zeros(3), hessian_fn=lambda x: H,
-                              n_probes=n_probes, seed=5)
+    rep = classify_stationary(loss_fn, x0, np.zeros(3), H, n_probes=n_probes, seed=5)
     rng = np.random.default_rng(5)
     dirs = rng.standard_normal((n_probes, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -350,15 +343,14 @@ def test_classify_non_finite_probe_is_inconclusive(bad):
             values[-1] = bad
         return values
 
-    rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * x,
-                              hessian_fn=lambda x: 2 * np.eye(2), n_probes=50)
+    rep = classify_stationary(loss_fn, np.zeros(2), np.zeros(2), 2 * np.eye(2), n_probes=50)
     assert rep.min_probe == "inconclusive"
 
 
 def test_classify_all_infinite_probes_are_inconclusive():
     # every probe "increases" the loss to +inf, which proves nothing
     rep = classify_stationary(lambda x: np.where(np.any(x, axis=-1), np.inf, 0.0), np.zeros(2),
-                              grad_fn=lambda x: 0 * x, hessian_fn=lambda x: 2 * np.eye(2))
+                              np.zeros(2), 2 * np.eye(2))
     assert rep.probe_evidence["worst_probe_delta"] == np.inf
     assert rep.min_probe == "inconclusive"
 
@@ -369,29 +361,26 @@ def test_classify_non_finite_hessian_is_inconclusive(bad):
     # saddle test, and the probes of sum(x * x) then read strict_local_min
     loss_fn = lambda x: np.sum(x * x, axis=-1)
     with np.errstate(invalid="ignore"):  # sym_eig's symmetry check subtracts inf - inf
-        rep = classify_stationary(loss_fn, np.zeros(2), grad_fn=lambda x: 2 * x,
-                                  hessian_fn=lambda x: np.diag([-1.0, bad]))
+        rep = classify_stationary(loss_fn, np.zeros(2), np.zeros(2), np.diag([-1.0, bad]))
     assert rep.probe_evidence["worst_probe_delta"] > 0  # the probes alone say strict
     assert rep.min_probe == "inconclusive"
 
 
 def test_classify_non_finite_gradient_is_inconclusive():
     rep = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2),
-                              grad_fn=lambda x: np.array([np.nan, 0.0]),
-                              hessian_fn=lambda x: 2 * np.eye(2))
+                              np.array([np.nan, 0.0]), 2 * np.eye(2))
     assert rep.min_probe == "inconclusive"
 
 
 def test_report_json_writes_non_finite_numbers_as_null():
     rep = classify_stationary(lambda x: np.where(np.any(x, axis=-1), np.inf, 0.0), np.zeros(2),
-                              grad_fn=lambda x: 0 * x, hessian_fn=lambda x: 2 * np.eye(2))
+                              np.zeros(2), 2 * np.eye(2))
     payload = json.loads(json.dumps(_finite_json(rep.to_json()), allow_nan=False))
     assert payload["probe_evidence"]["worst_probe_delta"] is None
     assert payload["probe_evidence"]["f0"] == 0.0
     assert payload["eigenvalues"] == [2.0, 2.0]
     nan_hessian = classify_stationary(lambda x: np.sum(x * x, axis=-1), np.zeros(2),
-                                      grad_fn=lambda x: 0 * x,
-                                      hessian_fn=lambda x: np.diag([np.nan, 2.0]))
+                                      np.zeros(2), np.diag([np.nan, 2.0]))
     payload = json.loads(json.dumps(_finite_json(nan_hessian.to_json()), allow_nan=False))
     assert payload["eigenvalues"] == [None, 2.0]
 

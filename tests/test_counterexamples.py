@@ -36,7 +36,7 @@ from sparseland import (
 )
 from sparseland.activations import KINDS
 from sparseland.calculus import PROBE_BLOCK
-from sparseland.cli import _finite_json
+from sparseland.cli import _finite_json, main
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
     EIGENVALUES_REF,
@@ -380,6 +380,16 @@ def test_valley_scale_of_a_polynomial_is_a_range_query_error():
         valley_instance(STRICT_Y, Activation("polynomial", coeffs=(0.0, 1.0)))
 
 
+@pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)
+def test_valley_builds_mixed_scale_targets(act):
+    # each residual at the two points rounds by about max|y| eps, so a level
+    # check with a tolerance relative to the level alone rejected large y3,
+    # y4 beside small y1, y2: tanh from 10^9, shifted_sigmoid from 10^12
+    for e in range(1, 16):
+        inst = valley_instance((1.0, 2.0, 9 * 10.0 ** e, 10.0 ** e), act)
+        assert inst.constraints_ok
+
+
 @pytest.mark.parametrize("y", [(1, 2, -2, 2), (0, 0, 0, 0), (1, 1, -1, 2)])
 def test_valley_builder_rejects_y2_plus_y3_zero(y):
     # the escape point and the escape level both divide by y2 + y3
@@ -455,6 +465,50 @@ def test_valley_probe_report_is_pinned(y):
     report = probe_valley(valley_instance(y), n_probes=20000, seed=3).to_json()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == PROBE_DIGESTS[y], report
+
+
+@pytest.mark.parametrize("y,least", [("1e8,2e8,9e8,2e8", "230"), ("1e6,2e6,9e6,2e6", "1.8")])
+def test_verify_names_the_least_radius_that_resolves_the_line_test(tmp_path, monkeypatch, capsys,
+                                                                  y, least):
+    # the line test's least step, radius/20 along w4, raises the loss by
+    # (radius/20 sigma(w7))^2: at the default radius that is below one ulp
+    # of y4^2, and the valley would read falsified with no probe below it
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "ss-valley", "--y", y, "--probes", "10"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: probe radius 0.05 cannot resolve the line test at valley loss ")
+    assert cap.err.endswith(f"; the least radius that does is {least}\n")
+    assert cap.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # no manifest
+    assert main(["verify", "ss-valley", "--y", y, "--probes", "10", "--radius", least, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_probe_valley_rejects_a_radius_just_below_the_least():
+    inst = valley_instance((1e6, 2e6, 9e6, 2e6))
+    s7 = float(inst.activation(inst.valley_theta[6]))
+    least = 20 * math.sqrt(4 * math.ulp(inst.valley_loss)) / s7
+    assert probe_valley(inst, n_probes=10, radius=least).line_strict_ok
+    with pytest.raises(ValueError, match="least radius that does is 1.8$"):
+        probe_valley(inst, n_probes=10, radius=least * (1 - 1e-9))
+
+
+# payload_sha256 of `verify ss-valley --y Y --json`, the same as before the
+# radius check: a radius that resolves the line test keeps its bytes
+RESOLVED_PAYLOADS = {
+    "1,2,9,2": "6cb59f75a368a3b032eaa60969e356b93bfca0923d4522a82732e4203f54213c",
+    "1e4,2e4,9e4,2e4": "c1258af47d5eedab3db2f246df04302a39f43a4853a7f9a31898711c2c5f2393",
+}
+
+
+@pytest.mark.parametrize("y", list(RESOLVED_PAYLOADS))
+def test_verify_payload_of_a_resolved_radius_is_pinned(tmp_path, monkeypatch, capsys, y):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "ss-valley", "--y", y, "--json"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "verify.manifest.json").read_text())
+    assert manifest["payload_sha256"] == RESOLVED_PAYLOADS[y]
 
 
 def test_valley_probe_holds():

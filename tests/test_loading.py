@@ -4,6 +4,7 @@ imports only the modules it runs.  These are module-set checks on fresh
 interpreters, not timings."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sparseland
-from sparseland import activations, cli, convmodes, counterexamples
+from sparseland import activations, cli, convmodes, counterexamples, trainer
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(sparseland.__file__).resolve().parent
@@ -77,6 +78,18 @@ def test_parser_name_lists_match_their_modules():
     assert cli.KINDS == activations.KINDS
     assert cli.MODES == convmodes.MODES
     assert cli.STRICT_Y == counterexamples.STRICT_Y
+
+
+def test_every_train_config_field_is_read_by_descend():
+    # TrainConfig is the rule both descents share: a setting that only one
+    # descent reads is that descent's own parameter
+    tree = ast.parse((PACKAGE / "trainer.py").read_text())
+    descend = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_descend")
+    read = {node.attr for node in ast.walk(descend) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    fields = {field.name for field in dataclasses.fields(trainer.TrainConfig)}
+    assert not fields - read, fields - read
 
 
 # public methods of exported classes that no workflow calls: each names who
