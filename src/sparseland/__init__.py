@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.12"
+__version__ = "0.3.13"
 
 from importlib import import_module
 

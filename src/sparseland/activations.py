@@ -2,8 +2,8 @@
 
 Every activation used by the package is represented by a frozen
 :class:`Activation` value: vectorized evaluation, first derivatives (needed
-for backprop), range queries and inverses (needed to place the valley
-instance's points), and a JSON form for network specs.
+for backprop), inverses that are None off sigma's range (needed to place
+the valley instance's points), and a JSON form for network specs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ KINDS = (
     "softplus",
     "polynomial",
 )
+
+# the one parameter each parametrized kind reads; every other kind reads none
+PARAM = {"leaky_relu": "slope", "elu": "alpha", "polynomial": "coeffs"}
 
 
 def _logistic(z):
@@ -55,7 +58,7 @@ def spec_number(v) -> float:
 class Activation:
     """A scalar activation sigma, applied elementwise.
 
-    Parameters other than the ones matching ``kind`` are ignored.
+    A kind reads at most the one parameter ``PARAM`` names and ignores the others.
     ``coeffs`` lists polynomial coefficients in ascending powers
     (sigma(z) = coeffs[0] + coeffs[1] z + ...).
     """
@@ -75,10 +78,8 @@ class Activation:
             if not all(math.isfinite(v) for v in c):
                 raise ValueError("polynomial coefficients must be finite")
             object.__setattr__(self, "coeffs", c)
-        if self.kind == "leaky_relu" and not 0 < self.slope < math.inf:
-            raise ValueError("leaky_relu slope must be positive and finite")
-        if self.kind == "elu" and not 0 < self.alpha < math.inf:
-            raise ValueError("elu alpha must be positive and finite")
+        elif self.kind in PARAM and not 0 < getattr(self, PARAM[self.kind]) < math.inf:
+            raise ValueError(f"{self.kind} {PARAM[self.kind]} must be positive and finite")
 
     # -- evaluation ------------------------------------------------------
     def __call__(self, z):
@@ -142,64 +143,41 @@ class Activation:
         return self(z), d
 
     # -- inversion (monotone kinds) ---------------------------------------
-    def contains(self, y: float) -> bool:
-        """Whether y is attained by sigma over the reals."""
+    def inverse(self, y: float) -> float | None:
+        """A preimage of y under sigma, or None where sigma does not attain y
+        over the reals.  Monotone kinds only: a polynomial raises ValueError."""
         k = self.kind
-        if k in ("linear", "leaky_relu"):
-            return True
-        if k == "relu":
-            return y >= 0
-        if k == "elu":
-            return y > -self.alpha
-        if k == "tanh":
-            return -1.0 < y < 1.0
-        if k == "sigmoid":
-            return 0.0 < y < 1.0
-        if k == "shifted_sigmoid":
-            return -0.5 < y < 0.5
-        if k == "softplus":
-            return y > 0
-        raise ValueError(f"range query not supported for {self.kind}")
-
-    def inverse(self, y: float) -> float:
-        """A preimage of y under sigma.  Monotone kinds only."""
-        if not self.contains(y):
-            raise ValueError(f"{y} is not in the range of {self.kind}")
-        k = self.kind
-        if k == "linear":
-            return float(y)
-        if k == "relu":
+        if k == "linear" or k == "relu" and y >= 0:
             return float(y)
         if k == "leaky_relu":
             return float(y) if y >= 0 else float(y) / self.slope
-        if k == "elu":
+        if k == "elu" and y > -self.alpha:
             return float(y) if y >= 0 else math.log1p(y / self.alpha)
-        if k == "tanh":
+        if k == "tanh" and -1.0 < y < 1.0:
             return math.atanh(y)
-        if k == "sigmoid":
+        if k == "sigmoid" and 0.0 < y < 1.0:
             return math.log(y / (1.0 - y))
-        if k == "shifted_sigmoid":
+        if k == "shifted_sigmoid" and -0.5 < y < 0.5:
             return math.log((y + 0.5) / (0.5 - y))
-        # softplus, the one kind left that contains() admits:
-        # y = log(1+e^z)  =>  z = log(e^y - 1)
-        return math.log(math.expm1(y))
+        if k == "softplus" and y > 0:
+            return math.log(math.expm1(y))  # y = log(1+e^z)  =>  z = log(e^y - 1)
+        if k == "polynomial":
+            raise ValueError(f"range query not supported for {k}")
+        return None
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:
         params = {}
-        if self.kind == "leaky_relu":
-            params["slope"] = self.slope
-        elif self.kind == "elu":
-            params["alpha"] = self.alpha
-        elif self.kind == "polynomial":
-            params["coeffs"] = list(self.coeffs)
+        if self.kind in PARAM:
+            value = getattr(self, PARAM[self.kind])
+            params[PARAM[self.kind]] = list(value) if isinstance(value, tuple) else value
         return {"kind": self.kind, "params": params}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Activation":
         """The activation a spec's {"kind": ..., "params": {...}} names.
-        params, when given, is an object naming at most the one parameter the
-        kind reads: slope (leaky_relu), alpha (elu) or coeffs (polynomial)."""
+        params, when given, is an object naming at most the one parameter
+        ``PARAM`` gives the kind."""
         if not isinstance(obj, dict):
             raise TypeError(f"activation must be a JSON object, got {obj!r}")
         kind, params = obj["kind"], obj.get("params", {})
@@ -207,7 +185,7 @@ class Activation:
             raise ValueError(f"unknown activation kind {kind!r}")
         if not isinstance(params, dict):
             raise TypeError(f"activation params must be a JSON object, got {params!r}")
-        reads = {"leaky_relu": "slope", "elu": "alpha", "polynomial": "coeffs"}.get(kind)
+        reads = PARAM.get(kind)
         unread = sorted(set(params) - {reads})
         if unread:
             raise ValueError(f"{kind} activation reads no param {', '.join(map(repr, unread))}")

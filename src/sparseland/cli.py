@@ -2,10 +2,10 @@
 
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
-input error, including a ValueError raised by a handler and an --out or
-manifest path that cannot be written (one `error:` line, no manifest, no
-artifact).  A
-non-finite float in a payload is written as null.  Every run writes a JSON
+input error, including a ValueError raised by a handler, a size whose arrays
+cannot be allocated (a MemoryError) and an --out or manifest path that cannot
+be written (one `error:` line, no manifest, no artifact).  A non-finite
+float in a payload is written as null.  Every run writes a JSON
 manifest (next to --out, or <command>.manifest.json in the working
 directory) from which `replay` reproduces the outputs bit-identically.  The
 SEED environment variable overrides --seed for every command that takes
@@ -691,7 +691,7 @@ def main(argv=None) -> int:
                                                   else HANDLERS[command], args)
         if command != "replay":
             _write_outputs(args, code, payload, primary_text)
-    except ValueError as e:  # ConstructionError included: bad input, not a falsification
+    except (ValueError, MemoryError) as e:  # bad input (ConstructionError too), not a falsification
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))

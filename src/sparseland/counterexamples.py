@@ -327,20 +327,15 @@ def valley_instance(y_values=STRICT_Y,
 
     # a: the least power of two with 1/a in sigma's range (1 when none up to
     # 2^63 is, which the check below rejects)
-    a = next((2.0 ** k for k in range(64) if activation.contains(2.0 ** -k)), 1.0)
-    for target in (1.0 / a, y2 / ((y2 + y3) * a)):
-        if not activation.contains(target):
+    a = next((2.0 ** k for k in range(64) if activation.inverse(2.0 ** -k) is not None), 1.0)
+    targets = (1.0 / a, y2 / ((y2 + y3) * a))
+    z1, z2 = zs = [activation.inverse(t) for t in targets]
+    for target, z in zip(targets, zs):
+        if z is None:
             raise ConstructionError(f"no valid scale: {target} outside range of {activation.kind}")
 
-    inv = activation.inverse
-    valley_theta = np.array([
-        y1 * a, y2 * a, y3 * a, 0.0,
-        inv(1.0 / a), inv(1.0 / a), inv(1.0 / a), 0.0,
-    ])
-    escape_theta = np.array([
-        y1 * a, (y2 + y3) * a, 0.0, y4 * a,
-        inv(y2 / ((y2 + y3) * a)), inv(1.0 / a), 0.0, inv(1.0 / a),
-    ])
+    valley_theta = np.array([y1 * a, y2 * a, y3 * a, 0.0, z1, z1, z1, 0.0])
+    escape_theta = np.array([y1 * a, (y2 + y3) * a, 0.0, y4 * a, z2, z1, 0.0, z1])
     constraints = {
         "y1 > 0": y1 > 0,
         "y2 > 0": y2 > 0,

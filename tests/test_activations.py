@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -132,16 +134,18 @@ def test_scalar_and_array_agree():
 # range and inversion
 # ---------------------------------------------------------------------------
 
-def test_contains():
-    assert Activation("tanh").contains(0.5) and not Activation("tanh").contains(1.0)
-    assert Activation("sigmoid").contains(0.25) and not Activation("sigmoid").contains(-0.1)
-    assert (Activation("shifted_sigmoid").contains(0.49)
-            and not Activation("shifted_sigmoid").contains(0.5))
-    assert Activation("relu").contains(0.0) and not Activation("relu").contains(-1e-9)
-    assert (Activation("elu", alpha=1.0).contains(-0.9)
-            and not Activation("elu", alpha=1.0).contains(-1.0))
-    assert Activation("softplus").contains(1e-8) and not Activation("softplus").contains(0.0)
-    assert Activation("linear").contains(-1e9)
+def test_inverse_is_none_off_the_range():
+    assert Activation("tanh").inverse(0.5) is not None and Activation("tanh").inverse(1.0) is None
+    assert (Activation("sigmoid").inverse(0.25) is not None
+            and Activation("sigmoid").inverse(-0.1) is None)
+    assert (Activation("shifted_sigmoid").inverse(0.49) is not None
+            and Activation("shifted_sigmoid").inverse(0.5) is None)
+    assert Activation("relu").inverse(0.0) is not None and Activation("relu").inverse(-1e-9) is None
+    assert (Activation("elu", alpha=1.0).inverse(-0.9) is not None
+            and Activation("elu", alpha=1.0).inverse(-1.0) is None)
+    assert (Activation("softplus").inverse(1e-8) is not None
+            and Activation("softplus").inverse(0.0) is None)
+    assert Activation("linear").inverse(-1e9) is not None
 
 
 @given(st.floats(min_value=-20, max_value=20))
@@ -151,7 +155,7 @@ def test_inverse_roundtrip(z):
                 Activation("softplus"), Activation("linear"), Activation("leaky_relu", slope=0.1),
                 Activation("elu", alpha=1.3)):
         y = float(act(z))
-        if not act.contains(y):  # saturation can round onto the boundary
+        if act.inverse(y) is None:  # saturation can round onto the boundary
             continue
         # value-space roundtrip is well conditioned everywhere
         assert float(act(act.inverse(y))) == pytest.approx(y, rel=1e-9, abs=1e-12), act.kind
@@ -160,10 +164,50 @@ def test_inverse_roundtrip(z):
 
 
 def test_inverse_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Activation("tanh").inverse(1.5)
-    with pytest.raises(ValueError):
-        Activation("softplus").inverse(-0.1)
+    assert Activation("tanh").inverse(1.5) is None
+    assert Activation("softplus").inverse(-0.1) is None
+    with pytest.raises(ValueError, match="range query not supported for polynomial"):
+        Activation("polynomial", coeffs=(0.0, 1.0)).inverse(0.5)
+
+
+# sigma's range per kind as (low end, whether sigma attains it, high end), the
+# high end attained only when it is +inf; linear and leaky_relu take every y,
+# NaN and both infinities included
+RANGE_ENDS = {"relu": (0.0, True, math.inf), "elu": (None, False, math.inf),
+              "tanh": (-1.0, False, 1.0), "sigmoid": (0.0, False, 1.0),
+              "shifted_sigmoid": (-0.5, False, 0.5), "softplus": (0.0, False, math.inf)}
+
+
+def attains(act, y):
+    if act.kind in ("linear", "leaky_relu"):
+        return True
+    low, closed, high = RANGE_ENDS[act.kind]
+    low = -act.alpha if low is None else low
+    above = y > low or closed and y == low
+    return above and (y < high or y == high == math.inf)
+
+
+def range_grid():
+    ends = {0.0, 0.5, 1.0, 0.7}  # every range end of ALL_KINDS, up to sign
+    ys = {0.0, math.inf, 5e-324, math.ulp(0.0) * 2, math.nextafter(2.0 ** -1022, 0.0)}
+    for e in ends:
+        ys |= {math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)}
+    return [math.nan, -math.nan, -0.0] + sorted(ys | {-y for y in ys})  # a set holds one zero
+
+
+@pytest.mark.parametrize("act", [a for a in ALL_KINDS if a.kind != "polynomial"],
+                         ids=lambda a: "-".join([a.kind, *map(str, a.to_json()["params"].values())]))
+def test_inverse_is_none_exactly_off_the_range_table(act):
+    for y in range_grid():
+        z = act.inverse(y)
+        if not attains(act, y):
+            assert z is None, (act.kind, y)
+            continue
+        assert type(z) is float, (act.kind, y)
+        if math.isfinite(y):
+            assert float(act(z)) == pytest.approx(y, rel=1e-9, abs=1e-12), (act.kind, y)
+        else:  # an infinite or NaN level is its own preimage
+            assert z == y or math.isnan(z) and math.isnan(y), (act.kind, y)
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,38 @@ def test_replay_out_that_cannot_be_written_is_a_usage_error(workdir, capsys):
     assert sorted(p.name for p in workdir.iterdir()) == ["conv-rank.manifest.json"]
 
 
+# sizes whose first array holds at least 10^17 float64s: more bytes than any
+# address space, so numpy refuses the allocation before touching memory
+UNALLOCATABLE = {
+    "conv-rank": ["conv-rank", "--mode", "same", "--d", str(10**9), "--kernel", "1"],
+    "trials": ["trials", "--n", str(10**17), "--epochs", "1"],
+    "rank": ["rank", "--n", str(10**17)],
+    "path": ["path", "--samples", str(10**17)],
+    "train": ["train", "--dims", "2,2,1", "--n", str(10**17), "--epochs", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(UNALLOCATABLE.values()), ids=list(UNALLOCATABLE))
+def test_a_size_that_cannot_be_allocated_is_a_usage_error(workdir, capsys, argv):
+    # exit 2 with one line, not numpy's traceback with exit 1 ("falsified"),
+    # and write neither a manifest nor an artifact
+    code, cap = run_cli([*argv, "--out", "a.out"], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: Unable to allocate ") and cap.err.count("\n") == 1
+    assert list(workdir.iterdir()) == []
+
+
+def test_replay_of_a_size_that_cannot_be_allocated_is_a_usage_error(workdir, capsys):
+    run_cli(["rank", "--n", "6"], capsys)
+    manifest = json.loads((workdir / "rank.manifest.json").read_text())
+    manifest["config"]["n"] = 10**17
+    (workdir / "big.json").write_text(json.dumps(manifest))
+    code, cap = run_cli(["replay", "big.json", "--out", "r.out"], capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: Unable to allocate ") and cap.err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == ["big.json", "rank.manifest.json"]
+
+
 @pytest.mark.parametrize("bad", [2, 0.5, -1])
 @pytest.mark.parametrize("key", ["mask", "bias_mask"])
 def test_spec_masks_must_hold_zero_or_one(workdir, capsys, key, bad):

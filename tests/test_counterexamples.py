@@ -375,6 +375,22 @@ def test_valley_scale_is_the_least_power_of_two_in_range(act):
     assert inst.valley_theta[4] == act.inverse(1.0 / a)
 
 
+# SHA-256 of valley_theta then escape_theta bytes, for every VALLEY_BUILDS kind
+# at STRICT_Y and then EXPERIMENT_Y, pinned so that a rewrite of the range rule
+# cannot move the preimages sigma^-1 places in the two points silently
+VALLEY_POINTS_DIGEST = "8651c81f68fe99d85d366ed4da6949b63ccef0346cf56099b223dec54b642d9c"
+
+
+def test_valley_points_are_pinned():
+    h = hashlib.sha256()
+    for act in VALLEY_BUILDS:
+        for y in (STRICT_Y, EXPERIMENT_Y):
+            inst = valley_instance(y, act)
+            h.update(inst.valley_theta.tobytes())
+            h.update(inst.escape_theta.tobytes())
+    assert h.hexdigest() == VALLEY_POINTS_DIGEST
+
+
 def test_valley_scale_of_a_polynomial_is_a_range_query_error():
     with pytest.raises(ValueError, match="range query not supported for polynomial"):
         valley_instance(STRICT_Y, Activation("polynomial", coeffs=(0.0, 1.0)))
