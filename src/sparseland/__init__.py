@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.13"
+__version__ = "0.3.14"
 
 from importlib import import_module
 
@@ -36,8 +36,8 @@ _EXPORTS = {
                             "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
                             "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
                             "valley_instance", "verify_spurious_minimum"),
-        "landscape": ("AssumptionReport", "FeatureMaps", "PathTrace", "ZeroColumnResult",
-                      "check_assumptions", "hidden_rank_certificate", "nonincreasing_path_overparam",
+        "landscape": ("FeatureMaps", "PathTrace", "ZeroColumnResult", "check_assumptions",
+                      "hidden_rank_certificate", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",
                       "random_grouped_instance", "zero_column_transform"),
         "network": ("RemovalReport", "SparseLayer", "SparseNet", "effective_subnetwork",

@@ -159,8 +159,11 @@ class Activation:
             return math.log(y / (1.0 - y))
         if k == "shifted_sigmoid" and -0.5 < y < 0.5:
             return math.log((y + 0.5) / (0.5 - y))
-        if k == "softplus" and y > 0:
-            return math.log(math.expm1(y))  # y = log(1+e^z)  =>  z = log(e^y - 1)
+        if k == "softplus" and y > 0:  # y = log(1+e^z)  =>  z = log(e^y - 1)
+            try:
+                return math.log(math.expm1(y))
+            except OverflowError:  # e^y past the float range: z = y + log(1 - e^-y), which is y
+                return y + math.log(-math.expm1(-y))
         if k == "polynomial":
             raise ValueError(f"range query not supported for {k}")
         return None

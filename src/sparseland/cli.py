@@ -439,27 +439,35 @@ def _environment() -> dict:
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:
-    """The parser of `command`, whose options a manifest records in its config."""
+    """The parser of `command`, whose options a manifest records in its config;
+    a text it rejects raises ValueError with the command line's message."""
+    def error(message):
+        raise ValueError(message)
+
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    parser = sub.choices[command]
+    parser.error = error
+    return parser
 
 
-def _reparse(action, value):
-    """A recorded config value, checked and converted as the command line's text would be."""
-    if action.nargs == 0:  # a store_true flag
-        if not isinstance(value, bool):
-            raise ValueError(f"{action.dest}: expected true or false, got {value!r}")
-        return value
-    if value is None and action.default is None and not action.required:
-        return None  # the option was not given
-    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-    try:
-        value = (action.type or str)(text)
-    except (argparse.ArgumentTypeError, ValueError) as e:
-        raise ValueError(f"{action.dest}: {e}")
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{action.dest}: invalid choice {value!r}")
-    return value
+def _command_words(actions, config: dict) -> list:
+    """The command line a recorded config stands for: an option whose value is
+    JSON-equal to its default is left out, a store_true flag recorded as true
+    is the bare flag, and any other value is --opt=<text>, a list joined by
+    commas; the `=` keeps a text that starts with "-" a value."""
+    words, positional = [], []
+    for a in actions:
+        value = config[a.dest]
+        if json.dumps(value) == json.dumps(a.default):
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        if not a.option_strings:
+            positional.append(text)
+        elif a.nargs == 0 and value is True:
+            words.append(a.option_strings[0])
+        else:
+            words.append(f"{a.option_strings[0]}={text}")
+    return words + ["--", *positional] if positional else words
 
 
 def cmd_replay(args):
@@ -486,13 +494,8 @@ def cmd_replay(args):
         missing = {a.dest for a in actions} - config.keys()
         if missing:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
-        ns = argparse.Namespace(**{a.dest: _reparse(a, config[a.dest]) for a in actions},
-                                inputs={})
-        for group in parser._mutually_exclusive_groups:  # as argparse checks the command line
-            given = [a.dest for a in group._group_actions if getattr(ns, a.dest) != a.default]
-            if len(given) > 1 or (group.required and not given):
-                raise ValueError(f"needs {'exactly' if group.required else 'at most'} one of "
-                                 f"{', '.join(a.dest for a in group._group_actions)}, got {len(given)}")
+        ns = parser.parse_args(_command_words(actions, config),
+                               argparse.Namespace(command=command, inputs={}))
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
@@ -645,8 +648,7 @@ def _write_outputs(args, code: int, payload: dict, primary_text: str) -> None:
     out_path = Path(args.out) if args.out else None
     if out_path is not None:
         _write_text(out_path, primary_text)
-    config = {k: (list(v) if isinstance(v, tuple) else v)
-              for k, v in vars(args).items() if k not in _NON_CONFIG}
+    config = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG}
     manifest = {
         "command": args.command,
         "config": config,

@@ -19,7 +19,6 @@ from .network import SparseNet, forward
 
 RANK_TOL = 1e-8
 BASIS_TOL = 1e-10  # zero_column_transform: a pivot at most this x the largest is no basis row
-MAX_REPORTS = 16  # check_assumptions lists at most this many zero entries and duplicate pairs
 
 
 # ---------------------------------------------------------------------------
@@ -289,53 +288,24 @@ def random_grouped_instance(cond: str, seed: int = 0, n_groups: int = 3, n: int 
 # assumption checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Genericity checks on data and mask for the rank certificates."""
-
-    data_ok: bool
-    zero_entries: tuple      # (row, col) entries equal to 0.0
-    duplicate_pairs: tuple   # (row, col_a, col_b) with |x_a| == |x_b|
-    mask_ok: bool
-    zero_rows: tuple         # mask rows with no connections
-
-    @property
-    def ok(self) -> bool:
-        return self.data_ok and self.mask_ok
-
-
-def check_assumptions(X: np.ndarray, mask: np.ndarray) -> AssumptionReport:
-    """Data rows need nonzero entries with pairwise distinct magnitudes;
-    the mask needs no all-zero rows.  Exact float comparisons by design."""
+def check_assumptions(X: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether the data and mask are generic for the rank certificates: every
+    data row has nonzero entries with pairwise distinct magnitudes, and no
+    mask row is all zero.  Exact float comparisons by design, so a NaN entry
+    is neither zero nor equal to another."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    mags = np.sort(np.abs(X), axis=1)
     mask = np.atleast_2d(np.asarray(mask)).astype(bool)
-    zeros, dups = [], []
-    for k in range(X.shape[0]):
-        row = X[k]
-        for i in np.flatnonzero(row == 0.0):
-            if len(zeros) < MAX_REPORTS:
-                zeros.append((k, int(i)))
-        order = np.argsort(np.abs(row), kind="stable")
-        vals = np.abs(row[order])
-        for a in np.flatnonzero(np.diff(vals) == 0.0):
-            if len(dups) < MAX_REPORTS:
-                dups.append((k, int(order[a]), int(order[a + 1])))
-    zero_rows = tuple(int(j) for j in np.flatnonzero(~mask.any(axis=1)))
-    return AssumptionReport(
-        data_ok=not zeros and not dups,
-        zero_entries=tuple(zeros),
-        duplicate_pairs=tuple(dups),
-        mask_ok=not zero_rows,
-        zero_rows=zero_rows,
-    )
+    return bool(not (X == 0.0).any() and not (mags[:, 1:] == mags[:, :-1]).any()
+                and mask.any(axis=1).all())
 
 
 # ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
 
-def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of singular values above tol * s_max."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Count of singular values above RANK_TOL * s_max."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
@@ -345,7 +315,7 @@ def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def hidden_rank_certificate(net: SparseNet, X: np.ndarray) -> tuple:

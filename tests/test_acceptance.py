@@ -176,7 +176,7 @@ def test_criterion_7_full_rank_certificate():
                 for _ in range(50):  # redraw until the genericity checks pass
                     mask = random_sparse_mask((n, d), sparsity, seed=int(rng.integers(2**31)))
                     X = rng.standard_normal((d, n))
-                    if check_assumptions(X, mask).ok:
+                    if check_assumptions(X, mask):
                         break
                 W = rng.uniform(-bound, bound, (n, d)) * mask
                 if numerical_rank(np.asarray(act(W @ X))) == n:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +169,16 @@ def test_inverse_rejects_out_of_range():
     assert Activation("softplus").inverse(-0.1) is None
     with pytest.raises(ValueError, match="range query not supported for polynomial"):
         Activation("polynomial", coeffs=(0.0, 1.0)).inverse(0.5)
+
+
+def test_softplus_inverse_past_the_overflow_of_expm1():
+    act = Activation("softplus")
+    for y in (710.0, 1e300, sys.float_info.max):
+        z = act.inverse(y)
+        assert z == y and float(act(z)) == y, y
+    # below the overflow the preimage keeps the bits of log(expm1(y))
+    for y in [*np.linspace(1e-300, 709.78, 2001), *np.geomspace(5e-324, 709.78, 2001)]:
+        assert act.inverse(float(y)) == math.log(math.expm1(float(y))), y
 
 
 # sigma's range per kind as (low end, whether sigma attains it, high end), the

@@ -14,7 +14,8 @@ import pytest
 import sparseland
 from sparseland import __version__, net_to_json
 from sparseland.cli import (HANDLERS, _finite_float, _four_floats, _nonnegative_float,
-                            _parse_floats, _payload_digest, _positive_float, build_parser, main)
+                            _parse_floats, _payload_digest, _positive_float, _subparser,
+                            build_parser, main)
 
 
 @pytest.fixture
@@ -130,7 +131,8 @@ def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     with pytest.raises(SystemExit) as ei:
         main(["replay", str(manifest)])
     assert ei.value.code == 2
-    assert f"{dest}: must be a finite number of at least 0, got -1.0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: bad manifest {manifest}: argument {flag}: "
+                                       "must be a finite number of at least 0, got -1.0\n")
 
 
 @pytest.mark.parametrize("argv,dest,value", [
@@ -517,7 +519,7 @@ def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
         main(["replay", str(p)])
     assert ei.value.code == 2
     assert capsys.readouterr().err == \
-        f"error: bad manifest {p}: needs at most one of spec, dims, got 2\n"
+        f"error: bad manifest {p}: argument --dims: not allowed with argument --spec\n"
 
 
 @pytest.fixture
@@ -994,8 +996,9 @@ def test_replay_bad_manifest(workdir, capsys):
     trials = json.loads((workdir / "trials.manifest.json").read_text())
     capsys.readouterr()
     # not a JSON object; an environment that is not one; a config that lacks
-    # options the handler reads; values that `path --n`, `--cond`, a flag or
-    # `--y` rejects; neither or both of train's exclusive --spec and --dims
+    # options the handler reads; values that `path --n`, `--cond`, a flag,
+    # `--y` or `--seed` rejects, JSON types included; neither or both of
+    # train's exclusive --spec and --dims
     config = manifest["config"]
     errs = []
     for bad in ([], dict(manifest, environment=["OPENBLAS_NUM_THREADS"]),
@@ -1004,7 +1007,11 @@ def test_replay_bad_manifest(workdir, capsys):
                 dict(train, config=dict(train["config"], backtrack="no")),
                 dict(trials, config=dict(trials["config"], y=[1, 2])),
                 dict(train, config=dict(train["config"], dims=None, spec=None)),
-                dict(train, config=dict(train["config"], spec="net.json"))):
+                dict(train, config=dict(train["config"], spec="net.json")),
+                dict(train, config=dict(train["config"], backtrack=0)),
+                dict(train, config=dict(train["config"], backtrack=1)),
+                dict(manifest, config=dict(config, n=12.0)),
+                dict(manifest, config=dict(config, seed=False))):
         p.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as ei:
             main(["replay", str(p)])
@@ -1013,13 +1020,74 @@ def test_replay_bad_manifest(workdir, capsys):
         assert err.startswith(f"error: bad manifest {p}: ") and err.count("\n") == 1
         errs.append(err)
     assert "config lacks cond, groups, n, samples" in errs[2]
-    assert "n: expected an integer, got 'abc'" in errs[3]
-    assert "n: must be at least 1, got 0" in errs[4]
-    assert "cond: invalid choice 2" in errs[5]
-    assert "backtrack: expected true or false, got 'no'" in errs[6]
-    assert "y: expected 4 comma-separated numbers, got 1,2" in errs[7]
-    assert "needs exactly one of spec, dims, got 0" in errs[8]
-    assert "needs exactly one of spec, dims, got 2" in errs[9]
+    # the rest are the command line's own messages
+    assert errs[3].endswith(": argument --n: expected an integer, got 'abc'\n")
+    assert errs[4].endswith(": argument --n: must be at least 1, got 0\n")
+    assert errs[5].endswith(": argument --cond: invalid choice: 2 (choose from 1, 3)\n")
+    assert errs[6].endswith(": argument --backtrack: ignored explicit argument 'no'\n")
+    assert errs[7].endswith(": argument --y: expected 4 comma-separated numbers, got 1,2\n")
+    assert errs[8].endswith(": one of the arguments --spec --dims is required\n")
+    assert errs[9].endswith(": argument --dims: not allowed with argument --spec\n")
+    assert errs[10].endswith(": argument --backtrack: ignored explicit argument '0'\n")
+    assert errs[11].endswith(": argument --backtrack: ignored explicit argument '1'\n")
+    assert errs[12].endswith(": argument --n: expected an integer, got '12.0'\n")
+    assert errs[13].endswith(": argument --seed: expected an integer, got 'False'\n")
+
+
+# a valid command line of each command that records its options: its
+# positionals and its options
+REPLAY_BASES = {
+    "verify": (["sd-minimum"], {}),
+    "train": ([], {"--dims": "3,4,1"}),
+    "trials": ([], {}),
+    "path": ([], {}),
+    "rank": ([], {}),
+    "conv-rank": ([], {"--mode": "same", "--d": "3", "--kernel": "1"}),
+}
+BAD_TEXTS = ("abc", "0", "-1", "nan", "inf", "1,2", "-1e-3", "")
+
+
+def command_line_error(argv, capsys):
+    """The message with which the command line rejects argv, or None."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as e:
+        assert e.code == 2
+        return capsys.readouterr().err.splitlines()[-1].split(": error: ", 1)[1]
+    return None
+
+
+def test_replay_rejects_what_the_command_line_rejects(workdir, capsys):
+    # every value-taking option of each command, given each text on the
+    # command line and held as that text in a manifest: where the command
+    # line rejects the text, replay rejects it with the same message
+    p = workdir / "m.json"
+    options, covered = set(), set()
+    for command, (positionals, base) in REPLAY_BASES.items():
+        config = {k: v for k, v in vars(build_parser().parse_args(
+            [command, *positionals, *[w for pair in base.items() for w in pair]])).items()
+            if k not in {"command", "out", "json_out"}}
+        for action in _subparser(command)._actions:
+            if action.nargs == 0 or action.dest in {"help", "out", "spec"}:
+                continue
+            options.add((command, action.dest))
+            flag = action.option_strings[0] if action.option_strings else None
+            for text in BAD_TEXTS:
+                argv = [command, *(positionals if flag else [text]),
+                        *[w for pair in base.items() if pair[0] != flag for w in pair],
+                        *([flag, text] if flag else [])]
+                message = command_line_error(argv, capsys)
+                if message is None or not message.startswith("argument "):
+                    continue
+                p.write_text(json.dumps({"command": command,
+                                         "config": dict(config, **{action.dest: text}),
+                                         "payload_sha256": "", "outputs": {"primary": {"sha256": ""}}}))
+                with pytest.raises(SystemExit) as ei:
+                    main(["replay", str(p)])
+                assert ei.value.code == 2
+                assert capsys.readouterr().err == f"error: bad manifest {p}: {message}\n", argv
+                covered.add((command, action.dest))
+    assert covered == options and len(options) == 39
 
 
 def test_replay_rejects_unknown_command(workdir, capsys):

@@ -204,7 +204,6 @@ def test_every_public_method_is_reached_or_listed():
 SET_ONLY_BY_TESTS = {
     ("fd_gradient", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
     ("fd_hessian", "h"): "test_calculus.py::test_fd_steps_set_the_truncation_error",
-    ("numerical_rank", "tol"): "test_landscape.py::test_numerical_rank",
 }
 
 
