@@ -113,19 +113,21 @@ class Activation:
         return self.value_and_derivative(z)[1]
 
     def value_and_derivative(self, z):
-        """(sigma(z), sigma'(z)), elementwise; the value equals self(z) bit
-        for bit.  relu/leaky_relu take the z>0 branch of sigma' at 0.
+        """(sigma(z), sigma'(z)), elementwise; the value is self(z).
+        relu/leaky_relu take the z>0 branch of sigma' at 0.
 
-        tanh, sigmoid and shifted_sigmoid take both from one tanh/logistic pass.
+        tanh and sigmoid take sigma' from the value; shifted_sigmoid takes it
+        from the unshifted logistic s, since value + 0.5 rounds once s < 0.25.
         """
         z = np.asarray(z, dtype=float)
-        k = self.kind
+        k, v = self.kind, self(z)
         if k == "tanh":
-            t = self(z)
-            return t, 1.0 - t * t
-        if k in ("sigmoid", "shifted_sigmoid"):
+            return v, 1.0 - v * v
+        if k == "sigmoid":
+            return v, v * (1.0 - v)
+        if k == "shifted_sigmoid":
             s = _logistic(z)
-            return (s if k == "sigmoid" else s - 0.5), s * (1.0 - s)
+            return v, s * (1.0 - s)
         if k == "linear":
             d = np.ones_like(z)
         elif k == "relu":
@@ -140,7 +142,7 @@ class Activation:
             d = np.zeros_like(z)
             for j in range(len(self.coeffs) - 1, 0, -1):
                 d = d * z + j * self.coeffs[j]
-        return self(z), d
+        return v, d
 
     # -- inversion (monotone kinds) ---------------------------------------
     def inverse(self, y: float) -> float | None:

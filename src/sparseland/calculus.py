@@ -26,7 +26,7 @@ GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-4
 NULL_TOL = 1e-6
 PROBE_RADIUS = 1e-2
-PROBE_BLOCK = 1 << 13  # most probe points per loss call, so memory does not grow with n_probes
+PROBE_BLOCK = 1 << 11  # most probe points per loss call, so memory does not grow with n_probes
 
 
 def pack_blocks(blocks) -> np.ndarray:

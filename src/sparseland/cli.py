@@ -483,6 +483,10 @@ def cmd_replay(args):
         recorded_inputs = manifest.get("inputs", {})  # absent before 0.3.5
         if not (isinstance(config, dict) and isinstance(recorded_env, dict)):
             raise TypeError("config and environment must be JSON objects")
+        threads = {name: recorded_env[name] for name in _THREAD_VARS
+                   if recorded_env.get(name) is not None}
+        if not all(isinstance(v, str) for v in threads.values()):
+            raise TypeError("recorded thread settings must be strings or null")
         if not (isinstance(recorded_inputs, dict) and all(
                 isinstance(e, dict) and isinstance(e.get("path"), str)
                 for e in recorded_inputs.values())):
@@ -499,7 +503,20 @@ def cmd_replay(args):
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
         raise SystemExit(2)
-    code, payload, primary_text, _ = _run(HANDLERS[command], ns)
+    # the BLAS reads its thread count when numpy loads: a replay that loads it
+    # splits its matrix products as the recorded run did, and the caller's
+    # settings come back after
+    if "numpy" in sys.modules:
+        threads = {}
+    caller = {name: os.environ[name] for name in _THREAD_VARS if name in os.environ}
+    try:
+        os.environ.update(threads)
+        code, payload, primary_text, _ = _run(HANDLERS[command], ns)
+        now = _environment()
+    finally:
+        for name in _THREAD_VARS:
+            os.environ.pop(name, None)
+        os.environ.update(caller)
     got_payload = _payload_digest(payload)
     got_primary = _sha256(primary_text)
     match = got_payload == expected_payload and got_primary == expected_primary
@@ -515,7 +532,6 @@ def cmd_replay(args):
         recorded = manifest.get("version")
         if recorded != __version__:
             lines.append(f"version differs from the recorded run: {recorded!r} -> {__version__!r}")
-        now = _environment()
         changed = [f"{k} {v!r} -> {now[k]!r}" for k, v in recorded_env.items()
                    if k in now and v != now[k]]
         if changed:

@@ -198,7 +198,6 @@ class SpuriousValleyInstance:
     valley_theta: np.ndarray
     escape_theta: np.ndarray
     constraints: dict
-    Y: np.ndarray
     # the targets of _residuals' table (slot 4 holds no residual), kept at the
     # width of the last table: a same-shape subtraction skips numpy's
     # broadcasting set-up, which costs more than the arithmetic at trial widths
@@ -342,11 +341,9 @@ def valley_instance(y_values=STRICT_Y,
         "y4 > y1": y4 > y1,
         "y3 > 4*y4": y3 > 4 * y4,
     }
-    Y = np.array([[y1, y1, 0.0], [y2, y2 + y3, 0.0], [0.0, 0.0, y4]])
     inst = SpuriousValleyInstance(
         y=(y1, y2, y3, y4), activation=activation,
-        valley_theta=valley_theta, escape_theta=escape_theta,
-        constraints=constraints, Y=Y,
+        valley_theta=valley_theta, escape_theta=escape_theta, constraints=constraints,
     )
     for level in ("valley loss", "escape loss"):
         try:

@@ -101,6 +101,17 @@ def test_value_and_derivative_is_bitwise(act):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (act.kind, z)
 
 
+def test_sigmoid_derivatives_are_of_the_unshifted_logistic():
+    # s * (1 - s) of the logistic s itself: s rebuilt as shifted_sigmoid's
+    # value + 0.5 rounds once s < 0.25 (here from z = -1.2 down)
+    from sparseland.activations import _logistic
+
+    z = np.array([-745.0, -40.0, -3.0, -1.2, -1.0, 0.0, 0.5, 3.0, 745.0, np.inf, -np.inf, np.nan])
+    s = _logistic(z)
+    for kind in ("sigmoid", "shifted_sigmoid"):
+        assert Activation(kind).derivative(z).tobytes() == (s * (1.0 - s)).tobytes(), kind
+
+
 def masked_logistic(z):
     """The logistic function by boolean gathers and scatters, one branch per sign."""
     z = np.asarray(z, dtype=float)

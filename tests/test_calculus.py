@@ -277,7 +277,13 @@ def test_classify_rejects_batch_collapsing_loss():
         classify_stationary(f, np.zeros(2), fd_gradient(f, np.zeros(2)), np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("n_probes", [1, 7, 500, 2 * PROBE_BLOCK + 3])
+# probe counts that span more than two full blocks and end in a partial one;
+# fixed numbers, so that a test's name does not move with the block size
+MANY_BLOCKS = (16387, 24577)
+assert all(n > 2 * PROBE_BLOCK and n % PROBE_BLOCK for n in MANY_BLOCKS)
+
+
+@pytest.mark.parametrize("n_probes", [1, 7, 500, MANY_BLOCKS[0]])
 @pytest.mark.parametrize("flat_hessian", [False, True])
 def test_classify_one_loss_call_per_radius(n_probes, flat_hessian):
     # a zero Hessian adds kernel directions to the random ones
@@ -309,7 +315,7 @@ def _kernel_loss(x):
 
 
 @pytest.mark.parametrize("kernel,n_probes", [
-    (False, 2 * PROBE_BLOCK + 3), (True, 2 * PROBE_BLOCK + 3), (True, 3 * PROBE_BLOCK + 1),
+    (False, MANY_BLOCKS[0]), (True, MANY_BLOCKS[0]), (True, MANY_BLOCKS[1]),
 ])
 def test_classify_blocks_equal_one_batch(kernel, n_probes):
     # the one-batch route: every direction drawn and evaluated at once

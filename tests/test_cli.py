@@ -998,7 +998,7 @@ def test_replay_bad_manifest(workdir, capsys):
     # not a JSON object; an environment that is not one; a config that lacks
     # options the handler reads; values that `path --n`, `--cond`, a flag,
     # `--y` or `--seed` rejects, JSON types included; neither or both of
-    # train's exclusive --spec and --dims
+    # train's exclusive --spec and --dims; a thread count recorded as a number
     config = manifest["config"]
     errs = []
     for bad in ([], dict(manifest, environment=["OPENBLAS_NUM_THREADS"]),
@@ -1011,7 +1011,8 @@ def test_replay_bad_manifest(workdir, capsys):
                 dict(train, config=dict(train["config"], backtrack=0)),
                 dict(train, config=dict(train["config"], backtrack=1)),
                 dict(manifest, config=dict(config, n=12.0)),
-                dict(manifest, config=dict(config, seed=False))):
+                dict(manifest, config=dict(config, seed=False)),
+                dict(manifest, environment=dict(manifest["environment"], OMP_NUM_THREADS=2))):
         p.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as ei:
             main(["replay", str(p)])
@@ -1032,6 +1033,7 @@ def test_replay_bad_manifest(workdir, capsys):
     assert errs[11].endswith(": argument --backtrack: ignored explicit argument '1'\n")
     assert errs[12].endswith(": argument --n: expected an integer, got '12.0'\n")
     assert errs[13].endswith(": argument --seed: expected an integer, got 'False'\n")
+    assert errs[14].endswith(": recorded thread settings must be strings or null\n")
 
 
 # a valid command line of each command that records its options: its
@@ -1233,6 +1235,30 @@ def test_cli_import_skips_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[False, False]"
     assert (tmp_path / "path.csv").exists()
+
+
+def _threads_env(n: int) -> dict:
+    return {**_checkout_env(), "OPENBLAS_NUM_THREADS": str(n), "OMP_NUM_THREADS": str(n),
+            "MKL_NUM_THREADS": str(n)}
+
+
+def test_replay_runs_under_the_recorded_thread_settings(tmp_path):
+    # under two BLAS threads this run's matrix products round otherwise, and
+    # after 3 epochs its outputs differ from those of one thread: the replay
+    # loads numpy under the recorded one thread, and the caller's two come back
+    argv = ["train", "--dims", "20,100,100,20", "--n", "200", "--epochs", "3",
+            "--activation", "tanh", "--lr", "1e-3", "--out", "t.csv"]
+    proc = subprocess.run([sys.executable, "-m", "sparseland.cli", *argv], capture_output=True,
+                          text=True, env=_threads_env(1), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    script = ("import os\n"
+              "from sparseland.cli import main\n"
+              "code = main(['replay', 't.csv.manifest.json'])\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_threads_env(2), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["replayed train: outputs identical", "2 0"]
 
 
 def test_runtime_dependencies_are_the_imports():

@@ -551,12 +551,14 @@ def test_valley_as_network_half_loss():
     blank = SparseNet(tuple(SparseLayer(np.zeros(m.shape), m) for m in masks), inst.activation)
     on_mask = np.concatenate([m.ravel() for m in masks])
     X = np.eye(3)
+    y1, y2, y3, y4 = inst.y
+    Y = np.array([[y1, y1, 0.0], [y2, y2 + y3, 0.0], [0.0, 0.0, y4]])
     for th in (inst.valley_theta, inst.escape_theta):
         theta = np.zeros(blank.n_params)
         theta[on_mask] = np.concatenate([th[4:], th[:4]])
         net = blank.with_theta(theta)
         assert net.layers[1].weights[1].tolist() == [th[1], th[2]]  # w2, w3
-        assert net_loss(net, X, inst.Y) == pytest.approx(inst.loss(th) / 2, rel=1e-13)
+        assert net_loss(net, X, Y) == pytest.approx(inst.loss(th) / 2, rel=1e-13)
 
 
 def test_trial_objective_classification():
@@ -683,20 +685,36 @@ def test_conv_probe_non_finite_losses_falsify():
     assert "Infinity" not in json.dumps(blob)
 
 
-@pytest.mark.parametrize("certify,n_probes", [
-    (lambda n: probe_valley(valley_instance(STRICT_Y), n_probes=n), 400_000),
-    (lambda n: probe_conv_valley(conv_valley_instance(), n_probes=n), 400_000),
-    (lambda n: verify_spurious_minimum(spurious_minimum_instance(), n_probes=n), 100_000),
-], ids=["valley", "conv-valley", "minimum"])
-def test_probe_memory_does_not_grow_with_probes(certify, n_probes):
-    # tracemalloc sees numpy's buffers; a (n_probes, P) stack would add megabytes
-    def peak(n):
-        tracemalloc.start()
-        try:
-            certify(n)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+CERTIFY = {
+    "valley": lambda n: probe_valley(valley_instance(STRICT_Y), n_probes=n),
+    "conv-valley": lambda n: probe_conv_valley(conv_valley_instance(), n_probes=n),
+    "minimum": lambda n: verify_spurious_minimum(spurious_minimum_instance(), n_probes=n),
+}
 
-    small, large = peak(n_probes // 10), peak(n_probes)
+
+def _traced_peak(certify, n_probes) -> int:
+    """The most bytes held at once while certify(n_probes) runs, as
+    tracemalloc counts them; it sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        certify(n_probes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,n_probes", [
+    ("valley", 400_000), ("conv-valley", 400_000), ("minimum", 100_000)], ids=list(CERTIFY))
+def test_probe_memory_does_not_grow_with_probes(name, n_probes):
+    # a (n_probes, P) stack would add megabytes
+    certify = CERTIFY[name]
+    small, large = _traced_peak(certify, n_probes // 10), _traced_peak(certify, n_probes)
     assert large - small <= 2 ** 20, (small, large)
+
+
+@pytest.mark.parametrize("name", list(CERTIFY))
+def test_probe_memory_is_bounded_at_two_blocks(name):
+    # the temporaries of one block bound the peak: 0.35-0.67 MiB at blocks of
+    # 2048 rows, 0.94-2.6 MiB at 8192
+    peak = _traced_peak(CERTIFY[name], 2 * PROBE_BLOCK + 3)
+    assert peak <= 7 * 2 ** 17, peak  # 7/8 MiB

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sparseland import cli
+from sparseland import Activation, ConstructionError, cli, valley_instance
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,9 +41,18 @@ def traced_run(capsys, argv):
     return code, capsys.readouterr().out, tracing.layer_metrics(tracer.spans, wall)
 
 
-def test_traced_trials_meet_the_trials_batch_trace_check(workloads, capsys):
-    code, out, m = traced_run(
-        capsys, ["trials", "--n", "12", "--epochs", "300", "--seed", "0", "--json"])
+def _builds_valley(kind: str) -> bool:
+    try:
+        valley_instance(activation=Activation(kind))
+    except ConstructionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", [k for k in cli.FLAG_KINDS if _builds_valley(k)])
+def test_traced_trials_meet_the_trials_batch_trace_check(workloads, capsys, kind):
+    code, out, m = traced_run(capsys, ["trials", "--activation", kind, "--n", "12",
+                                       "--epochs", "300", "--seed", "0", "--json"])
     assert code == 0
     assert workloads.TRACE_CHECKS["trials-batch"](m, [out]) == []
     # the run did loop, so the counts the check compares are not all zero
