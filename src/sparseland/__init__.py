@@ -33,11 +33,12 @@ _EXPORTS = {
         "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),
         "counterexamples": ("ConstructionError", "ConvValleyInstance",
                             "MinimumVerification", "SpuriousMinimumInstance",
-                            "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
-                            "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
-                            "valley_instance", "verify_spurious_minimum"),
+                            "SpuriousValleyInstance", "ValleyProbeReport", "check_conv_scale",
+                            "conv_valley_instance", "probe_conv_valley", "probe_valley",
+                            "spurious_minimum_instance", "valley_instance",
+                            "verify_spurious_minimum"),
         "landscape": ("FeatureMaps", "PathTrace", "ZeroColumnResult", "check_assumptions",
-                      "hidden_rank_certificate", "nonincreasing_path_overparam",
+                      "layer_ranks", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",
                       "random_grouped_instance", "zero_column_transform"),
         "network": ("RemovalReport", "SparseLayer", "SparseNet", "effective_subnetwork",

@@ -2,14 +2,17 @@
 
 Subcommands: verify, train, trials, path, prune, rank, conv-rank, replay.
 Exit codes: 0 verified/converged, 1 ran but falsified/diverged, 2 usage or
-input error, including a ValueError raised by a handler, a size whose arrays
-cannot be allocated (a MemoryError) and an --out or manifest path that cannot
-be written (one `error:` line, no manifest, no artifact).  A non-finite
-float in a payload is written as null.  Every run writes a JSON
-manifest (next to --out, or <command>.manifest.json in the working
-directory) from which `replay` reproduces the outputs bit-identically.  The
-SEED environment variable overrides --seed for every command that takes
-one; replay uses the seeds recorded in the manifest.
+input error.  Every input error past the command line (a bad SEED, a bad
+manifest, a ValueError raised by a handler, a size whose arrays cannot be
+allocated, an --out or manifest path that cannot be written) is a ValueError
+or MemoryError that leaves main through its one except: one `error:` line,
+no manifest, no artifact, and main returns 2.  A stdout closed by its reader
+keeps the run's own exit code.  A non-finite float in a payload is written
+as null.  Every run writes a JSON manifest (next to --out, or
+<command>.manifest.json in the working directory) from which `replay`
+reproduces the outputs bit-identically.  The SEED environment variable
+overrides --seed for every command that takes one; replay uses the seeds
+recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ def cmd_verify(args):
     unread = set().union(*VERIFY_READS.values()) - set(VERIFY_READS[args.instance])
     _reject_unread(args, "verify", unread, f"verify {args.instance}")
     from .activations import Activation
-    from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
-                                  spurious_minimum_instance, valley_instance,
+    from .counterexamples import (check_conv_scale, conv_valley_instance, probe_conv_valley,
+                                  probe_valley, spurious_minimum_instance, valley_instance,
                                   verify_spurious_minimum)
 
     if args.instance == "sd-minimum":
@@ -220,15 +223,15 @@ def cmd_verify(args):
     all_ok = True
     for a in scales:
         inst = conv_valley_instance(a)
+        check_conv_scale(a)
         probe = probe_conv_valley(inst, n_probes=args.probes, seed=args.seed)
-        witness = float(inst.loss(inst.global_witness()))
-        ok = probe.ok and witness < 1e-20
-        all_ok &= ok
+        all_ok &= probe.ok  # conv_valley_instance has checked the global witness
         per_scale.append({
-            "a": a, "valley_loss": inst.valley_loss, "witness_loss": witness,
-            "probe": probe.to_json(), "ok": ok,
+            "a": a, "valley_loss": inst.valley_loss,
+            "witness_loss": float(inst.loss(inst.global_witness())),
+            "probe": probe.to_json(), "ok": probe.ok,
         })
-        lines.append(f"a={a}: min excess {probe.min_excess:.3e}, ok {ok}")
+        lines.append(f"a={a}: min excess {probe.min_excess:.3e}, ok {probe.ok}")
     payload = {"scales": per_scale, "verified": all_ok}
     lines.append(f"verified: {all_ok}")
     return (0 if all_ok else 1), payload, None, lines
@@ -350,12 +353,15 @@ def cmd_prune(args):
 
 
 def cmd_rank(args):
-    from .landscape import hidden_rank_certificate
+    from .landscape import layer_ranks
     from .trainer import stream
 
     net = _spec_or_random_net(args, "rank")
     X = stream(args.seed, "rank").standard_normal((net.layers[0].n_in, args.n))
-    ranks = hidden_rank_certificate(net, X)
+    ranks = layer_ranks(net, X)[:-1]
+    if None in ranks:
+        raise ValueError(f"hidden output of layer {ranks.index(None) + 1} is not finite on the "
+                         f"samples, so its rank is not measured")
     full = [r == min(net.layers[k].n_out, args.n) for k, r in enumerate(ranks)]
     payload = {"n": args.n, "ranks": list(ranks), "full_rank": full, "all_full": all(full)}
     lines = [f"hidden ranks on n={args.n} gaussian samples: {list(ranks)}",
@@ -501,8 +507,7 @@ def cmd_replay(args):
         ns = parser.parse_args(_command_words(actions, config),
                                argparse.Namespace(command=command, inputs={}))
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
-        print(f"error: bad manifest {args.manifest_path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad manifest {args.manifest_path}: {e}") from None
     # the BLAS reads its thread count when numpy loads: a replay that loads it
     # splits its matrix products as the recorded run did, and the caller's
     # settings come back after
@@ -694,17 +699,14 @@ def _write_outputs(args, code: int, payload: dict, primary_text: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-
-    if "SEED" in os.environ and hasattr(args, "seed"):
-        text = os.environ["SEED"]
-        try:
-            args.seed = _int_at_least(0)(text)
-        except argparse.ArgumentTypeError:
-            print(f"error: SEED must be an integer of at least 0, got {text!r}", file=sys.stderr)
-            return 2
-
     args.inputs = {}
     try:
+        if "SEED" in os.environ and hasattr(args, "seed"):
+            text = os.environ["SEED"]
+            try:
+                args.seed = _int_at_least(0)(text)
+            except argparse.ArgumentTypeError:
+                raise ValueError(f"SEED must be an integer of at least 0, got {text!r}") from None
         code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
                                                   else HANDLERS[command], args)
         if command != "replay":
@@ -712,7 +714,10 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as e:  # bad input (ConstructionError too), not a falsification
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.json_out else "\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader left early; the verdict stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

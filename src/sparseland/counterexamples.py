@@ -15,7 +15,8 @@ unverified instance):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -388,14 +389,7 @@ class ValleyProbeReport:
         return self.falsifications == 0 and self.line_strict_ok
 
     def to_json(self) -> dict:
-        return {
-            "n_probes": self.n_probes,
-            "radius": self.radius,
-            "min_excess": self.min_excess,
-            "falsifications": self.falsifications,
-            "line_strict_ok": self.line_strict_ok,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
@@ -407,7 +401,9 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
     lower bound only holds for constraint-satisfying y-values.  The line
     test's least step, radius/20 along w4, raises the loss by
     (radius/20 sigma(w7))^2; a radius whose rise is below 4 ulps of the
-    valley loss cannot show it and raises ValueError naming one that can.
+    valley loss cannot show it, and one whose probe losses can overflow
+    (_corner_losses_finite) shows nothing: each raises ValueError naming a
+    radius that works.
     """
     theta = inst.valley_theta
     act = inst.activation
@@ -416,11 +412,19 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
     level = inst.valley_loss
     least = 20 * math.sqrt(4 * math.ulp(level)) / abs(s7)
     if radius < least:
-        digit = 10.0 ** (math.floor(math.log10(least)) - 1)  # least, rounded up to 2 digits
         raise ValueError(f"probe radius {radius!r} cannot resolve the line test at valley loss "
                          f"{level!r}: its least step raises the loss by "
                          f"{(radius / 20 * s7) ** 2:.3g}, below 4 ulps; the least radius that "
-                         f"does is {math.ceil(least / digit) * digit:g}")
+                         f"does is {_two_digits(least, up=True):g}")
+
+    def finite(r):
+        return _corner_losses_finite(inst.loss, theta, r)
+
+    if not finite(radius):
+        raise ValueError(f"probe radius {radius!r} lets the probe losses overflow at valley loss "
+                         f"{level!r}; " + (f"the largest radius that does not is "
+                                           f"{_edge(finite, least, radius):g}" if finite(least)
+                                           else "so does every radius that resolves the line test"))
     rng = np.random.default_rng(seed)
 
     def draw(k):
@@ -434,6 +438,31 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
         return deltas
 
     return _probe(inst.loss, theta, level, draw, n_probes, 1e-10, coord=3, radius=radius)
+
+
+def _corner_losses_finite(loss, theta, half_width) -> bool:
+    """Whether loss is finite at each corner of the box theta +- half_width.
+    A valley loss with a monotone sigma is largest over the box at a corner:
+    it is a sum of squares of terms affine in each weight and in each sigma(z),
+    and sigma(z) is monotone in z.  The box holds every probe, clipped or not."""
+    corners = np.array(list(product((-1.0, 1.0), repeat=theta.size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(loss(theta + half_width * corners)).all())
+
+
+def _edge(holds, good: float, bad: float) -> float:
+    """A value at which holds() holds, near its edge between good, where it
+    holds, and bad, where it fails: geometric bisection to within 1%, rounded
+    to two digits towards good."""
+    while max(good, bad) > 1.01 * min(good, bad):
+        mid = math.sqrt(good) * math.sqrt(bad)
+        good, bad = (mid, bad) if holds(mid) else (good, mid)
+    return _two_digits(good, up=good > bad)
+
+
+def _two_digits(x: float, up: bool) -> float:
+    digit = 10.0 ** (math.floor(math.log10(x)) - 1)
+    return (math.ceil if up else math.floor)(x / digit) * digit
 
 
 def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProbeReport:
@@ -467,6 +496,7 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
 # ---------------------------------------------------------------------------
 
 CONV_TARGET = np.diag([1.0, 4.0])
+CONV_RADIUS = 0.1  # probe_conv_valley: the bound of each perturbation and of its line test
 
 
 @dataclass(frozen=True)
@@ -512,7 +542,8 @@ def conv_valley_instance(a: float = 1.0) -> ConvValleyInstance:
         raise ValueError("the valley branch needs a > 0")
     inst = ConvValleyInstance(a=float(a))
     problems = []
-    lv = inst.loss(inst.valley_point())
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite fails below
+        lv = inst.loss(inst.valley_point())
     if lv != 0.5:
         problems.append(f"valley loss at a={inst.a} is {lv!r}, expected exactly 0.5")
     lw = inst.loss(inst.global_witness())
@@ -538,11 +569,35 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
     rng = np.random.default_rng(seed)
 
     def draw(k):
-        deltas = rng.uniform(-0.1, 0.1, size=(k, 6))
+        deltas = rng.uniform(-CONV_RADIUS, CONV_RADIUS, size=(k, 6))
         deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)  # eps_2 (u2)
         deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)    # eps_3 (u3)
         deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)    # delta_2 (w2)
         return deltas
 
     return _probe(inst.loss, inst.valley_point(), inst.valley_loss, draw, n_probes, 1e-12,
-                  coord=4, radius=0.1)
+                  coord=4, radius=CONV_RADIUS)
+
+
+def check_conv_scale(a: float) -> None:
+    """Raise ValueError, naming a scale that works, when probe_conv_valley at
+    scale a could not certify a true valley: the line test's least step,
+    t = CONV_RADIUS/20 along w1, raises the loss by 0.5 (4 t / a)^2, which
+    above a ~ 6.7e5 is below 4 ulps of 1/2, and below a ~ 4.3e-155 the probe
+    losses can overflow.  probe_conv_valley itself probes any a > 0, and
+    reads a loss that is not finite as a falsification."""
+    t = CONV_RADIUS / 20
+    largest = 4 * t / math.sqrt(8 * math.ulp(0.5))  # where the rise is 4 ulps
+    if a > largest:
+        raise ValueError(f"scale {a!r} cannot resolve the line test at valley loss 0.5: its "
+                         f"least step raises the loss by {0.5 * (4 * t / a) ** 2:.3g}, below "
+                         f"4 ulps; the largest scale that does is "
+                         f"{_two_digits(largest, up=False):g}")
+
+    def finite(scale):
+        inst = ConvValleyInstance(a=scale)
+        return _corner_losses_finite(inst.loss, inst.valley_point(), CONV_RADIUS)
+
+    if not finite(a):
+        raise ValueError(f"scale {a!r} lets the probe losses overflow; the least scale that "
+                         f"does not is {_edge(finite, 1.0, a):g}")

@@ -318,17 +318,13 @@ def numerical_rank(M: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def hidden_rank_certificate(net: SparseNet, X: np.ndarray) -> tuple:
-    """Numerical rank of every post-activation hidden output on X.  A hidden
-    output that is not finite (the forward pass overflowed) has no measured
-    rank: it raises ValueError naming its layer."""
+def layer_ranks(net: SparseNet, X: np.ndarray) -> tuple:
+    """Numerical rank of every layer output on X: each hidden layer's, post
+    activation, then the net's.  An output that is not finite (the forward
+    pass overflowed) has no measured rank: None."""
     with np.errstate(over="ignore", invalid="ignore"):  # judged below
-        _, hiddens = forward(net, X)
-    for k, h in enumerate(hiddens, 1):
-        if not np.isfinite(h).all():
-            raise ValueError(f"hidden output of layer {k} is not finite on the samples, "
-                             f"so its rank is not measured")
-    return tuple(numerical_rank(h) for h in hiddens)
+        out, hiddens = forward(net, X)
+    return tuple(numerical_rank(h) if np.isfinite(h).all() else None for h in (*hiddens, out))
 
 
 # ---------------------------------------------------------------------------

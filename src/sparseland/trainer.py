@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation
-from .landscape import csv_text, loss_rise, numerical_rank
-from .network import SparseLayer, SparseNet, _checked_input, _checked_target, forward, loss
+from .landscape import csv_text, layer_ranks, loss_rise
+from .network import SparseLayer, SparseNet, _checked_input, _checked_target, loss
 
 DIVERGE_FACTOR = 1e12
 CLUSTER_REL_TOL = 1e-3  # loss_clusters: relative distance that joins a loss to a cluster
@@ -340,8 +340,8 @@ def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
              config: TrainConfig = TrainConfig(), rank_every: int = 0) -> TrainTrace:
     """Full-batch GD on 0.5 ||net(X) - Y||_F^2 from net's own parameters (one
-    _descend run over net.theta), the layer outputs' ranks sampled every
-    rank_every epochs (0: never).  grad_net checks X and Y on the first step."""
+    _descend run over net.theta), the layer_ranks of its outputs sampled
+    every rank_every epochs (0: never).  grad_net checks X and Y on the first step."""
 
     def value_and_grad(theta):
         grad, value = grad_net(net.with_theta(theta[0]), X, Y)
@@ -352,10 +352,7 @@ def gd_train(net: SparseNet, X: np.ndarray, Y: np.ndarray,
     def observe(epoch, theta, values):
         losses.append(values[0])
         if rank_every and epoch % rank_every == 0:
-            out, hiddens = forward(net.with_theta(theta[0]), X)
-            # a layer whose output is not finite has no measured rank
-            ranks.append((epoch, tuple(numerical_rank(h) if np.isfinite(h).all() else None
-                                       for h in (*hiddens, out))))
+            ranks.append((epoch, layer_ranks(net.with_theta(theta[0]), X)))
 
     theta, _, _, stop_reason = _descend(value_and_grad, net.theta[None], config, observe)
     return TrainTrace(losses=np.asarray(losses), net=net.with_theta(theta[0]),

@@ -128,9 +128,7 @@ def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     record["config"][dest] = -1.0
     manifest.write_text(json.dumps(record))
     capsys.readouterr()
-    with pytest.raises(SystemExit) as ei:
-        main(["replay", str(manifest)])
-    assert ei.value.code == 2
+    assert main(["replay", str(manifest)]) == 2
     assert capsys.readouterr().err == (f"error: bad manifest {manifest}: argument {flag}: "
                                        "must be a finite number of at least 0, got -1.0\n")
 
@@ -405,6 +403,23 @@ def test_train_overflowed_loss_is_inf_for_both_gradient_routes(workdir, capsys, 
     assert len(rows) == 3 and rows[2] == "1,inf,,,"
 
 
+@pytest.mark.parametrize("hidden,ranks", [(1e308, [None, None]), (1.0, [2, None])],
+                         ids=["hidden", "output"])
+def test_train_rank_cells_of_an_overflowing_net_are_empty(workdir, capsys, hidden, ranks):
+    # the first forward pass overflows the output, and with hidden weights
+    # of 1e308 the hidden layer too: the outputs that are not finite have no
+    # rank, an empty cell, and the finite hidden layer keeps its rank 2
+    spec = {"layers": [{"weights": [[hidden, 0.0], [0.0, hidden]]}, {"weights": [[1e308] * 2]}],
+            "activation": {"kind": "linear"}}
+    (workdir / "big.json").write_text(json.dumps(spec))
+    code, cap = run_cli(["train", "--spec", "big.json", "--epochs", "0", "--rank-every", "1",
+                         "--out", "t.csv", "--json"], capsys)
+    assert code == 1 and cap.err == ""
+    assert json.loads(cap.out)["ranks"] == [[0, ranks]]
+    rows = (workdir / "t.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[2:] == ["" if r is None else str(r) for r in ranks]
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------
@@ -515,9 +530,7 @@ def test_replay_rejects_rank_manifest_with_spec_and_dims(workdir, capsys):
     rank = json.loads((workdir / "rank.manifest.json").read_text())
     p = workdir / "m.json"
     p.write_text(json.dumps(dict(rank, config=dict(rank["config"], spec="n.json"))))
-    with pytest.raises(SystemExit) as ei:
-        main(["replay", str(p)])
-    assert ei.value.code == 2
+    assert main(["replay", str(p)]) == 2
     assert capsys.readouterr().err == \
         f"error: bad manifest {p}: argument --dims: not allowed with argument --spec\n"
 
@@ -673,6 +686,32 @@ def test_replay_of_a_size_that_cannot_be_allocated_is_a_usage_error(workdir, cap
     assert code == 2 and cap.out == ""
     assert cap.err.startswith("error: Unable to allocate ") and cap.err.count("\n") == 1
     assert sorted(p.name for p in workdir.iterdir()) == ["big.json", "rank.manifest.json"]
+
+
+# one input error per route to exit 2: (argv, SEED or None, the error line's start)
+EXIT_2_ROUTES = {
+    "handler-value-error": (["rank", "--spec", "big.json", "--seed", "2"], None,
+                            "error: hidden output of layer 1 is not finite on the samples, "),
+    "memory-error": (UNALLOCATABLE["rank"], None, "error: Unable to allocate "),
+    "bad-seed": (["path"], "-1", "error: SEED must be an integer of at least 0, got '-1'"),
+    "bad-manifest": (["replay", "m.json"], None, "error: bad manifest m.json: 'command'"),
+    "unwritable-out": (["path", "--out", "afile/x.csv"], None, "error: cannot write afile/x.csv: "),
+}
+
+
+@pytest.mark.parametrize("argv,seed,err", list(EXIT_2_ROUTES.values()), ids=list(EXIT_2_ROUTES))
+def test_every_input_error_leaves_main_with_exit_2(workdir, capsys, monkeypatch, argv, seed, err):
+    # each route returns 2 from main (none raises SystemExit), with one
+    # `error:` line and no manifest
+    (workdir / "afile").write_text("")
+    (workdir / "m.json").write_text("{}")
+    (workdir / "big.json").write_text(json.dumps(_big_linear_spec((2, 2, 1))))
+    if seed is not None:
+        monkeypatch.setenv("SEED", seed)
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith(err) and cap.err.count("\n") == 1, cap.err
+    assert sorted(p.name for p in workdir.iterdir()) == ["afile", "big.json", "m.json"]
 
 
 @pytest.mark.parametrize("bad", [2, 0.5, -1])
@@ -973,9 +1012,7 @@ def test_replay_rejects_malformed_inputs(spec_net, workdir, capsys):
     p = workdir / "m.json"
     for bad in (["n.json"], {"spec": "n.json"}, {"spec": {"path": 3, "sha256": "0"}}):
         p.write_text(json.dumps(dict(manifest, inputs=bad)))
-        with pytest.raises(SystemExit) as ei:
-            main(["replay", str(p)])
-        assert ei.value.code == 2
+        assert main(["replay", str(p)]) == 2
         assert capsys.readouterr().err == \
             f"error: bad manifest {p}: inputs must map names to objects with a path\n"
 
@@ -983,9 +1020,7 @@ def test_replay_rejects_malformed_inputs(spec_net, workdir, capsys):
 def test_replay_bad_manifest(workdir, capsys):
     p = workdir / "m.json"
     p.write_text("{}")
-    with pytest.raises(SystemExit) as ei:
-        main(["replay", str(p)])
-    assert ei.value.code == 2
+    assert main(["replay", str(p)]) == 2
     run_cli(["path", "--cond", "1", "--seed", "2"], capsys)
     manifest = json.loads((workdir / "path.manifest.json").read_text())
     capsys.readouterr()
@@ -1014,9 +1049,7 @@ def test_replay_bad_manifest(workdir, capsys):
                 dict(manifest, config=dict(config, seed=False)),
                 dict(manifest, environment=dict(manifest["environment"], OMP_NUM_THREADS=2))):
         p.write_text(json.dumps(bad))
-        with pytest.raises(SystemExit) as ei:
-            main(["replay", str(p)])
-        assert ei.value.code == 2
+        assert main(["replay", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad manifest {p}: ") and err.count("\n") == 1
         errs.append(err)
@@ -1084,9 +1117,7 @@ def test_replay_rejects_what_the_command_line_rejects(workdir, capsys):
                 p.write_text(json.dumps({"command": command,
                                          "config": dict(config, **{action.dest: text}),
                                          "payload_sha256": "", "outputs": {"primary": {"sha256": ""}}}))
-                with pytest.raises(SystemExit) as ei:
-                    main(["replay", str(p)])
-                assert ei.value.code == 2
+                assert main(["replay", str(p)]) == 2
                 assert capsys.readouterr().err == f"error: bad manifest {p}: {message}\n", argv
                 covered.add((command, action.dest))
     assert covered == options and len(options) == 39
@@ -1098,9 +1129,7 @@ def test_replay_rejects_unknown_command(workdir, capsys):
     p = workdir / "m.json"
     for command in ("bogus", "replay", 3):
         p.write_text(json.dumps(dict(manifest, command=command)))
-        with pytest.raises(SystemExit) as ei:
-            main(["replay", str(p)])
-        assert ei.value.code == 2
+        assert main(["replay", str(p)]) == 2
         assert capsys.readouterr().err == f"error: bad manifest {p}: unknown command {command!r}\n"
 
 
@@ -1174,10 +1203,13 @@ def test_verify_memory_does_not_grow_with_probes(workdir):
 
 
 @pytest.mark.parametrize("argv,code,err", [
-    (["verify", "cnn-same-valley", "--scale", "1e-300"], 1, ""),
+    (["verify", "cnn-same-valley", "--scale", "1e-300"], 2,
+     "error: scale 1e-300 lets the probe losses overflow; the least scale that does not is "),
     (["verify", "ss-valley", "--y", "1,2,1e200,2"], 2,
      "error: valley instance failed validation: valley loss inf != y4^2 = 4.0; "),
-], ids=["cnn-overflow", "ss-valley-overflow"])
+    (["verify", "cnn-same-valley", "--scale", "1e-320"], 2,
+     "error: conv valley failed validation: valley loss at a=1e-320 is nan, "),
+], ids=["cnn-overflow", "ss-valley-overflow", "cnn-subnormal-scale"])
 def test_verify_overflow_prints_no_numpy_warning(tmp_path, argv, code, err):
     # the losses overflow: stderr holds the one error line, or nothing
     proc = subprocess.run([sys.executable, "-m", "sparseland.cli", *argv], capture_output=True,
@@ -1218,6 +1250,27 @@ def test_console_script_version():
                           capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0
     assert proc.stdout == f"sparseland {__version__}\n"
+
+
+def test_a_closed_stdout_keeps_the_verdict(workdir, monkeypatch):
+    # the reader closes the pipe before the run prints: the certificate that
+    # passed still exits 0, with no BrokenPipeError on stderr, also from the
+    # interpreter's flush at exit
+    argv = ["verify", "sd-minimum", "--json"]
+    proc = subprocess.Popen([sys.executable, "-m", "sparseland.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_checkout_env(), cwd=workdir)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0 and err == b""
+    # in process: main returns the verdict, and stdout's descriptor then
+    # writes to the null device, so a later flush raises nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == 0
+        print("after", file=closed, flush=True)
 
 
 def test_cli_import_skips_scipy(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 import sparseland.counterexamples as counterexamples
 from sparseland import (
     Activation,
+    check_conv_scale,
     ConstructionError,
     conv_matrix,
     ConvSpec,
@@ -39,6 +40,7 @@ from sparseland.calculus import PROBE_BLOCK
 from sparseland.cli import _finite_json, main
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
+    CONV_RADIUS,
     EIGENVALUES_REF,
     EXPERIMENT_Y,
     HESSIAN_REF,
@@ -510,6 +512,16 @@ def test_probe_valley_rejects_a_radius_just_below_the_least():
         probe_valley(inst, n_probes=10, radius=least * (1 - 1e-9))
 
 
+def test_probe_valley_names_no_radius_when_every_resolving_one_overflows():
+    # y4^2 is the largest float below the overflow: the least radius that
+    # resolves the line test, 1.2e148, already lifts a corner's loss past it
+    inst = valley_instance((1.0, 2.0, 9.0, math.sqrt(np.finfo(float).max)))
+    with pytest.raises(ValueError, match="least radius that does is 1.2e[+]148$"):
+        probe_valley(inst, n_probes=10)
+    with pytest.raises(ValueError, match="; so does every radius that resolves the line test$"):
+        probe_valley(inst, n_probes=10, radius=1.2e148)
+
+
 # payload_sha256 of `verify ss-valley --y Y --json`, the same as before the
 # radius check: a radius that resolves the line test keeps its bytes
 RESOLVED_PAYLOADS = {
@@ -525,6 +537,67 @@ def test_verify_payload_of_a_resolved_radius_is_pinned(tmp_path, monkeypatch, ca
     capsys.readouterr()
     manifest = json.loads((tmp_path / "verify.manifest.json").read_text())
     assert manifest["payload_sha256"] == RESOLVED_PAYLOADS[y]
+
+
+# (instance, option, a value past the bound, the bound named, the next
+# two-digit value past it): the line test cannot show its least step (the
+# 4-ulp rule), or the probe losses can overflow
+VALLEY_BOUNDS = {
+    "scale-1e7": ("cnn-same-valley", "--scale", "1e7", "the largest scale that does is 670000",
+                  "680000"),
+    "scale-1e6": ("cnn-same-valley", "--scale", "1e6", "the largest scale that does is 670000",
+                  "680000"),
+    "scale-1e-160": ("cnn-same-valley", "--scale", "1e-160",
+                     "the least scale that does not is 4.3e-155", "4.2e-155"),
+    "radius-1e154": ("ss-valley", "--radius", "1e154",
+                     "the largest radius that does not is 4.2e+153", "4.3e153"),
+    "radius-1e160": ("ss-valley", "--radius", "1e160",
+                     "the largest radius that does not is 4.2e+153", "4.3e153"),
+}
+
+
+@pytest.mark.parametrize("instance,option,value,named,beyond", list(VALLEY_BOUNDS.values()),
+                         ids=list(VALLEY_BOUNDS))
+def test_verify_names_a_valley_bound_that_verifies(tmp_path, monkeypatch, capsys,
+                                                   instance, option, value, named, beyond):
+    # a value the probes cannot judge is bad input, exit 2 before any probe,
+    # not exit 1 ("falsified"); the bound it names verifies, and the next
+    # two-digit value past that bound is rejected too
+    monkeypatch.chdir(tmp_path)
+    for v in (value, beyond):
+        assert main(["verify", instance, option, v]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+        assert cap.err.endswith(f"; {named}\n"), cap.err
+    assert not list(tmp_path.iterdir())  # no manifest
+    bound = named.rsplit(" ", 1)[1]
+    assert main(["verify", instance, option, bound, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_the_largest_conv_scale_shows_its_least_step():
+    # at the largest scale check_conv_scale admits, the loss the line test
+    # reads at its least step is at least 4 ulps above 1/2, and one past it
+    # is rejected
+    check_conv_scale(671088.0)
+    inst = conv_valley_instance(671088.0)
+    step = np.zeros(6)
+    step[4] = CONV_RADIUS / 20
+    assert inst.loss(inst.valley_point() + step) - 0.5 >= 4 * math.ulp(0.5)
+    with pytest.raises(ValueError, match="largest scale that does is 670000$"):
+        check_conv_scale(671089.0)
+
+
+def test_verify_cnn_default_payload_is_pinned(tmp_path, monkeypatch, capsys):
+    # payload_sha256 of `verify cnn-same-valley --json` at its default
+    # scales, the same as before the scale bounds (ss-valley's at the
+    # default radius is RESOLVED_PAYLOADS["1,2,9,2"])
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "cnn-same-valley", "--json"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "verify.manifest.json").read_text())
+    assert manifest["payload_sha256"] == \
+        "8ebde436d7b3d50133620ee85a5a0d0673e0583ef1abddf34d240809b9a49ede"
 
 
 def test_valley_probe_holds():

@@ -12,7 +12,7 @@ from sparseland import (
     SparseNet,
     TwoLayerLinearInstance,
     check_assumptions,
-    hidden_rank_certificate,
+    layer_ranks,
     nonincreasing_path_overparam,
     nonincreasing_path_scalar_output,
     numerical_rank,
@@ -318,20 +318,21 @@ def test_hidden_rank_certificate():
         Activation("tanh"),
     )
     X = r.standard_normal((3, 10))
-    ranks = hidden_rank_certificate(net, X)
-    assert len(ranks) == 1
-    assert ranks[0] == 3
+    # the hidden layer, then the output: 2 rows of rank 2
+    assert layer_ranks(net, X) == (3, 2)
 
 
-@pytest.mark.parametrize("scales,layer", [((1e200, 1.0, 1.0), 1), ((1.0, 1e200, 1.0), 2)])
-def test_hidden_rank_certificate_of_an_overflowing_layer(scales, layer):
-    # a linear net whose hidden output `layer` overflows to inf: no rank is
-    # measured, and the error names the first layer that is not finite
+@pytest.mark.parametrize("scales,layer", [((1e200, 1.0, 1.0), 1), ((1.0, 1e200, 1.0), 2),
+                                          ((1.0, 1.0, 1e200), 3)])
+def test_layer_ranks_of_an_overflowing_layer(scales, layer):
+    # a linear net whose output of `layer` (3: the net's own) overflows to
+    # inf, and every later one with it: those have no measured rank, and
+    # each earlier one has rank 1 (every entry 1e200)
     eye = np.eye(3)
     net = SparseNet(tuple(SparseLayer(s * eye, np.ones((3, 3))) for s in scales),
                     Activation("linear"))
-    with pytest.raises(ValueError, match=f"hidden output of layer {layer} is not finite"):
-        hidden_rank_certificate(net, 1e200 * np.ones((3, 4)))
+    ranks = layer_ranks(net, 1e200 * np.ones((3, 4)))
+    assert ranks == (1,) * (layer - 1) + (None,) * (4 - layer)
 
 
 # ---------------------------------------------------------------------------
