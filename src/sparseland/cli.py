@@ -85,6 +85,8 @@ def _parse_dims(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if min(dims) < 1:
         raise argparse.ArgumentTypeError(f"layer sizes must be at least 1, got {text}")
+    if len(dims) < 3:
+        raise argparse.ArgumentTypeError(f"need input, hidden and output sizes, got {text}")
     return dims
 
 
@@ -96,7 +98,7 @@ def _activation_kind(text: str) -> str:
 
 
 def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+    """argparse type: an integer no smaller than low, which it holds as `low`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -105,7 +107,15 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
+    parse.low = low
     return parse
+
+
+def _out_path(text: str) -> str:
+    """argparse type of --out: any text but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
 
 
 def _positive_float(text: str) -> float:
@@ -560,6 +570,15 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" given as an option's own value (--seed=--) and
+        # leaves the option []; the option's type judges it instead
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
@@ -579,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             sp.add_argument("--seed", type=_int_at_least(0), default=0,
                             help="RNG seed (env SEED overrides)")
-        sp.add_argument("--out", default=None, help="write the primary artifact to this path")
+        sp.add_argument("--out", type=_out_path, default=None,
+                        help="write the primary artifact to this path")
         sp.add_argument("--json", dest="json_out", action="store_true",
                         help="print the JSON payload instead of a summary")
 
@@ -628,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("path", help="non-increasing descent path on a random grouped instance")
     sp.add_argument("--cond", type=int, choices=(1, 3), default=1,
                     help="1: every group overparametrized; 3: scalar output")
-    sp.add_argument("--groups", type=int, default=3)
+    sp.add_argument("--groups", type=_int_at_least(1), default=3)
     sp.add_argument("--n", type=_int_at_least(1), default=12, help="number of samples")
     sp.add_argument("--samples", type=_int_at_least(1), default=1000,
                     help="points sampled along the path")
@@ -657,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("replay", help="re-run a manifest and compare outputs")
     sp.add_argument("manifest_path", help="manifest JSON written by a previous run")
-    sp.add_argument("--out", default=None, help="also write the replayed artifact here")
+    sp.add_argument("--out", type=_out_path, default=None,
+                    help="also write the replayed artifact here")
     sp.add_argument("--json", dest="json_out", action="store_true")
 
     return p

@@ -403,7 +403,7 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
     (radius/20 sigma(w7))^2; a radius whose rise is below 4 ulps of the
     valley loss cannot show it, and one whose probe losses can overflow
     (_corner_losses_finite) shows nothing: each raises ValueError naming a
-    radius that works.
+    radius that works, or saying that none does.
     """
     theta = inst.valley_theta
     act = inst.activation
@@ -411,20 +411,22 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
     s7 = float(act(theta[6]))
     level = inst.valley_loss
     least = 20 * math.sqrt(4 * math.ulp(level)) / abs(s7)
+
+    def finite(r):
+        return _corner_losses_finite(inst.loss, theta, r)
+
+    if not finite(least):  # a larger box holds this one, so it overflows too
+        raise ValueError(f"no probe radius both resolves the line test and keeps the probe "
+                         f"losses finite at valley loss {level!r}")
     if radius < least:
         raise ValueError(f"probe radius {radius!r} cannot resolve the line test at valley loss "
                          f"{level!r}: its least step raises the loss by "
                          f"{(radius / 20 * s7) ** 2:.3g}, below 4 ulps; the least radius that "
                          f"does is {_two_digits(least, up=True):g}")
-
-    def finite(r):
-        return _corner_losses_finite(inst.loss, theta, r)
-
     if not finite(radius):
         raise ValueError(f"probe radius {radius!r} lets the probe losses overflow at valley loss "
-                         f"{level!r}; " + (f"the largest radius that does not is "
-                                           f"{_edge(finite, least, radius):g}" if finite(least)
-                                           else "so does every radius that resolves the line test"))
+                         f"{level!r}; the largest radius that does not is "
+                         f"{_edge(finite, least, radius):g}")
     rng = np.random.default_rng(seed)
 
     def draw(k):

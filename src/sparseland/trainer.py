@@ -234,13 +234,12 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
     stop depends on whether it is given.  A run converges when its gradient
     norm is below grad_tol; the norms are skipped at an epoch where each
     run's entry in one witness column of the gradients is at least grad_tol
-    or NaN, which proves that no run converges.  The column is the one whose
-    least |g| over the runs (NaN skipped) was largest when it was picked, and
-    an epoch where the proof fails computes the norms and picks it anew.  A
-    pick whose least |g| is below grad_tol (a dead relu unit gives exact
-    zeros) leaves no witness, and every epoch computes the norms until runs
-    leave the batch and the witness is tried again.  Every epoch computes
-    them while grad_tol < 2**-511 or a run has no parameters.
+    or NaN, which proves that no run converges.  An epoch where the proof
+    fails computes the norms and moves the witness to the column whose least
+    |g| over the runs (NaN skipped) is largest, even where that least is
+    below grad_tol (a dead relu unit gives exact zeros): the proof is sound
+    on any column.  Every epoch computes the norms while grad_tol < 2**-511
+    or a run has no parameters.
     Returns (theta, values, stop_epoch, stop_reason), each over all T runs.
     """
     lr, w = config.learning_rate, config.plateau_window
@@ -263,8 +262,7 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
         # sum of non-negative terms is monotone.  A run with a NaN entry has a NaN
         # norm.  So no run converges at an epoch where each run's entry in column
         # col is at least grad_tol or NaN.
-        exact = tol >= 2.0 ** -511 and theta.shape[1] > 0
-        col = 0 if exact else None  # the witness column; None while there is none
+        col = 0 if tol >= 2.0 ** -511 and theta.shape[1] > 0 else None  # the witness; None: off
 
         for epoch in range(config.max_epochs + 1):
             history[epoch % depth] = values
@@ -276,10 +274,7 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 converged = _grad_norms(grads) < tol
                 if col is not None:
                     # the column whose least |g| over the runs, NaN skipped, is largest
-                    least = np.fmin.reduce(np.abs(grads), axis=0)
-                    col = least.argmax()
-                    if least[col] < tol:
-                        col = None
+                    col = np.fmin.reduce(np.abs(grads), axis=0).argmax()
             diverged = ~(np.abs(values) <= limit)
             stop = diverged | converged
             plateau = None
@@ -302,8 +297,6 @@ def _descend(value_and_grad, theta, config: TrainConfig, observe=None):
                 if stopped == len(stop):
                     break
                 keep = ~stop
-                if col is None:  # the runs that had no witness column may be the ones leaving
-                    col = 0 if exact else None
                 runs, values, limit, history = runs[keep], values[keep], limit[keep], history[:, keep]
                 theta, grads = _rows(theta, keep), _rows(grads, keep)
 

@@ -6,6 +6,7 @@ direct dense linear algebra for the convolutional objective."""
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -514,12 +515,14 @@ def test_probe_valley_rejects_a_radius_just_below_the_least():
 
 def test_probe_valley_names_no_radius_when_every_resolving_one_overflows():
     # y4^2 is the largest float below the overflow: the least radius that
-    # resolves the line test, 1.2e148, already lifts a corner's loss past it
+    # resolves the line test, 1.2e148, already lifts a corner's loss past it,
+    # so the default radius and that one are both refused without a radius named
     inst = valley_instance((1.0, 2.0, 9.0, math.sqrt(np.finfo(float).max)))
-    with pytest.raises(ValueError, match="least radius that does is 1.2e[+]148$"):
-        probe_valley(inst, n_probes=10)
-    with pytest.raises(ValueError, match="; so does every radius that resolves the line test$"):
-        probe_valley(inst, n_probes=10, radius=1.2e148)
+    for radius in (0.05, 1.2e148):
+        with pytest.raises(ValueError, match="^no probe radius both resolves the line test and "
+                                             "keeps the probe losses finite at valley loss "
+                                             f"{re.escape(repr(inst.valley_loss))}$"):
+            probe_valley(inst, n_probes=10, radius=radius)
 
 
 # payload_sha256 of `verify ss-valley --y Y --json`, the same as before the

@@ -761,49 +761,48 @@ def test_descend_grad_screen_is_exact(script):
 # Scripts for scripted_objective at grad_tol 1e-3: one string per epoch, one
 # word per run, one letter per scripted coordinate: B (1.0, above grad_tol),
 # s (1e-4, below), m (6e-4, below, though four of them have a norm above) or
-# n (NaN).  Coordinate 0's gradient is 0, so epoch 0, and the first epoch
-# after runs leave a batch that had no witness column, always compute the
-# norms and pick the column anew.  So does an epoch where some run's witness
-# entry is below; a pick that finds no column at least grad_tol in every run
-# leaves no witness, and every later epoch computes the norms until runs
-# leave.  Each case gives the (stop epoch, reason) of each run and how many
-# epochs compute the norms.
+# n (NaN).  Coordinate 0's gradient is 0, so epoch 0 always computes the
+# norms and picks the column.  So does an epoch where some run's witness entry
+# is below; a pick is kept even where no column is at least grad_tol in every
+# run, and the next epoch's proof tries it.  Each case gives the (stop epoch,
+# reason) of each run and how many epochs compute the norms.
 COLUMN_SCREEN_CASES = {
     # run 0's witness entry drops below grad_tol at epoch 1: the norms are
     # computed, the column moves to coordinate 2, and nothing stops; at epoch 3
-    # every entry of run 0 is below, its witness entry too, and epoch 4 picks
-    # the column on run 1 alone
+    # every entry of run 0 is below, its witness entry too, and the column
+    # picked there, coordinate 1, holds for run 1 alone from epoch 4 on
     "witness-entry-drops": (["BBB BBB", "sBB BBB", "sBB BBB", "sss BBB", "BBB BBB", "BBB BBB"],
-                            [(3, "converged_grad"), (5, "max_epochs")], 4),
+                            [(3, "converged_grad"), (5, "max_epochs")], 3),
     "runs-converge": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB BBB sss",
                        "BBB BBB BBB", "BBB BBB BBB"],
-                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 5),
+                      [(1, "converged_grad"), (5, "max_epochs"), (3, "converged_grad")], 3),
     # a NaN in the witness column reads as not below; the column is picked
     # skipping NaN (epoch 2 picks coordinate 3), and a column of NaN alone is
     # picked first (epoch 4), which leaves run 1's NaN norm unconverged
     "nan-in-column": (["BBB BBB", "nss BBB", "nsB sBB", "sss BBB", "BBB sBn", "BBB ssn"],
                       [(3, "converged_grad"), (5, "max_epochs")], 4),
-    # run 0 leaves the batch at epoch 1, and the column is picked on the two
-    # runs left at epoch 2, and again at epoch 3 when run 1's entry drops
+    # run 0 leaves the batch at epoch 1, whose pick holds for the two runs
+    # left at epoch 2; the column is picked again at epoch 3, when run 1's
+    # entry drops, and at epoch 4, when run 1 converges
     "compacts-between-picks": (["BBB BBB BBB", "sss BBB BBB", "BBB BBB BBB", "BBB sBB BBB",
                                 "BBB sss BBB", "BBB BBB BBB"],
                                [(1, "converged_grad"), (4, "converged_grad"), (5, "max_epochs")],
-                               6),
-    # each column holds an entry below grad_tol at epoch 0, so there is no
-    # witness and epochs 1 and 2 compute the norms, which stops run 0 at
-    # epoch 2; once it has left, epoch 3 picks coordinate 1 and the witness
-    # holds from then on
+                               4),
+    # each column holds an entry below grad_tol at epoch 0, so no column
+    # witnesses every run and epochs 1 and 2 compute the norms, which stops
+    # run 0 at epoch 2; once it has left, epoch 2's pick, coordinate 1, holds
+    # from epoch 3 on
     "no-witness-column": (["sBB BsB BBs", "sBB BsB BBs", "sss BsB BBs", "BBB BBB BBB",
                            "BBB BBB BBB", "BBB BBB BBB"],
-                          [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 4),
-    # a lone run with every entry below grad_tol and its norm above: epoch 1
-    # finds no witness, and epochs 1-5 compute its norm
+                          [(2, "converged_grad"), (5, "max_epochs"), (5, "max_epochs")], 3),
+    # a lone run with every entry below grad_tol and its norm above: no
+    # column witnesses it, and epochs 1-5 compute its norm
     "one-run-below-entrywise": (["BBBB", "mmmm", "mmmm", "mmmm", "mmmm", "ssss"],
                                 [(5, "converged_grad")], 6),
-    # the same in a batch: norms at epochs 1-3, until run 0 leaves; epoch 4
-    # picks a witness for run 1
+    # the same in a batch: norms at epochs 1-3, until run 0 leaves; epoch 3's
+    # pick holds for run 1 from epoch 4 on
     "batch-below-entrywise": (["BBBB BBBB", "mmmm BBBB", "mmmm BBBB", "ssss BBBB", "BBBB BBBB",
-                               "BBBB BBBB"], [(3, "converged_grad"), (5, "max_epochs")], 5),
+                               "BBBB BBBB"], [(3, "converged_grad"), (5, "max_epochs")], 4),
 }
 
 
