@@ -33,10 +33,9 @@ _EXPORTS = {
         "convmodes": ("MODES", "ConvSpec", "conv_matrix", "conv_rank_expected"),
         "counterexamples": ("ConstructionError", "ConvValleyInstance",
                             "MinimumVerification", "SpuriousMinimumInstance",
-                            "SpuriousValleyInstance", "ValleyProbeReport", "check_conv_scale",
-                            "conv_valley_instance", "probe_conv_valley", "probe_valley",
-                            "spurious_minimum_instance", "valley_instance",
-                            "verify_spurious_minimum"),
+                            "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
+                            "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
+                            "valley_instance", "verify_spurious_minimum"),
         "landscape": ("FeatureMaps", "PathTrace", "ZeroColumnResult", "check_assumptions",
                       "layer_ranks", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",

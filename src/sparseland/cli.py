@@ -51,43 +51,65 @@ def _payload_digest(payload: dict) -> str:
     return _sha256(json.dumps(payload, sort_keys=True))
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float option: a number other than nan or inf."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
+def _rejected(message: str, text: str) -> argparse.ArgumentTypeError:
+    """The type error "<message>, got <text>", the text quoted when it holds a
+    character that does not print, such as a line break, so it stays one line."""
+    shown = text if text.isprintable() else repr(text)
+    return argparse.ArgumentTypeError(f"{message}, got {shown}")
 
 
-def _parse_floats(text: str):
-    try:
-        return tuple(_finite_float(v) for v in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+def _with_bounds(noun: str, bounds: str) -> str:
+    """noun under bounds: "a finite number of at least 0", "integers above 0"."""
+    return f"{noun} of {bounds}" if bounds.startswith("at") else f"{noun} {bounds}".rstrip()
 
 
-def _four_floats(text: str):
-    """argparse type of `--y`: exactly four comma-separated numbers."""
-    values = _parse_floats(text)
-    if len(values) != 4:
-        raise argparse.ArgumentTypeError(f"expected 4 comma-separated numbers, got {text}")
-    return values
+def _number(kind, low=None, open_low=False, high=None):
+    """argparse type: a finite float or an int (kind) that is at least low, or
+    above it when open_low, and below high, each bound optional.  The parser
+    holds this rule as its attributes, and its bounds in words as `bounds`."""
+    bounds = [] if low is None else [f"{'above' if open_low else 'at least'} {low}"]
+    bounds = " and ".join(bounds + ([] if high is None else [f"below {high}"]))
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {'a number' if kind is float else 'an integer'}, got {text!r}")
+        if kind is float and not math.isfinite(value):
+            raise _rejected("must be a finite number", text)
+        if (low is not None and (value <= low if open_low else value < low)
+                or high is not None and value >= high):
+            rule = _with_bounds("a finite number", bounds) if kind is float else bounds
+            raise _rejected(f"must be {rule}", text)
+        return value
+
+    vars(parse).update(kind=kind, low=low, open_low=open_low, high=high, bounds=bounds)
+    return parse
 
 
-def _parse_dims(text: str):
-    """argparse type of `--dims`: comma-separated layer sizes, each at least 1."""
-    try:
-        dims = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if min(dims) < 1:
-        raise argparse.ArgumentTypeError(f"layer sizes must be at least 1, got {text}")
-    if len(dims) < 3:
-        raise argparse.ArgumentTypeError(f"need input, hidden and output sizes, got {text}")
-    return dims
+def _numbers(item, least, most=math.inf):
+    """argparse type: comma-separated entries that the _number type item
+    reads, from least to most of them, as a tuple; the parser holds item,
+    least and most."""
+    noun = "numbers" if item.kind is float else "integers"
+
+    def parse(text: str):
+        try:
+            values = tuple(map(item, text.split(",")))
+        except argparse.ArgumentTypeError:
+            entries = _with_bounds(f"finite {noun}" if item.kind is float else noun, item.bounds)
+            raise _rejected(f"expected comma-separated {entries}", text)
+        if not least <= len(values) <= most:
+            count = least if least == most else f"at least {least}"
+            raise _rejected(f"expected {count} comma-separated {noun}", text)
+        return values
+
+    vars(parse).update(item=item, least=least, most=most)
+    return parse
+
+
+_SEED = _number(int, 0)  # --seed, and the SEED environment variable that overrides it
 
 
 def _activation_kind(text: str) -> str:
@@ -97,39 +119,11 @@ def _activation_kind(text: str) -> str:
     return {"leakyrelu": "leaky_relu", "shiftedsigmoid": "shifted_sigmoid"}.get(key, key)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low, which it holds as `low`."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    parse.low = low
-    return parse
-
-
 def _out_path(text: str) -> str:
     """argparse type of --out: any text but the empty one, which names no file."""
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got ''")
     return text
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
-    return value
 
 
 def _load_net_spec(args):
@@ -193,8 +187,8 @@ def cmd_verify(args):
     unread = set().union(*VERIFY_READS.values()) - set(VERIFY_READS[args.instance])
     _reject_unread(args, "verify", unread, f"verify {args.instance}")
     from .activations import Activation
-    from .counterexamples import (check_conv_scale, conv_valley_instance, probe_conv_valley,
-                                  probe_valley, spurious_minimum_instance, valley_instance,
+    from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
+                                  spurious_minimum_instance, valley_instance,
                                   verify_spurious_minimum)
 
     if args.instance == "sd-minimum":
@@ -233,7 +227,6 @@ def cmd_verify(args):
     all_ok = True
     for a in scales:
         inst = conv_valley_instance(a)
-        check_conv_scale(a)
         probe = probe_conv_valley(inst, n_probes=args.probes, seed=args.seed)
         all_ok &= probe.ok  # conv_valley_instance has checked the global witness
         per_scale.append({
@@ -596,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seeded=True):
         if seeded:
-            sp.add_argument("--seed", type=_int_at_least(0), default=0,
+            sp.add_argument("--seed", type=_SEED, default=0,
                             help="RNG seed (env SEED overrides)")
         sp.add_argument("--out", type=_out_path, default=None,
                         help="write the primary artifact to this path")
@@ -606,30 +599,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
     sp.add_argument("instance", choices=tuple(VERIFY_READS))
     activation(sp, "tanh", "ss-valley only: ")
-    sp.add_argument("--y", type=_four_floats, default=STRICT_Y,
+    sp.add_argument("--y", type=_numbers(_number(float), 4, 4), default=STRICT_Y,
                     help="ss-valley only: target values y1,y2,y3,y4")
-    sp.add_argument("--probes", type=_int_at_least(1), default=500)
-    sp.add_argument("--radius", type=_positive_float, default=0.05,
+    sp.add_argument("--probes", type=_number(int, 1), default=500)
+    sp.add_argument("--radius", type=_number(float, 0, open_low=True), default=0.05,
                     help="ss-valley only: probe radius")
-    sp.add_argument("--scale", type=_positive_float, default=None,
+    sp.add_argument("--scale", type=_number(float, 0, open_low=True), default=None,
                     help="cnn-same-valley only: valley parameter a")
     common(sp)
 
     sp = sub.add_parser("train", help="full-batch GD on a masked net")
     net_source = sp.add_mutually_exclusive_group(required=True)
     net_source.add_argument("--spec", default=None, help="network JSON file")
-    net_source.add_argument("--dims", type=_parse_dims, default=None,
+    net_source.add_argument("--dims", type=_numbers(_number(int, 1), 3), default=None,
                             help="layer sizes, e.g. 20,100,100,1 (random masked net)")
-    sp.add_argument("--sparsity", type=_finite_float, default=0.0)
+    sp.add_argument("--sparsity", type=_number(float, 0, high=1), default=0.0)
     activation(sp, "linear")
-    sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of samples")
-    sp.add_argument("--noise", type=_nonnegative_float, default=1.0)
-    sp.add_argument("--a-norm", type=_nonnegative_float, default=5.0)
+    sp.add_argument("--n", type=_number(int, 1), default=100, help="number of samples")
+    sp.add_argument("--noise", type=_number(float, 0), default=1.0)
+    sp.add_argument("--a-norm", type=_number(float, 0), default=5.0)
     sp.add_argument("--target", choices=("gaussian", "identity"), default="gaussian")
-    sp.add_argument("--lr", type=_positive_float, default=0.01)
-    sp.add_argument("--epochs", type=_int_at_least(0), default=5000)
-    sp.add_argument("--scale-init", type=_nonnegative_float, default=1.0)
-    sp.add_argument("--rank-every", type=_int_at_least(0), default=100,
+    sp.add_argument("--lr", type=_number(float, 0, open_low=True), default=0.01)
+    sp.add_argument("--epochs", type=_number(int, 0), default=5000)
+    sp.add_argument("--scale-init", type=_number(float, 0), default=1.0)
+    sp.add_argument("--rank-every", type=_number(int, 0), default=100,
                     help="epochs between hidden-rank samples; 0 disables them")
     sp.add_argument("--backtrack", action="store_true",
                     help="halve steps that would increase the loss")
@@ -638,19 +631,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("trials", help="repeated GD runs on the masked valley objective")
-    sp.add_argument("--n", type=_int_at_least(1), default=100, help="number of trials")
+    sp.add_argument("--n", type=_number(int, 1), default=100, help="number of trials")
     activation(sp, "tanh")
-    sp.add_argument("--y", type=_four_floats, default=STRICT_Y)
-    sp.add_argument("--lr", type=_positive_float, default=0.01)
-    sp.add_argument("--epochs", type=_int_at_least(0), default=50000)
+    sp.add_argument("--y", type=_numbers(_number(float), 4, 4), default=STRICT_Y)
+    sp.add_argument("--lr", type=_number(float, 0, open_low=True), default=0.01)
+    sp.add_argument("--epochs", type=_number(int, 0), default=50000)
     common(sp)
 
     sp = sub.add_parser("path", help="non-increasing descent path on a random grouped instance")
     sp.add_argument("--cond", type=int, choices=(1, 3), default=1,
                     help="1: every group overparametrized; 3: scalar output")
-    sp.add_argument("--groups", type=_int_at_least(1), default=3)
-    sp.add_argument("--n", type=_int_at_least(1), default=12, help="number of samples")
-    sp.add_argument("--samples", type=_int_at_least(1), default=1000,
+    sp.add_argument("--groups", type=_number(int, 1), default=3)
+    sp.add_argument("--n", type=_number(int, 1), default=12, help="number of samples")
+    sp.add_argument("--samples", type=_number(int, 1), default=1000,
                     help="points sampled along the path")
     common(sp)
 
@@ -661,18 +654,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank", help="hidden-layer rank certificate on gaussian data")
     net_source = sp.add_mutually_exclusive_group()
     net_source.add_argument("--spec", default=None, help="network JSON file")
-    net_source.add_argument("--dims", type=_parse_dims, default=(6, 6, 6),
+    net_source.add_argument("--dims", type=_numbers(_number(int, 1), 3), default=(6, 6, 6),
                             help="layer sizes for a random masked net")
-    sp.add_argument("--sparsity", type=_finite_float, default=0.3)
+    sp.add_argument("--sparsity", type=_number(float, 0, high=1), default=0.3)
     activation(sp, "tanh")
-    sp.add_argument("--scale-init", type=_nonnegative_float, default=3.0)
-    sp.add_argument("--n", type=_int_at_least(1), default=6, help="number of samples")
+    sp.add_argument("--scale-init", type=_number(float, 0), default=3.0)
+    sp.add_argument("--n", type=_number(int, 1), default=6, help="number of samples")
     common(sp)
 
     sp = sub.add_parser("conv-rank", help="closed-form vs numeric rank of a conv matrix")
     sp.add_argument("--mode", required=True, type=str.lower, choices=MODES, help="in any case")
-    sp.add_argument("--d", type=_int_at_least(1), required=True, help="input length")
-    sp.add_argument("--kernel", type=_parse_floats, required=True, help="kernel values k0,k1,...")
+    sp.add_argument("--d", type=_number(int, 1), required=True, help="input length")
+    sp.add_argument("--kernel", type=_numbers(_number(float), 1), required=True,
+                    help="kernel values k0,k1,...")
     common(sp, seeded=False)
 
     sp = sub.add_parser("replay", help="re-run a manifest and compare outputs")
@@ -725,9 +719,10 @@ def main(argv=None) -> int:
         if "SEED" in os.environ and hasattr(args, "seed"):
             text = os.environ["SEED"]
             try:
-                args.seed = _int_at_least(0)(text)
+                args.seed = _SEED(text)
             except argparse.ArgumentTypeError:
-                raise ValueError(f"SEED must be an integer of at least 0, got {text!r}") from None
+                rule = _with_bounds("an integer", _SEED.bounds)
+                raise ValueError(f"SEED must be {rule}, got {text!r}") from None
         code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
                                                   else HANDLERS[command], args)
         if command != "replay":

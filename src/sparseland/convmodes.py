@@ -43,7 +43,8 @@ class ConvSpec:
 
     @property
     def out_len(self) -> int:
-        return len(self.window_starts())
+        starts = self.window_starts()  # len() of a range fails past sys.maxsize
+        return starts.stop - starts.start
 
     def window_starts(self) -> range:
         """Start offset of the kernel window for each output row."""

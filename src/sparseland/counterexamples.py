@@ -565,9 +565,11 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
 
     Bound set: |eps_i|, |delta_i| <= 0.1 with eps_3 further clipped to
     0.5/a, eps_2 to 0.25/a and delta_2 to 0.1 a; the strict line moves
-    the kernel entry w1 alone.
+    the kernel entry w1 alone.  A scale a whose probes could not certify a
+    true valley is a ValueError before any draw.
     """
     a = inst.a
+    _check_conv_scale(a)
     rng = np.random.default_rng(seed)
 
     def draw(k):
@@ -581,13 +583,12 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
                   coord=4, radius=CONV_RADIUS)
 
 
-def check_conv_scale(a: float) -> None:
+def _check_conv_scale(a: float) -> None:
     """Raise ValueError, naming a scale that works, when probe_conv_valley at
     scale a could not certify a true valley: the line test's least step,
     t = CONV_RADIUS/20 along w1, raises the loss by 0.5 (4 t / a)^2, which
     above a ~ 6.7e5 is below 4 ulps of 1/2, and below a ~ 4.3e-155 the probe
-    losses can overflow.  probe_conv_valley itself probes any a > 0, and
-    reads a loss that is not finite as a falsification."""
+    losses can overflow."""
     t = CONV_RADIUS / 20
     largest = 4 * t / math.sqrt(8 * math.ulp(0.5))  # where the rise is 4 ulps
     if a > largest:

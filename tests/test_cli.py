@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,9 +14,7 @@ import pytest
 
 import sparseland
 from sparseland import __version__, net_to_json
-from sparseland.cli import (HANDLERS, _finite_float, _four_floats, _nonnegative_float,
-                            _parse_floats, _payload_digest, _positive_float, _subparser,
-                            build_parser, main)
+from sparseland.cli import HANDLERS, _payload_digest, _subparser, build_parser, main
 
 
 @pytest.fixture
@@ -161,6 +160,21 @@ def test_negative_numbers_are_values(capsys, argv, dest, value):
         assert getattr(build_parser().parse_args(argv), dest) == value
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--dims", "3,4,1", "--noise=-1\n"],
+     "argument --noise: must be a finite number of at least 0, got '-1\\n'"),
+    (["trials", "--y=1,2\n"], "argument --y: expected 4 comma-separated numbers, got '1,2\\n'"),
+    (["conv-rank", "--mode", "same", "--d", "2", "--kernel=1,\x1e"],
+     "argument --kernel: expected comma-separated finite numbers, got '1,\\x1e'"),
+], ids=["number", "list-count", "list-entry"])
+def test_a_rejected_value_with_a_line_break_stays_on_one_line(capsys, argv, message):
+    # float and int read past surrounding whitespace, so a value that holds a
+    # line break can reach a message that echoes it: it is quoted
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--dims", "3,4,1", "--epochs", "0", "--rank-every", "0"],
     ["trials", "--n", "3", "--epochs", "0"],
@@ -174,7 +188,6 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", "--dims", "3,4,1", "--sparsity", "1.5"], "sparsity must be in [0, 1)"),
     (["trials", "--activation", "softplus"], "sigma(0) = 0"),
     (["verify", "ss-valley", "--activation", "sigmoid"], "sigma(0) = 0"),
     (["verify", "ss-valley", "--y", "1,2,-2,2"], "needs y2 + y3 != 0, got 2.0 + -2.0"),
@@ -184,7 +197,7 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
     (["verify", "ss-valley", "--y", "1,2,9,1e200"], "needs a finite valley loss"),
     (["verify", "ss-valley", "--y", "1e200,2e200,9e200,2e200"], "needs a finite valley loss"),
     (["trials", "--y", "1e200,2,9,1"], "needs a finite escape loss"),
-], ids=["train-sparsity", "trials-activation", "verify-sigmoid", "verify-y2-plus-y3",
+], ids=["trials-activation", "verify-sigmoid", "verify-y2-plus-y3",
         "verify-y-zero", "trials-y2-plus-y3", "verify-valley-loss-overflow",
         "verify-every-level-overflows", "trials-escape-loss-overflow"])
 def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
@@ -194,6 +207,23 @@ def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not list(workdir.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv", [["train", "--dims", "3,4,1", "--epochs", "2"], ["rank"]],
+                         ids=["train", "rank"])
+def test_sparsity_is_judged_at_the_flag(workdir, capsys, argv):
+    # a sparsity outside [0, 1) exits 2 on argparse's line naming --sparsity,
+    # before the mask draw would reject it without naming the flag
+    for value in ("1", "1.5", "-0.5"):
+        with pytest.raises(SystemExit) as ei:
+            main([*argv, "--sparsity", value])
+        assert ei.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [f"sparseland {argv[0]}: error: argument --sparsity: must be a finite "
+                          f"number of at least 0 and below 1, got {value}"]
+    assert list(workdir.iterdir()) == []
+    for value in ("0", "0.999"):
+        assert run_cli([*argv, "--sparsity", value], capsys)[0] == 0
 
 
 def test_activation_flag_normalises_and_rejects(workdir, capsys):
@@ -674,6 +704,18 @@ def test_a_size_that_cannot_be_allocated_is_a_usage_error(workdir, capsys, argv)
     code, cap = run_cli([*argv, "--out", "a.out"], capsys)
     assert code == 2 and cap.out == ""
     assert cap.err.startswith("error: Unable to allocate ") and cap.err.count("\n") == 1
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["same", "full", "valid"])
+def test_a_conv_length_past_the_index_range_is_a_usage_error(workdir, capsys, mode):
+    # an input length of 2**63 has no numpy shape, so numpy refuses the
+    # matrix before it allocates anything: exit 2 with one line, not an
+    # OverflowError traceback with exit 1
+    argv = ["conv-rank", "--mode", mode, "--d", str(2**63), "--kernel", "1", "--out", "a.out"]
+    code, cap = run_cli(argv, capsys)
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1, cap.err
     assert list(workdir.iterdir()) == []
 
 
@@ -1331,13 +1373,31 @@ def test_runtime_dependencies_are_the_imports():
     assert imported - set(sys.stdlib_module_names) - {"sparseland"} == listed
 
 
+def _rule(kind):
+    """The rule an argparse type states, as a key: (kind, low, open_low, high)
+    for a number, (the item's rule, least, most) for a list; a bare float or
+    int states only its kind."""
+    if hasattr(kind, "item"):
+        return _rule(kind.item), kind.least, kind.most
+    return (getattr(kind, "kind", kind), getattr(kind, "low", None),
+            getattr(kind, "open_low", False), getattr(kind, "high", None))
+
+
+FINITE = (float, None, False, None)
+# the test id of each float rule a flag states: a fixed name per rule, so that
+# a test keeps its id however the rule's type is built
+FLOAT_RULE_IDS = {FINITE: "_finite_float", (float, 0, False, None): "_nonnegative_float",
+                  (float, 0, True, None): "_positive_float", (float, 0, False, 1): "_fraction",
+                  (FINITE, 1, math.inf): "_parse_floats", (FINITE, 4, 4): "_four_floats"}
+
+
 def _float_options():
-    """(command, option, type) of every option whose argparse type reads floating-point numbers."""
+    """(command, option, type) of every option whose argparse type reads
+    floating-point numbers: a float, or a list of them."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return [(command, action.option_strings[0], action.type)
             for command, parser in sub.choices.items() for action in parser._actions
-            if action.type in (float, _finite_float, _positive_float, _nonnegative_float,
-                               _parse_floats, _four_floats)]
+            if getattr(getattr(action.type, "item", action.type), "kind", action.type) is float]
 
 
 def test_float_options_use_the_finite_type():
@@ -1355,9 +1415,10 @@ _FLOAT_BASE = {"verify": ["verify", "cnn-same-valley"],
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("command,option,kind", _float_options(),
-                         ids=lambda v: getattr(v, "__name__", v))
+                         ids=lambda v: FLOAT_RULE_IDS.get(_rule(v), "float") if callable(v) else v)
 def test_non_finite_numbers_are_usage_errors(workdir, capsys, command, option, kind, bad):
-    value = {_four_floats: f"1,2,9,{bad}", _parse_floats: f"{bad},1"}.get(kind, bad)
+    # a list takes the bad text as its last entry, after good ones
+    value = ",".join(["1"] * (getattr(kind, "least", 1) - 1) + [bad])
     with pytest.raises(SystemExit) as ei:
         main([*_FLOAT_BASE[command], option, value])
     assert ei.value.code == 2

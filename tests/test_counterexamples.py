@@ -16,7 +16,6 @@ import pytest
 import sparseland.counterexamples as counterexamples
 from sparseland import (
     Activation,
-    check_conv_scale,
     ConstructionError,
     conv_matrix,
     ConvSpec,
@@ -579,16 +578,34 @@ def test_verify_names_a_valley_bound_that_verifies(tmp_path, monkeypatch, capsys
 
 
 def test_the_largest_conv_scale_shows_its_least_step():
-    # at the largest scale check_conv_scale admits, the loss the line test
+    # at the largest scale probe_conv_valley admits, the loss the line test
     # reads at its least step is at least 4 ulps above 1/2, and one past it
     # is rejected
-    check_conv_scale(671088.0)
     inst = conv_valley_instance(671088.0)
+    assert probe_conv_valley(inst, n_probes=20).ok
     step = np.zeros(6)
     step[4] = CONV_RADIUS / 20
     assert inst.loss(inst.valley_point() + step) - 0.5 >= 4 * math.ulp(0.5)
     with pytest.raises(ValueError, match="largest scale that does is 670000$"):
-        check_conv_scale(671089.0)
+        probe_conv_valley(conv_valley_instance(671089.0), n_probes=20)
+
+
+@pytest.mark.parametrize("a,message", [
+    (1e7, "scale 10000000.0 cannot resolve the line test at valley loss 0.5: its least step "
+          "raises the loss by 2e-18, below 4 ulps; the largest scale that does is 670000"),
+    (1e-160, "scale 1e-160 lets the probe losses overflow; the least scale that does not is "
+             "4.3e-155"),
+], ids=["1e7", "1e-160"])
+def test_probe_conv_valley_rejects_a_scale_it_cannot_judge(monkeypatch, a, message):
+    # a library call judges its scale before any draw, as verify does: a true
+    # valley is not reported as falsified
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew probes")
+
+    monkeypatch.setattr(counterexamples, "_probe", no_draw)
+    with pytest.raises(ValueError) as ei:
+        probe_conv_valley(conv_valley_instance(a))
+    assert str(ei.value) == message
 
 
 def test_verify_cnn_default_payload_is_pinned(tmp_path, monkeypatch, capsys):
@@ -734,25 +751,47 @@ def test_valley_probe_blocks_equal_one_batch(y, radius):
         inst.loss, theta, inst.valley_loss, deltas, 1e-10)
 
 
+def _conv_deltas(a, n, seed):
+    """The n probe deltas probe_conv_valley draws at scale a, in one batch."""
+    deltas = np.random.default_rng(seed).uniform(-CONV_RADIUS, CONV_RADIUS, size=(n, 6))
+    deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)
+    deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)
+    deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)
+    return deltas
+
+
+def _conv_probe(a, deltas):
+    """_probe with the conv loss at scale a, fed deltas in blocks."""
+    inst = ConvValleyInstance(a=a)
+    blocks = iter(np.split(deltas, range(PROBE_BLOCK, len(deltas), PROBE_BLOCK)))
+    return counterexamples._probe(inst.loss, inst.valley_point(), inst.valley_loss,
+                                  lambda k: next(blocks), len(deltas), 1e-12, coord=4,
+                                  radius=CONV_RADIUS)
+
+
 @pytest.mark.parametrize("a", [0.5, 2.0, 1e-155])
 def test_conv_probe_blocks_equal_one_batch(a):
-    # at a = 1e-155 about two thirds of the probe losses overflow to inf
-    inst = conv_valley_instance(a)
+    # at a = 1e-155 about two thirds of the probe losses overflow to inf:
+    # _probe counts each as a falsification, and probe_conv_valley rejects
+    # the scale before it draws
+    inst = ConvValleyInstance(a=a)
+    deltas = _conv_deltas(a, N_BLOCKED, seed=4)
     with np.errstate(over="ignore"):
-        rep = probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4)
-        deltas = np.random.default_rng(4).uniform(-0.1, 0.1, size=(N_BLOCKED, 6))
-        deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)
-        deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)
-        deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)
+        rep = _conv_probe(a, deltas)
         want = _one_batch(inst.loss, inst.valley_point(), inst.valley_loss, deltas, 1e-12)
     assert (rep.min_excess, rep.falsifications) == want
     assert (rep.falsifications > 0) == (a == 1e-155) == (not rep.ok)
+    if a == 1e-155:
+        with pytest.raises(ValueError, match="overflow"):
+            probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4)
+    else:
+        assert probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4) == rep
 
 
 def test_conv_probe_non_finite_losses_falsify():
     # every probe loss overflows at a = 1e-300: no evidence, so no certificate
     with np.errstate(over="ignore"):
-        rep = probe_conv_valley(conv_valley_instance(1e-300), n_probes=50)
+        rep = _conv_probe(1e-300, _conv_deltas(1e-300, 50, seed=0))
     assert rep.falsifications == 50
     assert not rep.line_strict_ok and not rep.ok
     assert rep.min_excess == np.inf
