@@ -19,7 +19,7 @@ numpy, and `sparseland.X` (or `from sparseland import X`) imports only the
 submodule that defines X.
 """
 
-__version__ = "0.3.14"
+__version__ = "0.4.0"
 
 from importlib import import_module
 
@@ -35,7 +35,7 @@ _EXPORTS = {
                             "MinimumVerification", "SpuriousMinimumInstance",
                             "SpuriousValleyInstance", "ValleyProbeReport", "conv_valley_instance",
                             "probe_conv_valley", "probe_valley", "spurious_minimum_instance",
-                            "valley_instance", "verify_spurious_minimum"),
+                            "valley_instance", "valley_scale", "verify_spurious_minimum"),
         "landscape": ("FeatureMaps", "PathTrace", "ZeroColumnResult", "check_assumptions",
                       "layer_ranks", "nonincreasing_path_overparam",
                       "nonincreasing_path_scalar_output", "numerical_rank", "poly_feature_maps",

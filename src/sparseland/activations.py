@@ -116,18 +116,17 @@ class Activation:
         """(sigma(z), sigma'(z)), elementwise; the value is self(z).
         relu/leaky_relu take the z>0 branch of sigma' at 0.
 
-        tanh and sigmoid take sigma' from the value; shifted_sigmoid takes it
-        from the unshifted logistic s, since value + 0.5 rounds once s < 0.25.
+        tanh takes sigma' from the value, the sigmoids value and sigma' from one
+        logistic s: shifted_sigmoid's value + 0.5 rounds once s < 0.25.
         """
         z = np.asarray(z, dtype=float)
-        k, v = self.kind, self(z)
+        k = self.kind
+        if k in ("sigmoid", "shifted_sigmoid"):  # one logistic pass, through __call__
+            s = _SIGMOID(z)
+            return (s if k == "sigmoid" else s - 0.5), s * (1.0 - s)
+        v = self(z)
         if k == "tanh":
             return v, 1.0 - v * v
-        if k == "sigmoid":
-            return v, v * (1.0 - v)
-        if k == "shifted_sigmoid":
-            s = _logistic(z)
-            return v, s * (1.0 - s)
         if k == "linear":
             d = np.ones_like(z)
         elif k == "relu":
@@ -200,3 +199,6 @@ class Activation:
         if not isinstance(coeffs, list):
             raise TypeError(f"polynomial coeffs must be a JSON list, got {coeffs!r}")
         return cls(kind, coeffs=tuple(spec_number(c) for c in coeffs))
+
+
+_SIGMOID = Activation("sigmoid")  # the logistic both sigmoids take their value and sigma' from

@@ -38,10 +38,6 @@ STRICT_Y = (1.0, 2.0, 9.0, 2.0)  # the default `--y` of `verify` and `trials`
 # the kinds `--activation` names: a polynomial needs coefficients, which only a spec gives
 FLAG_KINDS = tuple(k for k in KINDS if k != "polynomial")
 
-# the instance options that each verify instance reads; it rejects the others
-VERIFY_READS = {"sd-minimum": (), "ss-valley": ("activation", "y", "radius"),
-                "cnn-same-valley": ("scale",)}
-
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -184,11 +180,11 @@ def _spec_or_random_net(args, command: str):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
-    unread = set().union(*VERIFY_READS.values()) - set(VERIFY_READS[args.instance])
-    _reject_unread(args, "verify", unread, f"verify {args.instance}")
+    if args.instance != "ss-valley":  # the one instance that reads --activation and --y
+        _reject_unread(args, "verify", {"activation", "y"}, f"verify {args.instance}")
     from .activations import Activation
     from .counterexamples import (conv_valley_instance, probe_conv_valley, probe_valley,
-                                  spurious_minimum_instance, valley_instance,
+                                  spurious_minimum_instance, valley_instance, valley_scale,
                                   verify_spurious_minimum)
 
     if args.instance == "sd-minimum":
@@ -199,33 +195,34 @@ def cmd_verify(args):
         return (0 if ver.passed else 1), payload, None, lines
 
     if args.instance == "ss-valley":
+        # probed in its own units; y and the levels are reported in those of --y
         act = Activation(args.activation)
-        inst = valley_instance(args.y, act)
-        probe = probe_valley(inst, n_probes=args.probes, radius=args.radius, seed=args.seed)
+        c = valley_scale(args.y)
+        inst = valley_instance([v / c for v in args.y], act)
+        probe = probe_valley(inst, n_probes=args.probes, seed=args.seed)
         verified = probe.ok and inst.constraints_ok
         payload = {
             "activation": act.kind,
-            "y": list(inst.y),
-            "valley_loss": inst.valley_loss,
-            "escape_loss": inst.escape_loss,
+            "y": [v * c for v in inst.y],
+            "valley_loss": inst.valley_loss * c * c,
+            "escape_loss": inst.escape_loss * c * c,
             "constraints": inst.constraints,
             "constraints_ok": inst.constraints_ok,
             "probe": probe.to_json(),
             "verified": verified,
         }
         lines = [
-            f"valley loss {inst.valley_loss}, escape loss {inst.escape_loss}",
+            f"valley loss {payload['valley_loss']}, escape loss {payload['escape_loss']}",
             f"probe min excess {probe.min_excess:.3e}, falsifications {probe.falsifications}",
             f"constraints ok: {inst.constraints_ok}",
             f"verified: {verified}",
         ]
         return (0 if verified else 1), payload, None, lines
 
-    # cnn-same-valley
-    scales = (args.scale,) if args.scale is not None else (0.5, 1.0, 2.0)
+    # cnn-same-valley: every scale a is one instance, probed in three boxes
     per_scale, lines = [], []
     all_ok = True
-    for a in scales:
+    for a in (0.5, 1.0, 2.0):
         inst = conv_valley_instance(a)
         probe = probe_conv_valley(inst, n_probes=args.probes, seed=args.seed)
         all_ok &= probe.ok  # conv_valley_instance has checked the global witness
@@ -597,15 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON payload instead of a summary")
 
     sp = sub.add_parser("verify", help="re-check a certified landscape instance")
-    sp.add_argument("instance", choices=tuple(VERIFY_READS))
+    sp.add_argument("instance", choices=("sd-minimum", "ss-valley", "cnn-same-valley"))
     activation(sp, "tanh", "ss-valley only: ")
     sp.add_argument("--y", type=_numbers(_number(float), 4, 4), default=STRICT_Y,
                     help="ss-valley only: target values y1,y2,y3,y4")
     sp.add_argument("--probes", type=_number(int, 1), default=500)
-    sp.add_argument("--radius", type=_number(float, 0, open_low=True), default=0.05,
-                    help="ss-valley only: probe radius")
-    sp.add_argument("--scale", type=_number(float, 0, open_low=True), default=None,
-                    help="cnn-same-valley only: valley parameter a")
     common(sp)
 
     sp = sub.add_parser("train", help="full-batch GD on a masked net")

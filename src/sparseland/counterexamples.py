@@ -8,8 +8,8 @@ unverified instance):
   (dense output layer, loss 0.5 ||.||_F^2);
 * a spurious valley of a 3-input/2-hidden/3-output net with both layers
   masked (unscaled ||.||_F^2 loss, so the valley level is y4^2 on the nose);
-* a spurious valley of a single-channel length-2 SAME-mode conv layer
-  (loss 0.5 ||.||_F^2, valley level exactly 1/2).
+* a box of non-strict minima of a single-channel length-2 SAME-mode conv
+  layer at loss exactly 1/2 (loss 0.5 ||.||_F^2), which escapes at 1/2.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ def verify_spurious_minimum(inst: SpuriousMinimumInstance, n_probes: int = 500,
 # EXPERIMENT_Y trips "y3 > 4*y4" but still builds (flag-only).
 STRICT_Y = (1.0, 2.0, 9.0, 2.0)
 EXPERIMENT_Y = (1.0, 2.0, 6.0, 2.0)
+VALLEY_RADIUS = 0.05  # probe_valley: the bound of each perturbation and of its line test
 
 # the rows of w = theta[:4] and of s = sigma(theta[4:]) whose products fill
 # the slots of the valley's residual table
@@ -314,8 +315,8 @@ def valley_instance(y_values=STRICT_Y,
     4 y1 > 0, y2 > 0) are recorded as booleans.  A set that violates them
     still builds (the probes' lower bound is then not guaranteed), so that
     measured/legacy value sets stay usable, unless y4 > y1 holds and the
-    ordering escape < y1^2 < y4^2 fails: that raises ConstructionError.  So
-    (1, 2, 3, 2) and (1, -2, 9, 0.5) build, while (1, -2, 9, 2), whose y2 < 0
+    exact ordering escape < y1^2 < y4^2 fails: that raises ConstructionError.
+    So (1, 2, 3, 2) and (1, -2, 9, 0.5) build, while (1, -2, 9, 2), whose y2 < 0
     lifts the escape level above y1^2, and (0, 2, 9, 2) are rejected.
     """
     y1, y2, y3, y4 = (float(v) for v in y_values)
@@ -369,7 +370,11 @@ def valley_instance(y_values=STRICT_Y,
         problems.append(f"valley loss {lv!r} != y4^2 = {inst.valley_loss!r}")
     if off(le, inst.escape_loss):
         problems.append(f"escape loss {le!r} != {inst.escape_loss!r}")
-    if inst.constraints["y4 > y1"] and not (inst.escape_loss < y1 ** 2 < inst.valley_loss):
+    # escape < y1^2 < y4^2 iff y1 != 0, |y3| < |y2 + y3| and |y1| < |y4|, compared
+    # exactly (the sum over integers), so a square that underflows cannot fail it
+    (n2, d2), (n3, d3) = y2.as_integer_ratio(), y3.as_integer_ratio()
+    if inst.constraints["y4 > y1"] and not (y1 != 0 and abs(n3 * d2) < abs(n2 * d3 + n3 * d2)
+                                            and abs(y1) < abs(y4)):
         problems.append("ordering escape < y1^2 < y4^2 failed")
     if problems:
         raise ConstructionError("valley instance failed validation: " + "; ".join(problems))
@@ -392,79 +397,52 @@ class ValleyProbeReport:
         return {**asdict(self), "ok": self.ok}
 
 
+def valley_scale(y) -> float:
+    """The power of two c with |y4|/c in [2, 4), or 1 when y4 = 0: the valley
+    at y, whose loss is homogeneous (w1..w4 and y times c give c^2 times the
+    loss), is valley_instance(y / c) in its own units.  ValueError where some
+    y_i / c is not exact, or no float c exists (|y4| = 2^-1074)."""
+    c = math.ldexp(1.0, math.frexp(y[3])[1] - 2) if y[3] else 1.0
+    if not (c and all(v / c * c == v for v in map(float, y))):
+        raise ValueError(f"the targets y = {tuple(y)} lie too many binades apart: no power of two "
+                         f"c puts |y4|/c in [2, 4) and keeps each y / c exact")
+    return c
+
+
 def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
-                 radius: float = 0.05, seed: int = 0) -> ValleyProbeReport:
-    """Random bounded perturbations around the valley point.
-
-    The guarantee needs |delta_3| <= |w3|/2 and sigma(w7 + delta_7) within
-    a factor 2 of sigma(w7); deltas are clipped/shrunk into that set.  The
-    lower bound only holds for constraint-satisfying y-values.  The line
-    test's least step, radius/20 along w4, raises the loss by
-    (radius/20 sigma(w7))^2; a radius whose rise is below 4 ulps of the
-    valley loss cannot show it, and one whose probe losses can overflow
-    (_corner_losses_finite) shows nothing: each raises ValueError naming a
-    radius that works, or saying that none does.
+                 seed: int = 0) -> ValleyProbeReport:
+    """Random bounded perturbations around the valley point, in its own units:
+    |y4| in [2, 4), or y4 = 0.  Other units, or targets so many binades apart
+    that a probe loss can overflow, raise ValueError.  The guarantee needs
+    |delta_3| <= |w3|/2, to which deltas are clipped, and sigma(w7 + delta_7)
+    within a factor 2 of sigma(w7) = 1/a >= 1/4, which holds unclipped: sigma's
+    slope near w7 is at most 1, so it moves by at most VALLEY_RADIUS < 1/8.
+    The lower bound only holds for constraint-satisfying y-values.  The line
+    test's least step, VALLEY_RADIUS/20 along w4, lifts the loss by
+    (0.05/20 sigma(w7))^2 >= 3.9e-7: far above 4 ulps of y4^2 < 16.
     """
+    if not (2.0 <= abs(inst.y[3]) < 4.0 or inst.y[3] == 0.0):
+        raise ValueError(f"probe_valley needs the valley in its own units, |y4| in [2, 4) or 0, "
+                         f"got y4 = {inst.y[3]!r}: probe valley_instance(y / valley_scale(y))")
     theta = inst.valley_theta
-    act = inst.activation
+    # a valley loss with a monotone sigma is largest over the box at a corner:
+    # it sums squares of terms affine in each weight and each sigma(z)
+    corners = np.array(list(product((-1.0, 1.0), repeat=8)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(inst.loss(theta + VALLEY_RADIUS * corners)).all()
+    if not finite:
+        raise ValueError(f"a probe loss can overflow: the targets y = {inst.y} lie too many "
+                         f"binades apart")
     w3 = theta[2]
-    s7 = float(act(theta[6]))
-    level = inst.valley_loss
-    least = 20 * math.sqrt(4 * math.ulp(level)) / abs(s7)
-
-    def finite(r):
-        return _corner_losses_finite(inst.loss, theta, r)
-
-    if not finite(least):  # a larger box holds this one, so it overflows too
-        raise ValueError(f"no probe radius both resolves the line test and keeps the probe "
-                         f"losses finite at valley loss {level!r}")
-    if radius < least:
-        raise ValueError(f"probe radius {radius!r} cannot resolve the line test at valley loss "
-                         f"{level!r}: its least step raises the loss by "
-                         f"{(radius / 20 * s7) ** 2:.3g}, below 4 ulps; the least radius that "
-                         f"does is {_two_digits(least, up=True):g}")
-    if not finite(radius):
-        raise ValueError(f"probe radius {radius!r} lets the probe losses overflow at valley loss "
-                         f"{level!r}; the largest radius that does not is "
-                         f"{_edge(finite, least, radius):g}")
     rng = np.random.default_rng(seed)
 
     def draw(k):
-        deltas = rng.uniform(-radius, radius, size=(k, 8))
+        deltas = rng.uniform(-VALLEY_RADIUS, VALLEY_RADIUS, size=(k, 8))
         deltas[:, 2] = np.clip(deltas[:, 2], -abs(w3) / 2, abs(w3) / 2)
-        for _ in range(60):  # shrink delta_7 until sigma stays within factor 2
-            bad = np.abs(np.asarray(act(theta[6] + deltas[:, 6])) - s7) > abs(s7) / 2
-            if not bad.any():
-                break
-            deltas[bad, 6] *= 0.5
         return deltas
 
-    return _probe(inst.loss, theta, level, draw, n_probes, 1e-10, coord=3, radius=radius)
-
-
-def _corner_losses_finite(loss, theta, half_width) -> bool:
-    """Whether loss is finite at each corner of the box theta +- half_width.
-    A valley loss with a monotone sigma is largest over the box at a corner:
-    it is a sum of squares of terms affine in each weight and in each sigma(z),
-    and sigma(z) is monotone in z.  The box holds every probe, clipped or not."""
-    corners = np.array(list(product((-1.0, 1.0), repeat=theta.size)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(loss(theta + half_width * corners)).all())
-
-
-def _edge(holds, good: float, bad: float) -> float:
-    """A value at which holds() holds, near its edge between good, where it
-    holds, and bad, where it fails: geometric bisection to within 1%, rounded
-    to two digits towards good."""
-    while max(good, bad) > 1.01 * min(good, bad):
-        mid = math.sqrt(good) * math.sqrt(bad)
-        good, bad = (mid, bad) if holds(mid) else (good, mid)
-    return _two_digits(good, up=good > bad)
-
-
-def _two_digits(x: float, up: bool) -> float:
-    digit = 10.0 ** (math.floor(math.log10(x)) - 1)
-    return (math.ceil if up else math.floor)(x / digit) * digit
+    return _probe(inst.loss, theta, inst.valley_loss, draw, n_probes, 1e-10, coord=3,
+                  radius=VALLEY_RADIUS)
 
 
 def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProbeReport:
@@ -494,11 +472,16 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
 
 
 # ---------------------------------------------------------------------------
-# SAME-mode convolution valley (single channel)
+# SAME-mode convolution box of non-strict minima (single channel)
 # ---------------------------------------------------------------------------
 
 CONV_TARGET = np.diag([1.0, 4.0])
 CONV_RADIUS = 0.1  # probe_conv_valley: the bound of each perturbation and of its line test
+# the scales a whose box probe_conv_valley can judge: below the least, r21^2 +
+# r22^2 at a box corner, 2 (4 CONV_RADIUS / a)^2, overflows; above the largest,
+# the line's least step t = CONV_RADIUS/20 lifts L by 0.5 (4 t / a)^2 < 4 ulps of 1/2
+CONV_SCALES = (4 * CONV_RADIUS * math.sqrt(2 / np.finfo(float).max),
+               4 * (CONV_RADIUS / 20) / math.sqrt(8 * math.ulp(0.5)))
 
 
 @dataclass(frozen=True)
@@ -508,7 +491,8 @@ class ConvValleyInstance:
 
     theta = (u1, u2, u3, u4, w1, w2), U row-major.  The branch w1 = 0,
     w2 = a > 0, u3 = 4/a holds the loss at exactly 1/2 under the bounded
-    perturbations below, yet the witness point reaches loss 0.
+    perturbations below, yet the witness point reaches loss 0.  Each a is
+    the image of a = 1 under the symmetry (U, w) -> (U / a, a w) of L.
     """
 
     a: float
@@ -565,11 +549,14 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
 
     Bound set: |eps_i|, |delta_i| <= 0.1 with eps_3 further clipped to
     0.5/a, eps_2 to 0.25/a and delta_2 to 0.1 a; the strict line moves
-    the kernel entry w1 alone.  A scale a whose probes could not certify a
-    true valley is a ValueError before any draw.
+    the kernel entry w1 alone.  A scale a outside CONV_SCALES, whose probes
+    could not certify the box, is a ValueError before any draw.
     """
     a = inst.a
-    _check_conv_scale(a)
+    lo, hi = CONV_SCALES
+    if not lo <= a <= hi:
+        raise ValueError(f"scale {a!r} is outside [{lo:.3g}, {hi:.3g}]: below it a probe loss can "
+                         f"overflow, above it the line test cannot resolve its least step")
     rng = np.random.default_rng(seed)
 
     def draw(k):
@@ -581,26 +568,3 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
 
     return _probe(inst.loss, inst.valley_point(), inst.valley_loss, draw, n_probes, 1e-12,
                   coord=4, radius=CONV_RADIUS)
-
-
-def _check_conv_scale(a: float) -> None:
-    """Raise ValueError, naming a scale that works, when probe_conv_valley at
-    scale a could not certify a true valley: the line test's least step,
-    t = CONV_RADIUS/20 along w1, raises the loss by 0.5 (4 t / a)^2, which
-    above a ~ 6.7e5 is below 4 ulps of 1/2, and below a ~ 4.3e-155 the probe
-    losses can overflow."""
-    t = CONV_RADIUS / 20
-    largest = 4 * t / math.sqrt(8 * math.ulp(0.5))  # where the rise is 4 ulps
-    if a > largest:
-        raise ValueError(f"scale {a!r} cannot resolve the line test at valley loss 0.5: its "
-                         f"least step raises the loss by {0.5 * (4 * t / a) ** 2:.3g}, below "
-                         f"4 ulps; the largest scale that does is "
-                         f"{_two_digits(largest, up=False):g}")
-
-    def finite(scale):
-        inst = ConvValleyInstance(a=scale)
-        return _corner_losses_finite(inst.loss, inst.valley_point(), CONV_RADIUS)
-
-    if not finite(a):
-        raise ValueError(f"scale {a!r} lets the probe losses overflow; the least scale that "
-                         f"does not is {_edge(finite, 1.0, a):g}")

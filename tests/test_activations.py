@@ -112,6 +112,27 @@ def test_sigmoid_derivatives_are_of_the_unshifted_logistic():
         assert Activation(kind).derivative(z).tobytes() == (s * (1.0 - s)).tobytes(), kind
 
 
+def test_shifted_sigmoid_value_and_derivative_take_one_logistic_pass(monkeypatch):
+    # sigma = s - 0.5 and sigma' = s (1 - s) of one unshifted logistic s, bit
+    # for bit the value of __call__ and the derivative pinned above
+    import sparseland.activations as activations
+
+    logistic, calls = activations._logistic, []
+
+    def counted(z):
+        calls.append(z)
+        return logistic(z)
+
+    monkeypatch.setattr(activations, "_logistic", counted)
+    z = np.array([-745.0, -40.0, -3.0, -1.2, -1.0, 0.0, 0.5, 3.0, 745.0, np.inf, -np.inf, np.nan])
+    act = Activation("shifted_sigmoid")
+    v, d = act.value_and_derivative(z)
+    assert len(calls) == 1
+    s = logistic(z)
+    assert v.tobytes() == act(z).tobytes() == (s - 0.5).tobytes()
+    assert d.tobytes() == (s * (1.0 - s)).tobytes()
+
+
 def masked_logistic(z):
     """The logistic function by boolean gathers and scatters, one branch per sign."""
     z = np.asarray(z, dtype=float)

@@ -74,8 +74,8 @@ def test_verify_conv_valley(workdir, capsys):
     (["verify", "cnn-same-valley", "--probes", "0"], "--probes", "0"),
     (["trials", "--n", "0"], "--n", "0"),
     (["rank", "--n", "0"], "--n", "0"),
-    (["verify", "ss-valley", "--radius", "-1"], "--radius", "-1"),
-    (["verify", "ss-valley", "--radius", "0"], "--radius", "0"),
+    (["rank", "--n", "-1"], "--n", "-1"),
+    (["path", "--groups", "-1"], "--groups", "-1"),
     (["train", "--dims", "3,4,1", "--n", "0", "--epochs", "5"], "--n", "0"),
     (["train", "--dims", "3,4,1", "--epochs", "-1"], "--epochs", "-1"),
     (["train", "--dims", "3,4,1", "--rank-every", "-1"], "--rank-every", "-1"),
@@ -91,7 +91,7 @@ def test_verify_conv_valley(workdir, capsys):
     (["rank", "--dims", "3,0,2"], "--dims", "3,0,2"),
     (["train", "--dims", "3,-1,1"], "--dims", "3,-1,1"),
     (["conv-rank", "--mode", "same", "--d", "0", "--kernel", "1"], "--d", "0"),
-    (["verify", "cnn-same-valley", "--scale", "0"], "--scale", "0"),
+    (["conv-rank", "--mode", "same", "--d", "-1", "--kernel", "1"], "--d", "-1"),
     (["path", "--groups", "0"], "--groups", "0"),
     (["train", "--dims", "3"], "--dims", "3"),
 ])
@@ -141,9 +141,8 @@ def test_negative_scales_are_usage_errors(workdir, capsys, argv, flag):
     (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-1,2"], "kernel", (-1.0, 2.0)),
     (["conv-rank", "--mode", "same", "--d", "3", "--kernel", "-.5e1"], "kernel", (-5.0,)),
     (["verify", "ss-valley", "--y", "-1,2,9,2"], "y", (-1.0, 2.0, 9.0, 2.0)),
-    (["verify", "cnn-same-valley", "--scale", "-2E-1"], "scale",
-     "a finite number above 0, got -2E-1"),
-    (["verify", "cnn-same-valley", "--scale", "-Inf"], "scale", "a finite number, got -Inf"),
+    (["trials", "--lr", "-2E-1"], "lr", "a finite number above 0, got -2E-1"),
+    (["trials", "--lr", "-Inf"], "lr", "a finite number, got -Inf"),
     (["train", "--dims", "3,4,1", "--noise", "-1e-3"], "noise",
      "a finite number of at least 0, got -1e-3"),
 ])
@@ -193,13 +192,15 @@ def test_zero_epochs_is_valid(workdir, capsys, argv):
     (["verify", "ss-valley", "--y", "1,2,-2,2"], "needs y2 + y3 != 0, got 2.0 + -2.0"),
     (["verify", "ss-valley", "--y", "0,0,0,0"], "needs y2 + y3 != 0, got 0.0 + 0.0"),
     (["trials", "--y", "1,1,-1,2"], "needs y2 + y3 != 0, got 1.0 + -1.0"),
-    # a float ** overflows: the level it overflows is named
-    (["verify", "ss-valley", "--y", "1,2,9,1e200"], "needs a finite valley loss"),
-    (["verify", "ss-valley", "--y", "1e200,2e200,9e200,2e200"], "needs a finite valley loss"),
+    # a loss overflows: the level it overflows is named
+    (["verify", "ss-valley", "--y", "1,2,1e200,2"], "valley loss inf != y4^2 = 4.0"),
+    (["trials", "--y", "1e200,2e200,9e200,2e200"], "needs a finite valley loss"),
     (["trials", "--y", "1e200,2,9,1"], "needs a finite escape loss"),
+    # verify probes at y / c: no power of two c divides these exactly
+    (["verify", "ss-valley", "--y", "1e-300,2,9,1e300"], "lie too many binades apart"),
 ], ids=["trials-activation", "verify-sigmoid", "verify-y2-plus-y3",
         "verify-y-zero", "trials-y2-plus-y3", "verify-valley-loss-overflow",
-        "verify-every-level-overflows", "trials-escape-loss-overflow"])
+        "trials-every-level-overflows", "trials-escape-loss-overflow", "verify-y-binades-apart"])
 def test_handler_value_errors_are_usage_errors(workdir, capsys, argv, message):
     code, cap = run_cli(argv, capsys)
     assert code == 2
@@ -246,12 +247,9 @@ def test_activation_flag_normalises_and_rejects(workdir, capsys):
 
 
 @pytest.mark.parametrize("argv,flags", [
-    (["verify", "sd-minimum", "--radius", "3", "--scale", "2", "--activation", "relu",
-      "--y", "1,2,3,4"], "--activation, --y, --radius, --scale"),
-    (["verify", "cnn-same-valley", "--activation", "relu", "--radius", "3", "--y", "1,2,3,4",
-      "--probes", "10"], "--activation, --y, --radius"),
-    (["verify", "ss-valley", "--scale", "5", "--probes", "10"], "--scale"),
-], ids=["sd-minimum", "cnn-same-valley", "ss-valley"])
+    (["verify", "sd-minimum", "--activation", "relu", "--y", "1,2,3,4"], "--activation, --y"),
+    (["verify", "cnn-same-valley", "--y", "1,2,3,4", "--probes", "10"], "--y"),
+], ids=["sd-minimum", "cnn-same-valley"])
 def test_verify_rejects_options_its_instance_does_not_read(workdir, capsys, argv, flags):
     code, cap = run_cli(argv, capsys)
     assert code == 2 and cap.out == ""
@@ -260,17 +258,17 @@ def test_verify_rejects_options_its_instance_does_not_read(workdir, capsys, argv
 
 
 def test_verify_unread_options_at_their_defaults_and_replay(workdir, capsys):
-    code, _ = run_cli(["verify", "cnn-same-valley", "--activation", "tanh", "--radius", "0.05",
-                       "--probes", "10"], capsys)
-    assert code == 0
     code, _ = run_cli(["verify", "ss-valley", "--probes", "10"], capsys)
+    assert code == 0
+    code, _ = run_cli(["verify", "cnn-same-valley", "--activation", "tanh", "--y", "1,2,9,2",
+                       "--probes", "10"], capsys)
     assert code == 0
     manifest = json.loads((workdir / "verify.manifest.json").read_text())
     p = workdir / "m.json"
-    p.write_text(json.dumps(dict(manifest, config=dict(manifest["config"], scale=5.0))))
+    p.write_text(json.dumps(dict(manifest, config=dict(manifest["config"], activation="relu"))))
     code, cap = run_cli(["replay", str(p)], capsys)
     assert code == 2 and cap.out == ""
-    assert cap.err == "error: verify ss-valley ignores --scale\n"
+    assert cap.err == "error: verify cnn-same-valley ignores --activation\n"
 
 
 def test_verify_unknown_instance_usage_error(workdir):
@@ -1162,7 +1160,7 @@ def test_replay_rejects_what_the_command_line_rejects(workdir, capsys):
                 assert main(["replay", str(p)]) == 2
                 assert capsys.readouterr().err == f"error: bad manifest {p}: {message}\n", argv
                 covered.add((command, action.dest))
-    assert covered == options and len(options) == 39
+    assert covered == options and len(options) == 37
 
 
 def test_replay_rejects_unknown_command(workdir, capsys):
@@ -1191,6 +1189,43 @@ def test_replay_mismatch_names_changed_version(workdir, capsys):
     assert cap.out.splitlines() == [
         "replayed path: OUTPUT MISMATCH",
         f"version differs from the recorded run: '0.1.0' -> {__version__!r}"]
+
+
+# 0.3.14 manifests of `verify INSTANCE [--radius R] --out o.json`, whose config
+# held verify's options then: ss-valley at its default radius and at 0.1, and
+# cnn-same-valley at its three default scales (scale null)
+V0314 = {"activation": "tanh", "y": [1.0, 2.0, 9.0, 2.0], "probes": 500, "scale": None, "seed": 0}
+MANIFESTS_0314 = {
+    "ss-valley": ({**V0314, "radius": 0.05},
+                  "6cb59f75a368a3b032eaa60969e356b93bfca0923d4522a82732e4203f54213c",
+                  "cfddef35a46e0e0b9dc1c6eabc4f223e7b4dbc1045e5ac43ef541591157530a0"),
+    "cnn-same-valley": ({**V0314, "radius": 0.05},
+                        "8ebde436d7b3d50133620ee85a5a0d0673e0583ef1abddf34d240809b9a49ede",
+                        "a85dd0c442caacccce8a37a6d5514fb41445994a99b252ef205798def2d76251"),
+    "ss-valley radius 0.1": ({**V0314, "radius": 0.1},
+                             "33da97ccb72c4eb574be0bd804bf5916c77930b959a513bb975f0649154e3ef2",
+                             "849004debb6dca6f5ec8064c1ecc4ded31a382aa9dab85c5748d018b070fd3f3"),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFESTS_0314))
+def test_a_0_3_14_verify_manifest_replays(workdir, capsys, name):
+    # the options verify no longer has are ignored in a recorded config: a
+    # default run replays identical, and one at another radius, which the
+    # valley's own units replaced, differs and names the version
+    config, payload_sha, primary_sha = MANIFESTS_0314[name]
+    p = workdir / "m.json"
+    p.write_text(json.dumps({
+        "command": "verify", "config": {"instance": name.split()[0], **config}, "seed": 0,
+        "version": "0.3.14", "payload_sha256": payload_sha,
+        "outputs": {"primary": {"path": "o.json", "sha256": primary_sha}}}))
+    code, cap = run_cli(["replay", str(p)], capsys)
+    if "radius" in name:
+        assert code == 1 and cap.out.splitlines() == [
+            "replayed verify: OUTPUT MISMATCH",
+            f"version differs from the recorded run: '0.3.14' -> {__version__!r}"]
+    else:
+        assert code == 0 and cap.out.splitlines() == ["replayed verify: outputs identical"]
 
 
 def test_trials_smoke(workdir, capsys):
@@ -1245,13 +1280,12 @@ def test_verify_memory_does_not_grow_with_probes(workdir):
 
 
 @pytest.mark.parametrize("argv,code,err", [
-    (["verify", "cnn-same-valley", "--scale", "1e-300"], 2,
-     "error: scale 1e-300 lets the probe losses overflow; the least scale that does not is "),
+    (["verify", "ss-valley", "--y", "1,2,1e160,2"], 2,
+     "error: a probe loss can overflow: the targets y = (1.0, 2.0, 1e+160, 2.0) lie "),
     (["verify", "ss-valley", "--y", "1,2,1e200,2"], 2,
      "error: valley instance failed validation: valley loss inf != y4^2 = 4.0; "),
-    (["verify", "cnn-same-valley", "--scale", "1e-320"], 2,
-     "error: conv valley failed validation: valley loss at a=1e-320 is nan, "),
-], ids=["cnn-overflow", "ss-valley-overflow", "cnn-subnormal-scale"])
+    (["verify", "ss-valley", "--y", "1,2,9,1e200"], 1, ""),
+], ids=["ss-valley-probe-overflow", "ss-valley-overflow", "ss-valley-levels-overflow"])
 def test_verify_overflow_prints_no_numpy_warning(tmp_path, argv, code, err):
     # the losses overflow: stderr holds the one error line, or nothing
     proc = subprocess.run([sys.executable, "-m", "sparseland.cli", *argv], capture_output=True,

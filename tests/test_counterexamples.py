@@ -4,6 +4,7 @@ strict-minimum instance, finite differences for the analytic gradients, and
 direct dense linear algebra for the convolutional objective."""
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -33,6 +34,7 @@ from sparseland import (
     SpuriousValleyInstance,
     sym_eig,
     valley_instance,
+    valley_scale,
     verify_spurious_minimum,
 )
 from sparseland.activations import KINDS
@@ -41,6 +43,7 @@ from sparseland.cli import _finite_json, main
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
     CONV_RADIUS,
+    CONV_SCALES,
     EIGENVALUES_REF,
     EXPERIMENT_Y,
     HESSIAN_REF,
@@ -48,6 +51,7 @@ from sparseland.counterexamples import (
     RESIDUAL_Z1_REF,
     RESIDUAL_Z2_REF,
     STRICT_Y,
+    VALLEY_RADIUS,
 )
 
 from valley_oracle import valley_grad, valley_loss
@@ -316,6 +320,28 @@ def test_valley_builder_checks_the_ordering_and_the_scale():
     assert str(ei.value) == f"no valid scale: {-2 / 7!r} outside range of relu"
 
 
+def test_valley_ordering_is_checked_exactly(tmp_path, monkeypatch, capsys):
+    # y1^2 = 1e-400 underflows to 0, yet escape < y1^2 < y4^2 holds exactly
+    y = (1e-200, 2e-200, 9e-200, 2e-200)
+    assert valley_instance(y).constraints_ok
+    monkeypatch.chdir(tmp_path)
+    assert main(["trials", "--y", ",".join(map(str, y)), "--n", "1", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    # it fails only where the square-free form says so: y1 != 0, |y3| < |y2 + y3|, |y1| < |y4|
+    r = np.random.default_rng(8)
+    for _ in range(400):
+        y = r.choice([-1.0, 1.0], 4) * r.uniform(0.5, 1.0, 4) * 2.0 ** r.integers(-600, 100, 4)
+        f1, f2, f3, f4 = map(Fraction, y)
+        holds = f1 != 0 and abs(f3) < abs(f2 + f3) and abs(f1) < abs(f4)
+        try:
+            valley_instance(y, Activation("linear"))
+        except ConstructionError as e:
+            assert str(e) == "valley instance failed validation: ordering escape < y1^2 < y4^2 failed"
+            assert y[3] > y[0] and not holds, y
+        else:
+            assert not y[3] > y[0] or holds, y
+
+
 def test_valley_theta_is_stationary():
     inst = valley_instance(STRICT_Y)
     g = inst.grad(inst.valley_theta)
@@ -485,50 +511,99 @@ def test_valley_probe_report_is_pinned(y):
     assert digest == PROBE_DIGESTS[y], report
 
 
-@pytest.mark.parametrize("y,least", [("1e8,2e8,9e8,2e8", "230"), ("1e6,2e6,9e6,2e6", "1.8")])
-def test_verify_names_the_least_radius_that_resolves_the_line_test(tmp_path, monkeypatch, capsys,
-                                                                  y, least):
-    # the line test's least step, radius/20 along w4, raises the loss by
-    # (radius/20 sigma(w7))^2: at the default radius that is below one ulp
-    # of y4^2, and the valley would read falsified with no probe below it
+# y = 2^k STRICT_Y, from subnormal-adjacent to near-overflow targets: each is
+# the STRICT_Y valley in other units
+SCALED_K = (-1000, -560, -100, 0, 100, 508, 1000)
+
+
+@pytest.mark.parametrize("kind", sorted({act.kind for act in VALLEY_BUILDS}))
+def test_verify_judges_every_scale_of_a_valley_alike(tmp_path, monkeypatch, capsys, kind):
+    # in its own units the verdict and the probe object do not depend on the
+    # units of y, where the box of a fixed radius read large targets as
+    # unresolved and small ones as verified in a box dwarfing their weights
     monkeypatch.chdir(tmp_path)
-    assert main(["verify", "ss-valley", "--y", y, "--probes", "10"]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert cap.err.startswith("error: probe radius 0.05 cannot resolve the line test at valley loss ")
-    assert cap.err.endswith(f"; the least radius that does is {least}\n")
-    assert cap.err.count("\n") == 1
-    assert not list(tmp_path.iterdir())  # no manifest
-    assert main(["verify", "ss-valley", "--y", y, "--probes", "10", "--radius", least, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["verified"] is True
+    probes = set()
+    for k in SCALED_K:
+        y = [math.ldexp(v, k) for v in STRICT_Y]
+        argv = ["verify", "ss-valley", "--activation", kind, "--probes", "200", "--json"]
+        assert main(argv + ["--y", ",".join(map(repr, y))]) == 0, k
+        payload = json.loads(capsys.readouterr().out)
+        probes.add(json.dumps(payload["probe"]))
+        assert payload["y"] == y
+        level = math.ldexp(4.0, 2 * k) if 2 * k + 2 < 1024 else None  # null past the float range
+        assert payload["valley_loss"] == level
+    assert len(probes) == 1
 
 
-def test_probe_valley_rejects_a_radius_just_below_the_least():
-    inst = valley_instance((1e6, 2e6, 9e6, 2e6))
-    s7 = float(inst.activation(inst.valley_theta[6]))
-    least = 20 * math.sqrt(4 * math.ulp(inst.valley_loss)) / s7
-    assert probe_valley(inst, n_probes=10, radius=least).line_strict_ok
-    with pytest.raises(ValueError, match="least radius that does is 1.8$"):
-        probe_valley(inst, n_probes=10, radius=least * (1 - 1e-9))
+@pytest.mark.parametrize("act", VALLEY_BUILDS, ids=lambda a: a.kind)
+def test_every_power_of_two_scale_probes_one_instance(act):
+    # y = 2^k STRICT_Y for k from -1000 to 1000 in steps of 50: valley_scale
+    # takes each to the STRICT_Y instance, so every probe report is its own
+    base = valley_instance(STRICT_Y, act)
+    want = probe_valley(base, n_probes=50)
+    for k in range(-1000, 1001, 50):
+        y = [math.ldexp(v, k) for v in STRICT_Y]
+        c = valley_scale(y)
+        inst = valley_instance([v / c for v in y], act)
+        assert c == 2.0 ** k and inst.valley_theta.tobytes() == base.valley_theta.tobytes()
+        assert probe_valley(inst, n_probes=50) == want
 
 
-def test_probe_valley_names_no_radius_when_every_resolving_one_overflows():
-    # y4^2 is the largest float below the overflow: the least radius that
-    # resolves the line test, 1.2e148, already lifts a corner's loss past it,
-    # so the default radius and that one are both refused without a radius named
-    inst = valley_instance((1.0, 2.0, 9.0, math.sqrt(np.finfo(float).max)))
-    for radius in (0.05, 1.2e148):
-        with pytest.raises(ValueError, match="^no probe radius both resolves the line test and "
-                                             "keeps the probe losses finite at valley loss "
-                                             f"{re.escape(repr(inst.valley_loss))}$"):
-            probe_valley(inst, n_probes=10, radius=radius)
+def test_valley_scale_puts_y4_in_two_to_four():
+    assert valley_scale(STRICT_Y) == valley_scale(EXPERIMENT_Y) == 1.0
+    assert valley_scale((1, 2, 9, 0)) == 1.0
+    assert valley_scale((1e8, 2e8, 9e8, -2e8)) == 2.0 ** 26  # 2e8 / 2^26 = 2.98...
+    assert valley_scale((0, 0, 0, 2.0 ** -1073)) == 2.0 ** -1074
+    r = np.random.default_rng(6)
+    for y4 in r.uniform(-1, 1, 200) * 2.0 ** r.integers(-1000, 1000, 200):
+        assert 2 <= abs(y4) / valley_scale((1, 2, 9, y4)) < 4
 
 
-# payload_sha256 of `verify ss-valley --y Y --json`, the same as before the
-# radius check: a radius that resolves the line test keeps its bytes
+@pytest.mark.parametrize("y", [(1e-300, 2, 9, 1e300), (1e300, 2, 9, 1e-300), (0, 0, 0, 5e-324)])
+def test_valley_scale_rejects_targets_it_cannot_divide_exactly(y):
+    # y_i / c would underflow or overflow (or, at |y4| = 2^-1074, no float c
+    # exists), so valley_instance(y / c) would not be the valley at y
+    with pytest.raises(ValueError, match=re.escape(f"the targets y = {tuple(y)} lie too many "
+                                                   "binades apart")):
+        valley_scale(y)
+
+
+def test_probe_valley_rejects_a_valley_in_other_units():
+    for y in ((1e8, 2e8, 9e8, 2e8), (0.5, 1, 4.5, 1), (1, 2, 9, 4)):
+        with pytest.raises(ValueError, match=r"own units, \|y4\| in \[2, 4\) or 0, got y4 = .*: "
+                                             r"probe valley_instance\(y / valley_scale\(y\)\)$"):
+            probe_valley(valley_instance(y))
+    inst = valley_instance(np.array((1e8, 2e8, 9e8, 2e8)) / valley_scale((1e8, 2e8, 9e8, 2e8)))
+    assert probe_valley(inst, n_probes=10).ok
+
+
+@pytest.mark.parametrize("act", VALLEY_BUILDS + [Activation("leaky_relu", slope=50.0),
+                                                 Activation("elu", alpha=50.0)],
+                         ids=[a.kind for a in VALLEY_BUILDS] + ["leaky_relu-50", "elu-50"])
+def test_sigma_w7_stays_within_a_factor_two_over_the_probe_box(act):
+    # probe_valley clips no delta_7: over |delta_7| <= VALLEY_RADIUS each kind's
+    # sigma(w7 + delta_7) stays within a factor 2 of sigma(w7) = 1/a
+    w7 = valley_instance(STRICT_Y, act).valley_theta[6]
+    s7 = float(act(w7))
+    moved = act(w7 + np.linspace(-VALLEY_RADIUS, VALLEY_RADIUS, 10001))
+    assert s7 >= 0.25 and np.max(np.abs(moved - s7)) <= s7 / 2
+
+
+def test_probe_valley_rejects_targets_whose_probe_losses_can_overflow(monkeypatch):
+    # w3 = 1e160 a: a probe moves the residual r22 by about 1e158, whose square overflows
+    inst = valley_instance((1.0, 2.0, 1e160, 2.0))
+    monkeypatch.setattr(counterexamples, "_probe", None)  # no probe is drawn
+    with pytest.raises(ValueError, match=re.escape(f"a probe loss can overflow: the targets y = "
+                                                   f"{inst.y} lie too many binades apart")):
+        probe_valley(inst)
+
+
+# payload_sha256 of `verify ss-valley --y Y --json`: at the default y the same
+# as before the radius check and before the valley was probed in its own
+# units; at 1e4,2e4,9e4,2e4 (c = 2^13) the payload of its own units
 RESOLVED_PAYLOADS = {
     "1,2,9,2": "6cb59f75a368a3b032eaa60969e356b93bfca0923d4522a82732e4203f54213c",
-    "1e4,2e4,9e4,2e4": "c1258af47d5eedab3db2f246df04302a39f43a4853a7f9a31898711c2c5f2393",
+    "1e4,2e4,9e4,2e4": "d04cfc96fcd79a4bb19772773ba5c128bc2385ae93983fd787cb1f59c0a2f8d9",
 }
 
 
@@ -541,77 +616,53 @@ def test_verify_payload_of_a_resolved_radius_is_pinned(tmp_path, monkeypatch, ca
     assert manifest["payload_sha256"] == RESOLVED_PAYLOADS[y]
 
 
-# (instance, option, a value past the bound, the bound named, the next
-# two-digit value past it): the line test cannot show its least step (the
-# 4-ulp rule), or the probe losses can overflow
-VALLEY_BOUNDS = {
-    "scale-1e7": ("cnn-same-valley", "--scale", "1e7", "the largest scale that does is 670000",
-                  "680000"),
-    "scale-1e6": ("cnn-same-valley", "--scale", "1e6", "the largest scale that does is 670000",
-                  "680000"),
-    "scale-1e-160": ("cnn-same-valley", "--scale", "1e-160",
-                     "the least scale that does not is 4.3e-155", "4.2e-155"),
-    "radius-1e154": ("ss-valley", "--radius", "1e154",
-                     "the largest radius that does not is 4.2e+153", "4.3e153"),
-    "radius-1e160": ("ss-valley", "--radius", "1e160",
-                     "the largest radius that does not is 4.2e+153", "4.3e153"),
-}
-
-
-@pytest.mark.parametrize("instance,option,value,named,beyond", list(VALLEY_BOUNDS.values()),
-                         ids=list(VALLEY_BOUNDS))
-def test_verify_names_a_valley_bound_that_verifies(tmp_path, monkeypatch, capsys,
-                                                   instance, option, value, named, beyond):
-    # a value the probes cannot judge is bad input, exit 2 before any probe,
-    # not exit 1 ("falsified"); the bound it names verifies, and the next
-    # two-digit value past that bound is rejected too
-    monkeypatch.chdir(tmp_path)
-    for v in (value, beyond):
-        assert main(["verify", instance, option, v]) == 2
-        cap = capsys.readouterr()
-        assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
-        assert cap.err.endswith(f"; {named}\n"), cap.err
-    assert not list(tmp_path.iterdir())  # no manifest
-    bound = named.rsplit(" ", 1)[1]
-    assert main(["verify", instance, option, bound, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["verified"] is True
-
-
 def test_the_largest_conv_scale_shows_its_least_step():
     # at the largest scale probe_conv_valley admits, the loss the line test
     # reads at its least step is at least 4 ulps above 1/2, and one past it
     # is rejected
-    inst = conv_valley_instance(671088.0)
+    hi = CONV_SCALES[1]
+    inst = conv_valley_instance(hi)
     assert probe_conv_valley(inst, n_probes=20).ok
     step = np.zeros(6)
     step[4] = CONV_RADIUS / 20
     assert inst.loss(inst.valley_point() + step) - 0.5 >= 4 * math.ulp(0.5)
-    with pytest.raises(ValueError, match="largest scale that does is 670000$"):
-        probe_conv_valley(conv_valley_instance(671089.0), n_probes=20)
+    with pytest.raises(ValueError, match="is outside"):
+        probe_conv_valley(conv_valley_instance(np.nextafter(hi, np.inf)), n_probes=20)
 
 
-@pytest.mark.parametrize("a,message", [
-    (1e7, "scale 10000000.0 cannot resolve the line test at valley loss 0.5: its least step "
-          "raises the loss by 2e-18, below 4 ulps; the largest scale that does is 670000"),
-    (1e-160, "scale 1e-160 lets the probe losses overflow; the least scale that does not is "
-             "4.3e-155"),
-], ids=["1e7", "1e-160"])
-def test_probe_conv_valley_rejects_a_scale_it_cannot_judge(monkeypatch, a, message):
-    # a library call judges its scale before any draw, as verify does: a true
-    # valley is not reported as falsified
+def test_the_least_conv_scale_keeps_the_corner_losses_finite():
+    # at the least scale every corner loss of the probe box is finite, one
+    # float below it some overflows, and that scale is rejected
+    lo = CONV_SCALES[0]
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
+    at_lo, below = ConvValleyInstance(a=lo), ConvValleyInstance(a=np.nextafter(lo, 0))
+    with np.errstate(over="ignore"):
+        assert [bool(np.isfinite(i.loss(i.valley_point() + CONV_RADIUS * corners)).all())
+                for i in (at_lo, below)] == [True, False]
+    assert probe_conv_valley(at_lo, n_probes=20).ok
+    with pytest.raises(ValueError, match="is outside"):
+        probe_conv_valley(below, n_probes=20)
+
+
+@pytest.mark.parametrize("a", [1e7, 1e-160], ids=["1e7", "1e-160"])
+def test_probe_conv_valley_rejects_a_scale_it_cannot_judge(monkeypatch, a):
+    # a library call judges its scale before any draw: a true valley is not
+    # reported as falsified
     def no_draw(*args, **kwargs):
         raise AssertionError("drew probes")
 
     monkeypatch.setattr(counterexamples, "_probe", no_draw)
     with pytest.raises(ValueError) as ei:
         probe_conv_valley(conv_valley_instance(a))
-    assert str(ei.value) == message
+    assert str(ei.value) == (f"scale {a!r} is outside [4.22e-155, 6.71e+05]: below it a probe "
+                             "loss can overflow, above it the line test cannot resolve its least "
+                             "step")
 
 
 def test_verify_cnn_default_payload_is_pinned(tmp_path, monkeypatch, capsys):
-    # payload_sha256 of `verify cnn-same-valley --json` at its default
-    # scales, the same as before the scale bounds (ss-valley's at the
-    # default radius is RESOLVED_PAYLOADS["1,2,9,2"])
+    # payload_sha256 of `verify cnn-same-valley --json` at its three scales,
+    # the same as before the scale bounds (ss-valley's default is
+    # RESOLVED_PAYLOADS["1,2,9,2"])
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "cnn-same-valley", "--json"]) == 0
     capsys.readouterr()
@@ -733,12 +784,12 @@ def _one_batch(loss, theta, level, deltas, tol):
     return float(np.min(excess)), int(np.count_nonzero(~np.isfinite(losses) | (excess < -tol)))
 
 
-@pytest.mark.parametrize("y,radius", [(STRICT_Y, 0.05), (EXPERIMENT_Y, 0.5)])
-def test_valley_probe_blocks_equal_one_batch(y, radius):
-    inst = valley_instance(y)
-    rep = probe_valley(inst, n_probes=N_BLOCKED, radius=radius, seed=4)
+@pytest.mark.parametrize("y", [STRICT_Y, (3.0, 5.0, 30.0, 7.0)], ids=["strict", "c=2"])
+def test_valley_probe_blocks_equal_one_batch(y):
+    inst = valley_instance(np.array(y) / valley_scale(y))
+    rep = probe_valley(inst, n_probes=N_BLOCKED, seed=4)
     theta, act = inst.valley_theta, inst.activation
-    deltas = np.random.default_rng(4).uniform(-radius, radius, size=(N_BLOCKED, 8))
+    deltas = np.random.default_rng(4).uniform(-VALLEY_RADIUS, VALLEY_RADIUS, size=(N_BLOCKED, 8))
     deltas[:, 2] = np.clip(deltas[:, 2], -abs(theta[2]) / 2, abs(theta[2]) / 2)
     s7 = float(act(theta[6]))
     for _ in range(60):

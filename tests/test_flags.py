@@ -257,7 +257,7 @@ def _valid(action):
 @given(data=st.data())
 def test_a_valid_flag_value_parses_to_the_number_it_spells(command, action, data):
     # the parser alone: a value inside the flag's rule may still be one the
-    # run rejects (verify --radius 1e-300 cannot resolve the line test)
+    # run rejects (verify --y 1e-300,2,9,1e300 lies too many binades apart)
     texts, spelled = _valid(action)
     text = data.draw(texts, label="text")
     got = getattr(PARSER.parse_args(_argv(command, action, text)), action.dest)
