@@ -62,9 +62,11 @@ def _with_bounds(noun: str, bounds: str) -> str:
 def _number(kind, low=None, open_low=False, high=None):
     """argparse type: a finite float or an int (kind) that is at least low, or
     above it when open_low, and below high, each bound optional.  The parser
-    holds this rule as its attributes, and its bounds in words as `bounds`."""
+    holds this rule as its attributes, its bounds in words as `bounds` and
+    the whole rule in words as `rule`, which --help prints."""
     bounds = [] if low is None else [f"{'above' if open_low else 'at least'} {low}"]
     bounds = " and ".join(bounds + ([] if high is None else [f"below {high}"]))
+    rule = _with_bounds("a finite number" if kind is float else "an integer", bounds)
 
     def parse(text: str):
         try:
@@ -76,32 +78,31 @@ def _number(kind, low=None, open_low=False, high=None):
             raise _rejected("must be a finite number", text)
         if (low is not None and (value <= low if open_low else value < low)
                 or high is not None and value >= high):
-            rule = _with_bounds("a finite number", bounds) if kind is float else bounds
-            raise _rejected(f"must be {rule}", text)
+            raise _rejected(f"must be {rule if kind is float else bounds}", text)
         return value
 
-    vars(parse).update(kind=kind, low=low, open_low=open_low, high=high, bounds=bounds)
+    vars(parse).update(kind=kind, low=low, open_low=open_low, high=high, bounds=bounds, rule=rule)
     return parse
 
 
 def _numbers(item, least, most=math.inf):
     """argparse type: comma-separated entries that the _number type item
     reads, from least to most of them, as a tuple; the parser holds item,
-    least and most."""
+    least and most, and the whole rule in words as `rule`."""
     noun = "numbers" if item.kind is float else "integers"
+    entries = _with_bounds(f"finite {noun}" if item.kind is float else noun, item.bounds)
+    count = least if least == most else f"at least {least}"
 
     def parse(text: str):
         try:
             values = tuple(map(item, text.split(",")))
         except argparse.ArgumentTypeError:
-            entries = _with_bounds(f"finite {noun}" if item.kind is float else noun, item.bounds)
             raise _rejected(f"expected comma-separated {entries}", text)
         if not least <= len(values) <= most:
-            count = least if least == most else f"at least {least}"
             raise _rejected(f"expected {count} comma-separated {noun}", text)
         return values
 
-    vars(parse).update(item=item, least=least, most=most)
+    vars(parse).update(item=item, least=least, most=most, rule=f"{count} comma-separated {entries}")
     return parse
 
 
@@ -551,13 +552,30 @@ def cmd_replay(args):
     return (0 if match else 1), out_payload, None, lines
 
 
+class _RuleFormatter(argparse.HelpFormatter):
+    """--help that ends each option's text with the rule its type states, when
+    it is a _number or _numbers type, and its default."""
+
+    def _format_action(self, action):
+        import copy
+
+        notes = [n for n in (action.help, getattr(action.type, "rule", None)) if n]
+        if action.nargs != 0 and action.default not in (None, argparse.SUPPRESS):
+            d = action.default
+            notes.append(f"default {','.join(map(str, d)) if isinstance(d, tuple) else d}")
+        action = copy.copy(action)
+        action.help = "; ".join(notes)
+        return super()._format_action(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the parser of each subcommand, that reads any
     word shaped like a negative number (-1e-3, -.5, -1,2, -inf) as a value,
-    so the option's type judges it; argparse alone takes only -1 and -0.5."""
+    so the option's type judges it; argparse alone takes only -1 and -0.5.
+    Its --help states each option's rule and default (_RuleFormatter)."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, formatter_class=_RuleFormatter, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def _get_values(self, action, arg_strings):
@@ -714,8 +732,7 @@ def main(argv=None) -> int:
             try:
                 args.seed = _SEED(text)
             except argparse.ArgumentTypeError:
-                rule = _with_bounds("an integer", _SEED.bounds)
-                raise ValueError(f"SEED must be {rule}, got {text!r}") from None
+                raise ValueError(f"SEED must be {_SEED.rule}, got {text!r}") from None
         code, payload, primary_text, lines = _run(cmd_replay if command == "replay"
                                                   else HANDLERS[command], args)
         if command != "replay":

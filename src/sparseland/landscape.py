@@ -175,8 +175,10 @@ def _full_rank_completion(W: np.ndarray, res: ZeroColumnResult) -> np.ndarray:
 
 
 def least_squares_optimum(X: np.ndarray, Y: np.ndarray) -> float:
-    """Minimum over A of 0.5 ||A X - Y||_F^2, i.e. 0.5 ||Y - Y X^+ X||_F^2."""
-    return 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
+    """Minimum over A of 0.5 ||A X - Y||_F^2, i.e. 0.5 ||Y - Y X^+ X||_F^2;
+    inf or nan, with no warning, where the data overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.sum((Y - (Y @ np.linalg.pinv(X)) @ X) ** 2))
 
 
 def nonincreasing_path_overparam(inst: TwoLayerLinearInstance, theta,

@@ -51,7 +51,8 @@ def gen_synthetic(n: int, d_x: int, d_y: int, seed: int = 0, a_norm: float = 5.0
         A = np.eye(d_y, d_x)
     else:
         raise ValueError(f"unknown target {target!r}")
-    Y = A @ X + noise * rng_e.standard_normal((d_y, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # data that overflow diverge in training
+        Y = A @ X + noise * rng_e.standard_normal((d_y, n))
     return X, Y
 
 

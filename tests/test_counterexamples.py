@@ -589,6 +589,27 @@ def test_sigma_w7_stays_within_a_factor_two_over_the_probe_box(act):
     assert s7 >= 0.25 and np.max(np.abs(moved - s7)) <= s7 / 2
 
 
+def test_probe_valley_clips_delta_3_to_half_w3(monkeypatch):
+    # in its own units (c = 1) with w3 = 2 y3 = 0.02 < VALLEY_RADIUS, so the
+    # clip acts: every probe keeps |theta_3 - w3| <= |w3| / 2
+    inst = valley_instance((1, 2, 0.01, 2), Activation("tanh"))
+    w3 = inst.valley_theta[2]
+    assert valley_scale(inst.y) == 1.0 and w3 == 0.02
+    probed, loss = [], SpuriousValleyInstance.loss
+
+    def recording(self, theta):
+        probed.append(np.array(theta))
+        return loss(self, theta)
+
+    monkeypatch.setattr(SpuriousValleyInstance, "loss", recording)
+    probe_valley(inst, n_probes=500, seed=0)
+    # the calls: the 256 box corners, the 500 probes, the 40 line points
+    assert [len(t) for t in probed] == [256, 500, 40]
+    moved = np.abs(probed[1][:, 2] - w3)
+    assert moved.max() <= abs(w3) / 2 * (1 + 1e-12)
+    assert moved.max() >= abs(w3) / 2 * (1 - 1e-12)  # some draws sit at the clip
+
+
 def test_probe_valley_rejects_targets_whose_probe_losses_can_overflow(monkeypatch):
     # w3 = 1e160 a: a probe moves the residual r22 by about 1e158, whose square overflows
     inst = valley_instance((1.0, 2.0, 1e160, 2.0))

@@ -14,7 +14,9 @@ or a missing file, which the error line may name in the option's place.
 Valid values: a number or list option parses a text drawn inside its rule
 (a closed bound itself, and -0 where that bound is 0) to the number that
 the text spells.  Replay: a recorded manifest whose config holds a text
-from an option's invalid set exits 2 with one error line and writes nothing."""
+from an option's invalid set exits 2 with one error line and writes nothing.
+Help: a number or list option's --help text states its type's rule and its
+default, and ends as HELP_ENDS pins it."""
 
 import argparse
 import io
@@ -299,6 +301,73 @@ def test_an_invalid_replayed_value_is_a_usage_error(recorded, command, action, d
         assert lines[0].startswith(f"error: bad manifest {path}: ") or f" {text}:" in lines[0]
     else:
         assert lines[0].startswith(f"error: bad manifest {path}: "), (text, lines)
+
+
+def _rule_words(kind, plural=False) -> list:
+    """What --help must say of a number type's rule, read off its attributes."""
+    noun = ("integers" if plural else "an integer") if kind.kind is int else (
+        "finite numbers" if plural else "a finite number")
+    bounds = [] if kind.low is None else [f"{'above' if kind.open_low else 'at least'} {kind.low}"]
+    return [noun, *bounds, *([] if kind.high is None else [f"below {kind.high}"])]
+
+
+# the end of each number or list option's --help text: the rules promised
+# to users, pinned here so that a changed bound fails a test
+HELP_ENDS = dict(line.split(": ", 1) for line in """\
+verify --y: 4 comma-separated finite numbers; default 1.0,2.0,9.0,2.0
+verify --probes: an integer of at least 1; default 500
+verify --seed: an integer of at least 0; default 0
+train --dims: at least 3 comma-separated integers of at least 1
+train --sparsity: a finite number of at least 0 and below 1; default 0.0
+train --n: an integer of at least 1; default 100
+train --noise: a finite number of at least 0; default 1.0
+train --a-norm: a finite number of at least 0; default 5.0
+train --lr: a finite number above 0; default 0.01
+train --epochs: an integer of at least 0; default 5000
+train --scale-init: a finite number of at least 0; default 1.0
+train --rank-every: an integer of at least 0; default 100
+train --seed: an integer of at least 0; default 0
+trials --n: an integer of at least 1; default 100
+trials --y: 4 comma-separated finite numbers; default 1.0,2.0,9.0,2.0
+trials --lr: a finite number above 0; default 0.01
+trials --epochs: an integer of at least 0; default 50000
+trials --seed: an integer of at least 0; default 0
+path --groups: an integer of at least 1; default 3
+path --n: an integer of at least 1; default 12
+path --samples: an integer of at least 1; default 1000
+path --seed: an integer of at least 0; default 0
+rank --dims: at least 3 comma-separated integers of at least 1; default 6,6,6
+rank --sparsity: a finite number of at least 0 and below 1; default 0.3
+rank --scale-init: a finite number of at least 0; default 3.0
+rank --n: an integer of at least 1; default 6
+rank --seed: an integer of at least 0; default 0
+conv-rank --d: an integer of at least 1
+conv-rank --kernel: at least 1 comma-separated finite numbers""".splitlines())
+
+
+def test_every_number_and_list_option_has_a_pinned_help_end():
+    assert sorted(HELP_ENDS) == sorted(f"{c} {_name(a)}" for c, a in TYPED)
+
+
+@pytest.mark.parametrize("command,action", TYPED, ids=[f"{c} {_name(a)}" for c, a in TYPED])
+def test_help_states_the_rule_and_the_default(command, action, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line breaks inside an option's text
+    name = re.escape(_name(action))
+    line = " ".join(re.search(rf"^  {name} .*?(?=^  -|\Z)", PARSERS[command].format_help(),
+                              re.M | re.S)[0].split())
+    kind = action.type
+    if hasattr(kind, "item"):
+        count = kind.least if kind.least == kind.most else f"at least {kind.least}"
+        words = [f"{count} comma-separated", *_rule_words(kind.item, plural=True)]
+    else:
+        words = _rule_words(kind)
+    if action.default is not None:
+        d = action.default
+        words.append(f"default {','.join(map(str, d)) if isinstance(d, tuple) else d}")
+    assert all(word in line for word in words), (words, line)
+    assert line.endswith(HELP_ENDS[f"{command} {_name(action)}"]), line
+    # the rule is stated once, by the type, and not again by hand
+    assert not re.search(r"at least|above|below|must|default", action.help or "")
 
 
 def test_a_double_dash_value_is_the_options_own():

@@ -34,7 +34,8 @@ def imported_modules(argv, cwd) -> set:
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["rank", "--n", "0"],
-                                  ["conv-rank", "--mode", "diagonal", "--d", "3"]])
+                                  ["conv-rank", "--mode", "diagonal", "--d", "3"],
+                                  ["train", "--help"], ["verify", "--help"]])
 def test_front_door_imports_no_numerical_code(tmp_path, argv):
     modules = imported_modules(argv, tmp_path)  # `-m` runs sparseland.cli as __main__
     assert "sparseland" in modules
