@@ -239,6 +239,8 @@ def cmd_verify(args):
 
 
 def cmd_train(args):
+    import numpy as np
+
     from .landscape import least_squares_optimum
     from .trainer import TrainConfig, gd_train, gen_synthetic, init_net
 
@@ -256,6 +258,9 @@ def cmd_train(args):
 
     optimum = gap = None
     if trace.net.activation.kind == "linear":
+        # a net with a live bias entry fits an affine map: A [X; 1]
+        if any(layer.bias is not None and layer.bias_mask.any() for layer in trace.net.layers):
+            X = np.vstack([X, np.ones((1, X.shape[1]))])
         optimum = least_squares_optimum(X, Y)
         gap = trace.final_loss - optimum
 

@@ -413,49 +413,48 @@ def probe_valley(inst: SpuriousValleyInstance, n_probes: int = 1000,
                  seed: int = 0) -> ValleyProbeReport:
     """Random bounded perturbations around the valley point, in its own units:
     |y4| in [2, 4), or y4 = 0.  Other units, or targets so many binades apart
-    that a probe loss can overflow, raise ValueError.  The guarantee needs
-    |delta_3| <= |w3|/2, to which deltas are clipped, and sigma(w7 + delta_7)
-    within a factor 2 of sigma(w7) = 1/a >= 1/4, which holds unclipped: sigma's
-    slope near w7 is at most 1, so it moves by at most VALLEY_RADIUS < 1/8.
-    The lower bound only holds for constraint-satisfying y-values.  The line
-    test's least step, VALLEY_RADIUS/20 along w4, lifts the loss by
-    (0.05/20 sigma(w7))^2 >= 3.9e-7: far above 4 ulps of y4^2 < 16.
+    that a probe loss can overflow (_probe's corner rule), raise ValueError.
+    The guarantee needs |delta_3| <= |w3|/2, to which deltas are clipped, and
+    sigma(w7 + delta_7) within a factor 2 of sigma(w7) = 1/a >= 1/4, which
+    holds unclipped: sigma's slope near w7 is at most 1, so it moves by at most
+    VALLEY_RADIUS < 1/8.  The lower bound only holds for constraint-satisfying
+    y-values.  The line test's least step, VALLEY_RADIUS/20 along w4, lifts the
+    loss by (0.05/20 sigma(w7))^2 >= 3.9e-7: far above 4 ulps of y4^2 < 16.
     """
     if not (2.0 <= abs(inst.y[3]) < 4.0 or inst.y[3] == 0.0):
         raise ValueError(f"probe_valley needs the valley in its own units, |y4| in [2, 4) or 0, "
                          f"got y4 = {inst.y[3]!r}: probe valley_instance(y / valley_scale(y))")
-    theta = inst.valley_theta
-    # a valley loss with a monotone sigma is largest over the box at a corner:
-    # it sums squares of terms affine in each weight and each sigma(z)
-    corners = np.array(list(product((-1.0, 1.0), repeat=8)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(inst.loss(theta + VALLEY_RADIUS * corners)).all()
-    if not finite:
-        raise ValueError(f"a probe loss can overflow: the targets y = {inst.y} lie too many "
-                         f"binades apart")
-    w3 = theta[2]
+    return _probe(inst.loss, inst.valley_theta, inst.valley_loss, VALLEY_RADIUS,
+                  {2: abs(inst.valley_theta[2]) / 2}, n_probes, seed, 1e-10, coord=3,
+                  overflow=f"the targets y = {inst.y} lie too many binades apart")
+
+
+def _probe(loss, theta, level, radius, clips, n_probes, seed, tol, coord,
+           overflow) -> ValleyProbeReport:
+    """Probe a valley point theta at loss `level` over the box of half-width
+    radius with coordinate i clipped to |delta_i| <= clips[i]: n_probes deltas
+    drawn uniformly from default_rng(seed), then clipped, in blocks of at most
+    PROBE_BLOCK rows.  A probe theta + delta falsifies the point when its loss
+    is not finite or below level - tol, and the 40 points 0 < |t| <= radius
+    along coordinate `coord` must have finite losses above level.
+
+    The corner rule: both valley losses sum squares of terms affine in each
+    coordinate (in each sigma(z), for a monotone sigma), so over the clipped
+    box each is largest at one of its 2^P corners.  A box with a corner loss
+    that is not finite is a ValueError before any draw, naming `overflow`."""
+    half = np.array([min(radius, clips.get(i, radius)) for i in range(theta.size)])
+    corners = theta + half * np.array(list(product((-1.0, 1.0), repeat=theta.size)))
     rng = np.random.default_rng(seed)
-
-    def draw(k):
-        deltas = rng.uniform(-VALLEY_RADIUS, VALLEY_RADIUS, size=(k, 8))
-        deltas[:, 2] = np.clip(deltas[:, 2], -abs(w3) / 2, abs(w3) / 2)
-        return deltas
-
-    return _probe(inst.loss, theta, inst.valley_loss, draw, n_probes, 1e-10, coord=3,
-                  radius=VALLEY_RADIUS)
-
-
-def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProbeReport:
-    """Probe a valley point theta at loss `level` with n_probes deltas, drawn
-    by draw(k) in blocks of at most PROBE_BLOCK rows: a probe theta + delta
-    falsifies it when its loss is not finite or below level - tol, and the 40
-    points 0 < |t| <= radius along coordinate `coord` must have finite losses
-    above level."""
     min_excess, falsifications = np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss falsifies
+        if not np.isfinite(loss(corners)).all():
+            raise ValueError(f"a probe loss can overflow: {overflow}")
         for start in range(0, n_probes, PROBE_BLOCK):
+            deltas = rng.uniform(-radius, radius, (min(PROBE_BLOCK, n_probes - start), theta.size))
+            for i, bound in clips.items():
+                deltas[:, i] = np.clip(deltas[:, i], -bound, bound)
             # coordinate-major rows, so the loss reads each coordinate contiguously
-            losses = loss(np.add(theta[None, :], draw(min(PROBE_BLOCK, n_probes - start)), order="F"))
+            losses = loss(np.add(theta[None, :], deltas, order="F"))
             excess = losses - level
             min_excess = np.minimum(min_excess, np.min(excess))  # a NaN stays
             falsifications += int(np.count_nonzero(~np.isfinite(losses) | (excess < -tol)))
@@ -477,11 +476,9 @@ def _probe(loss, theta, level, draw, n_probes, tol, coord, radius) -> ValleyProb
 
 CONV_TARGET = np.diag([1.0, 4.0])
 CONV_RADIUS = 0.1  # probe_conv_valley: the bound of each perturbation and of its line test
-# the scales a whose box probe_conv_valley can judge: below the least, r21^2 +
-# r22^2 at a box corner, 2 (4 CONV_RADIUS / a)^2, overflows; above the largest,
-# the line's least step t = CONV_RADIUS/20 lifts L by 0.5 (4 t / a)^2 < 4 ulps of 1/2
-CONV_SCALES = (4 * CONV_RADIUS * math.sqrt(2 / np.finfo(float).max),
-               4 * (CONV_RADIUS / 20) / math.sqrt(8 * math.ulp(0.5)))
+# the largest scale a whose box probe_conv_valley can judge: above it the line's
+# least step t = CONV_RADIUS/20 lifts L by 0.5 (4 t / a)^2 < 4 ulps of 1/2
+CONV_SCALE_MAX = 4 * (CONV_RADIUS / 20) / math.sqrt(8 * math.ulp(0.5))
 
 
 @dataclass(frozen=True)
@@ -549,22 +546,13 @@ def probe_conv_valley(inst: ConvValleyInstance, n_probes: int = 500,
 
     Bound set: |eps_i|, |delta_i| <= 0.1 with eps_3 further clipped to
     0.5/a, eps_2 to 0.25/a and delta_2 to 0.1 a; the strict line moves
-    the kernel entry w1 alone.  A scale a outside CONV_SCALES, whose probes
-    could not certify the box, is a ValueError before any draw.
+    the kernel entry w1 alone.  A scale a above CONV_SCALE_MAX, or so small
+    that a probe loss can overflow (_probe's corner rule), is a ValueError.
     """
     a = inst.a
-    lo, hi = CONV_SCALES
-    if not lo <= a <= hi:
-        raise ValueError(f"scale {a!r} is outside [{lo:.3g}, {hi:.3g}]: below it a probe loss can "
-                         f"overflow, above it the line test cannot resolve its least step")
-    rng = np.random.default_rng(seed)
-
-    def draw(k):
-        deltas = rng.uniform(-CONV_RADIUS, CONV_RADIUS, size=(k, 6))
-        deltas[:, 1] = np.clip(deltas[:, 1], -0.25 / a, 0.25 / a)  # eps_2 (u2)
-        deltas[:, 2] = np.clip(deltas[:, 2], -0.5 / a, 0.5 / a)    # eps_3 (u3)
-        deltas[:, 5] = np.clip(deltas[:, 5], -0.1 * a, 0.1 * a)    # delta_2 (w2)
-        return deltas
-
-    return _probe(inst.loss, inst.valley_point(), inst.valley_loss, draw, n_probes, 1e-12,
-                  coord=4, radius=CONV_RADIUS)
+    if not a <= CONV_SCALE_MAX:
+        raise ValueError(f"scale {a!r} is above {CONV_SCALE_MAX:.3g}: the line test cannot "
+                         f"resolve its least step")
+    return _probe(inst.loss, inst.valley_point(), inst.valley_loss, CONV_RADIUS,
+                  {1: 0.25 / a, 2: 0.5 / a, 5: 0.1 * a},  # eps_2 (u2), eps_3 (u3), delta_2 (w2)
+                  n_probes, seed, 1e-12, coord=4, overflow=f"the scale a = {a!r} is too small")

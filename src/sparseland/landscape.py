@@ -306,14 +306,18 @@ def check_assumptions(X: np.ndarray, mask: np.ndarray) -> bool:
 # ranks
 # ---------------------------------------------------------------------------
 
-def numerical_rank(M: np.ndarray) -> int:
-    """Count of singular values above RANK_TOL * s_max."""
+def numerical_rank(M: np.ndarray) -> int | None:
+    """Count of singular values above RANK_TOL * s_max; None (not measured)
+    for a matrix with an entry that is not finite."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
+    top = float(np.max(np.abs(M)))  # inf or NaN where an entry is
+    if not math.isfinite(top):
+        return None
     # scaled by an exact power of two to max |M| in [0.5, 1): the rank is the
     # same, and the SVD cannot overflow on large finite entries
-    M = np.ldexp(M, -math.frexp(np.max(np.abs(M)))[1])
+    M = np.ldexp(M, -math.frexp(top)[1])
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0
@@ -324,9 +328,9 @@ def layer_ranks(net: SparseNet, X: np.ndarray) -> tuple:
     """Numerical rank of every layer output on X: each hidden layer's, post
     activation, then the net's.  An output that is not finite (the forward
     pass overflowed) has no measured rank: None."""
-    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+    with np.errstate(over="ignore", invalid="ignore"):  # numerical_rank judges the outputs
         out, hiddens = forward(net, X)
-    return tuple(numerical_rank(h) if np.isfinite(h).all() else None for h in (*hiddens, out))
+    return tuple(map(numerical_rank, (*hiddens, out)))
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,26 @@ def test_train_reports_gap_for_linear(workdir, capsys):
     assert manifest["seed"] == 3
 
 
+@pytest.mark.parametrize("first,second", [
+    ({"bias": [0.5, -0.3]}, {"bias": [0.7]}),
+    ({"bias": [0.0, 0.0], "bias_mask": [0, 0]}, {}),
+], ids=["live-bias", "masked-bias"])
+def test_train_gap_of_a_biased_linear_net_is_against_an_affine_fit(workdir, capsys, first,
+                                                                   second):
+    # a linear net with a live bias fits A X + b, so its optimum fits [X; 1]:
+    # the converged loss meets it within rounding, where A X alone read a gap
+    # of -1.02; a net whose biases are all masked fits A X alone
+    spec = {"layers": [{"weights": [[1.0, 0.5], [0.0, 2.0]], **first},
+                       {"weights": [[1.0, -1.0]], **second}],
+            "activation": {"kind": "linear"}}
+    (workdir / "biased.json").write_text(json.dumps(spec))
+    code, cap = run_cli(["train", "--spec", "biased.json", "--n", "5", "--epochs", "20000",
+                         "--lr", "0.01", "--json"], capsys)
+    payload = json.loads(cap.out)
+    assert code == 0 and payload["stop_reason"] == "converged_grad"
+    assert abs(payload["gap"]) <= 1e-12 * payload["optimum"]
+
+
 def test_train_writes_csv_trace(workdir, capsys):
     out = workdir / "trace.csv"
     code, cap = run_cli(["train", "--dims", "3,6,1", "--n", "20", "--epochs", "50",

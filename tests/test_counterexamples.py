@@ -43,7 +43,7 @@ from sparseland.cli import _finite_json, main
 from sparseland.counterexamples import (
     BETTER_LOSS_BOUND,
     CONV_RADIUS,
-    CONV_SCALES,
+    CONV_SCALE_MAX,
     EIGENVALUES_REF,
     EXPERIMENT_Y,
     HESSIAN_REF,
@@ -589,19 +589,25 @@ def test_sigma_w7_stays_within_a_factor_two_over_the_probe_box(act):
     assert s7 >= 0.25 and np.max(np.abs(moved - s7)) <= s7 / 2
 
 
+def _recording(monkeypatch, cls):
+    """The arrays cls.loss is called on from now on, in call order."""
+    probed, loss = [], cls.loss
+
+    def recording(self, theta):
+        probed.append(np.array(theta))
+        return loss(self, theta)
+
+    monkeypatch.setattr(cls, "loss", recording)
+    return probed
+
+
 def test_probe_valley_clips_delta_3_to_half_w3(monkeypatch):
     # in its own units (c = 1) with w3 = 2 y3 = 0.02 < VALLEY_RADIUS, so the
     # clip acts: every probe keeps |theta_3 - w3| <= |w3| / 2
     inst = valley_instance((1, 2, 0.01, 2), Activation("tanh"))
     w3 = inst.valley_theta[2]
     assert valley_scale(inst.y) == 1.0 and w3 == 0.02
-    probed, loss = [], SpuriousValleyInstance.loss
-
-    def recording(self, theta):
-        probed.append(np.array(theta))
-        return loss(self, theta)
-
-    monkeypatch.setattr(SpuriousValleyInstance, "loss", recording)
+    probed = _recording(monkeypatch, SpuriousValleyInstance)
     probe_valley(inst, n_probes=500, seed=0)
     # the calls: the 256 box corners, the 500 probes, the 40 line points
     assert [len(t) for t in probed] == [256, 500, 40]
@@ -611,12 +617,14 @@ def test_probe_valley_clips_delta_3_to_half_w3(monkeypatch):
 
 
 def test_probe_valley_rejects_targets_whose_probe_losses_can_overflow(monkeypatch):
-    # w3 = 1e160 a: a probe moves the residual r22 by about 1e158, whose square overflows
+    # w3 = 1e160 a: a probe moves the residual r22 by about 1e158, whose square
+    # overflows at a corner of the box, which is all that is evaluated
     inst = valley_instance((1.0, 2.0, 1e160, 2.0))
-    monkeypatch.setattr(counterexamples, "_probe", None)  # no probe is drawn
+    probed = _recording(monkeypatch, SpuriousValleyInstance)
     with pytest.raises(ValueError, match=re.escape(f"a probe loss can overflow: the targets y = "
                                                    f"{inst.y} lie too many binades apart")):
         probe_valley(inst)
+    assert [len(t) for t in probed] == [256]
 
 
 # payload_sha256 of `verify ss-valley --y Y --json`: at the default y the same
@@ -641,43 +649,57 @@ def test_the_largest_conv_scale_shows_its_least_step():
     # at the largest scale probe_conv_valley admits, the loss the line test
     # reads at its least step is at least 4 ulps above 1/2, and one past it
     # is rejected
-    hi = CONV_SCALES[1]
-    inst = conv_valley_instance(hi)
+    inst = conv_valley_instance(CONV_SCALE_MAX)
     assert probe_conv_valley(inst, n_probes=20).ok
     step = np.zeros(6)
     step[4] = CONV_RADIUS / 20
     assert inst.loss(inst.valley_point() + step) - 0.5 >= 4 * math.ulp(0.5)
-    with pytest.raises(ValueError, match="is outside"):
-        probe_conv_valley(conv_valley_instance(np.nextafter(hi, np.inf)), n_probes=20)
+    with pytest.raises(ValueError, match="is above"):
+        probe_conv_valley(conv_valley_instance(np.nextafter(CONV_SCALE_MAX, np.inf)), n_probes=20)
+
+
+def _conv_corner_losses(a):
+    """The conv loss at the 64 corners of probe_conv_valley's clipped box at scale a."""
+    inst = ConvValleyInstance(a=a)
+    half = np.minimum(CONV_RADIUS, [CONV_RADIUS, 0.25 / a, 0.5 / a, CONV_RADIUS, CONV_RADIUS,
+                                    0.1 * a])
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
+    with np.errstate(over="ignore"):
+        return inst.loss(inst.valley_point() + half * corners)
 
 
 def test_the_least_conv_scale_keeps_the_corner_losses_finite():
-    # at the least scale every corner loss of the probe box is finite, one
-    # float below it some overflows, and that scale is rejected
-    lo = CONV_SCALES[0]
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
-    at_lo, below = ConvValleyInstance(a=lo), ConvValleyInstance(a=np.nextafter(lo, 0))
-    with np.errstate(over="ignore"):
-        assert [bool(np.isfinite(i.loss(i.valley_point() + CONV_RADIUS * corners)).all())
-                for i in (at_lo, below)] == [True, False]
-    assert probe_conv_valley(at_lo, n_probes=20).ok
-    with pytest.raises(ValueError, match="is outside"):
-        probe_conv_valley(below, n_probes=20)
-
-
-@pytest.mark.parametrize("a", [1e7, 1e-160], ids=["1e7", "1e-160"])
-def test_probe_conv_valley_rejects_a_scale_it_cannot_judge(monkeypatch, a):
-    # a library call judges its scale before any draw: a true valley is not
-    # reported as falsified
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew probes")
-
-    monkeypatch.setattr(counterexamples, "_probe", no_draw)
+    # bisect the floats for the least scale whose corner losses are all
+    # finite: probe_conv_valley accepts it and rejects the next float below,
+    # naming that scale
+    lo, hi = 1e-160, 1e-150
+    assert not np.isfinite(_conv_corner_losses(lo)).all()
+    assert np.isfinite(_conv_corner_losses(hi)).all()
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo * hi)
+        mid = mid if lo < mid < hi else math.nextafter(lo, hi)
+        lo, hi = (lo, mid) if np.isfinite(_conv_corner_losses(mid)).all() else (mid, hi)
+    # the corner's r21 = (4/a + 0.1) 0.1 squares to about the largest float
+    assert 2.9e-155 < hi < 3.0e-155 and lo == math.nextafter(hi, 0)
+    assert probe_conv_valley(conv_valley_instance(hi), n_probes=20).ok
     with pytest.raises(ValueError) as ei:
-        probe_conv_valley(conv_valley_instance(a))
-    assert str(ei.value) == (f"scale {a!r} is outside [4.22e-155, 6.71e+05]: below it a probe "
-                             "loss can overflow, above it the line test cannot resolve its least "
-                             "step")
+        probe_conv_valley(conv_valley_instance(lo), n_probes=20)
+    assert str(ei.value) == f"a probe loss can overflow: the scale a = {lo!r} is too small"
+
+
+@pytest.mark.parametrize("a,message", [
+    (1e7, "scale 10000000.0 is above 6.71e+05: the line test cannot resolve its least step"),
+    (1e-160, "a probe loss can overflow: the scale a = 1e-160 is too small"),
+], ids=["1e7", "1e-160"])
+def test_probe_conv_valley_rejects_a_scale_it_cannot_judge(monkeypatch, a, message):
+    # a library call judges its scale before any draw, from the box's corners
+    # at most: a true valley is not reported as falsified
+    inst = conv_valley_instance(a)
+    probed = _recording(monkeypatch, ConvValleyInstance)
+    with pytest.raises(ValueError) as ei:
+        probe_conv_valley(inst)
+    assert str(ei.value) == message
+    assert [len(t) for t in probed] == ([] if a > 1 else [64])
 
 
 def test_verify_cnn_default_payload_is_pinned(tmp_path, monkeypatch, capsys):
@@ -809,15 +831,9 @@ def _one_batch(loss, theta, level, deltas, tol):
 def test_valley_probe_blocks_equal_one_batch(y):
     inst = valley_instance(np.array(y) / valley_scale(y))
     rep = probe_valley(inst, n_probes=N_BLOCKED, seed=4)
-    theta, act = inst.valley_theta, inst.activation
+    theta = inst.valley_theta
     deltas = np.random.default_rng(4).uniform(-VALLEY_RADIUS, VALLEY_RADIUS, size=(N_BLOCKED, 8))
     deltas[:, 2] = np.clip(deltas[:, 2], -abs(theta[2]) / 2, abs(theta[2]) / 2)
-    s7 = float(act(theta[6]))
-    for _ in range(60):
-        bad = np.abs(act(theta[6] + deltas[:, 6]) - s7) > abs(s7) / 2
-        if not bad.any():
-            break
-        deltas[bad, 6] *= 0.5
     assert rep.n_probes == N_BLOCKED
     assert (rep.min_excess, rep.falsifications) == _one_batch(
         inst.loss, theta, inst.valley_loss, deltas, 1e-10)
@@ -832,44 +848,63 @@ def _conv_deltas(a, n, seed):
     return deltas
 
 
-def _conv_probe(a, deltas):
-    """_probe with the conv loss at scale a, fed deltas in blocks."""
-    inst = ConvValleyInstance(a=a)
-    blocks = iter(np.split(deltas, range(PROBE_BLOCK, len(deltas), PROBE_BLOCK)))
-    return counterexamples._probe(inst.loss, inst.valley_point(), inst.valley_loss,
-                                  lambda k: next(blocks), len(deltas), 1e-12, coord=4,
-                                  radius=CONV_RADIUS)
-
-
 @pytest.mark.parametrize("a", [0.5, 2.0, 1e-155])
 def test_conv_probe_blocks_equal_one_batch(a):
-    # at a = 1e-155 about two thirds of the probe losses overflow to inf:
-    # _probe counts each as a falsification, and probe_conv_valley rejects
-    # the scale before it draws
+    # at a = 1e-155 about two thirds of the probe losses would overflow to
+    # inf: the corner rule rejects the scale before any draw
     inst = ConvValleyInstance(a=a)
-    deltas = _conv_deltas(a, N_BLOCKED, seed=4)
     with np.errstate(over="ignore"):
-        rep = _conv_probe(a, deltas)
-        want = _one_batch(inst.loss, inst.valley_point(), inst.valley_loss, deltas, 1e-12)
-    assert (rep.min_excess, rep.falsifications) == want
-    assert (rep.falsifications > 0) == (a == 1e-155) == (not rep.ok)
+        want = _one_batch(inst.loss, inst.valley_point(), inst.valley_loss,
+                          _conv_deltas(a, N_BLOCKED, seed=4), 1e-12)
     if a == 1e-155:
+        assert want[1] > N_BLOCKED // 2
         with pytest.raises(ValueError, match="overflow"):
             probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4)
     else:
-        assert probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4) == rep
+        rep = probe_conv_valley(inst, n_probes=N_BLOCKED, seed=4)
+        assert (rep.min_excess, rep.falsifications) == want and rep.ok
 
 
 def test_conv_probe_non_finite_losses_falsify():
-    # every probe loss overflows at a = 1e-300: no evidence, so no certificate
-    with np.errstate(over="ignore"):
-        rep = _conv_probe(1e-300, _conv_deltas(1e-300, 50, seed=0))
+    # a loss that is the conv loss at the corners of the box and not finite
+    # inside it passes the corner check; every probe loss is then not
+    # finite: no evidence, so no certificate
+    inst = ConvValleyInstance(a=1.0)
+    theta = inst.valley_point()
+
+    def loss(th):
+        at_corner = np.all(np.abs(th - theta) > 0.99 * CONV_RADIUS, axis=-1)
+        return np.where(at_corner, inst.loss(th), np.inf)
+
+    rep = counterexamples._probe(loss, theta, 0.5, CONV_RADIUS, {}, 50, 0, 1e-12, coord=4,
+                                 overflow="unused")
     assert rep.falsifications == 50
     assert not rep.line_strict_ok and not rep.ok
     assert rep.min_excess == np.inf
     blob = _finite_json(rep.to_json())
     assert blob["min_excess"] is None
     assert "Infinity" not in json.dumps(blob)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_no_conv_probe_exceeds_the_largest_corner_loss(monkeypatch, a):
+    # the corner rule _probe applies: over the clipped box the loss is
+    # largest at a corner, so every probe and line point stays at most there
+    inst = conv_valley_instance(a)
+    probed = _recording(monkeypatch, ConvValleyInstance)
+    probe_conv_valley(inst, n_probes=N_BLOCKED, seed=2)
+    corners, *blocks, line = probed
+    assert [len(t) for t in blocks] == [PROBE_BLOCK, PROBE_BLOCK, 3] and len(corners) == 64
+    assert inst.loss(np.concatenate(blocks + [line])).max() <= inst.loss(corners).max()
+
+
+def test_no_valley_probe_exceeds_the_largest_corner_loss(monkeypatch):
+    inst = valley_instance(STRICT_Y)
+    probed = _recording(monkeypatch, SpuriousValleyInstance)
+    probe_valley(inst, n_probes=N_BLOCKED, seed=2)
+    corners, *blocks, line = probed
+    assert [len(t) for t in blocks] == [PROBE_BLOCK, PROBE_BLOCK, 3] and len(corners) == 256
+    assert inst.loss(np.concatenate(blocks + [line])).max() <= inst.loss(corners).max()
 
 
 CERTIFY = {

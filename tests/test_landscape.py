@@ -307,6 +307,12 @@ def test_numerical_rank():
     assert numerical_rank(5e-324 * np.eye(3)) == 3
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_numerical_rank_of_a_non_finite_matrix_is_unmeasured(bad):
+    # not 0 (inf scaled the rest to 0) and no LinAlgError (the SVD of a NaN)
+    assert numerical_rank(np.array([[1.0, bad], [0.0, 1.0]])) is None
+
+
 def test_hidden_rank_certificate():
     r = np.random.default_rng(1)
     W = r.standard_normal((4, 3))
